@@ -53,7 +53,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import replace
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -81,7 +80,7 @@ from ..darshan import (
     save_json,
 )
 from ..lint.cli import add_lint_subparser, cmd_lint
-from ..parallel import ParallelConfig, PoolRebuildLimit
+from ..parallel import ParallelConfig, PoolRebuildLimit, RetryPolicy
 from ..testing import ChaosInjector
 from ..synth import FleetConfig, cohort_by_name, generate_fleet, generate_run
 from ..viz import render_jaccard, render_shares_table, render_trace_anatomy
@@ -489,12 +488,16 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _parallel(
-    workers: int, task_timeout: float | None = None
+    workers: int, task_timeout: float | None = None, **retry: Any
 ) -> ParallelConfig:
-    cfg = ParallelConfig(max_workers=workers if workers >= 0 else None)
+    """Pool config for --workers; ``--task-timeout`` and any other
+    ``retry`` knobs override the :class:`RetryPolicy` defaults."""
     if task_timeout is not None:
-        cfg = replace(cfg, task_timeout_s=task_timeout)
-    return cfg
+        retry["task_timeout_s"] = task_timeout
+    return ParallelConfig(
+        max_workers=workers if workers >= 0 else None,
+        retry=RetryPolicy(**retry),
+    )
 
 
 def _journal_args(args: argparse.Namespace) -> tuple[str | None, bool]:
@@ -532,19 +535,19 @@ def _chaos_context(args: argparse.Namespace) -> PipelineContext | None:
     """Build a chaos-wrapped pipeline context, or None without --chaos."""
     if getattr(args, "chaos", None) is None:
         return None
-    parallel = _parallel(args.workers, args.task_timeout)
+    parallel = _parallel(
+        args.workers,
+        # hangs must be detectable, so chaos implies a deadline
+        args.task_timeout if args.task_timeout is not None else 30.0,
+        # the production budget (3) assumes crashes are anomalies;
+        # chaos injects them on purpose, so a self-test needs headroom
+        max_pool_rebuilds=100,
+    )
     if parallel.resolved_workers() <= 1:
         raise SystemExit(
             "--chaos requires a process pool (--workers >= 2): injected "
             "crashes would kill the CLI itself in serial mode"
         )
-    if parallel.task_timeout_s is None:
-        # hangs must be detectable, so chaos implies a deadline
-        parallel = replace(parallel, task_timeout_s=30.0)
-    if parallel.max_pool_rebuilds is None:
-        # the production budget (3) assumes crashes are anomalies;
-        # chaos injects them on purpose, so a self-test needs headroom
-        parallel = replace(parallel, max_pool_rebuilds=100)
     return PipelineContext(
         config=_effective_config(args),
         parallel=parallel,

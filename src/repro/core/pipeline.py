@@ -1,23 +1,24 @@
 """The full MOSAIC corpus workflow (Fig. 1: ① validity & dedup →
 ② merging → ③ categorization → ④ output).
 
-The pipeline is *streaming*: :func:`run_pipeline_stream` drives a lazy
-:class:`~repro.darshan.source.TraceSource` through two bounded-memory
-passes — scan/dedup (pass ①, no trace retained) and categorize (pass ②,
-only the selected heaviest traces, loaded with backpressure against the
-process pool) — so corpora larger than RAM are categorizable.  The
-original batch API, :func:`run_pipeline`, wraps an in-memory source and
-materializes the selected traces, preserving its historical contract.
+Every run goes through one driver, :func:`_run_pipeline_plan`, over a
+*plan*: the scan result of pass ① plus the work units of pass ②.  The
+entry points only build plans: :func:`run_pipeline_stream` ships one
+lazily loaded trace per unit (corpora larger than RAM are
+categorizable), :func:`run_pipeline_store` ships ``(store_path, rows)``
+slices of a compiled ``.mosc`` store, and :func:`run_pipeline` streams
+an in-memory corpus and materializes the selected traces.
 
-Pass ② runs on the *resilient* executor
-(:func:`~repro.parallel.resilient.resilient_imap`): worker crashes
-rebuild the pool instead of aborting, hung traces are quarantined as
-TIMEOUT, transient read errors are retried with backoff, and inputs
-that repeatedly kill workers are quarantined as POISON.  With a
-``journal_path``, every per-trace outcome is checkpointed to an
-append-only JSONL journal as it completes, so a killed run resumes
-(``resume=True``) exactly where it died; quarantined traces are listed
-in a ``<journal>.quarantine.json`` manifest.  See docs/ROBUSTNESS.md.
+The driver alone owns resume, the journal, the result cache, error
+policy, the settle loop and the closing counters, so byte-identity
+across the routes rests on one loop.  Pass ② runs on the resilient
+executor (:func:`~repro.parallel.resilient.resilient_imap`): worker
+crashes rebuild the pool, hung units are quarantined as TIMEOUT,
+transient errors are retried with backoff, and inputs that repeatedly
+kill workers are quarantined as POISON.  With a ``journal_path``, every
+per-trace outcome is checkpointed to an append-only JSONL journal as it
+settles, so a killed run resumes (``resume=True``) exactly where it
+died, on either route.  See docs/ROBUSTNESS.md.
 
 A :class:`PipelineContext` threads configuration, error policy, and
 observability (per-stage wall-clock timings plus counters: traces
@@ -32,7 +33,7 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Union
+from typing import Any, Callable, Iterator, Sequence, Union
 
 from ..darshan.errors import (
     TraceFormatError,
@@ -41,15 +42,10 @@ from ..darshan.errors import (
 )
 from ..darshan.source import InMemorySource, TraceSource
 from ..darshan.trace import Trace
-from ..parallel.executor import (
-    MapOutcome,
-    ParallelConfig,
-    TaskFailure,
-    parallel_map,
-)
+from ..parallel.executor import ParallelConfig, TaskFailure
 from ..parallel.jobstore import JobStore
 from ..parallel.resilient import resilient_imap
-from ..parallel.retry import FailureKind, RetryPolicy, backoff_delay
+from ..parallel.retry import FailureKind, RetryPolicy
 from .categorizer import categorize_trace
 from .governor import DegradationLevel
 from .preprocess import (
@@ -74,13 +70,8 @@ __all__ = [
 WorkerWrapper = Callable[[Callable[[Any], Any]], Callable[[Any], Any]]
 
 
-def _trace_cost(trace: Trace) -> float:
-    """LPT cost estimate: record count dominates categorization time."""
-    return float(len(trace.records)) + 1e-9 * trace.total_bytes
-
-
 def _default_parallel() -> ParallelConfig:
-    return ParallelConfig(max_workers=0, cost=_trace_cost)
+    return ParallelConfig(max_workers=0)
 
 
 @dataclass(slots=True)
@@ -108,11 +99,12 @@ class PipelineContext:
     counters: dict[str, int] = field(default_factory=dict)
     #: Optional content-addressed result cache (duck-typed to keep core
     #: independent of :mod:`repro.service`; see
-    #: :class:`repro.service.cache.ResultCache`): ``trace_key(crc)``
-    #: derives the cache key from a store row's CRC chain, ``get(key)``
-    #: returns a saved result payload or ``None``, ``put(key, payload)``
-    #: stores one.  Consulted by :func:`run_pipeline_store` only — the
-    #: per-trace CRC that addresses it exists only in ``.mosc`` v2.
+    #: :class:`repro.service.cache.ResultCache`): ``trace_key(crc,
+    #: job_id)`` derives the cache key of one store row from its CRC
+    #: chain and job id, ``get(key)`` returns a saved result payload or
+    #: ``None``, ``put(key, payload)`` stores one.  Consulted only for
+    #: store runs — the per-trace CRC that addresses it exists only in
+    #: ``.mosc`` v2.
     result_cache: Any | None = None
     #: Optional settle hook passed to the journal-backed
     #: :class:`~repro.parallel.jobstore.JobStore`: called as
@@ -150,18 +142,6 @@ class PipelineContext:
         if value > self.counters.get(name, 0):
             self.counters[name] = value
 
-    def retry_policy(self) -> RetryPolicy:
-        """Effective retry policy: :class:`MosaicConfig` defaults,
-        overridden by any explicitly-set :class:`ParallelConfig` field."""
-        base = RetryPolicy(
-            task_timeout_s=self.config.task_timeout_s,
-            max_retries=self.config.max_retries,
-            backoff_base_s=self.config.backoff_base_s,
-            backoff_cap_s=max(self.config.backoff_base_s, RetryPolicy().backoff_cap_s),
-            max_pool_rebuilds=self.config.max_pool_rebuilds,
-        )
-        return self.parallel.retry_policy(base)
-
 
 @dataclass(slots=True)
 class PipelineResult:
@@ -188,6 +168,55 @@ class PipelineResult:
         return len(self.results)
 
 
+# ----------------------------------------------------------------------
+# Plans.  A member is one selected trace: its slot in the scan's
+# selection order plus its ref.  A unit is what ships to a worker: a
+# payload and the members it settles, one result per member in order.
+
+_Member = tuple[int, SelectedRef]
+_Unit = tuple[list[_Member], Any]
+
+
+@dataclass(slots=True)
+class _Plan:
+    """What one run categorizes, and how its work ships."""
+
+    #: Pass ① outcome: the selected refs, in slot order, plus counters.
+    scan: SelectionPlan
+    #: Picklable worker: ``(payload, config=...)`` → one result per
+    #: member of the unit the payload came from.
+    worker: Callable[..., list[CategorizationResult]]
+    #: Packs the members still to run into units, lazily: a stream
+    #: loads each trace only when the executor draws its unit.
+    units: Callable[[list[_Member]], Iterator[_Unit]]
+    #: Journal ``trace_key`` of one member's failure record.
+    failure_key: Callable[[SelectedRef], str]
+    #: Per-row content CRCs keying the result cache (store plans only).
+    trace_crcs: Sequence[int] | None = None
+    #: Source whose pass-② reads are counted (stream plans only).
+    source: TraceSource | None = None
+
+
+def _scan_stage(
+    ctx: PipelineContext,
+    scan: Callable[[], SelectionPlan],
+    source: TraceSource | None = None,
+) -> SelectionPlan:
+    """Pass ① plus its bookkeeping."""
+    bytes_before = source.bytes_read if source is not None else 0
+    with ctx.stage("scan"):
+        plan = scan()
+    ctx.count("traces_scanned", plan.n_input)
+    ctx.count("n_corrupted", plan.n_corrupted)
+    ctx.count("n_unreadable", plan.n_unreadable)
+    ctx.count("n_repaired", plan.n_repaired)
+    if source is not None:
+        ctx.count("scan_bytes_read", source.bytes_read - bytes_before)
+    # the scan's only retained state: one small ref per application
+    ctx.gauge("dedup_state_size", plan.n_selected)
+    return plan
+
+
 def _count_degradation(
     ctx: PipelineContext, results: list[CategorizationResult]
 ) -> None:
@@ -203,26 +232,11 @@ def _count_degradation(
         ctx.count("n_degraded", total)
 
 
-def _scan_stage(source: TraceSource, ctx: PipelineContext) -> SelectionPlan:
-    """Pass ① plus its bookkeeping."""
-    bytes_before = source.bytes_read
-    with ctx.stage("scan"):
-        plan = scan_corpus(source, repair=ctx.repair)
-    ctx.count("traces_scanned", plan.n_input)
-    ctx.count("n_corrupted", plan.n_corrupted)
-    ctx.count("n_unreadable", plan.n_unreadable)
-    ctx.count("n_repaired", plan.n_repaired)
-    ctx.count("scan_bytes_read", source.bytes_read - bytes_before)
-    # the scan's only retained state: one small ref per application
-    ctx.gauge("dedup_state_size", plan.n_selected)
-    return plan
-
-
 # ----------------------------------------------------------------------
-# Pass ② payloads.  A selected trace that stays unreadable after the
+# Stream units.  A selected trace that stays unreadable after the
 # parent-side retry budget travels to the worker as a _LoadFailure
-# sentinel (keeping stream indexes aligned), where it raises a
-# permanent, per-trace error instead of aborting the corpus.
+# sentinel (keeping unit indexes aligned), where it raises a permanent,
+# per-trace error instead of aborting the corpus.
 
 
 @dataclass(slots=True, frozen=True)
@@ -239,14 +253,15 @@ _Payload = Union[Trace, _LoadFailure]
 
 def _categorize_payload(
     payload: _Payload, config: MosaicConfig
-) -> CategorizationResult:
-    """Worker-side entry: categorize a trace, or surface its load error."""
+) -> list[CategorizationResult]:
+    """Worker-side entry of a one-trace unit: categorize the trace, or
+    surface its load error."""
     if isinstance(payload, _LoadFailure):
         raise TraceUnavailableError(
             f"trace {payload.job_id} unreadable after retries: "
             f"{payload.error_type}: {payload.message}"
         )
-    return categorize_trace(payload, config)
+    return [categorize_trace(payload, config)]
 
 
 def _load_with_retry(
@@ -262,93 +277,215 @@ def _load_with_retry(
     persistent — exactly the ``TraceFormatError``-on-reread class the
     retry policy covers.
     """
+    backoff = policy.backoff
     attempts = 0
     while True:
         attempts += 1
         try:
             return load_selected(source, entry)
         except (TraceFormatError, TraceReadError, OSError) as exc:
-            if attempts > policy.max_retries:
+            if attempts >= backoff.attempts:
                 return _LoadFailure(
                     job_id=entry.job_id,
                     error_type=type(exc).__name__,
                     message=str(exc),
                 )
             ctx.count("n_reload_retries")
-            delay = backoff_delay(attempts, policy, key=entry.job_id)
+            delay = backoff.backoff_s(attempts - 1, key=entry.job_id)
             if delay > 0:
                 time.sleep(delay)
 
 
-def _failure_from_record(record: dict[str, Any], index: int) -> TaskFailure:
-    """Rehydrate a journaled failure for a resumed run."""
-    raw_kind = str(record.get("failure_kind", FailureKind.EXCEPTION.value))
-    try:
-        kind = FailureKind(raw_kind)
-    except ValueError:
-        kind = FailureKind.EXCEPTION
-    return TaskFailure(
-        index=index,
-        error_type=str(record.get("error_type", "")),
-        message=str(record.get("message", "")),
-        traceback_text="",
-        kind=kind,
-        qualname=str(record.get("error_type", "")),
-        attempts=int(record.get("attempts", 1)),
+def _stream_plan(source: TraceSource, ctx: PipelineContext) -> _Plan:
+    """Scan ``source``; one unit per selected trace."""
+
+    def units(pending: list[_Member]) -> Iterator[_Unit]:
+        for member in pending:
+            payload = _load_with_retry(
+                source, member[1], ctx.parallel.retry, ctx
+            )
+            yield [member], payload
+
+    return _Plan(
+        scan=_scan_stage(
+            ctx, lambda: scan_corpus(source, repair=ctx.repair), source
+        ),
+        worker=_categorize_payload,
+        units=units,
+        failure_key=lambda entry: str(entry.ref.key),
+        source=source,
     )
 
 
-def _open_jobstore(
-    journal_path: str | os.PathLike[str],
+# ----------------------------------------------------------------------
+# The driver.
+
+
+def _run_pipeline_plan(
+    plan: _Plan,
+    ctx: PipelineContext,
+    started: float,
+    journal_path: str | os.PathLike[str] | None,
     resume: bool,
-    n_selected: int,
-    ctx: PipelineContext,
-) -> tuple[
-    JobStore, dict[int, CategorizationResult], dict[int, TaskFailure]
-]:
-    """Open the journal-backed job store and rehydrate resumed state.
+) -> PipelineResult:
+    """Pass ② of every run: resume, cache, execute, settle, count.
 
-    The core-layer shim over :class:`~repro.parallel.jobstore.JobStore`:
-    the parallel layer traffics in plain dicts, so converting journaled
-    payloads back into :class:`CategorizationResult`/:class:`TaskFailure`
-    happens here, once, for both pipeline paths.
+    Members already settled in a resumed journal keep their saved
+    outcome; with a result cache and per-row CRCs, members whose
+    content was categorized before are served their saved payload (and
+    still journaled, so resume and byte-identity hold regardless of
+    cache state).  The rest ship in units through
+    :func:`~repro.parallel.resilient.resilient_imap`; each outcome
+    settles every member of its unit — a failed unit journals one
+    failure per member.  Journal records stay per trace however the
+    work ships, so a journal started on one route resumes on another.
     """
-    jobstore = JobStore(journal_path, resume=resume, on_settle=ctx.on_settle)
-    state = jobstore.open(n_selected=n_selected)
-    resumed_results: dict[int, CategorizationResult] = {}
-    resumed_failures: dict[int, TaskFailure] = {}
-    if jobstore.resuming:
-        resumed_results = {
-            job_id: CategorizationResult.from_dict(payload)
-            for job_id, payload in state.completed.items()
-        }
-        resumed_failures = {
-            job_id: _failure_from_record(record, index=-1)
-            for job_id, record in state.quarantined.items()
-        }
-        ctx.count("n_journal_malformed", state.n_malformed)
-    return jobstore, resumed_results, resumed_failures
+    scan = plan.scan
+    jobstore: JobStore | None = None
+    resumed: dict[int, CategorizationResult] = {}
+    quarantined: set[int] = set()
+    if journal_path is not None:
+        jobstore = JobStore(journal_path, resume=resume, on_settle=ctx.on_settle)
+        state = jobstore.open(n_selected=scan.n_selected)
+        if jobstore.resuming:
+            resumed = {
+                job_id: CategorizationResult.from_dict(payload)
+                for job_id, payload in state.completed.items()
+            }
+            quarantined = set(state.quarantined)
+            ctx.count("n_journal_malformed", state.n_malformed)
+
+    source = plan.source
+    bytes_before = source.bytes_read if source is not None else 0
+    n_failures = 0
+    slots: list[CategorizationResult | None] = [None] * len(scan.selected)
+    inflight = 0
+    peak = 0
+    try:
+        with ctx.stage("categorize"):
+            pending: list[_Member] = []
+            for slot, entry in enumerate(scan.selected):
+                if entry.job_id in resumed:
+                    slots[slot] = resumed[entry.job_id]
+                elif entry.job_id in quarantined:
+                    n_failures += 1
+                else:
+                    pending.append((slot, entry))
+            ctx.count("n_resumed", len(scan.selected) - len(pending))
+
+            # -- content-addressed result cache: the key mixes the row's
+            # CRC chain with its job id (plus the config/repair
+            # namespace baked into the cache), so two traces whose
+            # 32-bit CRCs collide never share an entry.
+            cache = ctx.result_cache
+            crcs = plan.trace_crcs
+            cache_keys: dict[int, str] = {}
+            if cache is not None and crcs is not None:
+                uncached: list[_Member] = []
+                for slot, entry in pending:
+                    key = cache.trace_key(
+                        int(crcs[int(entry.ref.key)]), entry.job_id
+                    )
+                    cache_keys[slot] = key
+                    saved = cache.get(key)
+                    if saved is None:
+                        ctx.count("n_cache_misses")
+                        uncached.append((slot, entry))
+                        continue
+                    ctx.count("n_cache_hits")
+                    slots[slot] = CategorizationResult.from_dict(  # mosaic: disable=MOS016 (rehydration of an already-governed result)
+                        saved
+                    )
+                    if jobstore is not None:
+                        jobstore.settle_result(entry.job_id, saved)
+                pending = uncached
+
+            shipped: list[list[_Member]] = []
+
+            def feed() -> Iterator[Any]:
+                nonlocal inflight, peak
+                for members, payload in plan.units(pending):
+                    shipped.append(members)
+                    inflight += len(members)
+                    peak = max(peak, inflight)
+                    yield payload
+
+            fn: Callable[[Any], Any] = functools.partial(
+                plan.worker, config=ctx.config
+            )
+            if ctx.wrap_worker is not None:
+                fn = ctx.wrap_worker(fn)
+
+            for index, outcome in resilient_imap(
+                fn, feed(), ctx.parallel, on_count=ctx.count
+            ):
+                members = shipped[index]
+                inflight -= len(members)
+                if isinstance(outcome, TaskFailure):
+                    if ctx.error_policy == "raise":
+                        raise RuntimeError(f"categorization failed: {outcome}")
+                    for _slot, entry in members:
+                        n_failures += 1
+                        if outcome.kind in (FailureKind.TIMEOUT, FailureKind.POISON):
+                            ctx.count("n_quarantined")
+                        if jobstore is not None:
+                            jobstore.settle_failure(
+                                entry.job_id,
+                                failure_kind=outcome.kind.value,
+                                error_type=outcome.error_type,
+                                message=outcome.message,
+                                trace_key=plan.failure_key(entry),
+                                attempts=outcome.attempts,
+                            )
+                    continue
+                for (slot, entry), result in zip(members, outcome):
+                    slots[slot] = result
+                    if jobstore is None and slot not in cache_keys:
+                        continue
+                    payload = result.to_dict()
+                    if jobstore is not None:
+                        jobstore.settle_result(entry.job_id, payload)
+                    if cache is not None and slot in cache_keys:
+                        cache.put(cache_keys[slot], payload)
+    finally:
+        if jobstore is not None:
+            jobstore.close()
+
+    results = [r for r in slots if r is not None]
+    ctx.count("n_selected", scan.n_selected)
+    ctx.count("n_failures", n_failures)
+    _count_degradation(ctx, results)
+    if source is not None:
+        ctx.count("categorize_bytes_read", source.bytes_read - bytes_before)
+    ctx.gauge("peak_inflight_traces", peak)
+    ctx.timings["total_s"] = time.perf_counter() - started
+    # historical stage names, kept for dashboards and the benchmarks
+    ctx.timings.setdefault("preprocess_s", ctx.timings.get("scan_s", 0.0))
+
+    return PipelineResult(
+        preprocess=scan.to_result(None),
+        results=results,
+        n_failures=n_failures,
+        timings=dict(ctx.timings),
+        metrics=dict(ctx.counters),
+    )
 
 
-def _settle_failure(
-    jobstore: JobStore | None,
-    ctx: PipelineContext,
-    job_id: int,
-    outcome: TaskFailure,
-    trace_key: str,
-) -> None:
-    """Count (and, when journaled, durably record) one failed trace."""
-    if outcome.kind in (FailureKind.TIMEOUT, FailureKind.POISON):
-        ctx.count("n_quarantined")
-    if jobstore is not None:
-        jobstore.settle_failure(
-            job_id,
-            failure_kind=outcome.kind.value,
-            error_type=outcome.error_type,
-            message=outcome.message,
-            trace_key=trace_key,
-            attempts=outcome.attempts,
-        )
+# ----------------------------------------------------------------------
+# Entry points: build a plan, hand it to the driver.
+
+
+def _context(
+    context: PipelineContext | None,
+    config: MosaicConfig,
+    parallel: ParallelConfig | None,
+    repair: bool,
+) -> PipelineContext:
+    return context or PipelineContext(
+        config=config,
+        parallel=parallel or _default_parallel(),
+        repair=repair,
+    )
 
 
 def run_pipeline_stream(
@@ -377,99 +514,10 @@ def run_pipeline_stream(
     policy, inject a worker wrapper, or share one metrics sink across
     runs; otherwise one is built from the arguments.
     """
-    ctx = context or PipelineContext(
-        config=config,
-        parallel=parallel or _default_parallel(),
-        repair=repair,
-    )
-    t0 = time.perf_counter()
-    plan = _scan_stage(source, ctx)
-    policy = ctx.retry_policy()
-
-    # -- journal / resume bookkeeping (shared JobStore contract) -------
-    jobstore: JobStore | None = None
-    resumed_results: dict[int, CategorizationResult] = {}
-    resumed_failures: dict[int, TaskFailure] = {}
-    if journal_path is not None:
-        jobstore, resumed_results, resumed_failures = _open_jobstore(
-            journal_path, resume, plan.n_selected, ctx
-        )
-
-    bytes_before = source.bytes_read
-    failures: list[TaskFailure] = []
-    slots: list[CategorizationResult | None] = [None] * len(plan.selected)
-    try:
-        with ctx.stage("categorize"):
-            pending: list[tuple[int, SelectedRef]] = []
-            for slot, entry in enumerate(plan.selected):
-                if entry.job_id in resumed_results:
-                    slots[slot] = resumed_results[entry.job_id]
-                elif entry.job_id in resumed_failures:
-                    failures.append(resumed_failures[entry.job_id])
-                else:
-                    pending.append((slot, entry))
-            ctx.count("n_resumed", len(plan.selected) - len(pending))
-
-            inflight = 0
-            peak = 0
-
-            def load_stream() -> Iterator[_Payload]:
-                nonlocal inflight, peak
-                for _slot, entry in pending:
-                    inflight += 1
-                    peak = max(peak, inflight)
-                    yield _load_with_retry(source, entry, policy, ctx)
-
-            fn: Callable[[Any], Any] = functools.partial(
-                _categorize_payload, config=ctx.config
-            )
-            if ctx.wrap_worker is not None:
-                fn = ctx.wrap_worker(fn)
-            stream = resilient_imap(
-                fn,
-                load_stream(),
-                ctx.parallel,
-                policy=policy,
-                on_count=ctx.count,
-            )
-
-            for index, outcome in stream:
-                inflight -= 1
-                slot, entry = pending[index]
-                if isinstance(outcome, TaskFailure):
-                    if ctx.error_policy == "raise":
-                        raise RuntimeError(f"categorization failed: {outcome}")
-                    failures.append(outcome)
-                    _settle_failure(  # mosaic: disable=MOS016 (bookkeeping, not analysis)
-                        jobstore, ctx, entry.job_id, outcome, str(entry.ref.key)
-                    )
-                else:
-                    slots[slot] = outcome
-                    if jobstore is not None:
-                        jobstore.settle_result(entry.job_id, outcome.to_dict())
-    finally:
-        if jobstore is not None:
-            jobstore.close()
-
-    results = [r for r in slots if r is not None]
-    failures.sort(key=lambda f: f.index)
-
-    ctx.count("n_selected", plan.n_selected)
-    ctx.count("n_failures", len(failures))
-    _count_degradation(ctx, results)
-    ctx.count("categorize_bytes_read", source.bytes_read - bytes_before)
-    ctx.gauge("peak_inflight_traces", peak)
-    ctx.timings["total_s"] = time.perf_counter() - t0
-    # historical stage names, kept for dashboards and the benchmarks
-    ctx.timings.setdefault("preprocess_s", ctx.timings.get("scan_s", 0.0))
-
-    return PipelineResult(
-        preprocess=plan.to_result(None),
-        results=results,
-        n_failures=len(failures),
-        timings=dict(ctx.timings),
-        metrics=dict(ctx.counters),
-    )
+    ctx = _context(context, config, parallel, repair)
+    started = time.perf_counter()
+    plan = _stream_plan(source, ctx)
+    return _run_pipeline_plan(plan, ctx, started, journal_path, resume)
 
 
 def run_pipeline_store(
@@ -494,14 +542,12 @@ def run_pipeline_store(
     (:func:`repro.columnar.batch.categorize_slice`), which are
     bitwise-equivalent to the per-trace pipeline.
 
-    Journal semantics are unchanged and *per trace*: the journal header,
-    per-trace result/failure records, and ``--resume`` behaviour are
-    byte-identical to :func:`run_pipeline_stream` over the same corpus —
-    a journal started on one path can be resumed on the other.  A whole
-    failed slice journals one failure record per member trace.  The
-    per-trace ``ResourceBudget`` is enforced per slice: the planner
-    bounds each slice's working set by the budget, and each member trace
-    still walks its own degradation ladder inside the worker.
+    Journal semantics are *per trace*, through the same driver as
+    :func:`run_pipeline_stream`: a journal started on one path can be
+    resumed on the other.  The per-trace ``ResourceBudget`` is enforced
+    per slice: the planner bounds each slice's working set by the
+    budget, and each member trace still walks its own degradation
+    ladder inside the worker.
 
     ``repair`` must match how the store was compiled (repair is baked in
     at compile time); a mismatch raises ``ValueError``.
@@ -512,165 +558,33 @@ def run_pipeline_store(
     from ..columnar.scan import scan_store
     from ..columnar.store import StoreSlice, attach
 
-    ctx = context or PipelineContext(
-        config=config,
-        parallel=parallel or _default_parallel(),
-        repair=repair,
-    )
-    t0 = time.perf_counter()
+    ctx = _context(context, config, parallel, repair)
+    started = time.perf_counter()
     # Attached via the per-process cache: repeat runs and resumed
     # runs reuse one verified read-only mapping instead of paying
     # open + CRC sweep per invocation; workers reattach the same way.
     store = attach(store_path, verify=True)
-    with ctx.stage("scan"):
-        plan = scan_store(store, repair=ctx.repair)
-    ctx.count("traces_scanned", plan.n_input)
-    ctx.count("n_corrupted", plan.n_corrupted)
-    ctx.count("n_unreadable", plan.n_unreadable)
-    ctx.count("n_repaired", plan.n_repaired)
-    ctx.gauge("dedup_state_size", plan.n_selected)
-    policy = ctx.retry_policy()
 
-    # -- journal / resume bookkeeping (same contract as the stream
-    # path; records stay per trace even though work ships per slice)
-    jobstore: JobStore | None = None
-    resumed_results: dict[int, CategorizationResult] = {}
-    resumed_failures: dict[int, TaskFailure] = {}
-    if journal_path is not None:
-        jobstore, resumed_results, resumed_failures = _open_jobstore(
-            journal_path, resume, plan.n_selected, ctx
+    def units(pending: list[_Member]) -> Iterator[_Unit]:
+        by_row = {int(entry.ref.key): (slot, entry) for slot, entry in pending}
+        slices: list[StoreSlice] = plan_slices(
+            store,
+            list(by_row),
+            budget=ctx.config.budget,
+            **({"target_ops": slice_ops} if slice_ops is not None else {}),
         )
+        ctx.count("n_slices", len(slices))
+        for task in slices:
+            yield [by_row[row] for row in task.rows], task
 
-    failures: list[TaskFailure] = []
-    slots: list[CategorizationResult | None] = [None] * len(plan.selected)
-    try:
-        with ctx.stage("categorize"):
-            pending: list[tuple[int, SelectedRef]] = []
-            for slot, entry in enumerate(plan.selected):
-                if entry.job_id in resumed_results:
-                    slots[slot] = resumed_results[entry.job_id]
-                elif entry.job_id in resumed_failures:
-                    failures.append(resumed_failures[entry.job_id])
-                else:
-                    pending.append((slot, entry))
-            ctx.count("n_resumed", len(plan.selected) - len(pending))
-
-            # -- content-addressed result cache: a trace whose CRC chain
-            # (plus config/repair namespace, baked into the cache) was
-            # categorized before is served its saved payload without
-            # re-running any kernel.  Hits are still journaled, so
-            # resume and byte-identity hold regardless of cache state.
-            cache = ctx.result_cache
-            trace_crcs = getattr(store, "trace_crcs", None)
-            cache_keys: dict[int, str] = {}
-            if cache is not None and trace_crcs is not None:
-                uncached: list[tuple[int, SelectedRef]] = []
-                for slot, entry in pending:
-                    row = int(entry.ref.key)
-                    key = cache.trace_key(int(trace_crcs[row]))
-                    cache_keys[row] = key
-                    payload = cache.get(key)
-                    if payload is None:
-                        ctx.count("n_cache_misses")
-                        uncached.append((slot, entry))
-                        continue
-                    ctx.count("n_cache_hits")
-                    slots[slot] = CategorizationResult.from_dict(  # mosaic: disable=MOS016 (rehydration of an already-governed result)
-                        payload
-                    )
-                    if jobstore is not None:
-                        jobstore.settle_result(entry.job_id, payload)
-                pending = uncached
-
-            by_row = {
-                int(entry.ref.key): (slot, entry)
-                for slot, entry in pending
-            }
-            slices = plan_slices(
-                store,
-                [int(entry.ref.key) for _slot, entry in pending],
-                budget=ctx.config.budget,
-                **(
-                    {"target_ops": slice_ops}
-                    if slice_ops is not None
-                    else {}
-                ),
-            )
-            ctx.count("n_slices", len(slices))
-
-            inflight = 0
-            peak = 0
-
-            def slice_stream() -> Iterator[StoreSlice]:
-                nonlocal inflight, peak
-                for task in slices:
-                    inflight += len(task)
-                    peak = max(peak, inflight)
-                    yield task
-
-            fn: Callable[[Any], Any] = functools.partial(
-                categorize_slice, config=ctx.config
-            )
-            if ctx.wrap_worker is not None:
-                fn = ctx.wrap_worker(fn)
-            stream = resilient_imap(
-                fn,
-                slice_stream(),
-                ctx.parallel,
-                policy=policy,
-                on_count=ctx.count,
-            )
-
-            for index, outcome in stream:
-                task = slices[index]
-                inflight -= len(task)
-                if isinstance(outcome, TaskFailure):
-                    if ctx.error_policy == "raise":
-                        raise RuntimeError(
-                            f"categorization failed: {outcome}"
-                        )
-                    # the slice failed as a unit; journal and count
-                    # one per-trace failure for each member
-                    for row in task.rows:
-                        _slot, entry = by_row[row]
-                        failures.append(outcome)
-                        _settle_failure(  # mosaic: disable=MOS016 (bookkeeping, not analysis)
-                            jobstore,
-                            ctx,
-                            entry.job_id,
-                            outcome,
-                            f"{store.path}#{row}",
-                        )
-                else:
-                    for row, result in zip(task.rows, outcome):
-                        slot, entry = by_row[row]
-                        slots[slot] = result
-                        payload = result.to_dict()
-                        if jobstore is not None:
-                            jobstore.settle_result(entry.job_id, payload)
-                        if cache is not None and row in cache_keys:
-                            cache.put(cache_keys[row], payload)
-    finally:
-        if jobstore is not None:
-            jobstore.close()
-
-    results = [r for r in slots if r is not None]
-    failures.sort(key=lambda f: f.index)
-
-    ctx.count("n_selected", plan.n_selected)
-    ctx.count("n_failures", len(failures))
-    _count_degradation(ctx, results)
-    ctx.gauge("peak_inflight_traces", peak)
-    ctx.timings["total_s"] = time.perf_counter() - t0
-    ctx.timings.setdefault("preprocess_s", ctx.timings.get("scan_s", 0.0))
-
-    return PipelineResult(
-        preprocess=plan.to_result(None),
-        results=results,
-        n_failures=len(failures),
-        timings=dict(ctx.timings),
-        metrics=dict(ctx.counters),
+    plan = _Plan(
+        scan=_scan_stage(ctx, lambda: scan_store(store, repair=ctx.repair)),
+        worker=categorize_slice,
+        units=units,
+        failure_key=lambda entry: f"{store.path}#{int(entry.ref.key)}",
+        trace_crcs=getattr(store, "trace_crcs", None),
     )
+    return _run_pipeline_plan(plan, ctx, started, journal_path, resume)
 
 
 def run_pipeline(
@@ -682,10 +596,10 @@ def run_pipeline(
 ) -> PipelineResult:
     """Run MOSAIC end to end over an in-memory corpus of traces.
 
-    Thin batch wrapper over the streaming machinery: the corpus is
-    wrapped in an :class:`~repro.darshan.source.InMemorySource`, pass ②
-    materializes the selected traces (they are already resident), and
-    categorization uses the cost-ordered (LPT) batch map.
+    Thin batch wrapper over the streaming route: the corpus is wrapped
+    in an :class:`~repro.darshan.source.InMemorySource`, and the
+    selected traces are materialized on ``preprocess.selected`` (they
+    are already resident).
 
     ``parallel`` defaults to serial execution (``max_workers=0``), the
     right choice for small corpora and tests; pass
@@ -693,36 +607,11 @@ def run_pipeline(
     paper's Dispy deployment.
     """
     source = InMemorySource(traces)
-    ctx = PipelineContext(
-        config=config,
-        parallel=parallel or _default_parallel(),
-        repair=repair,
+    ctx = _context(None, config, parallel, repair)
+    started = time.perf_counter()
+    plan = _stream_plan(source, ctx)
+    result = _run_pipeline_plan(plan, ctx, started, None, False)
+    result.preprocess = plan.scan.to_result(
+        [load_selected(source, entry) for entry in plan.scan.selected]
     )
-    t0 = time.perf_counter()
-    with ctx.stage("preprocess"):
-        plan = scan_corpus(source, repair=ctx.repair)
-        selected = [load_selected(source, entry) for entry in plan.selected]
-    ctx.count("traces_scanned", plan.n_input)
-    ctx.count("n_corrupted", plan.n_corrupted)
-    ctx.count("n_repaired", plan.n_repaired)
-    ctx.count("n_selected", plan.n_selected)
-
-    with ctx.stage("categorize"):
-        outcome: MapOutcome[CategorizationResult] = parallel_map(
-            functools.partial(categorize_trace, config=ctx.config),
-            selected,
-            ctx.parallel,
-        )
-        if ctx.error_policy == "raise":
-            outcome.raise_if_failed()
-    ctx.count("n_failures", len(outcome.failures))
-    _count_degradation(ctx, outcome.successful())
-    ctx.timings["total_s"] = time.perf_counter() - t0
-
-    return PipelineResult(
-        preprocess=plan.to_result(selected),
-        results=outcome.successful(),
-        n_failures=len(outcome.failures),
-        timings=dict(ctx.timings),
-        metrics=dict(ctx.counters),
-    )
+    return result

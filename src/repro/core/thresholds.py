@@ -106,21 +106,6 @@ class MosaicConfig:
     #: Width of metadata rate bins in seconds (paper reasons per second).
     metadata_bin_seconds: float = 1.0
 
-    # -- corpus execution robustness (extension; see docs/ROBUSTNESS.md) --
-    #: Per-trace categorization wall-clock deadline in seconds; a trace
-    #: exceeding it is quarantined as TIMEOUT and its worker recycled.
-    #: 0 disables deadlines (the batch/offline default).
-    task_timeout_s: float = 0.0
-    #: Re-executions granted to a trace whose failure class is
-    #: transient (I/O errors, format errors on re-read).
-    max_retries: int = 2
-    #: First retry backoff delay in seconds; doubles per retry, with
-    #: deterministic jitter.
-    backoff_base_s: float = 0.05
-    #: Process-pool rebuilds (crash or timeout recycles) tolerated per
-    #: corpus run before the run is declared unhealthy and aborted.
-    max_pool_rebuilds: int = 3
-
     # -- per-trace resource governance (extension; docs/ROBUSTNESS.md) ----
     #: Soft per-trace budget driving the degradation ladder
     #: (see :mod:`repro.core.governor`).  The default is unlimited:
@@ -166,14 +151,6 @@ class MosaicConfig:
             raise ValueError("min_spikes must be >= 1")
         if self.metadata_bin_seconds <= 0:
             raise ValueError("metadata_bin_seconds must be positive")
-        if self.task_timeout_s < 0:
-            raise ValueError("task_timeout_s must be >= 0 (0 disables)")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.backoff_base_s < 0:
-            raise ValueError("backoff_base_s must be >= 0")
-        if self.max_pool_rebuilds < 0:
-            raise ValueError("max_pool_rebuilds must be >= 0")
 
     def with_overrides(self, **kwargs: Any) -> "MosaicConfig":
         """Return a copy with the given fields replaced."""

@@ -21,6 +21,7 @@ docs/ROBUSTNESS.md ("Storage fault model") for the guarantees per
 artifact.
 """
 
+from .backoff import Backoff
 from .durable import (
     DurableAppender,
     atomic_write,
@@ -40,6 +41,7 @@ from .vfs import (
 )
 
 __all__ = [
+    "Backoff",
     "DEFAULT_RETRY",
     "TRANSIENT_ERRNOS",
     "DurableAppender",

@@ -31,11 +31,11 @@ import io as _pyio
 import os
 from typing import IO, Any, Callable, Iterator
 
+from .backoff import Backoff
 from .vfs import (
     DEFAULT_RETRY,
     TRANSIENT_ERRNOS,
     FaultableIO,
-    IORetryPolicy,
     StorageError,
     get_io,
 )
@@ -51,21 +51,21 @@ __all__ = [
 
 def _retry(
     io: FaultableIO,
-    policy: IORetryPolicy,
+    policy: Backoff,
     op: str,
     path: str,
     fn: Callable[..., Any],
     *args: Any,
 ) -> Any:
     """Run one replayable primitive with transient-errno retry."""
-    for attempt in range(policy.max_attempts):
+    for attempt in range(policy.attempts):
         try:
             return fn(*args)
         except StorageError:
             raise
         except OSError as exc:
             transient = exc.errno in TRANSIENT_ERRNOS
-            if transient and attempt + 1 < policy.max_attempts:
+            if transient and attempt + 1 < policy.attempts:
                 io.sleep(policy.backoff_s(attempt))
                 continue
             kind = "transient fault persisted" if transient else "storage fault"
@@ -89,7 +89,7 @@ def atomic_write_bytes(
     data: bytes,
     *,
     io: FaultableIO | None = None,
-    policy: IORetryPolicy = DEFAULT_RETRY,
+    policy: Backoff = DEFAULT_RETRY,
     sync: bool = True,
 ) -> None:
     """Atomically publish ``data`` at ``path`` (temp + fsync + rename +
@@ -134,21 +134,21 @@ def atomic_write_bytes(
 
 def _write_all(
     io: FaultableIO,
-    policy: IORetryPolicy,
+    policy: Backoff,
     tmp: str,
     fh: IO[bytes],
     data: bytes,
 ) -> None:
     """Write + flush the whole payload, truncating before any retry so a
     partial write is never doubled."""
-    for attempt in range(policy.max_attempts):
+    for attempt in range(policy.attempts):
         try:
             io.write(fh, data)
             io.flush(fh)
             return
         except OSError as exc:
             transient = exc.errno in TRANSIENT_ERRNOS
-            if transient and attempt + 1 < policy.max_attempts:
+            if transient and attempt + 1 < policy.attempts:
                 fh.seek(0)
                 fh.truncate()
                 io.sleep(policy.backoff_s(attempt))
@@ -168,7 +168,7 @@ def atomic_write_text(
     *,
     encoding: str = "utf-8",
     io: FaultableIO | None = None,
-    policy: IORetryPolicy = DEFAULT_RETRY,
+    policy: Backoff = DEFAULT_RETRY,
     sync: bool = True,
 ) -> None:
     """Text form of :func:`atomic_write_bytes` (no newline translation,
@@ -185,7 +185,7 @@ def atomic_write(
     *,
     encoding: str = "utf-8",
     io: FaultableIO | None = None,
-    policy: IORetryPolicy = DEFAULT_RETRY,
+    policy: Backoff = DEFAULT_RETRY,
     sync: bool = True,
 ) -> Iterator[IO[Any]]:
     """Context manager: build a whole-file artifact, publish atomically.
@@ -225,7 +225,7 @@ class DurableAppender:
         append: bool = False,
         sync_interval: int = 1,
         io: FaultableIO | None = None,
-        policy: IORetryPolicy = DEFAULT_RETRY,
+        policy: Backoff = DEFAULT_RETRY,
     ) -> None:
         if sync_interval < 0:
             raise ValueError("sync_interval must be >= 0 (0 = fsync only on close)")
@@ -279,14 +279,14 @@ class DurableAppender:
         fh = self._require_open()
         io, policy = self._io, self._policy
         data = line if line.endswith("\n") else line + "\n"
-        for attempt in range(policy.max_attempts):
+        for attempt in range(policy.attempts):
             try:
                 io.write(fh, data)
                 io.flush(fh)
                 break
             except OSError as exc:
                 transient = exc.errno in TRANSIENT_ERRNOS
-                if transient and attempt + 1 < policy.max_attempts:
+                if transient and attempt + 1 < policy.attempts:
                     # Terminate any torn fragment so the retried line
                     # starts fresh; the loader discards the fragment.
                     with contextlib.suppress(OSError):
@@ -338,7 +338,7 @@ def durable_append(
     append: bool = False,
     sync_interval: int = 1,
     io: FaultableIO | None = None,
-    policy: IORetryPolicy = DEFAULT_RETRY,
+    policy: Backoff = DEFAULT_RETRY,
 ) -> DurableAppender:
     """Open a :class:`DurableAppender` (functional spelling of the
     constructor, mirroring :func:`atomic_write`)."""

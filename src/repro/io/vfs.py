@@ -29,8 +29,9 @@ import contextlib
 import errno
 import os
 import time
-from dataclasses import dataclass
 from typing import IO, Any, Iterator
+
+from .backoff import Backoff
 
 __all__ = [
     "TRANSIENT_ERRNOS",
@@ -143,27 +144,14 @@ class FaultableIO:
         time.sleep(seconds)
 
 
-@dataclass(slots=True, frozen=True)
-class IORetryPolicy:
-    """Bounded retry for transient storage errnos.
+def IORetryPolicy(max_attempts: int = 4, backoff_base_s: float = 0.005) -> Backoff:
+    """Bounded retry for transient storage errnos, as a :class:`Backoff`.
 
-    Deterministic (no jitter): storage-chaos schedules are scripted per
-    call index, and a randomized backoff would make the op census differ
-    between the counting run and the injection run.
+    Deterministic and uncapped (no jitter): storage-chaos schedules are
+    scripted per call index, and a randomized backoff would make the op
+    census differ between the counting run and the injection run.
     """
-
-    max_attempts: int = 4
-    backoff_base_s: float = 0.005
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.backoff_base_s < 0:
-            raise ValueError("backoff_base_s must be >= 0")
-
-    def backoff_s(self, attempt: int) -> float:
-        """Sleep before retry ``attempt`` (0-based): base * 2^attempt."""
-        return self.backoff_base_s * (2.0**attempt)
+    return Backoff(base_s=backoff_base_s, attempts=max_attempts)
 
 
 DEFAULT_RETRY = IORetryPolicy()

@@ -109,7 +109,7 @@ _HANDLE_QUALIFIED = frozenset(
 _HANDLE_TERMINALS = frozenset({"attach", "CorpusStore", "memmap"})
 
 #: Pool entry points by name, and executor/pool method calls.
-_POOL_FUNCTIONS = frozenset({"parallel_map", "parallel_imap", "resilient_imap"})
+_POOL_FUNCTIONS = frozenset({"resilient_imap"})
 _POOL_METHODS = frozenset(
     {"submit", "map", "imap", "imap_unordered", "starmap", "apply_async"}
 )
@@ -357,9 +357,9 @@ class GovernorCoverageRule(ProjectRule):
     a stage that never looks at :class:`ResourceBudget`/
     :class:`Governor` (directly or through its callees) runs unbounded
     no matter what ``--budget-max-ops`` says.  For every call inside a
-    ``with ctx.stage(...)`` block of a ``run_pipeline*`` entry — and
-    for the worker callable handed to
-    ``parallel_map``/``parallel_imap``/``resilient_imap`` there — the
+    ``with ctx.stage(...)`` block of a ``run_pipeline*`` entry or of
+    the private ``_run_pipeline*`` driver they share — and for the
+    worker callable handed to ``resilient_imap`` there — the
     called function's transitive call graph (depth ≤ 4) must reference
     the governor lexicon.  Ingest helpers (``scan_*``/``load_*``/
     ``plan_*``, which run before governance and are bounded by
@@ -382,7 +382,7 @@ class GovernorCoverageRule(ProjectRule):
 
     def check(self, index: ProjectIndex) -> None:
         for fn in index.functions.values():
-            if not _short(fn.qualname).startswith("run_pipeline"):
+            if not _short(fn.qualname).lstrip("_").startswith("run_pipeline"):
                 continue
             assigns = _own_assign_map(fn.node)
             for cs in fn.calls:

@@ -637,22 +637,22 @@ class FrozenRecordMutationRule(Rule):
 class PicklableCallableRule(Rule):
     """MOS007: callables shipped to the process pool must be picklable.
 
-    ``parallel_map``/``parallel_imap`` pickle their function once per
-    worker; a lambda or nested ``def`` raises ``PicklingError`` only
-    when ``max_workers > 1`` — i.e. in production, never in serial
-    tests.
+    :func:`~repro.parallel.resilient.resilient_imap` pickles its
+    function once per worker; a lambda or nested ``def`` raises
+    ``PicklingError`` only when ``max_workers > 1`` — i.e. in
+    production, never in serial tests.
     """
 
     id = "MOS007"
     name = "picklable-callable"
-    description = "lambda or nested function passed to parallel_map/parallel_imap"
+    description = "lambda or nested function passed to resilient_imap"
     severity = Severity.ERROR
     fix_hint = (
         "hoist the callable to module level (functools.partial over a "
         "module-level function is fine)"
     )
 
-    _TARGETS = frozenset({"parallel_map", "parallel_imap"})
+    _TARGETS = frozenset({"resilient_imap"})
 
     def on_Call(self, node: ast.Call) -> None:
         callee = dotted_name(node.func)

@@ -1,15 +1,11 @@
-"""Single-node parallel execution engine: fault-isolated process-pool map
-with cost-aware (LPT) scheduling, a crash-surviving resilient streaming
-mode (retry/timeout/backoff, poison quarantine), and an append-only run
-journal for checkpoint/resume — the reproduction's Dispy substitute."""
+"""Single-node parallel execution engine — the reproduction's Dispy
+substitute: one crash-surviving streaming executor
+(:func:`resilient_imap`: bounded in-flight window, retry/timeout/backoff,
+poison quarantine), its :class:`ParallelConfig` (whose ``retry`` field is
+the one home of every retry knob), and an append-only run journal for
+checkpoint/resume."""
 
-from .executor import (
-    MapOutcome,
-    ParallelConfig,
-    TaskFailure,
-    parallel_imap,
-    parallel_map,
-)
+from .executor import ParallelConfig, TaskFailure
 from .jobstore import QUARANTINE_KINDS, JobStore, replay_settles
 from .journal import (
     JOURNAL_VERSION,
@@ -26,14 +22,10 @@ from .retry import (
     backoff_delay,
     is_transient,
 )
-from .scheduling import chunk_evenly, lpt_order
 
 __all__ = [
-    "MapOutcome",
     "ParallelConfig",
     "TaskFailure",
-    "parallel_map",
-    "parallel_imap",
     "JOURNAL_VERSION",
     "JobStore",
     "replay_settles",
@@ -49,6 +41,4 @@ __all__ = [
     "TRANSIENT_ERROR_TYPES",
     "backoff_delay",
     "is_transient",
-    "chunk_evenly",
-    "lpt_order",
 ]

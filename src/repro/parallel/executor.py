@@ -1,41 +1,36 @@
-"""Process-pool execution engine (the repo's Dispy substitute).
+"""Process-pool plumbing of the resilient executor.
 
 The paper runs per-trace categorization in parallel across a 64-core
-node using the Dispy library; offline and single-node here, we provide
-the same contract on top of :mod:`concurrent.futures`:
+node using the Dispy library; offline and single-node here, the
+reproduction provides the same contract on top of
+:mod:`concurrent.futures` through one executor,
+:func:`~repro.parallel.resilient.resilient_imap`.  This module holds
+what it is built from:
 
-* per-item isolation — one failing trace never aborts the corpus run;
-  failures are captured as :class:`TaskFailure` results;
-* cost-aware ordering (LPT) so heavy traces do not become stragglers;
-* a serial in-process mode (``max_workers=0``) used for tests,
-  debugging, and tiny inputs where fork overhead dominates;
-* a streaming mode (:func:`parallel_imap`) that consumes an *iterable*
-  with bounded in-flight work instead of materializing the task list —
-  the engine of the out-of-core corpus pipeline.
-
-The mapped function must be a module-level picklable callable, the usual
-multiprocessing constraint.  It is shipped to each worker exactly once
-(via the pool initializer), never re-pickled per work item.
+* :class:`ParallelConfig` — worker count, the bounded in-flight window,
+  and the run's :class:`~repro.parallel.retry.RetryPolicy` (the one
+  home of every retry/timeout knob);
+* :class:`TaskFailure` — the captured failure of one work item, so one
+  failing trace never aborts the corpus run;
+* the worker-side binding: the mapped function must be a module-level
+  picklable callable, the usual multiprocessing constraint.  It is
+  shipped to each worker exactly once (via the pool initializer), never
+  re-pickled per work item.
 """
 
 from __future__ import annotations
 
 import os
 import traceback
-from collections import Counter
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Generic, Iterable, Iterator, Sequence, TypeVar
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+from typing import Any, Callable, TypeVar
 
 from .retry import FailureKind, RetryPolicy
-from .scheduling import lpt_order
 
 __all__ = [
     "TaskFailure",
-    "MapOutcome",
     "ParallelConfig",
-    "parallel_map",
-    "parallel_imap",
 ]
 
 T = TypeVar("T")
@@ -80,117 +75,19 @@ class TaskFailure:
 
 
 @dataclass(slots=True, frozen=True)
-class MapOutcome(Generic[R]):
-    """Results of a fault-isolated parallel map, in input order.
-
-    ``results[i]`` is the mapped value of item ``i``, or the
-    :class:`TaskFailure` captured from it.  The failure object itself is
-    the sentinel, so a mapped function that legitimately returns ``None``
-    is a success and survives :meth:`successful` — unlike the earlier
-    ``None``-as-failure convention.
-    """
-
-    results: list[R | TaskFailure]
-    failures: list[TaskFailure]
-
-    @property
-    def n_ok(self) -> int:
-        return len(self.results) - len(self.failures)
-
-    def ok(self, index: int) -> bool:
-        """True when item ``index`` completed without raising."""
-        return not isinstance(self.results[index], TaskFailure)
-
-    def successful(self) -> list[R]:
-        """Mapped values of the items that succeeded, in input order
-        (including any legitimate ``None`` returns)."""
-        return [r for r in self.results if not isinstance(r, TaskFailure)]
-
-    def kind_counts(self) -> dict[FailureKind, int]:
-        """Failure tally per :class:`~repro.parallel.retry.FailureKind`."""
-        counts = Counter(f.kind for f in self.failures)
-        return {k: counts[k] for k in FailureKind if counts[k]}
-
-    def raise_if_failed(self) -> None:
-        if self.failures:
-            first = self.failures[0]
-            breakdown = ", ".join(
-                f"{n} {kind.name}" for kind, n in self.kind_counts().items()
-            )
-            raise RuntimeError(
-                f"{len(self.failures)} task(s) failed ({breakdown}); "
-                f"first: {first}"
-            )
-
-
-@dataclass(slots=True, frozen=True)
 class ParallelConfig:
-    """Execution knobs for :func:`parallel_map` / :func:`parallel_imap`."""
+    """Execution knobs for :func:`~repro.parallel.resilient.resilient_imap`."""
 
     #: 0 = serial in-process; None = os.cpu_count().
     max_workers: int | None = None
-    #: Items per pickled task batch (amortizes IPC for cheap items).
+    #: Per-worker share of the default in-flight window.
     chunksize: int = 8
-    #: Optional cost estimator enabling LPT ordering (batch map only —
-    #: a streaming imap cannot sort what it has not yet seen).
-    cost: Callable[[Any], float] | None = None
-    #: Streaming mode: maximum submitted-but-unfinished items.  ``None``
-    #: derives ``workers * chunksize`` — enough to keep every worker fed
-    #: while bounding how many loaded items exist at once.
+    #: Maximum submitted-but-unfinished items.  ``None`` derives
+    #: ``workers * chunksize`` — enough to keep every worker fed while
+    #: bounding how many loaded items exist at once.
     max_pending: int | None = None
-
-    # -- resilience knobs (resolved against a RetryPolicy; ``None``
-    # -- inherits the policy/MosaicConfig default) -----------------------
-    #: Per-task wall-clock deadline in seconds (0 disables deadlines).
-    task_timeout_s: float | None = None
-    #: Re-executions granted to transiently-failing items.
-    max_retries: int | None = None
-    #: First retry backoff delay; doubles per retry.
-    backoff_base_s: float | None = None
-    #: Ceiling on any single backoff delay.
-    backoff_cap_s: float | None = None
-    #: Pool rebuilds tolerated per run before aborting.
-    max_pool_rebuilds: int | None = None
-    #: Crash events implicating one item before POISON quarantine.
-    max_item_crashes: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.task_timeout_s is not None and self.task_timeout_s < 0:
-            raise ValueError("task_timeout_s must be >= 0 (0 disables)")
-        if self.max_retries is not None and self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.backoff_base_s is not None and self.backoff_base_s < 0:
-            raise ValueError("backoff_base_s must be >= 0")
-        if self.backoff_cap_s is not None and self.backoff_cap_s < 0:
-            raise ValueError("backoff_cap_s must be >= 0")
-        if self.max_pool_rebuilds is not None and self.max_pool_rebuilds < 0:
-            raise ValueError("max_pool_rebuilds must be >= 0")
-        if self.max_item_crashes is not None and self.max_item_crashes < 1:
-            raise ValueError("max_item_crashes must be >= 1")
-
-    _RETRY_FIELDS = (
-        "task_timeout_s",
-        "max_retries",
-        "backoff_base_s",
-        "backoff_cap_s",
-        "max_pool_rebuilds",
-        "max_item_crashes",
-    )
-
-    def retry_policy(self, base: RetryPolicy | None = None) -> RetryPolicy:
-        """Effective :class:`~repro.parallel.retry.RetryPolicy`.
-
-        Fields left ``None`` here inherit from ``base`` (the pipeline
-        passes the :class:`~repro.core.thresholds.MosaicConfig`-derived
-        defaults); explicitly-set fields win.
-        """
-        policy = base if base is not None else RetryPolicy()
-        overrides = {
-            name: getattr(self, name)
-            for name in self._RETRY_FIELDS
-            if getattr(self, name) is not None
-        }
-        return replace(policy, **overrides) if overrides else policy
+    #: Retry, deadline, and crash-quarantine budget of the run.
+    retry: RetryPolicy = RetryPolicy()
 
     def resolved_workers(self) -> int:
         if self.max_workers is None:
@@ -252,108 +149,3 @@ def _pool(fn: Callable[[T], R], workers: int) -> ProcessPoolExecutor:
         initializer=_bind_worker_fn,
         initargs=(fn,),
     )
-
-
-def parallel_map(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    config: ParallelConfig | None = None,
-) -> MapOutcome[R]:
-    """Apply ``fn`` to every item with fault isolation.
-
-    Results come back in input order regardless of scheduling.  With
-    ``max_workers=0`` (or a single item) everything runs in-process,
-    which also means ``fn`` need not be picklable in that mode.
-    """
-    cfg = config or ParallelConfig()
-    n = len(items)
-    results: list[R | TaskFailure] = [None] * n  # type: ignore[list-item]
-    failures: list[TaskFailure] = []
-    if n == 0:
-        return MapOutcome(results=results, failures=failures)
-
-    order = (
-        lpt_order(items, cfg.cost) if cfg.cost is not None else list(range(n))
-    )
-    workers = cfg.resolved_workers()
-
-    if workers <= 1 or n == 1:
-        triples = (_guarded(fn, i, items[i]) for i in order)
-    else:
-        pool = _pool(fn, min(workers, n))
-        try:
-            triples = list(
-                pool.map(
-                    _run_bound,
-                    [(i, items[i]) for i in order],
-                    chunksize=max(1, cfg.chunksize),
-                )
-            )
-        finally:
-            pool.shutdown(wait=True)
-
-    for index, result, failure in triples:
-        if failure is not None:
-            failures.append(failure)
-            results[index] = failure
-        else:
-            results[index] = result
-    failures.sort(key=lambda f: f.index)
-    return MapOutcome(results=results, failures=failures)
-
-
-def parallel_imap(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    config: ParallelConfig | None = None,
-) -> Iterator[tuple[int, R | TaskFailure]]:
-    """Streaming fault-isolated map with backpressure.
-
-    Consumes ``items`` lazily — at most
-    :meth:`ParallelConfig.resolved_pending` items are drawn from the
-    iterable and unfinished at any moment, so a generator that loads
-    traces from disk never races ahead of the workers and corpus memory
-    stays bounded.  Yields ``(index, result_or_failure)`` pairs as items
-    complete: in input order when serial, in completion order with a
-    pool.  ``index`` is the item's position in the input iterable.
-    """
-    cfg = config or ParallelConfig()
-    workers = cfg.resolved_workers()
-    it = iter(items)
-
-    if workers <= 1:
-        for index, item in enumerate(it):
-            i, result, failure = _guarded(fn, index, item)
-            yield (i, failure if failure is not None else result)
-        return
-
-    window = cfg.resolved_pending()
-    pool = _pool(fn, workers)
-    finished = False
-    try:
-        pending: set = set()
-        next_index = 0
-        exhausted = False
-        while True:
-            while not exhausted and len(pending) < window:
-                try:
-                    item = next(it)
-                except StopIteration:
-                    exhausted = True
-                    break
-                pending.add(pool.submit(_run_bound, (next_index, item)))
-                next_index += 1
-            if not pending:
-                break
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                i, result, failure = fut.result()
-                yield (i, failure if failure is not None else result)
-        finished = True
-    finally:
-        # Normal exhaustion drains the pool gracefully.  If the consumer
-        # abandons the stream instead (breaks out of its loop, raises,
-        # or drops the generator), blocking here for in-flight work
-        # would stall the abandonment — cancel everything queued and
-        # return immediately; workers exit once their current item ends.
-        pool.shutdown(wait=finished, cancel_futures=True)

@@ -1,13 +1,21 @@
-"""Crash-surviving streaming map: the resilient corpus execution engine.
+"""Crash-surviving streaming map: the corpus execution engine.
 
-:func:`~repro.parallel.executor.parallel_imap` isolates *polite*
-failures — a mapped function that raises becomes a
-:class:`~repro.parallel.executor.TaskFailure`.  At fleet scale the
-impolite ones dominate: a worker killed by the OOM killer or a segfault
-raises ``BrokenProcessPool`` and aborts the whole run, and a hung decode
-stalls it forever.  :func:`resilient_imap` provides the same streaming
-contract but survives all four failure classes of the
-:class:`~repro.parallel.retry.FailureKind` taxonomy:
+:func:`resilient_imap` is the reproduction's one executor (its Dispy
+substitute).  It consumes an *iterable* lazily with a bounded in-flight
+window — at most :meth:`ParallelConfig.resolved_pending
+<repro.parallel.executor.ParallelConfig.resolved_pending>` items drawn
+and unfinished at once, so a generator that loads traces from disk
+never races ahead of the workers — and yields ``(index,
+result_or_failure)`` pairs: in input order when serial
+(``max_workers=0``, in-process, which also means the mapped function
+need not be picklable), in completion order with a pool.
+
+A mapped function that raises becomes a
+:class:`~repro.parallel.executor.TaskFailure`, never an abort.  At fleet
+scale the impolite failures dominate too: a worker killed by the OOM
+killer or a segfault raises ``BrokenProcessPool``, and a hung decode
+stalls a naive pool forever.  The executor survives all four failure
+classes of the :class:`~repro.parallel.retry.FailureKind` taxonomy:
 
 * **EXCEPTION** — transient error classes (see
   :func:`~repro.parallel.retry.is_transient`) are re-executed with
@@ -44,7 +52,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from .executor import ParallelConfig, TaskFailure, _guarded, _pool, _run_bound
-from .retry import FailureKind, RetryPolicy, backoff_delay, is_transient
+from .retry import FailureKind, RetryPolicy, is_transient
 
 __all__ = ["PoolRebuildLimit", "resilient_imap"]
 
@@ -132,7 +140,7 @@ def _serial_resilient(
                 and attempts <= policy.max_retries
             ):
                 count("n_retries", 1)
-                delay = backoff_delay(attempts, policy, key=index)
+                delay = policy.backoff.backoff_s(attempts - 1, key=index)
                 if delay > 0:
                     time.sleep(delay)
                 continue
@@ -145,19 +153,17 @@ def resilient_imap(
     items: Iterable[T],
     config: ParallelConfig | None = None,
     *,
-    policy: RetryPolicy | None = None,
     on_count: CountFn | None = None,
 ) -> Iterator[tuple[int, R | TaskFailure]]:
     """Streaming fault-isolated map that survives crashes and hangs.
 
-    Same contract as :func:`~repro.parallel.executor.parallel_imap` —
-    lazy consumption with backpressure, ``(index, result_or_failure)``
-    pairs in completion order — plus the recovery behaviour described in
-    the module docstring.  ``policy`` defaults to
-    ``config.retry_policy()``; ``on_count`` receives recovery counters.
+    Lazy consumption with backpressure, ``(index, result_or_failure)``
+    pairs, and the recovery behaviour described in the module
+    docstring, budgeted by ``config.retry``; ``on_count`` receives
+    recovery counters.
     """
     cfg = config or ParallelConfig()
-    pol = policy if policy is not None else cfg.retry_policy()
+    pol = cfg.retry
     count = on_count if on_count is not None else _noop_count
     workers = cfg.resolved_workers()
 
@@ -225,8 +231,8 @@ def resilient_imap(
         ):
             count("n_retries", 1)
             info.attempts += 1
-            ready = time.monotonic() + backoff_delay(
-                info.attempts, pol, key=info.index
+            ready = time.monotonic() + pol.backoff.backoff_s(
+                info.attempts - 1, key=info.index
             )
             heapq.heappush(retry_heap, (ready, next(tiebreak), info))
             return None

@@ -4,9 +4,10 @@ At fleet scale, failures are not one thing: a raised exception, a hung
 decode, a worker killed by the OS, and an input that *repeatedly* kills
 workers all demand different treatment.  :class:`FailureKind` names the
 four classes; :class:`RetryPolicy` carries the knobs that decide how
-many second chances each class gets; :func:`backoff_delay` spaces the
-chances out with exponential backoff and *deterministic* jitter, so a
-retried corpus run is reproducible down to its sleep schedule.
+many second chances each class gets, and its :attr:`RetryPolicy.backoff`
+schedule (a :class:`repro.io.Backoff`) spaces the chances out with
+exponential backoff and *deterministic* jitter, so a retried corpus run
+is reproducible down to its sleep schedule.
 
 Transience is classified by exception type name (:func:`is_transient`)
 rather than by instance, because failures cross the process boundary as
@@ -18,9 +19,10 @@ a third-party exception merely *named* ``ConnectionError`` or
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from enum import Enum
+
+from ..io import Backoff
 
 __all__ = [
     "FailureKind",
@@ -159,29 +161,24 @@ class RetryPolicy:
         """The task deadline, or ``None`` when deadlines are disabled."""
         return self.task_timeout_s if self.task_timeout_s > 0 else None
 
-
-def _jitter_fraction(key: int | str, attempt: int) -> float:
-    """Deterministic pseudo-random fraction in [0, 1) for one retry.
-
-    Derived from a hash of ``(key, attempt)`` so the same item retried
-    at the same attempt always sleeps the same amount — chaos tests and
-    resumed runs see identical schedules — while distinct items spread
-    out instead of thundering back in lockstep.
-    """
-    digest = hashlib.sha256(f"{key}:{attempt}".encode()).digest()
-    return int.from_bytes(digest[:8], "big") / 2**64
+    @property
+    def backoff(self) -> Backoff:
+        """The retry sleep schedule: exponential from
+        ``backoff_base_s``, capped at ``backoff_cap_s``, with
+        deterministic jitter keyed by the retried item."""
+        return Backoff(
+            base_s=self.backoff_base_s,
+            cap_s=self.backoff_cap_s,
+            attempts=self.max_retries + 1,
+            jitter=True,
+        )
 
 
 def backoff_delay(
     attempt: int, policy: RetryPolicy, key: int | str = 0
 ) -> float:
-    """Seconds to wait before retry number ``attempt`` (1-based).
-
-    Exponential in the attempt number, capped by the policy, scaled by
-    a deterministic jitter factor in [0.5, 1.0).
-    """
+    """Seconds to wait before retry number ``attempt`` (1-based): the
+    policy's :attr:`RetryPolicy.backoff` at retry ``attempt - 1``."""
     if attempt < 1:
         raise ValueError("attempt is 1-based")
-    raw = policy.backoff_base_s * (2.0 ** (attempt - 1))
-    capped = min(policy.backoff_cap_s, raw)
-    return capped * (0.5 + 0.5 * _jitter_fraction(key, attempt))
+    return policy.backoff.backoff_s(attempt - 1, key=key)

@@ -9,9 +9,11 @@ traces should be categorized exactly once.
 The address is the trace's *content*, not its path: the per-trace CRC
 chain the ``.mosc`` v2 store records at compile time
 (:func:`repro.columnar.format.trace_crc32` — covering the index row,
-record slab, operation slabs, and every referenced heap string), mixed
-with a namespace digest of the :class:`~repro.core.thresholds.MosaicConfig`
-repr and the repair flag, since either changes the output.  Entries are
+record slab, operation slabs, and every referenced heap string) plus
+the trace's job id, since a 32-bit CRC alone collides across a fleet,
+mixed with a namespace digest of the
+:class:`~repro.core.thresholds.MosaicConfig` repr and the repair flag,
+since either changes the output.  Entries are
 one JSON file per key, fanned out by the key's first byte
 (``<root>/<k[:2]>/<k>.json``), written atomically through
 :mod:`repro.io` so a crash never publishes a torn entry.
@@ -78,10 +80,15 @@ class ResultCache:
         return cls(root, namespace=config_namespace(config, repair))
 
     # -- keying --------------------------------------------------------
-    def trace_key(self, trace_crc: int) -> str:
-        """Cache key of one trace: content CRC chain + namespace."""
+    def trace_key(self, trace_crc: int, job_id: int) -> str:
+        """Cache key of one trace: namespace + content CRC chain + job id.
+
+        A 32-bit CRC alone collides across a large fleet; mixing in the
+        job id keeps two distinct traces that share a CRC from being
+        served each other's result.
+        """
         digest = hashlib.sha256(
-            f"{self.namespace}:{trace_crc & 0xFFFFFFFF:08x}".encode()
+            f"{self.namespace}:{trace_crc & 0xFFFFFFFF:08x}:{job_id}".encode()
         ).hexdigest()
         return digest[:40]
 

@@ -5,9 +5,10 @@ talk to a server across a network that resets connections, stalls
 mid-body, and restarts daemons.  This client makes that path as
 deterministic as the batch one:
 
-* **deterministic retries** — :class:`ClientRetryPolicy` mirrors
-  :class:`repro.io.vfs.IORetryPolicy`: exponential backoff with no
-  jitter, so a scripted fault sequence replays identically in tests.
+* **deterministic retries** — :func:`ClientRetryPolicy` is a
+  :class:`repro.io.Backoff`, like the storage layer's: exponential
+  backoff with no jitter, so a scripted fault sequence replays
+  identically in tests.
   ``Retry-After`` hints from a shedding server are honored (the larger
   of hint and backoff wins).
 * **circuit breaker** — :class:`CircuitBreaker` stops hammering a dead
@@ -38,8 +39,9 @@ import http.client
 import json
 import os
 import time
-from dataclasses import dataclass
 from typing import Any, Callable, Iterator
+
+from ..io import Backoff
 
 __all__ = [
     "CircuitBreaker",
@@ -78,27 +80,20 @@ class CircuitOpenError(MosaicClientError):
     """The circuit breaker is open; the call was not attempted."""
 
 
-@dataclass(frozen=True, slots=True)
-class ClientRetryPolicy:
-    """Deterministic retry envelope (IORetryPolicy's shape, HTTP-sized).
+def ClientRetryPolicy(
+    max_attempts: int = 5,
+    backoff_base_s: float = 0.05,
+    backoff_cap_s: float = 2.0,
+) -> Backoff:
+    """Deterministic HTTP retry envelope, as a :class:`Backoff`.
 
     ``backoff_s(attempt)`` for attempt 0, 1, 2... is ``base * 2**attempt``
     capped at ``backoff_cap_s`` — no jitter, so chaos tests replay
     byte-identically.
     """
-
-    max_attempts: int = 5
-    backoff_base_s: float = 0.05
-    backoff_cap_s: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.backoff_base_s < 0 or self.backoff_cap_s < 0:
-            raise ValueError("backoff values must be >= 0")
-
-    def backoff_s(self, attempt: int) -> float:
-        return min(self.backoff_cap_s, self.backoff_base_s * (2**attempt))
+    return Backoff(
+        base_s=backoff_base_s, cap_s=backoff_cap_s, attempts=max_attempts
+    )
 
 
 class CircuitBreaker:
@@ -245,7 +240,7 @@ class MosaicClient:
         host: str,
         port: int,
         *,
-        retry: ClientRetryPolicy | None = None,
+        retry: Backoff | None = None,
         breaker: CircuitBreaker | None = None,
         timeout_s: float = 30.0,
         sleep: Callable[[float], None] = time.sleep,
@@ -304,7 +299,7 @@ class MosaicClient:
             body = json.dumps(payload, separators=(",", ":")).encode()
             headers["Content-Type"] = "application/json"
         last_error = "no attempt made"
-        for attempt in range(self.retry.max_attempts):
+        for attempt in range(self.retry.attempts):
             if attempt:
                 self.n_retries += 1
             if not self.breaker.allow():
@@ -355,7 +350,7 @@ class MosaicClient:
             return status, data
         raise ServerUnavailable(
             f"{method} {target} failed after "
-            f"{self.retry.max_attempts} attempts: {last_error}"
+            f"{self.retry.attempts} attempts: {last_error}"
         )
 
     # -- API -----------------------------------------------------------

@@ -1,8 +1,12 @@
 """Unit tests for the corpus pipeline (Fig. 1 end to end)."""
 
+import pytest
 
-from repro.core import Category, run_pipeline
+from repro.columnar import compile_corpus
+from repro.core import Category, run_pipeline, run_pipeline_store, run_pipeline_stream
+from repro.darshan import InMemorySource
 from repro.parallel import ParallelConfig
+from repro.synth import FleetConfig, generate_fleet
 
 from tests.conftest import make_record, make_trace
 
@@ -45,7 +49,9 @@ class TestRunPipeline:
 
     def test_timings_recorded(self):
         result = run_pipeline(app_runs(1, "a", 2))
-        assert set(result.timings) == {"preprocess_s", "categorize_s", "total_s"}
+        assert set(result.timings) == {
+            "scan_s", "preprocess_s", "categorize_s", "total_s"
+        }
         assert result.timings["total_s"] >= 0.0
 
     def test_parallel_matches_serial(self):
@@ -65,3 +71,30 @@ class TestRunPipeline:
     def test_categories_present_in_results(self):
         result = run_pipeline(app_runs(1, "a", 1))
         assert Category.READ_ON_START in result.results[0].categories
+
+
+class TestEntryPointEquivalence:
+    """The three entry points only build plans for one driver: over
+    the same fleet they must agree result for result."""
+
+    @pytest.fixture(scope="class")
+    def fleet_and_store(self, tmp_path_factory):
+        fleet = generate_fleet(FleetConfig(n_apps=20, mean_runs=2.0, seed=13))
+        store = tmp_path_factory.mktemp("entry-points") / "fleet.mosc"
+        compile_corpus(InMemorySource(fleet.traces), store)
+        return fleet.traces, store
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_all_entry_points_agree(self, fleet_and_store, workers):
+        traces, store = fleet_and_store
+        parallel = ParallelConfig(max_workers=workers)
+        runs = (
+            run_pipeline(traces, parallel=parallel),
+            run_pipeline_stream(InMemorySource(traces), parallel=parallel),
+            run_pipeline_store(store, parallel=parallel),
+        )
+        batch, stream, stored = ([r.to_dict() for r in run.results] for run in runs)
+        assert batch and batch == stream == stored
+        assert [t.meta.job_id for t in runs[0].preprocess.selected] == [
+            r["job_id"] for r in batch
+        ]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import DEFAULT_CONFIG, MosaicConfig
+from repro.parallel import ParallelConfig, RetryPolicy
 
 
 class TestDefaults:
@@ -63,11 +64,19 @@ class TestValidation:
 
 
 class TestRobustnessKnobs:
+    """Execution knobs live on ``ParallelConfig.retry``, not here: the
+    config's repr namespaces the result cache, so it must describe what
+    shapes a result and nothing else."""
+
     def test_defaults(self):
-        assert DEFAULT_CONFIG.task_timeout_s == 0.0  # deadlines off offline
-        assert DEFAULT_CONFIG.max_retries == 2
-        assert DEFAULT_CONFIG.backoff_base_s == 0.05
-        assert DEFAULT_CONFIG.max_pool_rebuilds == 3
+        retry = ParallelConfig().retry
+        assert retry.task_timeout_s == 0.0  # deadlines off offline
+        assert retry.max_retries == 2
+        assert retry.backoff_base_s == 0.05
+        assert retry.max_pool_rebuilds == 3
+        for knob in ("task_timeout_s", "max_retries", "backoff_base_s", "max_pool_rebuilds"):
+            assert not hasattr(DEFAULT_CONFIG, knob)
+            assert knob not in repr(DEFAULT_CONFIG)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -80,9 +89,9 @@ class TestRobustnessKnobs:
     )
     def test_invalid_robustness_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            MosaicConfig(**kwargs)
+            RetryPolicy(**kwargs)
 
     def test_overridable(self):
-        cfg = DEFAULT_CONFIG.with_overrides(task_timeout_s=30.0, max_retries=0)
-        assert cfg.task_timeout_s == 30.0
-        assert cfg.max_retries == 0
+        cfg = ParallelConfig(retry=RetryPolicy(task_timeout_s=30.0, max_retries=0))
+        assert cfg.retry.task_timeout_s == 30.0
+        assert cfg.retry.max_retries == 0

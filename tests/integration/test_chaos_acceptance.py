@@ -17,7 +17,7 @@ from repro.core import run_pipeline_stream, save_results_jsonl
 from repro.core.pipeline import PipelineContext
 from repro.darshan import DirectorySource, save_binary
 from repro.parallel import ParallelConfig
-from repro.parallel.retry import FailureKind
+from repro.parallel.retry import FailureKind, RetryPolicy
 from repro.synth import FleetConfig, generate_fleet
 from repro.testing import ChaosInjector
 
@@ -53,7 +53,8 @@ def clean_job_ids(corpus_dir):
 def _context(args_state_dir, crash_id, hang_id, flaky_id):
     return PipelineContext(
         parallel=ParallelConfig(
-            max_workers=2, task_timeout_s=3.0, max_pool_rebuilds=10
+            max_workers=2,
+            retry=RetryPolicy(task_timeout_s=3.0, max_pool_rebuilds=10),
         ),
         wrap_worker=functools.partial(
             _chaos,

@@ -21,7 +21,7 @@ from repro.core import DEFAULT_CONFIG, run_pipeline_store, save_results_jsonl
 from repro.core.pipeline import PipelineContext
 from repro.darshan import DirectorySource, save_binary
 from repro.parallel import ParallelConfig
-from repro.parallel.retry import FailureKind
+from repro.parallel.retry import FailureKind, RetryPolicy
 from repro.synth import FleetConfig, generate_fleet
 from repro.testing import ChaosInjector, item_key
 
@@ -102,7 +102,8 @@ class TestStoreChaos:
         journal = tmp / "run.jsonl"
         ctx = PipelineContext(
             parallel=ParallelConfig(
-                max_workers=2, task_timeout_s=10.0, max_pool_rebuilds=10
+                max_workers=2,
+                retry=RetryPolicy(task_timeout_s=10.0, max_pool_rebuilds=10),
             ),
             wrap_worker=functools.partial(
                 ChaosInjector,

@@ -112,7 +112,7 @@ class TestAtomicWriteUnderFaults:
 
     def test_persistent_transient_fault_exhausts_retries(self, tmp_path):
         out = tmp_path / "a.bin"
-        n = DEFAULT_RETRY.max_attempts
+        n = DEFAULT_RETRY.attempts
         chaos = StorageChaos(
             tmp_path, script={("write", i): errno.EINTR for i in range(n)}
         )

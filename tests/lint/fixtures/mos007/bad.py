@@ -1,7 +1,7 @@
 """Fixture: unpicklable callable shipped to the process pool (MOS007)."""
 
-from repro.parallel.executor import parallel_map
+from repro.parallel.resilient import resilient_imap
 
 
 def _double_all(items: list[int]) -> object:
-    return parallel_map(lambda x: x * 2, items)
+    return list(resilient_imap(lambda x: x * 2, items))

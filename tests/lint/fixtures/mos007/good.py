@@ -2,7 +2,7 @@
 
 from functools import partial
 
-from repro.parallel.executor import parallel_map
+from repro.parallel.resilient import resilient_imap
 
 
 def _scale(x: int, factor: int) -> int:
@@ -10,4 +10,4 @@ def _scale(x: int, factor: int) -> int:
 
 
 def _double_all(items: list[int]) -> object:
-    return parallel_map(partial(_scale, factor=2), items)
+    return list(resilient_imap(partial(_scale, factor=2), items))

@@ -8,7 +8,7 @@ kernel object that was never meant to cross the process boundary.
 import functools
 import mmap
 
-from repro.parallel.executor import parallel_imap
+from repro.parallel.resilient import resilient_imap
 
 
 def _worker(handle: mmap.mmap, row: int) -> int:
@@ -19,4 +19,4 @@ def _run(path: str, rows: list[int]) -> list[int]:
     fh = open(path, "rb")
     mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     fn = functools.partial(_worker, mm)
-    return list(parallel_imap(fn, rows, max_workers=4))
+    return list(resilient_imap(fn, rows))

@@ -8,7 +8,7 @@ returning.
 import functools
 import mmap
 
-from repro.parallel.executor import parallel_imap
+from repro.parallel.resilient import resilient_imap
 
 
 def _worker(path: str, row: int) -> int:
@@ -22,4 +22,4 @@ def _worker(path: str, row: int) -> int:
 
 def _run(path: str, rows: list[int]) -> list[int]:
     fn = functools.partial(_worker, path)
-    return list(parallel_imap(fn, rows, max_workers=4))
+    return list(resilient_imap(fn, rows))

@@ -88,7 +88,7 @@ def test_mos015_fork_mmap_reproduction(tmp_path):
         import functools
         import mmap
 
-        from repro.parallel.executor import parallel_map
+        from repro.parallel.resilient import resilient_imap
 
         def _score(handle: mmap.mmap, row: int) -> int:
             return handle[row]
@@ -97,7 +97,7 @@ def test_mos015_fork_mmap_reproduction(tmp_path):
             fh = open(path, "rb")
             handle = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
             worker = functools.partial(_score, handle)
-            return parallel_map(worker, rows)
+            return list(resilient_imap(worker, rows))
         """,
     )
     assert [f.rule_id for f in findings] == ["MOS015"]
@@ -115,7 +115,7 @@ def test_mos015_descriptor_shipping_is_clean(tmp_path):
         runner="""
         import functools
 
-        from repro.parallel.executor import parallel_map
+        from repro.parallel.resilient import resilient_imap
 
         def _score(path: str, row: int) -> int:
             with open(path, "rb") as fh:
@@ -123,7 +123,7 @@ def test_mos015_descriptor_shipping_is_clean(tmp_path):
 
         def run(path: str, rows: list[int]) -> list[int]:
             worker = functools.partial(_score, path)
-            return parallel_map(worker, rows)
+            return list(resilient_imap(worker, rows))
         """,
     )
     assert findings == []

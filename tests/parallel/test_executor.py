@@ -1,4 +1,8 @@
-"""Unit tests for the fault-isolated parallel map and streaming imap."""
+"""Unit tests for the streaming executor's plain-map contract: order,
+laziness, bounded draw-ahead, failure capture, and pool shutdown.
+
+Crash, hang and retry recovery are covered in ``test_resilient.py``.
+"""
 
 import multiprocessing
 import time
@@ -8,12 +12,12 @@ import pytest
 from repro.parallel import (
     FailureKind,
     RetryPolicy,
-    MapOutcome,
     ParallelConfig,
     TaskFailure,
-    parallel_imap,
-    parallel_map,
+    resilient_imap,
 )
+
+SERIAL = ParallelConfig(max_workers=0)
 
 
 def square(x: int) -> int:
@@ -46,96 +50,77 @@ class PickleCountingFn:
         pass
 
 
+def _failures(pairs):
+    return [r for _i, r in sorted(pairs, key=lambda p: p[0]) if isinstance(r, TaskFailure)]
+
+
 class TestSerialMode:
     def test_results_in_input_order(self):
-        out = parallel_map(square, [3, 1, 2], ParallelConfig(max_workers=0))
-        assert out.results == [9, 1, 4]
-        assert out.n_ok == 3
+        assert list(resilient_imap(square, [3, 1, 2], SERIAL)) == [(0, 9), (1, 1), (2, 4)]
 
     def test_failures_captured_not_raised(self):
-        out = parallel_map(fail_on_odd, [0, 1, 2, 3], ParallelConfig(max_workers=0))
-        assert out.results[0] == 0 and out.results[2] == 2
-        assert isinstance(out.results[1], TaskFailure)
-        assert isinstance(out.results[3], TaskFailure)
-        assert [out.ok(i) for i in range(4)] == [True, False, True, False]
-        assert [f.index for f in out.failures] == [1, 3]
-        assert out.failures[0].error_type == "ValueError"
-        assert "odd input 1" in out.failures[0].message
-
-    def test_successful_filters_failures(self):
-        out = parallel_map(fail_on_odd, [0, 1, 2], ParallelConfig(max_workers=0))
-        assert out.successful() == [0, 2]
+        pairs = list(resilient_imap(fail_on_odd, [0, 1, 2, 3], SERIAL))
+        assert pairs[0] == (0, 0) and pairs[2] == (2, 2)
+        assert isinstance(pairs[1][1], TaskFailure)
+        assert isinstance(pairs[3][1], TaskFailure)
+        failures = _failures(pairs)
+        assert [f.index for f in failures] == [1, 3]
+        assert failures[0].error_type == "ValueError"
+        assert "odd input 1" in failures[0].message
 
     def test_legitimate_none_results_survive(self):
         # regression: None used to double as the failure sentinel, so a
-        # mapped fn returning None was dropped by successful()
-        out = parallel_map(none_on_even, [0, 1, 2], ParallelConfig(max_workers=0))
-        assert out.results == [None, 1, None]
-        assert out.n_ok == 3
-        assert out.successful() == [None, 1, None]
-
-    def test_raise_if_failed(self):
-        out = parallel_map(fail_on_odd, [1], ParallelConfig(max_workers=0))
-        with pytest.raises(RuntimeError, match="1 task"):
-            out.raise_if_failed()
-        ok = parallel_map(square, [1], ParallelConfig(max_workers=0))
-        ok.raise_if_failed()  # no exception
+        # mapped fn returning None was dropped as a failure
+        pairs = list(resilient_imap(none_on_even, [0, 1, 2], SERIAL))
+        assert pairs == [(0, None), (1, 1), (2, None)]
 
     def test_empty_input(self):
-        out = parallel_map(square, [], ParallelConfig(max_workers=0))
-        assert out.results == [] and out.failures == []
-
-    def test_lpt_ordering_does_not_scramble_results(self):
-        cfg = ParallelConfig(max_workers=0, cost=lambda x: x)
-        out = parallel_map(square, [1, 5, 3], cfg)
-        assert out.results == [1, 25, 9]
+        assert list(resilient_imap(square, [], SERIAL)) == []
 
     def test_lambda_allowed_in_serial_mode(self):
-        out = parallel_map(lambda x: x + 1, [1, 2], ParallelConfig(max_workers=0))
-        assert out.results == [2, 3]
+        pairs = list(resilient_imap(lambda x: x + 1, [1, 2], SERIAL))
+        assert pairs == [(0, 2), (1, 3)]
 
 
 class TestProcessPool:
     def test_parallel_results_match_serial(self):
         items = list(range(30))
-        par = parallel_map(square, items, ParallelConfig(max_workers=2, chunksize=4))
-        ser = parallel_map(square, items, ParallelConfig(max_workers=0))
-        assert par.results == ser.results
+        par = resilient_imap(square, items, ParallelConfig(max_workers=2, chunksize=4))
+        ser = resilient_imap(square, items, SERIAL)
+        assert dict(par) == dict(ser)
 
     def test_parallel_failures_isolated(self):
-        out = parallel_map(fail_on_odd, list(range(10)), ParallelConfig(max_workers=2))
-        assert out.n_ok == 5
-        assert [f.index for f in out.failures] == [1, 3, 5, 7, 9]
+        pairs = list(resilient_imap(fail_on_odd, list(range(10)), ParallelConfig(max_workers=2)))
+        assert len(pairs) == 10
+        assert [f.index for f in _failures(pairs)] == [1, 3, 5, 7, 9]
 
     def test_traceback_captured(self):
-        out = parallel_map(fail_on_odd, [1, 2], ParallelConfig(max_workers=2))
-        assert "ValueError" in out.failures[0].traceback_text
+        pairs = list(resilient_imap(fail_on_odd, [1, 2], ParallelConfig(max_workers=2)))
+        assert "ValueError" in _failures(pairs)[0].traceback_text
 
     def test_fn_pickled_at_most_once_per_worker(self):
         # regression: fn used to travel inside every task tuple, so it
-        # was re-pickled per submitted chunk; with the pool initializer
+        # was re-pickled per submitted item; with the pool initializer
         # it ships once per worker process.
         fn = PickleCountingFn()
         PickleCountingFn.pickled = 0
-        out = parallel_map(
-            fn, list(range(64)), ParallelConfig(max_workers=2, chunksize=4)
+        pairs = dict(
+            resilient_imap(fn, list(range(64)), ParallelConfig(max_workers=2, chunksize=4))
         )
-        assert out.n_ok == 64
-        assert out.results == [x + 1 for x in range(64)]
+        assert pairs == {x: x + 1 for x in range(64)}
         # <= workers (0 under the fork start method, where initargs are
-        # inherited); the old per-task scheme pickled ~items/chunksize
-        # times regardless of start method
+        # inherited); a per-task scheme would pickle once per item
+        # regardless of start method
         assert PickleCountingFn.pickled <= 2
 
     def test_none_results_survive_pool(self):
-        out = parallel_map(none_on_even, [0, 1, 2, 3], ParallelConfig(max_workers=2))
-        assert out.n_ok == 4
-        assert out.successful() == [None, 1, None, 3]
+        pairs = resilient_imap(none_on_even, [0, 1, 2, 3], ParallelConfig(max_workers=2))
+        assert sorted(pairs) == [(0, None), (1, 1), (2, None), (3, 3)]
 
 
 class TestParallelImap:
     def test_serial_streams_in_order(self):
-        pairs = list(parallel_imap(square, iter([3, 1, 2]), ParallelConfig(max_workers=0)))
+        pairs = list(resilient_imap(square, iter([3, 1, 2]), SERIAL))
         assert pairs == [(0, 9), (1, 1), (2, 4)]
 
     def test_serial_is_lazy(self):
@@ -146,7 +131,7 @@ class TestParallelImap:
                 pulled.append(i)
                 yield i
 
-        stream = parallel_imap(square, gen(), ParallelConfig(max_workers=0))
+        stream = resilient_imap(square, gen(), SERIAL)
         assert next(stream) == (0, 0)
         assert next(stream) == (1, 1)
         # only as many items drawn as results consumed (plus none ahead)
@@ -154,7 +139,7 @@ class TestParallelImap:
         stream.close()
 
     def test_serial_failures_yield_taskfailure(self):
-        pairs = list(parallel_imap(fail_on_odd, [0, 1, 2], ParallelConfig(max_workers=0)))
+        pairs = list(resilient_imap(fail_on_odd, [0, 1, 2], SERIAL))
         assert pairs[0] == (0, 0) and pairs[2] == (2, 2)
         assert isinstance(pairs[1][1], TaskFailure)
         assert pairs[1][0] == 1
@@ -162,7 +147,7 @@ class TestParallelImap:
     def test_pool_results_complete_and_indexed(self):
         items = list(range(40))
         pairs = list(
-            parallel_imap(square, iter(items), ParallelConfig(max_workers=2, chunksize=2))
+            resilient_imap(square, iter(items), ParallelConfig(max_workers=2, chunksize=2))
         )
         assert sorted(i for i, _ in pairs) == items
         for i, r in pairs:
@@ -177,7 +162,7 @@ class TestParallelImap:
                 yield i
 
         cfg = ParallelConfig(max_workers=2, chunksize=2, max_pending=3)
-        stream = parallel_imap(square, gen(), cfg)
+        stream = resilient_imap(square, gen(), cfg)
         first = next(stream)
         assert first[1] == first[0] ** 2
         # window of 3 plus the one being refilled — never all 50
@@ -186,14 +171,14 @@ class TestParallelImap:
 
     def test_pool_failures_isolated(self):
         pairs = list(
-            parallel_imap(fail_on_odd, range(10), ParallelConfig(max_workers=2))
+            resilient_imap(fail_on_odd, range(10), ParallelConfig(max_workers=2))
         )
         fails = [i for i, r in pairs if isinstance(r, TaskFailure)]
         assert sorted(fails) == [1, 3, 5, 7, 9]
 
     def test_empty_iterable(self):
-        assert list(parallel_imap(square, [], ParallelConfig(max_workers=0))) == []
-        assert list(parallel_imap(square, [], ParallelConfig(max_workers=2))) == []
+        assert list(resilient_imap(square, [], SERIAL)) == []
+        assert list(resilient_imap(square, [], ParallelConfig(max_workers=2))) == []
 
 
 class TestConfig:
@@ -228,16 +213,14 @@ def slow_square(x: int) -> int:
 
 class TestFailureTaxonomy:
     def test_builtin_errors_keep_bare_qualname(self):
-        out = parallel_map(fail_on_odd, [1], ParallelConfig(max_workers=0))
-        failure = out.failures[0]
+        [(_index, failure)] = resilient_imap(fail_on_odd, [1], SERIAL)
         assert failure.error_type == "ValueError"
         assert failure.qualname == "ValueError"
         assert failure.kind is FailureKind.EXCEPTION
         assert failure.attempts == 1
 
     def test_custom_errors_carry_module_qualified_name(self):
-        out = parallel_map(fail_custom, [1], ParallelConfig(max_workers=0))
-        failure = out.failures[0]
+        [(_index, failure)] = resilient_imap(fail_custom, [1], SERIAL)
         assert failure.error_type == "CustomError"
         assert "." in failure.qualname
         assert failure.qualname.endswith(".CustomError")
@@ -254,24 +237,13 @@ class TestFailureTaxonomy:
         text = str(failure)
         assert "[timeout]" in text and "after 4 attempts" in text
 
-    def test_kind_counts_and_breakdown_message(self):
-        failures = [
-            TaskFailure(0, "A", "m", "", kind=FailureKind.CRASH),
-            TaskFailure(1, "B", "m", "", kind=FailureKind.CRASH),
-            TaskFailure(2, "C", "m", "", kind=FailureKind.TIMEOUT),
-        ]
-        out = MapOutcome(results=list(failures), failures=failures)
-        assert out.kind_counts() == {FailureKind.TIMEOUT: 1, FailureKind.CRASH: 2}
-        with pytest.raises(RuntimeError, match=r"1 TIMEOUT, 2 CRASH"):
-            out.raise_if_failed()
-
 
 class TestImapAbandonment:
     def test_breaking_midstream_leaves_no_orphaned_workers(self):
         # regression: abandoning the generator used to leave the pool
         # draining its whole pending window before shutdown
         before = {p.pid for p in multiprocessing.active_children()}
-        stream = parallel_imap(
+        stream = resilient_imap(
             slow_square, range(64), ParallelConfig(max_workers=2, max_pending=8)
         )
         for _index, _result in stream:
@@ -290,7 +262,7 @@ class TestImapAbandonment:
     def test_full_consumption_still_shuts_down_cleanly(self):
         before = {p.pid for p in multiprocessing.active_children()}
         pairs = list(
-            parallel_imap(square, range(6), ParallelConfig(max_workers=2))
+            resilient_imap(square, range(6), ParallelConfig(max_workers=2))
         )
         assert len(pairs) == 6
         deadline = time.monotonic() + 10.0
@@ -302,6 +274,8 @@ class TestImapAbandonment:
 
 
 class TestResilienceConfig:
+    """Every retry knob lives on ``ParallelConfig.retry``."""
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -315,20 +289,7 @@ class TestResilienceConfig:
     )
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            ParallelConfig(**kwargs)
-
-    def test_unset_fields_inherit_from_base_policy(self):
-        base = RetryPolicy(task_timeout_s=60.0, max_retries=5)
-        policy = ParallelConfig().retry_policy(base)
-        assert policy == base
-
-    def test_set_fields_override_base_policy(self):
-        base = RetryPolicy(task_timeout_s=60.0, max_retries=5)
-        cfg = ParallelConfig(task_timeout_s=2.0, max_item_crashes=4)
-        policy = cfg.retry_policy(base)
-        assert policy.task_timeout_s == 2.0
-        assert policy.max_item_crashes == 4
-        assert policy.max_retries == 5  # inherited
+            ParallelConfig(retry=RetryPolicy(**kwargs))
 
     def test_no_base_uses_policy_defaults(self):
-        assert ParallelConfig().retry_policy() == RetryPolicy()
+        assert ParallelConfig().retry == RetryPolicy()

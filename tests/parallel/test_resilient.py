@@ -6,6 +6,8 @@ and marker files under ``state_dir`` let flaky items recover on retry
 even when the retry lands in a fresh worker process.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.parallel import (
@@ -48,13 +50,13 @@ class TestNoFaultEquivalence:
     def test_matches_plain_map(self, config):
         items = list(range(8))
         results, failures = _drain(
-            resilient_imap(square, items, config, policy=FAST)
+            resilient_imap(square, items, replace(config, retry=FAST))
         )
         assert failures == {}
         assert results == {i: i * i for i in items}
 
     def test_empty_input(self):
-        assert _drain(resilient_imap(square, [], SERIAL, policy=FAST)) == ({}, {})
+        assert _drain(resilient_imap(square, [], replace(SERIAL, retry=FAST))) == ({}, {})
 
 
 class TestTransientRetry:
@@ -70,8 +72,7 @@ class TestTransientRetry:
             resilient_imap(
                 fn,
                 list(range(6)),
-                config,
-                policy=FAST,
+                replace(config, retry=FAST),
                 on_count=lambda k, v: counts.__setitem__(k, counts.get(k, 0) + v),
             )
         )
@@ -85,7 +86,7 @@ class TestTransientRetry:
         fn = ChaosInjector(inner=square, flaky_keys=frozenset({"val:1"}))
         policy = RetryPolicy(max_retries=2, backoff_base_s=0.0)
         results, failures = _drain(
-            resilient_imap(fn, [0, 1, 2], config, policy=policy)
+            resilient_imap(fn, [0, 1, 2], replace(config, retry=policy))
         )
         assert set(results) == {0, 2}
         assert set(failures) == {1}
@@ -100,8 +101,7 @@ class TestTransientRetry:
             resilient_imap(
                 always_value_error,
                 [0, 1],
-                config,
-                policy=FAST,
+                replace(config, retry=FAST),
                 on_count=lambda k, v: counts.__setitem__(k, counts.get(k, 0) + v),
             )
         )
@@ -120,8 +120,7 @@ class TestCrashSurvival:
             resilient_imap(
                 fn,
                 list(range(6)),
-                POOLED,
-                policy=FAST,
+                replace(POOLED, retry=FAST),
                 on_count=lambda k, v: counts.__setitem__(k, counts.get(k, 0) + v),
             )
         )
@@ -138,7 +137,7 @@ class TestCrashSurvival:
         fn = ChaosInjector(inner=square, crash_rate=1.0)
         policy = RetryPolicy(backoff_base_s=0.0, max_pool_rebuilds=1)
         with pytest.raises(PoolRebuildLimit, match="rebuilt"):
-            _drain(resilient_imap(fn, list(range(8)), POOLED, policy=policy))
+            _drain(resilient_imap(fn, list(range(8)), replace(POOLED, retry=policy)))
 
 
 class TestTimeouts:
@@ -152,8 +151,7 @@ class TestTimeouts:
             resilient_imap(
                 fn,
                 list(range(5)),
-                POOLED,
-                policy=policy,
+                replace(POOLED, retry=policy),
                 on_count=lambda k, v: counts.__setitem__(k, counts.get(k, 0) + v),
             )
         )
@@ -166,7 +164,7 @@ class TestTimeouts:
 
     def test_no_deadline_means_no_timeout_machinery(self):
         results, failures = _drain(
-            resilient_imap(square, list(range(4)), POOLED, policy=FAST)
+            resilient_imap(square, list(range(4)), replace(POOLED, retry=FAST))
         )
         assert failures == {}
         assert len(results) == 4

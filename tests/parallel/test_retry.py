@@ -113,7 +113,7 @@ class TestShadowedNameRetryBehaviour:
         policy = RetryPolicy(max_retries=2, backoff_base_s=0.0)
         pairs = list(
             resilient_imap(
-                fn, [object()], ParallelConfig(max_workers=0), policy=policy
+                fn, [object()], ParallelConfig(max_workers=0, retry=policy)
             )
         )
         assert len(pairs) == 1

@@ -9,8 +9,14 @@ fail the categorization that consulted it.
 import json
 import os
 
+import numpy as np
+
+from repro.columnar import attach, compile_corpus
+from repro.core import PipelineContext, run_pipeline_store
 from repro.core.thresholds import DEFAULT_CONFIG
+from repro.darshan import InMemorySource
 from repro.service import ResultCache, config_namespace
+from repro.synth import FleetConfig, generate_fleet
 
 
 class TestNamespace:
@@ -34,21 +40,27 @@ class TestNamespace:
 class TestKeying:
     def test_key_is_content_addressed(self, tmp_path):
         cache = ResultCache(tmp_path, namespace="ns")
-        assert cache.trace_key(0xDEADBEEF) == cache.trace_key(0xDEADBEEF)
-        assert cache.trace_key(0xDEADBEEF) != cache.trace_key(0xDEADBEF0)
+        assert cache.trace_key(0xDEADBEEF, 7) == cache.trace_key(0xDEADBEEF, 7)
+        assert cache.trace_key(0xDEADBEEF, 7) != cache.trace_key(0xDEADBEF0, 7)
 
     def test_key_depends_on_namespace(self, tmp_path):
         a = ResultCache(tmp_path, namespace="a")
         b = ResultCache(tmp_path, namespace="b")
-        assert a.trace_key(1) != b.trace_key(1)
+        assert a.trace_key(1, 7) != b.trace_key(1, 7)
+
+    def test_key_depends_on_job_id(self, tmp_path):
+        # regression: the key used to be the 32-bit CRC alone, so two
+        # traces whose CRCs collide were served each other's result
+        cache = ResultCache(tmp_path, namespace="ns")
+        assert cache.trace_key(0xDEADBEEF, 1) != cache.trace_key(0xDEADBEEF, 2)
 
     def test_key_masks_to_32_bits(self, tmp_path):
         cache = ResultCache(tmp_path)
-        assert cache.trace_key(0x1_0000_0001) == cache.trace_key(1)
+        assert cache.trace_key(0x1_0000_0001, 7) == cache.trace_key(1, 7)
 
     def test_entry_path_fans_out_by_prefix(self, tmp_path):
         cache = ResultCache(tmp_path)
-        key = cache.trace_key(7)
+        key = cache.trace_key(7, 7)
         path = cache.entry_path(key)
         assert path == os.path.join(str(tmp_path), key[:2], f"{key}.json")
 
@@ -56,7 +68,7 @@ class TestKeying:
 class TestGetPut:
     def test_roundtrip_is_byte_stable(self, tmp_path):
         cache = ResultCache(tmp_path, namespace="ns")
-        key = cache.trace_key(42)
+        key = cache.trace_key(42, 7)
         payload = {"uid": 100, "exe": "app.exe", "categories": ["interference"]}
         cache.put(key, payload)
         first = cache.get(key)
@@ -71,12 +83,12 @@ class TestGetPut:
 
     def test_missing_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
-        assert cache.get(cache.trace_key(1)) is None
+        assert cache.get(cache.trace_key(1, 7)) is None
         assert (cache.hits, cache.misses) == (0, 1)
 
     def test_torn_entry_degrades_to_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
-        key = cache.trace_key(9)
+        key = cache.trace_key(9, 7)
         cache.put(key, {"ok": True})
         with open(cache.entry_path(key), "w", encoding="utf-8") as fh:
             fh.write('{"ok": tr')  # torn mid-token
@@ -85,7 +97,7 @@ class TestGetPut:
 
     def test_non_dict_entry_degrades_to_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
-        key = cache.trace_key(11)
+        key = cache.trace_key(11, 7)
         os.makedirs(os.path.dirname(cache.entry_path(key)), exist_ok=True)
         with open(cache.entry_path(key), "w", encoding="utf-8") as fh:
             json.dump([1, 2, 3], fh)
@@ -96,12 +108,12 @@ class TestGetPut:
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")
         cache = ResultCache(blocker / "cache")
-        cache.put(cache.trace_key(3), {"x": 1})  # must not raise
+        cache.put(cache.trace_key(3, 7), {"x": 1})  # must not raise
         assert cache.put_errors == 1
 
     def test_miss_then_put_heals(self, tmp_path):
         cache = ResultCache(tmp_path)
-        key = cache.trace_key(5)
+        key = cache.trace_key(5, 7)
         assert cache.get(key) is None
         cache.put(key, {"healed": True})
         assert cache.get(key) == {"healed": True}
@@ -114,7 +126,7 @@ class TestObservability:
 
     def test_stats_snapshot(self, tmp_path):
         cache = ResultCache(tmp_path, namespace="ns")
-        key = cache.trace_key(1)
+        key = cache.trace_key(1, 7)
         cache.get(key)
         cache.put(key, {"v": 1})
         cache.get(key)
@@ -125,3 +137,24 @@ class TestObservability:
             "put_errors": 0,
             "namespace": "ns",
         }
+
+
+class TestPipelineCache:
+    def test_crc_collision_serves_each_row_its_own_result(self, tmp_path, monkeypatch):
+        # two distinct traces whose 32-bit CRCs collide: a warm run must
+        # still hand each row the result computed for it
+        fleet = generate_fleet(
+            FleetConfig(n_apps=18, mean_runs=1.0, corruption_fraction=0.0, seed=3)
+        )
+        path = tmp_path / "pair.mosc"
+        compile_corpus(InMemorySource(fleet.traces[:2]), path)
+        store = attach(path, verify=True)
+        monkeypatch.setattr(store, "trace_crcs", np.zeros_like(store.trace_crcs))
+
+        cache = ResultCache.for_config(tmp_path / "cache", DEFAULT_CONFIG)
+        cold = run_pipeline_store(path, context=PipelineContext(result_cache=cache))
+        warm = run_pipeline_store(path, context=PipelineContext(result_cache=cache))
+        assert cold.n_categorized == 2
+        assert cold.results[0].job_id != cold.results[1].job_id
+        assert warm.metrics["n_cache_hits"] == 2
+        assert [r.to_dict() for r in warm.results] == [r.to_dict() for r in cold.results]
