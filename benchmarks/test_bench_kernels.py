@@ -3,17 +3,24 @@
 Times every kernel pair of :mod:`repro.kernels` on seeded synthetic
 inputs at 1k/10k/100k operations and emits ``BENCH_kernels.json``
 (schema in ``docs/BENCHMARKS.md``) to seed the perf trajectory.  The
-test doubles as the CI smoke gate: it fails if the vectorized backend is
-slower than the pure-Python reference on any kernel at any size (subject
-to the per-kernel ``NOT_SLOWER_BAND`` — see its note on the shared-FFT
-``dft_comb_scan``), and it requires the headline ≥ 5× speedups on the
-neighbor-merge and ACF peak-scan kernels at 10k ops.
+``metadata_rate`` row times the per-second metadata rate of one trace
+with ``k`` opens two ways: the event-expansion oracle
+(:mod:`repro.testing.metadata`, in the ``reference`` column) against
+the closed-form kernel (:func:`repro.core.metadata.metadata_rate`, in
+the ``vectorized`` column), at k = 1k/100k/1M.  The test doubles as the
+CI smoke gate: it fails if the vectorized backend (or the closed form)
+is slower than the pure-Python reference on any kernel at any size
+(subject to the per-kernel ``NOT_SLOWER_BAND`` — see its note on the
+shared-FFT ``dft_comb_scan``), and it requires the headline ≥ 5×
+speedups on the neighbor-merge and ACF peak-scan kernels at 10k ops.
 
 Environment:
 
 ``MOSAIC_BENCH_KERNEL_SIZES``
-    Comma-separated op counts (default ``1000,10000,100000``).  CI smoke
-    runs ``1000,10000`` to stay fast.
+    Comma-separated op counts (default ``1000,10000,100000``; the
+    ``metadata_rate`` row defaults to ``1000,100000,1000000`` opens and
+    follows this variable when it is set).  CI smoke runs ``1000,10000``
+    to stay fast.
 ``MOSAIC_BENCH_KERNEL_OUT``
     Output path for the JSON artifact (default ``BENCH_kernels.json``
     at the repository root).
@@ -28,9 +35,17 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.metadata import metadata_rate
+from repro.darshan.records import FileRecord, JobMeta
+from repro.darshan.trace import Trace
 from repro.kernels import get_backend
+from repro.testing.metadata import oracle_rate
 
 DEFAULT_SIZES = (1_000, 10_000, 100_000)
+#: Opens per trace of the ``metadata_rate`` row when no sizes are set.
+METADATA_SIZES = (1_000, 100_000, 1_000_000)
+#: Runtime of the ``metadata_rate`` trace: one-second bins over an hour.
+METADATA_RUN_S = 3600.0
 #: Kernels whose 10k-op speedup is a hard acceptance floor.
 HEADLINE_SPEEDUP = {"neighbor_merge": 5.0, "acf_peak_scan": 5.0}
 HEADLINE_SIZE = 10_000
@@ -51,6 +66,12 @@ def _sizes() -> list[int]:
     if not raw:
         return list(DEFAULT_SIZES)
     return [int(tok) for tok in raw.split(",") if tok.strip()]
+
+
+def _metadata_sizes() -> list[int]:
+    if os.environ.get("MOSAIC_BENCH_KERNEL_SIZES"):
+        return _sizes()
+    return list(METADATA_SIZES)
 
 
 def _out_path() -> Path:
@@ -130,6 +151,60 @@ def _bench_bin_activity(backend, rng, n):
     )
 
 
+def _metadata_trace(rng: np.random.Generator, k: int) -> Trace:
+    """A checkpointing trace: four files reopened ``k`` times in total
+    over the hour (opens + seeks, closes), plus 32 single-open files."""
+    records = []
+    for i, opens in enumerate([k // 4] * 3 + [k - 3 * (k // 4)]):
+        t0 = float(rng.uniform(0.0, METADATA_RUN_S / 4))
+        records.append(
+            FileRecord(
+                file_id=i,
+                file_name=f"ckpt{i}",
+                rank=0,
+                opens=opens,
+                closes=opens,
+                seeks=opens,
+                open_start=t0,
+                close_end=float(rng.uniform(t0, METADATA_RUN_S)),
+            )
+        )
+    for i in range(32):
+        t0 = float(rng.uniform(0.0, METADATA_RUN_S))
+        records.append(
+            FileRecord(
+                file_id=100 + i,
+                file_name=f"in{i}",
+                rank=i,
+                opens=1,
+                closes=1,
+                open_start=t0,
+                close_end=t0 + 1.0,
+            )
+        )
+    meta = JobMeta(
+        job_id=1, uid=1, exe="ckpt", nprocs=32, start_time=0.0,
+        end_time=METADATA_RUN_S,
+    )
+    return Trace(meta=meta, records=records)
+
+
+def _bench_metadata_rate(sizes: list[int]) -> dict[str, dict[str, float]]:
+    rows = {}
+    for k in sizes:
+        trace = _metadata_trace(np.random.default_rng(20260806 + k), k)
+        # integral request weights: the two must agree bit for bit
+        assert np.array_equal(oracle_rate(trace, 1.0), metadata_rate(trace, 1.0))
+        ref_s = _best_seconds(lambda: oracle_rate(trace, 1.0))
+        new_s = _best_seconds(lambda: metadata_rate(trace, 1.0))
+        rows[str(k)] = {
+            "reference_ns_per_op": ref_s / k * 1e9,
+            "vectorized_ns_per_op": new_s / k * 1e9,
+            "speedup": ref_s / new_s,
+        }
+    return rows
+
+
 BENCHES = {
     "neighbor_merge": _bench_neighbor,
     "concurrent_fusion": _bench_concurrent,
@@ -177,10 +252,13 @@ def run_kernel_bench(sizes: list[int]) -> dict:
                 "vectorized_ns_per_op": vec_s / n * 1e9,
                 "speedup": ref_s / vec_s,
             }
+    metadata_sizes = _metadata_sizes()
+    kernels["metadata_rate"] = _bench_metadata_rate(metadata_sizes)
     return {
         "schema": "mosaic-kernel-bench/1",
         "unit": "ns_per_op",
         "sizes": sizes,
+        "metadata_sizes": metadata_sizes,
         "meanshift_seeds": MEANSHIFT_SEEDS,
         "activity_bins": ACTIVITY_BINS,
         "not_slower_band": dict(NOT_SLOWER_BAND),

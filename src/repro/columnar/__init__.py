@@ -6,8 +6,8 @@ hot path with a compiled artifact (``.mosc``):
 
 * :func:`compile_corpus` — one decode pass over any ``TraceSource``
   writes a compact store: a NumPy structured **trace index**, the flat
-  per-direction **ops table**, file records, metadata event streams,
-  and a deduplicated string heap (:mod:`repro.columnar.format`).
+  per-direction **ops table**, file records (the metadata rate is
+  binned from them in closed form), and a deduplicated string heap (:mod:`repro.columnar.format`).
 * :class:`CorpusStore` — memory-mapped, zero-copy reader with a
   hostile-input posture inherited from the trace readers
   (:mod:`repro.columnar.store`).

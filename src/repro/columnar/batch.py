@@ -6,7 +6,7 @@ It reattaches the corpus store (per-pid cache, see
 operation table per direction, runs concurrent fusion and the
 neighbor-merge fixpoint over *all* traces in a handful of segmented
 dispatches (:mod:`repro.kernels.batched`), bins every trace's metadata
-event stream in one dispatch, and only then loops per trace for the
+requests in one closed-form dispatch, and only then loops per trace for the
 axis classifiers — which are the exact per-trace functions of
 :mod:`repro.core`, fed identical inputs, so categories (and journaled
 results) are byte-identical to ``categorize_trace``.
@@ -212,7 +212,7 @@ def _batch_metadata(
     """Metadata axis for a slice: one segmented binning dispatch.
 
     Bitwise-identical to :func:`repro.core.metadata.classify_metadata`:
-    the segmented binning accumulates per trace in the same event order,
+    both feed the same record columns to the same closed-form kernel,
     and the rate rules run on each trace's own bin slice.
     """
     idx = store.index
@@ -228,13 +228,12 @@ def _batch_metadata(
         else:
             binned.append(i)
     if binned:
-        times, counts, offsets = store.metadata_events_batch(
+        *columns, offsets = store.metadata_events_batch(
             [rows[i] for i in binned]
         )
         width = config.metadata_bin_seconds
         values, bin_offsets = batched.bin_events_segmented(
-            times,
-            counts,
+            *columns,
             offsets,
             np.maximum(run_times[binned], width),
             width,

@@ -18,11 +18,12 @@ heap      UTF-8 string heap (exe / machine / partition / file names),
           deduplicated, addressed by (offset, length) pairs
 ========  ==================================================================
 
-The metadata *event stream* is deliberately not materialized: a record
-with ``k`` opens expands to ``2k`` events (metadata-heavy traces reach
-millions), while the record row it derives from is 140 bytes.  The
-reader reconstructs ``Trace.metadata_events()`` bit-for-bit from the
-records section on demand (:meth:`repro.columnar.store.CorpusStore.metadata_events`).
+No metadata *event stream* is stored or reconstructed: a record with
+``k`` opens implies ``2k`` events (metadata-heavy traces reach
+millions), while the record row is 140 bytes.  The reader hands the
+records' metadata columns to the closed-form binning kernel, which
+counts each bin's requests without building events
+(:meth:`repro.columnar.store.CorpusStore.metadata_events_batch`).
 
 The fixed-size header carries magic, version, section counts, and a
 section table (offset, byte length, CRC32 per section) plus its own

@@ -39,7 +39,7 @@ import numpy as np
 from ..darshan.errors import TraceFormatError
 from ..darshan.limits import DEFAULT_LIMITS, DecodeLimits, check_declared_size
 from ..darshan.records import FileRecord, JobMeta
-from ..darshan.trace import OperationArray, Trace
+from ..darshan.trace import OperationArray, Trace, metadata_windows
 from ..darshan.validate import Violation
 from .format import (
     ALIGN,
@@ -339,207 +339,45 @@ class CorpusStore:
             self.ops_volumes[lo:hi],
         )
 
-    def _metadata_prep(self, row: int) -> tuple | None:
-        """Record-level head of the metadata reconstruction.
-
-        Computes, per record of the row's slab, the attribution window
-        and event counts — everything needed to size and lay out the
-        event stream — without touching per-event storage.  Returns
-        ``None`` when the row expands to no events.
-        """
-        r = self.index[row]
-        lo = int(r["rec_off"])
-        hi = lo + int(r["n_records"])
-        rec = self.records[lo:hi]
-        if lo == hi:
-            return None
-        opens = rec["opens"].astype(np.int64)
-        n_open = opens + rec["seeks"].astype(np.int64)
-        n_close = rec["closes"].astype(np.int64)
-        active = (n_open + n_close) > 0
-
-        open_start = rec["open_start"].astype(np.float64)
-        close_end = rec["close_end"].astype(np.float64)
-        t0 = np.where(
-            open_start >= 0,
-            open_start,
-            np.maximum(rec["read_start"].astype(np.float64), 0.0),
-        )
-        t1 = np.where(close_end >= 0, close_end, t0)
-        # mirror `if t1 < t0: swap` exactly (NaN comparisons stay put)
-        swap = t1 < t0
-        t0, t1 = np.where(swap, t1, t0), np.where(swap, t0, t1)
-
-        # `opens <= 1 or t1 <= t0` inverted — NOT `t1 > t0`, which would
-        # reroute NaN windows to the single branch the reference spreads
-        spread = active & (opens > 1) & ~(t1 <= t0)
-        single = active & ~spread
-        has_open = single & (n_open > 0)
-        has_close = single & (n_close > 0)
-
-        n_events = np.where(
-            spread,
-            2 * opens,
-            has_open.astype(np.int64) + has_close.astype(np.int64),
-        )
-        total = int(n_events.sum())
-        if total == 0:
-            return None
-        out_off = np.zeros(len(rec), dtype=np.int64)
-        np.cumsum(n_events[:-1], out=out_off[1:])
-        return (
-            total,
-            out_off,
-            t0,
-            t1,
-            opens,
-            n_open,
-            n_close,
-            spread,
-            has_open,
-            has_close,
-        )
-
-    @staticmethod
-    def _metadata_fill(
-        prep: tuple, times: np.ndarray, counts: np.ndarray
-    ) -> None:
-        """Write the pre-sort event layout of one row into buffers.
-
-        The layout reproduces the reference's append order exactly —
-        records in slab order, each record's opens block then its closes
-        block — so the caller's stable argsort lands ties identically.
-        """
-        (
-            _total,
-            out_off,
-            t0,
-            t1,
-            opens,
-            n_open,
-            n_close,
-            spread,
-            has_open,
-            has_close,
-        ) = prep
-
-        # singles: the t0 slot comes first (when it has opens), then t1
-        times[out_off[has_open]] = t0[has_open]
-        counts[out_off[has_open]] = n_open[has_open].astype(np.float64)
-        close_slot = out_off + has_open.astype(np.int64)
-        times[close_slot[has_close]] = t1[has_close]
-        counts[close_slot[has_close]] = n_close[has_close].astype(np.float64)
-
-        if spread.any():
-            k = opens[spread]
-            step = (t1[spread] - t0[spread]) / k
-            if len(k) <= 64:
-                # Few spread records carrying (potentially) huge k: each
-                # record's output block is contiguous (opens then
-                # closes), so compute straight into the slices — no
-                # per-event record-id gathers, no scatter indices.  Same
-                # scalars, same op order, same bits as the path below.
-                s_off = out_off[spread]
-                s_t0 = t0[spread]
-                s_no = n_open[spread]
-                s_nc = n_close[spread]
-                for i in range(len(k)):
-                    ki = int(k[i])
-                    a = int(s_off[i])
-                    o_sl = times[a : a + ki]
-                    # linspace(t0, t1, k, endpoint=False)
-                    #   == arange(k)*step + t0
-                    np.multiply(
-                        np.arange(ki, dtype=np.float64), step[i], out=o_sl
-                    )
-                    o_sl += s_t0[i]
-                    np.add(  # mosaic: disable=MOS002 (ufunc, not a set)
-                        o_sl, step[i] * 0.9, out=times[a + ki : a + 2 * ki]
-                    )
-                    counts[a : a + ki] = s_no[i] / ki
-                    counts[a + ki : a + 2 * ki] = s_nc[i] / ki
-            else:
-                rep = np.repeat(np.arange(len(k)), k)
-                pos = np.arange(len(rep), dtype=np.int64)
-                pos -= np.repeat(np.concatenate(([0], np.cumsum(k)[:-1])), k)
-                # linspace(t0, t1, k, endpoint=False) == arange(k)*step + t0
-                open_t = pos * step[rep] + t0[spread][rep]
-                close_t = open_t + (step * 0.9)[rep]
-                base = np.repeat(out_off[spread], k)
-                idx_open = base + pos
-                idx_close = base + k[rep] + pos
-                times[idx_open] = open_t
-                times[idx_close] = close_t
-                counts[idx_open] = (n_open[spread] / k)[rep]
-                counts[idx_close] = (n_close[spread] / k)[rep]
-
-    def metadata_events(self, row: int) -> tuple[np.ndarray, np.ndarray]:
-        """Reconstruct the trace's metadata event stream on demand.
-
-        Bit-for-bit equal to ``decode_trace(row).metadata_events()`` —
-        the same per-record attribution model (the loop in
-        :meth:`repro.darshan.trace.Trace.metadata_events`, the auditable
-        reference) run vectorized over the record slab.  The stream is
-        derived, not stored: a record with ``k`` opens expands to ``2k``
-        events, which can dwarf the record itself, so the expansion
-        happens here in one dispatch instead of a per-record loop.
-
-        Bitwise notes: ``np.linspace(t0, t1, k, endpoint=False)`` is
-        ``arange(k) * ((t1 - t0) / k) + t0`` element for element, and the
-        per-record append order (opens block, then closes block, records
-        in slab order) is reproduced exactly before the final stable
-        argsort, so ties land identically.
-        """
-        self.guard()
-        prep = self._metadata_prep(row)
-        if prep is None:
-            z = np.empty(0, dtype=np.float64)
-            return z, z.copy()
-        total = prep[0]
-        times = np.empty(total, dtype=np.float64)
-        counts = np.empty(total, dtype=np.float64)
-        self._metadata_fill(prep, times, counts)
-        order = np.argsort(times, kind="stable")
-        return times[order], counts[order]
-
     def metadata_events_batch(
         self, rows: Sequence[int]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Metadata event streams of many rows in one flat allocation.
+    ) -> tuple[np.ndarray, ...]:
+        """Record-level metadata columns of many rows, no events.
 
-        Returns ``(times, counts, offsets)`` where
-        ``times[offsets[j]:offsets[j+1]]`` is row ``rows[j]``'s stream,
-        each slice bit-for-bit equal to :meth:`metadata_events` of that
-        row.  One scratch buffer (sized to the largest row) carries every
-        pre-sort layout, and the sorted gather lands directly in the flat
-        output — no per-row allocations, no concatenation copy.  The
-        flat shape is exactly what the segmented binning kernel
-        (:func:`repro.kernels.batched.bin_events_segmented`) consumes.
+        Returns ``(t0, t1, opens, n_open, n_close, offsets)``: records
+        ``offsets[j]:offsets[j+1]`` are row ``rows[j]``'s slab, each
+        column equal to ``decode_trace(row).metadata_columns()``.  This
+        is the input of the closed-form binning kernel
+        (:func:`repro.kernels.batched.bin_events_segmented`); the event
+        stream a record with ``k`` opens implies is never built.
         """
         self.guard()
-        preps = [self._metadata_prep(row) for row in rows]
+        rows = np.asarray(rows, dtype=np.int64)
+        lo = self.index["rec_off"][rows].astype(np.int64)
+        n = self.index["n_records"][rows].astype(np.int64)
         offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-        for j, prep in enumerate(preps):
-            offsets[j + 1] = offsets[j] + (prep[0] if prep else 0)
-        total = int(offsets[-1])
-        times = np.empty(total, dtype=np.float64)
-        counts = np.empty(total, dtype=np.float64)
-        if total == 0:
-            return times, counts, offsets
-        largest = max(prep[0] for prep in preps if prep)
-        scratch_t = np.empty(largest, dtype=np.float64)
-        scratch_c = np.empty(largest, dtype=np.float64)
-        for j, prep in enumerate(preps):
-            if prep is None:
-                continue
-            n = prep[0]
-            s_t, s_c = scratch_t[:n], scratch_c[:n]
-            self._metadata_fill(prep, s_t, s_c)
-            order = np.argsort(s_t, kind="stable")
-            lo, hi = int(offsets[j]), int(offsets[j + 1])
-            np.take(s_t, order, out=times[lo:hi])
-            np.take(s_c, order, out=counts[lo:hi])
-        return times, counts, offsets
+        np.cumsum(n, out=offsets[1:])
+        take = np.arange(int(offsets[-1]), dtype=np.int64)
+        take += np.repeat(lo - offsets[:-1], n)
+        rec = self.records
+
+        def column(name: str, dtype: type) -> np.ndarray:
+            return rec[name][take].astype(dtype)
+
+        opens = column("opens", np.int64)
+        t0, t1 = metadata_windows(
+            column("open_start", np.float64),
+            column("close_end", np.float64),
+            column("read_start", np.float64),
+        )
+        return (
+            t0,
+            t1,
+            opens,
+            opens + column("seeks", np.int64),
+            column("closes", np.int64),
+            offsets,
+        )
 
     # -- full decode ----------------------------------------------------
     def job_meta(self, row: int) -> JobMeta:

@@ -25,16 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..darshan.trace import Trace
-from ..signalproc.activity import bin_events
+from ..kernels import batched
 from .categories import Category
 from .thresholds import MosaicConfig
 
 __all__ = [
     "MetadataDetection",
     "classify_metadata",
-    "classify_metadata_events",
     "detect_from_rate",
     "insignificant_metadata",
+    "metadata_rate",
 ]
 
 
@@ -94,23 +94,20 @@ def detect_from_rate(
     )
 
 
-def classify_metadata_events(
-    total: int,
-    nprocs: int,
-    times: np.ndarray,
-    counts: np.ndarray,
-    run_time: float,
-    config: MosaicConfig,
-) -> MetadataDetection:
-    """Classify metadata impact from a pre-extracted event stream."""
-    threshold = config.metadata_min_ops_per_rank * max(nprocs, 1)
-    if total < threshold:
-        return insignificant_metadata(total)
-    run_time = max(run_time, config.metadata_bin_seconds)
-    rate = bin_events(times, counts, run_time, config.metadata_bin_seconds)
+def metadata_rate(trace: Trace, bin_width: float) -> np.ndarray:
+    """Metadata requests per second of ``trace``, per ``bin_width`` bin.
+
+    The trace's records are one segment of the closed-form binning
+    kernel; the bins cover ``max(run_time, bin_width)``.
+    """
+    values, _ = batched.bin_events_segmented(
+        *trace.metadata_columns(),
+        np.array([0, len(trace.records)]),
+        np.array([max(trace.meta.run_time, bin_width)]),
+        bin_width,
+    )
     # Normalize to requests per second regardless of bin width.
-    rate = rate / config.metadata_bin_seconds
-    return detect_from_rate(total, rate, config)
+    return values / bin_width
 
 
 def classify_metadata(trace: Trace, config: MosaicConfig) -> MetadataDetection:
@@ -119,7 +116,5 @@ def classify_metadata(trace: Trace, config: MosaicConfig) -> MetadataDetection:
     threshold = config.metadata_min_ops_per_rank * max(trace.meta.nprocs, 1)
     if total < threshold:
         return insignificant_metadata(total)
-    times, counts = trace.metadata_events()
-    return classify_metadata_events(
-        total, trace.meta.nprocs, times, counts, trace.meta.run_time, config
-    )
+    rate = metadata_rate(trace, config.metadata_bin_seconds)
+    return detect_from_rate(total, rate, config)

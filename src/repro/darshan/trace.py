@@ -3,8 +3,10 @@
 This is the hand-off point between the Darshan substrate and the MOSAIC
 algorithms: :meth:`Trace.operations` flattens the per-file records into a
 vectorized *operation array* (start, end, bytes) per direction, and
-:meth:`Trace.metadata_events` produces the (time, request-count) stream
-that the metadata categorizer bins into a per-second rate.
+:meth:`Trace.metadata_columns` gives each record's metadata window and
+request counters, which the metadata categorizer turns into a
+per-second rate in closed form
+(:func:`repro.kernels.batched.bin_events_segmented`).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from .records import FileRecord, JobMeta
 from .tolerance import close_to
 
-__all__ = ["Direction", "OperationArray", "Trace"]
+__all__ = ["Direction", "OperationArray", "Trace", "metadata_windows"]
 
 Direction = Literal["read", "write"]
 
@@ -118,6 +120,27 @@ class OperationArray:
         )
 
 
+def metadata_windows(
+    open_start: np.ndarray, close_end: np.ndarray, read_start: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each record's metadata attribution window ``(t0, t1)``.
+
+    Attribution model (documented substitution for the missing DXT
+    data, following §III-B3c): the window runs from the first open to
+    the last close.  A missing open (the ``-1`` sentinel) falls back to
+    the first read, clamped to job start; a missing close collapses the
+    window onto ``t0``; an inverted window is swapped.  OPEN and SEEK
+    requests are co-located; a record with ``n > 1`` opens spreads its
+    requests uniformly over the window, which is how a repeatedly
+    reopened file actually loads the metadata server.
+    """
+    t0 = np.where(open_start >= 0, open_start, np.maximum(read_start, 0.0))
+    t1 = np.where(close_end >= 0, close_end, t0)
+    # `if t1 < t0: swap`, element-wise (NaN comparisons stay put)
+    swap = t1 < t0
+    return np.where(swap, t1, t0), np.where(swap, t0, t1)
+
+
 @dataclass(slots=True)
 class Trace:
     """One Darshan-equivalent execution trace: job header + file records."""
@@ -183,55 +206,33 @@ class Trace:
             np.asarray(starts), np.asarray(ends), np.asarray(vols)
         )
 
-    def metadata_events(self) -> tuple[np.ndarray, np.ndarray]:
-        """Reconstruct a metadata-request event stream.
+    def metadata_columns(self) -> tuple[np.ndarray, ...]:
+        """Per-record metadata columns ``(t0, t1, opens, n_open, n_close)``.
 
-        Returns ``(times, counts)`` where ``counts[i]`` requests are
-        attributed to time ``times[i]`` (seconds relative to job start).
-
-        Attribution model (documented substitution for the missing DXT
-        data, following §III-B3c): OPEN and SEEK requests are co-located;
-        a record with one open places opens+seeks at ``open_start`` and
-        closes at ``close_end``; a record with ``n > 1`` opens spreads its
-        open/seek (resp. close) requests uniformly over the record's
-        metadata window, which is how a repeatedly-reopened file actually
-        loads the metadata server.
+        ``[t0, t1]`` is the record's metadata window
+        (:func:`metadata_windows`), ``n_open`` its OPEN+SEEK and
+        ``n_close`` its CLOSE requests: the inputs of
+        :func:`repro.kernels.batched.bin_events_segmented`.
         """
-        times: list[float] = []
-        counts: list[float] = []
-        for r in self.records:
-            if r.metadata_ops <= 0:
-                continue
-            t0 = r.open_start if r.open_start >= 0 else max(r.read_start, 0.0)
-            t1 = r.close_end if r.close_end >= 0 else t0
-            if t1 < t0:
-                t0, t1 = t1, t0
-            n_open = r.opens + r.seeks
-            n_close = r.closes
-            if r.opens <= 1 or t1 <= t0:
-                if n_open:
-                    times.append(t0)
-                    counts.append(float(n_open))
-                if n_close:
-                    times.append(t1)
-                    counts.append(float(n_close))
-            else:
-                k = r.opens
-                grid = np.linspace(t0, t1, k, endpoint=False)
-                per_open = n_open / k
-                per_close = n_close / k
-                span = (t1 - t0) / k
-                times.extend(grid.tolist())
-                counts.extend([per_open] * k)
-                times.extend((grid + span * 0.9).tolist())
-                counts.extend([per_close] * k)
-        if not times:
-            z = np.empty(0, dtype=np.float64)
-            return z, z.copy()
-        t = np.asarray(times, dtype=np.float64)
-        c = np.asarray(counts, dtype=np.float64)
-        order = np.argsort(t, kind="stable")
-        return t[order], c[order]
+        recs = self.records
+        n = len(recs)
+
+        def column(values: Iterable[float], dtype: type) -> np.ndarray:
+            return np.fromiter(values, dtype=dtype, count=n)
+
+        opens = column((r.opens for r in recs), np.int64)
+        t0, t1 = metadata_windows(
+            column((r.open_start for r in recs), np.float64),
+            column((r.close_end for r in recs), np.float64),
+            column((r.read_start for r in recs), np.float64),
+        )
+        return (
+            t0,
+            t1,
+            opens,
+            opens + column((r.seeks for r in recs), np.int64),
+            column((r.closes for r in recs), np.int64),
+        )
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:

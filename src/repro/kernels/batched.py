@@ -204,18 +204,121 @@ def segment_segmented(
     return starts.copy(), durations, volumes.copy(), busy
 
 
+def _event_bins(
+    times: np.ndarray, bin_width: float, last: np.ndarray
+) -> np.ndarray:
+    """Bin of each event time: ``min(int(t / w), last)``, negatives to 0."""
+    idx = (times / bin_width).astype(np.int64)
+    np.maximum(idx, 0, out=idx)
+    np.minimum(idx, last, out=idx)
+    return idx
+
+
+def _progression(
+    i: np.ndarray, t0: np.ndarray, step: np.ndarray, offset: np.ndarray
+) -> np.ndarray:
+    """Event ``i`` of a spread record's open or close progression.
+
+    ``fl(fl(fl(i * step) + t0) + offset)``: the expansion's
+    ``np.linspace(t0, t1, k, endpoint=False)[i] + offset`` operation for
+    operation, so every bit matches (``offset`` is 0 for opens and
+    ``fl(0.9 * step)`` for closes).
+    """
+    times = i.astype(np.float64)
+    times *= step
+    times += t0
+    times += offset
+    return times
+
+
+def _first_past_edge(
+    edge: np.ndarray,
+    k: np.ndarray,
+    t0: np.ndarray,
+    step: np.ndarray,
+    offset: np.ndarray,
+    bin_width: float,
+) -> np.ndarray:
+    """First event index of each progression whose bin is ``>= edge``.
+
+    The caller guarantees ``1 <= edge <= last bin``, event 0 below the
+    edge and event ``k - 1`` at or past it, so the answer is bracketed in
+    ``(0, k - 1]``, and "bin >= edge" is simply ``t / w >= edge``.  A
+    ``ceil`` estimate of the crossing is checked by evaluating the exact
+    event expression on both sides of it.  The few estimates rounding
+    puts off (a step below the ulp of ``t0``) try the next index over,
+    then bisect on the same predicate.
+    """
+
+    def past(i: np.ndarray, sel: np.ndarray | slice = slice(None)) -> np.ndarray:
+        times = _progression(i, t0[sel], step[sel], offset[sel])
+        times /= bin_width
+        return times >= edge[sel]
+
+    guess = np.ceil((edge * bin_width - t0 - offset) / step)
+    np.maximum(guess, 1.0, out=guess)
+    np.minimum(guess, k - 1, out=guess)
+    i = guess.astype(np.int64)
+    at, below = past(i), past(i - 1)
+    miss = np.flatnonzero(~at | below)
+    # bracket the misses: past(lo) is false, past(hi) true
+    i_m, at_m, below_m = i[miss], at[miss], below[miss]
+    lo = np.where(below_m, 0, i_m)
+    hi = np.where(below_m, i_m - 1, k[miss] - 1)
+    probe = np.where(below_m, hi - 1, lo + 1)  # the next index over
+    sel = np.arange(len(miss))
+    while len(sel):
+        p = past(probe, miss[sel])
+        hi[sel[p]] = probe[p]
+        lo[sel[~p]] = probe[~p]
+        sel = sel[hi[sel] - lo[sel] > 1]
+        probe = (lo[sel] + hi[sel]) // 2
+    i[miss] = hi
+    return i
+
+
 def bin_events_segmented(
-    times: np.ndarray,
-    counts: np.ndarray,
+    t0: np.ndarray,
+    t1: np.ndarray,
+    opens: np.ndarray,
+    n_open: np.ndarray,
+    n_close: np.ndarray,
     offsets: np.ndarray,
     run_times: np.ndarray,
     bin_width: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Bin many traces' (time, count) event streams in one dispatch.
+    """Per-bin metadata request counts of many traces, in closed form.
 
-    The cross-trace twin of :func:`repro.signalproc.activity.bin_events`:
-    trace ``k`` owns ``ceil(run_times[k] / bin_width)`` bins (min 1) in
-    the flat output.  Returns ``(values, bin_offsets)``.
+    Record ``r`` of trace ``s`` (``offsets[s] <= r < offsets[s + 1]``)
+    carries ``n_open[r]`` OPEN+SEEK and ``n_close[r]`` CLOSE requests
+    over its metadata window ``[t0[r], t1[r]]``
+    (:func:`repro.darshan.trace.metadata_windows`).  Trace ``s`` owns
+    ``ceil(run_times[s] / bin_width)`` bins (min 1) of the flat output.
+    Returns ``(values, bin_offsets)``.
+
+    The §III-B3c attribution model: a record with at most one open, or
+    an empty window, puts its opens at ``t0`` and its closes at ``t1``.
+    A record with ``k = opens > 1`` spreads them: open ``i < k`` sits at
+    ``fl(i * step + t0)`` with ``step = (t1 - t0) / k``, close ``i`` at
+    ``fl(open_i + fl(0.9 * step))``, each carrying ``n / k`` requests.
+    These events are never materialized.  The bin index
+    ``min(int(t / w), nb - 1)`` is monotone in ``i``, so each bin's
+    event count is the gap between the first indices past consecutive
+    bin edges, found from a ``ceil`` estimate corrected by evaluating the
+    event's own float expression.  Per progression the kernel
+    enumerates whichever is fewer, its events (each adding ``n / k``
+    requests) or its spanned bins (each adding ``count * n / k``):
+    O(records + sum of min(k, bins spanned)), no sort.
+
+    Per-bin event counts equal the expansion's exactly.  When every
+    ``n / k`` is integral the sums are exact and the values bitwise
+    equal to binning the expanded events; otherwise they differ from
+    the expansion's event-order sum by rounding only
+    (docs/ALGORITHMS.md).  Domain:
+    event times NaN or below ``2**63 * bin_width``, where the int64 bin
+    index is defined.  (``np.linspace`` switches formula for a step that
+    underflows to zero, which needs ``t1 < 1e-288`` s; any bin width
+    above that puts those events in bin 0 either way.)
     """
     if bin_width <= 0:
         raise ValueError("bin_width must be positive")
@@ -228,34 +331,87 @@ def bin_events_segmented(
     bin_offsets = np.empty(len(n_bins) + 1, dtype=np.int64)
     bin_offsets[0] = 0
     np.cumsum(n_bins, out=bin_offsets[1:])
-    total_bins = int(bin_offsets[-1])
-    n_events = len(times)
-    if not n_events:
-        return np.zeros(total_bins, dtype=np.float64), bin_offsets
-    # minimum/maximum instead of np.clip: same integers, skips the slow
-    # array-bound clip path on multi-million-event streams
-    local = (np.asarray(times, dtype=np.float64) / bin_width).astype(np.int64)
-    np.maximum(local, 0, out=local)
-    n_seg = len(offsets) - 1
-    if n_seg <= 256:
-        # per-segment slice ops: the clip bound and bin base are scalar
-        # within a segment, so small batches skip materializing a
-        # per-event segment id (a repeat plus two gathers over the
-        # whole event stream)
-        for k in range(n_seg):
-            sl = local[offsets[k] : offsets[k + 1]]
-            np.minimum(sl, int(n_bins[k]) - 1, out=sl)
-            sl += int(bin_offsets[k])
-    else:
-        ids = segment_ids(offsets)
-        np.minimum(local, n_bins[ids] - 1, out=local)
-        local += bin_offsets[ids]
-    # bincount accumulates in event order, exactly like the per-trace
-    # bin_events — each trace's bins stay bitwise identical to it.
+
+    t0 = np.asarray(t0, dtype=np.float64)
+    t1 = np.asarray(t1, dtype=np.float64)
+    opens = np.asarray(opens, dtype=np.int64)
+    n_open = np.asarray(n_open, dtype=np.int64)
+    n_close = np.asarray(n_close, dtype=np.int64)
+    active = (n_open + n_close) > 0
+    # `opens <= 1 or t1 <= t0` inverted — NOT `t1 > t0`, which would
+    # send NaN windows to the single-window branch the model spreads
+    spread = active & (opens > 1) & ~(t1 <= t0)
+    k = np.where(spread, opens, 1)
+    step = np.where(spread, (t1 - t0) / k, 0.0)
+
+    # One progression per (record, kind) with requests: the opens from
+    # t0, the closes 0.9 step after them.  A single-window record is the
+    # k = 1 case, its closes starting at t1 instead.
+    n = np.concatenate((n_open, n_close))
+    pick = np.flatnonzero(np.concatenate((active, active)) & (n != 0))
+    rec = pick % len(t0)
+    n = n[pick].astype(np.float64)
+    k = k[rec]
+    step = step[rec]
+    origin = np.concatenate((t0, np.where(spread, t0, t1)))[pick]
+    prog = (origin, step, np.where(pick < len(t0), 0.0, step * 0.9))
+    seg = segment_ids(np.asarray(offsets, dtype=np.int64))[rec]
+    last = n_bins[seg] - 1
+    base = bin_offsets[seg]
+
+    # Enumerate whichever is fewer per progression: its k events, or
+    # the bins its window spans (the window is about k steps wide).
+    # The choice only sets the cost; both enumerations are exact.
+    by_event = k <= k * step / bin_width + 1
+    bins: list[np.ndarray] = []
+    requests: list[np.ndarray] = []
+
+    s = np.flatnonzero(~by_event)
+    if len(s):
+        # Bins are monotone in the event index, so a progression's
+        # events per bin are the gaps between the first indices past
+        # each bin edge.  One row per spanned bin: row j > 0 starts at
+        # its edge's first index, and the next row's start (or k, on
+        # the last bin) closes it.
+        prog_s = tuple(x[s] for x in prog)
+        k_s, last_s = k[s], last[s]
+        first = _event_bins(_progression(np.zeros_like(k_s), *prog_s), bin_width, last_s)
+        final = _event_bins(_progression(k_s - 1, *prog_s), bin_width, last_s)
+        span = final - first + 1
+        row0 = np.cumsum(span) - span
+        rows = np.arange(int(row0[-1] + span[-1]))
+        bins.append(rows + np.repeat(base[s] + first - row0, span))
+        inner = np.ones(len(rows), dtype=bool)
+        inner[row0] = False
+        n_edges = span - 1
+        start = np.zeros(len(rows), dtype=np.int64)
+        start[inner] = _first_past_edge(
+            rows[inner] + np.repeat(first - row0, n_edges),
+            *(np.repeat(x[s], n_edges) for x in (k, *prog)),
+            bin_width,
+        )
+        stop = np.empty_like(start)
+        stop[:-1] = start[1:]
+        stop[row0 + span - 1] = k_s
+        count = (stop - start).astype(np.float64)
+        count *= np.repeat(n[s], span)
+        count /= np.repeat(k_s, span)
+        requests.append(count)
+
+    e = np.flatnonzero(by_event)
+    if len(e):
+        # each event binned directly, carrying n / k requests
+        ke = k[e]
+        pid = np.repeat(e, ke)
+        i = np.arange(len(pid)) - np.repeat(np.cumsum(ke) - ke, ke)
+        times = _progression(i, *(x[pid] for x in prog))
+        bins.append(_event_bins(times, bin_width, last[pid]) + base[pid])
+        requests.append(np.repeat(n[e] / ke, ke))
+
     values = np.bincount(
-        local,
-        weights=np.asarray(counts, dtype=np.float64),
-        minlength=total_bins,
+        np.concatenate(bins or [np.empty(0, dtype=np.int64)]),
+        weights=np.concatenate(requests or [np.empty(0)]),
+        minlength=int(bin_offsets[-1]),
     )
     return values, bin_offsets
 

@@ -17,7 +17,7 @@ import numpy as np
 from ..darshan.trace import OperationArray
 from ..kernels import get_backend
 
-__all__ = ["ActivitySignal", "build_activity_signal", "bin_events"]
+__all__ = ["ActivitySignal", "build_activity_signal"]
 
 
 @dataclass(slots=True, frozen=True)
@@ -83,22 +83,3 @@ def build_activity_signal(
         starts, ends, ops.volumes, run_time, n_bins
     )
     return ActivitySignal(values=values, bin_width=width)
-
-
-def bin_events(
-    times: np.ndarray, counts: np.ndarray, run_time: float, bin_width: float = 1.0
-) -> np.ndarray:
-    """Bin a (time, count) event stream into fixed-width bins.
-
-    This is the per-second metadata request rate builder (§III-B3c uses
-    one-second bins for the 250 req/s spike rule).
-    """
-    if run_time <= 0:
-        raise ValueError("run_time must be positive")
-    if bin_width <= 0:
-        raise ValueError("bin_width must be positive")
-    n_bins = max(1, int(np.ceil(run_time / bin_width)))
-    if len(times) == 0:
-        return np.zeros(n_bins, dtype=np.float64)
-    idx = np.clip((np.asarray(times) / bin_width).astype(np.int64), 0, n_bins - 1)
-    return np.bincount(idx, weights=np.asarray(counts, dtype=np.float64), minlength=n_bins)

@@ -19,6 +19,14 @@ segmented kernel runs in a single dispatch, and each trace's output
 slice is held equal to the per-trace reference — proving segment walls
 are hard and no merge, group, or bin ever leaks across traces.
 
+``segmented_event_binning`` holds the closed-form metadata binning
+kernel equal to the event-expansion oracle of
+:mod:`repro.testing.metadata` on adversarial record families (k = 1,
+swapped and empty windows, ``-1`` sentinels, grid points on bin edges,
+million-open records, events past run_time, sub-bin runs, non-integral
+request weights, steps below the ulp of ``t0``): per-bin event counts
+exactly, rates bitwise whenever the request weights are integral.
+
 A divergence surfaced here is, by construction, either a vectorization
 bug or a latent reference bug; both kinds found while building the
 backends were fixed and carry named regression tests (the one-sided
@@ -35,7 +43,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..cluster.meanshift import mean_shift
-from ..darshan.trace import OperationArray
+from ..darshan.records import FileRecord, JobMeta
+from ..darshan.trace import OperationArray, Trace
 from ..kernels import get_backend
 from ..merge.neighbor import NeighborMergeConfig, merge_neighbors
 from ..segment.op_segments import segment_operations
@@ -51,6 +60,7 @@ __all__ = [
     "adversarial_ops",
     "adversarial_signal",
     "adversarial_batch",
+    "adversarial_metadata_batch",
     "run_differential",
     "run_all",
 ]
@@ -515,34 +525,172 @@ def _check_segment_segmented(
     return None
 
 
-def _check_binning_segmented(
+#: Record families of the closed-form metadata binning check.
+METADATA_PROFILES = (
+    "single_open",  # k in {0, 1}, and k = 2 over a 1e5 s window
+    "inverted_window",  # close before open (swapped), close == open
+    "sentinels",  # -1 open_start / close_end, first-read fallback
+    "bin_edges",  # integer t0, step = w/m: grid points on bin edges
+    "huge_k",  # k >= 1e6 on some cases
+    "past_run_time",  # events past run_time clip into the last bin
+    "short_run",  # run_time shorter than one bin
+    "fractional",  # non-integral n/k request weights
+    "dense",  # step below the ulp of t0: staircase event times
+)
+
+
+def _metadata_record(
+    rng: np.random.Generator, profile: str, run_time: float, width: float
+) -> FileRecord:
+    """One record of ``profile`` (``"ordinary"`` for a plain one)."""
+    k = int(rng.integers(0, 60))
+    t0 = float(rng.uniform(0.0, run_time))
+    t1 = t0 + float(rng.exponential(run_time / 8))
+    seeks = int(rng.choice([0, 1, k]))
+    closes = k
+    if profile == "single_open":
+        k = int(rng.choice([0, 1, 2]))
+        seeks = int(rng.choice([0, 1, 3]))
+        closes = int(rng.choice([0, 1, k]))
+        if k == 2:
+            t0 = float(rng.uniform(0.0, 10.0))
+            t1 = t0 + 1e5
+    elif profile == "inverted_window":
+        k = int(rng.integers(2, 2000))
+        t1 = t0 if rng.random() < 0.3 else t0 - float(rng.uniform(0, t0))
+    elif profile == "sentinels":
+        k = int(rng.integers(0, 500))
+        which = int(rng.integers(0, 3))
+        if which in (0, 2):
+            t0 = -1.0
+        if which in (1, 2):
+            t1 = -1.0
+    elif profile == "bin_edges":
+        k = int(rng.integers(2, 5000))
+        m = int(rng.choice([1, 2, 3, 4, 8, 10]))
+        t0 = float(rng.integers(0, 100))
+        t1 = t0 + k * (width / m)
+    elif profile == "huge_k":
+        # the oracle pays ~0.3 s per million-open record: keep them rare
+        big = rng.random() < 0.015
+        k = int(rng.integers(1_000_000, 1_500_000) if big else rng.integers(2_000, 20_000))
+        seeks = int(rng.choice([0, k]))
+        closes = k
+        t0 = float(rng.uniform(0.0, run_time / 2))
+        t1 = t0 + float(rng.choice([0.7 * width, rng.uniform(0, run_time)]))
+    elif profile == "past_run_time":
+        k = int(rng.integers(2, 3000))
+        t0 = float(rng.uniform(0.5, 1.5)) * run_time
+        t1 = t0 + float(rng.uniform(0.0, 2.0)) * run_time
+    elif profile == "fractional":
+        k = int(rng.integers(2, 800))
+        seeks = int(rng.integers(0, 3 * k))
+        closes = int(rng.integers(0, 2 * k))
+    elif profile == "dense":
+        k = int(rng.integers(1_000, 10_000))
+        edge = float(rng.integers(1, 10)) * width + float(rng.choice([0.0, 1e5]))
+        span = float(rng.choice([1e-9, 1e-7, 1e-5]))
+        t0 = edge - float(rng.uniform(0.0, span))
+        t1 = t0 + span
+    read_start = -1.0 if rng.random() < 0.3 else float(rng.uniform(0, run_time))
+    return FileRecord(
+        file_id=int(rng.integers(1, 1 << 30)),
+        file_name="f",
+        rank=0,
+        opens=k,
+        closes=closes,
+        seeks=seeks,
+        open_start=t0,
+        close_end=t1,
+        read_start=read_start,
+    )
+
+
+def adversarial_metadata_batch(
+    rng: np.random.Generator, profile: str, max_traces: int = 4
+) -> tuple[list[Trace], float]:
+    """Traces whose records mix ``profile`` with ordinary records.
+
+    Returns the traces (one segment each) and the bin width.
+    """
+    width = float(
+        rng.choice([0.25, 0.5, 1.0] if profile == "bin_edges" else [0.1, 0.5, 1.0, 7.3])
+    )
+    traces = []
+    for j in range(int(rng.integers(1, max_traces + 1))):
+        if profile == "short_run":
+            run_time = float(rng.uniform(0.01, 0.99)) * width
+        else:
+            run_time = float(rng.choice([50.0, 1000.0, 1.2e5]))
+        records = [
+            _metadata_record(
+                rng,
+                profile if j == 0 or rng.random() < 0.5 else "ordinary",
+                run_time,
+                width,
+            )
+            for _ in range(int(rng.integers(0, 7)))
+        ]
+        meta = JobMeta(
+            job_id=j, uid=0, exe="a", nprocs=1, start_time=0.0, end_time=run_time
+        )
+        traces.append(Trace(meta=meta, records=records))
+    return traces, width
+
+
+def _check_metadata_binning(
     rng: np.random.Generator, profile: str, backend: str
 ) -> str | None:
-    from ..kernels.batched import bin_events_segmented
-    from ..signalproc.activity import bin_events
+    """Closed-form kernel vs expansion + sort + ``bincount`` oracle.
 
-    arrays, offsets = adversarial_batch(rng, profile)
-    run_times = np.array(
-        [float(rng.choice([1.0, 100.0, 12_345.6])) for _ in arrays]
+    Per-bin event counts must match exactly; rates bitwise whenever
+    every spread record's ``n / k`` is integral, else within the
+    summation-order bound of docs/ALGORITHMS.md.
+    """
+    from ..kernels.batched import bin_events_segmented
+    from .metadata import bin_events, metadata_events
+
+    traces, width = adversarial_metadata_batch(rng, profile)
+    per_trace = [t.metadata_columns() for t in traces]
+    columns = [np.concatenate(c) for c in zip(*per_trace)]
+    offsets = np.zeros(len(traces) + 1, dtype=np.int64)
+    np.cumsum([len(t.records) for t in traces], out=offsets[1:])
+    run_times = np.array([t.meta.run_time for t in traces])
+
+    t0, t1, opens, n_open, n_close = columns
+    spread = (n_open + n_close > 0) & (opens > 1) & ~(t1 <= t0)
+    # count columns: every expanded event carries one request
+    ones = [
+        t0,
+        t1,
+        opens,
+        np.where(spread, opens, n_open != 0),
+        np.where(spread, opens, n_close != 0),
+    ]
+    rates, bin_offsets = bin_events_segmented(
+        *columns, offsets, run_times, width
     )
-    bin_width = float(rng.choice([0.5, 1.0, 7.3]))
-    # Event streams from the op profiles: starts as times, small integer
-    # request counts (some times land past run_time — both twins clip).
-    times, _, _ = _concat(arrays)
-    counts = rng.integers(1, 6, len(times)).astype(np.float64)
-    values, bin_offsets = bin_events_segmented(
-        times, counts, offsets, run_times, bin_width
-    )
-    for k in range(len(arrays)):
-        lo, hi = int(offsets[k]), int(offsets[k + 1])
-        ref = bin_events(
-            times[lo:hi], counts[lo:hi], run_times[k], bin_width
+    counts, _ = bin_events_segmented(*ones, offsets, run_times, width)
+    eps = np.finfo(np.float64).eps
+    for j, trace in enumerate(traces):
+        bins = slice(int(bin_offsets[j]), int(bin_offsets[j + 1]))
+        times, weights = metadata_events(trace)
+        run_time = trace.meta.run_time
+        want_counts = bin_events(times, np.ones(len(times)), run_time, width)
+        if not np.array_equal(counts[bins], want_counts):
+            return f"trace {j}/{len(traces)}: per-bin event counts differ"
+        want = bin_events(times, weights, run_time, width)
+        got = rates[bins]
+        recs = slice(int(offsets[j]), int(offsets[j + 1]))
+        k = opens[recs][spread[recs]]
+        integral = not np.any(
+            (n_open[recs][spread[recs]] % k) | (n_close[recs][spread[recs]] % k)
         )
-        got = values[int(bin_offsets[k]) : int(bin_offsets[k + 1])]
-        if len(ref) != len(got):
-            return f"trace {k}: bin count {len(got)} != {len(ref)}"
-        if not np.array_equal(ref, got):
-            return f"trace {k}/{len(arrays)}: binned counts differ"
+        if integral:
+            if not np.array_equal(got, want):
+                return f"trace {j}/{len(traces)}: integral rates not bitwise equal"
+        elif np.any(np.abs(got - want) > (want_counts + 2) * eps * want):
+            return f"trace {j}/{len(traces)}: rates beyond the summation bound"
     return None
 
 
@@ -557,7 +705,7 @@ KERNEL_PAIRS = {
     "segmented_neighbor_merge": (_check_neighbor_segmented, OP_PROFILES),
     "segmented_concurrent_fusion": (_check_concurrent_segmented, OP_PROFILES),
     "segmented_segmentation": (_check_segment_segmented, OP_PROFILES),
-    "segmented_event_binning": (_check_binning_segmented, OP_PROFILES),
+    "segmented_event_binning": (_check_metadata_binning, METADATA_PROFILES),
 }
 
 

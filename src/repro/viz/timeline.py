@@ -10,11 +10,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.categorizer import categorize_trace
+from ..core.metadata import metadata_rate
 from ..core.thresholds import DEFAULT_CONFIG, MosaicConfig
 from ..darshan.trace import OperationArray, Trace
 from ..merge.pipeline import preprocess_operations
 from ..segment.chunks import chunk_volumes
-from ..signalproc.activity import bin_events
 from .tables import format_bytes
 
 __all__ = ["render_ops_lane", "render_trace_anatomy"]
@@ -84,8 +84,7 @@ def render_trace_anatomy(
                 f"busy={g.busy_fraction:.0%}"
             )
 
-    times, counts = trace.metadata_events()
-    rate = bin_events(times, counts, max(run_time, 1.0), 1.0)
+    rate = metadata_rate(trace, 1.0)
     lines.append(f"{'metadata req/s':>18} |{_sparkline(rate, width)}|")
     lines.append(
         f"{'':>18} peak={result.metadata_peak_rate:.0f}/s "

@@ -3,7 +3,7 @@
 The columnar store is only allowed to exist because nothing survives the
 round trip changed: every decodable input trace must come back from
 ``decode_trace`` with identical metadata, records, operation arrays and
-(derived) metadata event streams — over both the calibrated synthetic
+metadata columns (whose binned rate equals the stream path's) — over both the calibrated synthetic
 fleet and whatever decodable payloads survive the adversarial fuzz
 corpus under ``tests/fuzz/corpus/``.
 """
@@ -18,9 +18,12 @@ import pytest
 
 from repro.columnar import attach, compile_corpus
 from repro.columnar.format import header_size, unpack_header
+from repro.core.metadata import metadata_rate
 from repro.darshan import DirectorySource, save_binary
 from repro.darshan.errors import TraceFormatError
+from repro.kernels.batched import bin_events_segmented
 from repro.synth import FleetConfig, generate_fleet
+from repro.testing.metadata import oracle_rate
 
 FUZZ_CORPUS_DIR = pathlib.Path(__file__).resolve().parent.parent / "fuzz" / "corpus"
 
@@ -113,25 +116,47 @@ class TestSyntheticRoundtrip:
             _assert_traces_identical(store.decode_trace(row), source.load(ref))
 
     def test_metadata_events_match_decoded_trace(self, fleet_store):
+        # Per row: the store's record columns are the decoded trace's,
+        # and the store-path rate (one segment of the closed-form
+        # kernel) equals the stream-path rate and the expansion oracle.
         _source, path, _report = fleet_store
         store = attach(path, verify=True)
         for row in range(store.n_traces):
-            times, counts = store.metadata_events(row)
-            want_t, want_c = store.decode_trace(row).metadata_events()
-            assert np.array_equal(times, want_t)
-            assert np.array_equal(counts, want_c)
+            *columns, offsets = store.metadata_events_batch([row])
+            trace = store.decode_trace(row)
+            assert list(offsets) == [0, len(trace.records)]
+            for got, want in zip(columns, trace.metadata_columns()):
+                assert np.array_equal(got, want, equal_nan=True)
+            run_time = max(trace.meta.run_time, 1.0)
+            values, _ = bin_events_segmented(
+                *columns, offsets, [run_time], 1.0
+            )
+            rate = metadata_rate(trace, 1.0)
+            assert np.array_equal(values, rate)
+            assert np.array_equal(rate, oracle_rate(trace, 1.0))
 
     def test_metadata_events_batch_matches_per_row(self, fleet_store):
+        # One batched dispatch over every row: each row's bin slice is
+        # the per-row stream-path rate — segment walls are hard.
         _source, path, _report = fleet_store
         store = attach(path, verify=True)
         rows = list(range(store.n_traces))
-        times, counts, offsets = store.metadata_events_batch(rows)
+        *columns, offsets = store.metadata_events_batch(rows)
         assert len(offsets) == len(rows) + 1
-        assert offsets[-1] == len(times) == len(counts)
-        for i, row in enumerate(rows):
-            want_t, want_c = store.metadata_events(row)
-            assert np.array_equal(times[offsets[i] : offsets[i + 1]], want_t)
-            assert np.array_equal(counts[offsets[i] : offsets[i + 1]], want_c)
+        assert offsets[-1] == len(columns[0])
+        assert all(len(c) == offsets[-1] for c in columns)
+        traces = [store.decode_trace(row) for row in rows]
+        run_times = [max(t.meta.run_time, 1.0) for t in traces]
+        values, bin_offsets = bin_events_segmented(
+            *columns, offsets, run_times, 1.0
+        )
+        for i, trace in enumerate(traces):
+            for got, want in zip(columns, trace.metadata_columns()):
+                assert np.array_equal(
+                    got[offsets[i] : offsets[i + 1]], want, equal_nan=True
+                )
+            got = values[bin_offsets[i] : bin_offsets[i + 1]]
+            assert np.array_equal(got, metadata_rate(trace, 1.0))
 
 
 class TestFuzzCorpusSurvivors:

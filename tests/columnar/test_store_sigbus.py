@@ -43,7 +43,7 @@ class TestGuardedAccessors:
                 lambda: store.violations(0),
                 lambda: store.app_key(0),
                 lambda: store.job_meta(0),
-                lambda: store.metadata_events(0),
+                lambda: store.metadata_events_batch([0]),
             ):
                 with pytest.raises(TraceFormatError, match="truncated"):
                     access()

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.darshan import OperationArray, Trace
+from repro.darshan.trace import metadata_windows
+from repro.testing.metadata import metadata_events
 
 from tests.conftest import make_record, make_trace, ops
 
@@ -88,7 +90,7 @@ class TestTraceOperations:
 class TestMetadataEvents:
     def test_single_open_places_events_at_window_edges(self):
         trace = make_trace([make_record(1, 0, read=(10.0, 20.0, 100), opens=1, seeks=1)])
-        times, counts = trace.metadata_events()
+        times, counts = metadata_events(trace)
         # opens+seeks at open_start, closes at close_end
         assert times[0] == pytest.approx(10.0)
         assert counts.sum() == pytest.approx(3.0)
@@ -96,7 +98,7 @@ class TestMetadataEvents:
     def test_many_opens_spread_over_window(self):
         rec = make_record(1, 0, read=(0.0, 100.0, 100), opens=50)
         trace = make_trace([rec])
-        times, counts = trace.metadata_events()
+        times, counts = metadata_events(trace)
         assert counts.sum() == pytest.approx(rec.metadata_ops)
         assert times.min() >= 0.0 and times.max() <= 100.0
         # spread, not a single point
@@ -104,7 +106,7 @@ class TestMetadataEvents:
 
     def test_no_metadata(self):
         trace = make_trace([make_record(1, 0, read=(0.0, 1.0, 10), opens=0)])
-        times, counts = trace.metadata_events()
+        times, counts = metadata_events(trace)
         assert len(times) == 0 and len(counts) == 0
 
     def test_times_sorted(self):
@@ -114,5 +116,31 @@ class TestMetadataEvents:
                 make_record(2, 0, read=(0.0, 5.0, 10)),
             ]
         )
-        times, _ = trace.metadata_events()
+        times, _ = metadata_events(trace)
         assert np.all(np.diff(times) >= 0)
+
+
+class TestMetadataColumns:
+    def test_columns_carry_window_and_counters(self):
+        rec = make_record(1, 0, read=(10.0, 20.0, 100), opens=3, seeks=2)
+        t0, t1, opens, n_open, n_close = make_trace([rec]).metadata_columns()
+        assert (t0[0], t1[0]) == (rec.open_start, rec.close_end)
+        assert (opens[0], n_open[0], n_close[0]) == (3, 5, rec.closes)
+
+    def test_missing_open_falls_back_to_first_read(self):
+        t0, t1 = metadata_windows(
+            np.array([-1.0, -1.0]), np.array([30.0, -1.0]), np.array([12.5, -1.0])
+        )
+        assert list(t0) == [12.5, 0.0]
+        # a missing close collapses the window onto t0
+        assert list(t1) == [30.0, 0.0]
+
+    def test_inverted_window_is_swapped(self):
+        t0, t1 = metadata_windows(
+            np.array([40.0]), np.array([10.0]), np.array([-1.0])
+        )
+        assert (t0[0], t1[0]) == (10.0, 40.0)
+
+    def test_empty_trace(self):
+        columns = make_trace([]).metadata_columns()
+        assert [len(c) for c in columns] == [0] * 5

@@ -20,6 +20,9 @@ N_CASES = 1000
 #: The segmented checks run a per-trace reference loop over up to six
 #: traces per case, so they get a smaller (still multi-hundred) sweep.
 N_CASES_SEGMENTED = 300
+#: The closed-form metadata binning replaced event expansion on both
+#: routes; its adversarial records get the full sweep.
+N_CASES_METADATA = 1000
 SEED = 20260806
 
 
@@ -39,7 +42,11 @@ def test_candidate_matches_reference(kernel, backend):
     if kernel.startswith("segmented_"):
         if backend != "batched":
             pytest.skip("segmented checks always exercise the batched twins")
-        n_cases = N_CASES_SEGMENTED
+        n_cases = (
+            N_CASES_METADATA
+            if kernel == "segmented_event_binning"
+            else N_CASES_SEGMENTED
+        )
     else:
         n_cases = N_CASES
     report = run_differential(kernel, n_cases=n_cases, seed=SEED, backend=backend)

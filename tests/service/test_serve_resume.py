@@ -132,7 +132,7 @@ class TestKillResume:
             while _journal_outcomes(journal) < 3:
                 assert time.monotonic() < deadline, "no journal progress"
                 assert proc.poll() is None, "server died before the kill"
-                time.sleep(0.02)
+                time.sleep(0.001)
         finally:
             if proc.poll() is None:
                 os.kill(proc.pid, signal.SIGKILL)

@@ -1,9 +1,10 @@
-"""Unit tests for activity-signal construction and event binning."""
+"""Unit tests for activity-signal construction and the event-binning oracle."""
 
 import numpy as np
 import pytest
 
-from repro.signalproc import bin_events, build_activity_signal
+from repro.signalproc import build_activity_signal
+from repro.testing.metadata import bin_events
 
 from tests.conftest import ops
 
