@@ -1,14 +1,18 @@
-"""KERNELS — reference vs vectorized per-trace kernel costs.
+"""KERNELS — reference vs runtime per-trace kernel costs.
 
-Times every kernel pair of :mod:`repro.kernels` on seeded synthetic
-inputs at 1k/10k/100k operations and emits ``BENCH_kernels.json``
-(schema in ``docs/BENCHMARKS.md``) to seed the perf trajectory.  The
+Times every kernel of the runtime bundle (:func:`repro.kernels.get_backend`)
+against its pure-Python oracle (:data:`repro.testing.reference.REFERENCE`)
+on seeded synthetic inputs at 1k/10k/100k operations and emits
+``BENCH_kernels.json`` (schema in ``docs/BENCHMARKS.md``) to seed the
+perf trajectory.  The runtime kernels fill the ``vectorized`` columns;
+merge and segmentation are the single-segment calls of the segmented
+kernels.  The
 ``metadata_rate`` row times the per-second metadata rate of one trace
 with ``k`` opens two ways: the event-expansion oracle
 (:mod:`repro.testing.metadata`, in the ``reference`` column) against
 the closed-form kernel (:func:`repro.core.metadata.metadata_rate`, in
 the ``vectorized`` column), at k = 1k/100k/1M.  The test doubles as the
-CI smoke gate: it fails if the vectorized backend (or the closed form)
+CI smoke gate: it fails if a runtime kernel (or the closed form)
 is slower than the pure-Python reference on any kernel at any size
 (subject to the per-kernel ``NOT_SLOWER_BAND`` — see its note on the
 shared-FFT ``dft_comb_scan``), and it requires the headline ≥ 5×
@@ -40,6 +44,7 @@ from repro.darshan.records import FileRecord, JobMeta
 from repro.darshan.trace import Trace
 from repro.kernels import get_backend
 from repro.testing.metadata import oracle_rate
+from repro.testing.reference import REFERENCE
 
 DEFAULT_SIZES = (1_000, 10_000, 100_000)
 #: Opens per trace of the ``metadata_rate`` row when no sizes are set.
@@ -49,8 +54,8 @@ METADATA_RUN_S = 3600.0
 #: Kernels whose 10k-op speedup is a hard acceptance floor.
 HEADLINE_SPEEDUP = {"neighbor_merge": 5.0, "acf_peak_scan": 5.0}
 HEADLINE_SIZE = 10_000
-#: Per-kernel not-slower floors.  The default is a flat 1.0 (vectorized
-#: must never lose to the reference), but ``dft_comb_scan`` shares its
+#: Per-kernel not-slower floors.  The default is a flat 1.0 (the runtime
+#: kernel must never lose to the reference), but ``dft_comb_scan`` shares its
 #: FFT — the dominant cost — with the reference twin, so its measured
 #: ratio hovers near parity and timing jitter on shared CI runners trips
 #: a flat gate.  The band says "within 15% of parity is a tie, not a
@@ -83,7 +88,7 @@ def _out_path() -> Path:
 
 # ---------------------------------------------------------------------------
 # Input builders: one seeded workload per kernel and size.  Each returns a
-# zero-argument closure over a backend module so both implementations time
+# zero-argument closure over a kernel bundle so both implementations time
 # the identical arrays.
 
 
@@ -237,8 +242,8 @@ def _best_seconds(run) -> float:
 
 
 def run_kernel_bench(sizes: list[int]) -> dict:
-    reference = get_backend("reference")
-    vectorized = get_backend("vectorized")
+    reference = REFERENCE
+    runtime = get_backend()
     kernels: dict[str, dict[str, dict[str, float]]] = {}
     for name, build in BENCHES.items():
         kernels[name] = {}
@@ -246,11 +251,11 @@ def run_kernel_bench(sizes: list[int]) -> dict:
             rng = np.random.default_rng(20260806 + n)
             ref_s = _best_seconds(build(reference, rng, n))
             rng = np.random.default_rng(20260806 + n)
-            vec_s = _best_seconds(build(vectorized, rng, n))
+            run_s = _best_seconds(build(runtime, rng, n))
             kernels[name][str(n)] = {
                 "reference_ns_per_op": ref_s / n * 1e9,
-                "vectorized_ns_per_op": vec_s / n * 1e9,
-                "speedup": ref_s / vec_s,
+                "vectorized_ns_per_op": run_s / n * 1e9,
+                "speedup": ref_s / run_s,
             }
     metadata_sizes = _metadata_sizes()
     kernels["metadata_rate"] = _bench_metadata_rate(metadata_sizes)
@@ -278,7 +283,7 @@ def test_kernel_speedups():
         for n, row in by_size.items():
             if row["speedup"] < band:
                 failures.append(
-                    f"{name}@{n}: vectorized slower than reference "
+                    f"{name}@{n}: runtime kernel slower than reference "
                     f"(speedup {row['speedup']:.2f}x, floor {band:.2f}x)"
                 )
         floor = HEADLINE_SPEEDUP.get(name)

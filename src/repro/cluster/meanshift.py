@@ -63,7 +63,6 @@ def mean_shift(
     max_iter: int = 200,
     tol: float = 1e-4,
     quantile: float = 0.3,
-    backend: str | None = None,
 ) -> MeanShiftResult:
     """Cluster ``X`` (n, d) by Mean Shift.
 
@@ -79,11 +78,8 @@ def mean_shift(
         ``"gaussian"``.
     tol:
         Convergence threshold on seed movement, relative to bandwidth.
-    backend:
-        Kernel backend for the inner shift step
-        (:func:`repro.kernels.get_backend`; ``None`` = vectorized).
     """
-    shift_step = get_backend(backend).shift_step
+    shift_step = get_backend().shift_step
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
         X = X[:, None]

@@ -40,7 +40,7 @@ from ..core.temporality import TemporalityDetection, classify_temporality
 from ..core.thresholds import DEFAULT_CONFIG, MosaicConfig
 from ..darshan.trace import OperationArray
 from ..darshan.validate import Violation
-from ..kernels import batched
+from ..kernels import batched, vectorized
 from .store import CorpusStore, StoreSlice, attach
 
 __all__ = ["categorize_slice", "plan_slices", "DEFAULT_SLICE_OPS"]
@@ -186,7 +186,7 @@ def _merge_batch(
     if len(starts):
         groups = batched.overlap_groups_segmented(starts, ends, offsets)
         new_offsets = batched.group_offsets(groups, offsets)
-        starts, ends, volumes = batched.coalesce_groups(
+        starts, ends, volumes = vectorized.coalesce_groups(
             starts, ends, volumes, groups
         )
         offsets = new_offsets

@@ -78,12 +78,7 @@ def categorize_trace(
         cap = governor.ops_cap()
         if cap > 0:
             raw = subsample_ops(raw, cap)
-        merged = preprocess_operations(
-            raw,
-            run_time,
-            config.merge,
-            backend=config.kernel_backend,
-        ).ops
+        merged = preprocess_operations(raw, run_time, config.merge).ops
         governor.check_deadline("merge")
         temp = classify_temporality(merged, run_time, direction, config)
         temporality.append(temp)

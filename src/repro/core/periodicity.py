@@ -150,7 +150,7 @@ def _detect_meanshift(
     config: MosaicConfig,
 ) -> PeriodicityDetection:
     """The paper's algorithm: operation segmentation + Mean Shift."""
-    segments = segment_operations(ops, run_time, backend=config.kernel_backend)
+    segments = segment_operations(ops, run_time)
     n = len(segments)
     if n < config.min_group_size:
         return PeriodicityDetection(direction=direction, groups=(), n_segments=n)
@@ -159,7 +159,6 @@ def _detect_meanshift(
         _log_features(segments),
         bandwidth=config.meanshift_bandwidth,
         kernel="flat",
-        backend=config.kernel_backend,
     )
 
     rates = segments.activity_rates
@@ -212,13 +211,12 @@ def _detect_signal(
         ops,
         run_time,
         n_bins=min(4096, max(256, n_ops * 16)),
-        backend=config.kernel_backend,
     )
     if method == "dft":
-        det = detect_periodicity_dft(signal, backend=config.kernel_backend)
+        det = detect_periodicity_dft(signal)
         periodic, period = det.periodic, det.period
     else:
-        det_ac = detect_periodicity_autocorr(signal, backend=config.kernel_backend)
+        det_ac = detect_periodicity_autocorr(signal)
         periodic, period = det_ac.periodic, det_ac.period
 
     if not periodic or not period or period < config.min_period:

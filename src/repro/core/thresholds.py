@@ -13,7 +13,6 @@ from dataclasses import dataclass, field, replace
 from typing import Any
 
 from ..darshan.tolerance import TIME_TOLERANCE_S, close_to
-from ..kernels import available_backends
 from ..merge.neighbor import NeighborMergeConfig
 from .governor import ResourceBudget
 
@@ -43,13 +42,6 @@ class MosaicConfig:
 
     # -- event fusion (§III-B2) -------------------------------------------
     merge: NeighborMergeConfig = field(default_factory=NeighborMergeConfig)
-
-    # -- kernel backend (see repro.kernels) --------------------------------
-    #: Implementation of the hot per-trace kernels (neighbor merge,
-    #: concurrent fusion, segmentation, Mean Shift step, peak scans,
-    #: activity binning): "vectorized" (NumPy, the default) or
-    #: "reference" (the pure-Python differential-testing oracle).
-    kernel_backend: str = "vectorized"
 
     # -- temporality (§III-B3b) -------------------------------------------
     #: Number of equal temporal chunks (paper: 4 × 25%).
@@ -124,11 +116,6 @@ class MosaicConfig:
         if self.periodicity_method not in ("meanshift", "dft", "autocorr", "hybrid"):
             raise ValueError(
                 f"unknown periodicity_method: {self.periodicity_method!r}"
-            )
-        if self.kernel_backend not in available_backends():
-            raise ValueError(
-                f"unknown kernel_backend: {self.kernel_backend!r}; "
-                f"available: {', '.join(available_backends())}"
             )
         if self.meanshift_bandwidth <= 0:
             raise ValueError("meanshift_bandwidth must be positive")

@@ -1,12 +1,13 @@
-"""Kernel backend registry.
+"""The kernel bundle the pipeline runs on.
 
 A :class:`KernelBackend` bundles one implementation of every hot
-per-trace kernel; ``get_backend`` resolves the
-``MosaicConfig.kernel_backend`` switch (``"vectorized"`` is the default,
-``"reference"`` the pure-Python oracle, ``"batched"`` the segmented
-cross-trace twins of :mod:`repro.kernels.batched`).  Call sites thread an optional
-backend name so the whole pipeline can be flipped for differential
-testing, ablation, or debugging a suspected vectorization bug.
+per-trace kernel.  The runtime has exactly one bundle, :data:`RUNTIME`,
+and :func:`get_backend` returns it.  The merge, segmentation, clustering
+and signal-processing layers look the bundle up at call time instead of
+importing kernel functions: that lookup is the seam through which the
+tests swap in the pure-Python oracle
+(:func:`repro.testing.reference.reference_kernels`) and through which
+the benchmark's per-layer tracer wraps the kernels.
 """
 
 from __future__ import annotations
@@ -16,14 +17,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import batched, reference, vectorized
+from . import batched, vectorized
 
-__all__ = [
-    "KernelBackend",
-    "DEFAULT_BACKEND",
-    "available_backends",
-    "get_backend",
-]
+__all__ = ["KernelBackend", "RUNTIME", "get_backend"]
 
 #: ``(starts, ends, volumes, abs_gap, op_fraction) -> (s, e, v, changed)``
 NeighborPass = Callable[
@@ -57,42 +53,32 @@ class KernelBackend:
     ]
 
 
-def _from_module(name: str, module: object) -> KernelBackend:
-    return KernelBackend(
-        name=name,
-        neighbor_pass=module.neighbor_pass,
-        overlap_groups=module.overlap_groups,
-        coalesce_groups=module.coalesce_groups,
-        segment=module.segment,
-        shift_step=module.shift_step,
-        acf_peak_scan=module.acf_peak_scan,
-        dft_comb_scores=module.dft_comb_scores,
-        bin_activity=module.bin_activity,
-    )
+#: The runtime kernels: merge and segmentation are single-segment calls
+#: of the segmented kernels the store route batches across traces, so
+#: both routes run the same code.
+RUNTIME = KernelBackend(
+    name="runtime",
+    neighbor_pass=batched.neighbor_pass,
+    overlap_groups=batched.overlap_groups,
+    coalesce_groups=vectorized.coalesce_groups,
+    segment=batched.segment,
+    shift_step=vectorized.shift_step,
+    acf_peak_scan=vectorized.acf_peak_scan,
+    dft_comb_scores=vectorized.dft_comb_scores,
+    bin_activity=vectorized.bin_activity,
+)
+
+#: The bundle :func:`get_backend` returns; only the test oracle's
+#: ``reference_kernels()`` swaps it, and restores it on exit.
+_active = RUNTIME
 
 
-_BACKENDS: dict[str, KernelBackend] = {
-    "reference": _from_module("reference", reference),
-    "vectorized": _from_module("vectorized", vectorized),
-    "batched": _from_module("batched", batched),
-}
-
-#: The default backend name used when a call site receives ``None``.
-DEFAULT_BACKEND = "vectorized"
-
-
-def available_backends() -> tuple[str, ...]:
-    """Names accepted by ``get_backend`` / ``MosaicConfig.kernel_backend``."""
-    return tuple(sorted(_BACKENDS))
-
-
-def get_backend(name: str | None = None) -> KernelBackend:
-    """Resolve a backend name (``None`` → the vectorized default)."""
-    key = DEFAULT_BACKEND if name is None else name
-    try:
-        return _BACKENDS[key]
-    except KeyError:
+def get_backend(name: None = None) -> KernelBackend:
+    """The kernel bundle in use: :data:`RUNTIME` unless a test swapped it."""
+    # The benchmark tracer re-binds this function and forwards its
+    # caller's argument, so the parameter stays; no name selects a bundle.
+    if name is not None:
         raise ValueError(
-            f"unknown kernel backend {key!r}; "
-            f"available: {', '.join(available_backends())}"
-        ) from None
+            f"unknown kernel backend {name!r}: there is one kernel set"
+        )
+    return _active

@@ -1,23 +1,30 @@
-"""Batched (segmented) kernels — the cross-trace backend.
+"""Segmented kernels: the merge, segmentation and metadata-rate passes.
 
-The vectorized backend removed the per-*operation* Python cost; at
-corpus scale the remaining overhead is per-*trace* kernel dispatch.
-This module removes that too: every hot data-plane kernel has a
-*segmented* variant that processes the flat operation table of many
-traces in one NumPy dispatch, with an ``offsets`` array marking trace
-boundaries (``offsets[k]:offsets[k+1]`` is trace ``k``'s slab — the
-zero-copy layout of :mod:`repro.columnar`).
+Every kernel here processes the flat operation table of many traces in
+one NumPy dispatch, with an ``offsets`` array marking trace boundaries
+(``offsets[k]:offsets[k+1]`` is trace ``k``'s slab — the zero-copy
+layout of :mod:`repro.columnar`).  The store route batches a whole slice
+per call; the per-trace route calls the same kernels with one segment
+through the wrappers at the bottom of this module, which the runtime
+:class:`~repro.kernels.backend.KernelBackend` binds.  Both routes
+therefore merge and segment through the same code.
 
 Segment boundaries are hard walls: no merge, overlap group, or running
-maximum ever crosses one.  The per-trace functions exported here wrap
-the segmented implementations with a single-segment offsets array, so
-``"batched"`` registers as a third :class:`~repro.kernels.backend.KernelBackend`
-and the differential oracle (:mod:`repro.testing.differential`) holds it
-equivalent to the reference on the same adversarial cases as the
-vectorized twin.  Kernels that are already batch-shaped within one trace
-(mean-shift step, ACF peak scan, DFT comb scan, volume binning) are
-shared with :mod:`repro.kernels.vectorized` — cross-trace batching buys
-them nothing, and aliasing keeps the twins bitwise-identical.
+maximum ever crosses one.  The differential oracle
+(:mod:`repro.testing.differential`) holds every kernel equal to the
+pure-Python specification of :mod:`repro.testing.reference`, per trace
+and over adversarial batches.
+
+The neighbor-merge pass deserves a note: the greedy specification grows
+the current operation as it scans, so a merge can enable the next merge
+within the same pass.  The segmented pass instead chain-merges every run
+of adjacent operations whose *pre-pass* gaps and durations satisfy the
+rule, then the caller iterates to a fixpoint.  The two fixpoints
+coincide because merging is monotone — fusing two operations only ever
+shrinks the gap to the next operation and grows the durations the rule
+tests against, so an enabled merge can never be disabled by another
+merge (Newman's lemma gives confluence).  The oracle checks exactly
+this equivalence.
 
 Exactness note: the segmented running maximum uses a masked
 Hillis–Steele doubling scan (``log2(max segment length)`` vector passes)
@@ -36,12 +43,7 @@ from . import vectorized
 __all__ = [
     "neighbor_pass",
     "overlap_groups",
-    "coalesce_groups",
     "segment",
-    "shift_step",
-    "acf_peak_scan",
-    "dft_comb_scores",
-    "bin_activity",
     "neighbor_pass_segmented",
     "overlap_groups_segmented",
     "segment_segmented",
@@ -49,15 +51,6 @@ __all__ = [
     "segment_ids",
     "group_offsets",
 ]
-
-# Segment-agnostic kernels shared with the vectorized backend (see
-# module docstring): aliasing keeps the per-trace twins bitwise equal.
-coalesce_groups = vectorized.coalesce_groups
-shift_step = vectorized.shift_step
-acf_peak_scan = vectorized.acf_peak_scan
-dft_comb_scores = vectorized.dft_comb_scores
-bin_activity = vectorized.bin_activity
-
 
 def segment_ids(offsets: np.ndarray) -> np.ndarray:
     """Per-element segment id for an offsets array (``len == offsets[-1]``)."""
@@ -417,7 +410,7 @@ def bin_events_segmented(
 
 
 # ----------------------------------------------------------------------
-# per-trace twins (the KernelBackend surface)
+# single-segment calls: the per-trace kernels of the runtime bundle
 
 def _single_offsets(n: int) -> np.ndarray:
     return np.array([0, n], dtype=np.int64)

@@ -1,84 +1,25 @@
-"""Vectorized NumPy kernels — the default backend.
+"""NumPy kernels of the runtime bundle, one trace per call.
 
-Each function is the performance twin of the same-named reference in
-:mod:`repro.kernels.reference`; the differential oracle
-(:mod:`repro.testing.differential`) holds the pair equivalent on
+Concurrent-fusion coalescing, the Mean Shift step, the ACF and DFT peak
+scans and activity binning run here (the merge and segmentation passes
+are the segmented kernels of :mod:`repro.kernels.batched`).  Each is the
+twin of the same-named pure-Python specification in
+:mod:`repro.testing.reference`; the differential oracle
+(:mod:`repro.testing.differential`) holds every pair equivalent on
 thousands of seeded adversarial cases.
-
-The neighbor-merge pass deserves a note: the greedy reference grows the
-current operation as it scans, so a merge can enable the next merge
-within the same pass.  The vectorized pass instead chain-merges every
-run of adjacent operations whose *pre-pass* gaps and durations satisfy
-the rule, then the caller iterates to a fixpoint.  The two fixpoints
-coincide because merging is monotone — fusing two operations only ever
-shrinks the gap to the next operation and grows the durations the rule
-tests against, so an enabled merge can never be disabled by another
-merge (Newman's lemma gives confluence).  The oracle checks exactly
-this equivalence.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..darshan.tolerance import TIME_TOLERANCE_S
-
 __all__ = [
-    "neighbor_pass",
-    "overlap_groups",
     "coalesce_groups",
-    "segment",
     "shift_step",
     "acf_peak_scan",
     "dft_comb_scores",
     "bin_activity",
 ]
-
-
-def neighbor_pass(
-    starts: np.ndarray,
-    ends: np.ndarray,
-    volumes: np.ndarray,
-    abs_gap: float,
-    op_fraction: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """One chain-merge pass over pre-pass gaps and durations (§III-B2b).
-
-    A gap qualifies when it is at most ``abs_gap`` or at most
-    ``op_fraction`` of the duration of *either* adjacent operation.
-    """
-    gap = starts[1:] - ends[:-1]
-    durations = ends - starts
-    mergeable = (
-        (gap <= abs_gap)
-        | (gap <= op_fraction * durations[:-1])
-        | (gap <= op_fraction * durations[1:])
-    )
-    if not mergeable.any():
-        return starts, ends, volumes, False
-    new_group = np.empty(len(starts), dtype=bool)
-    new_group[0] = True
-    new_group[1:] = ~mergeable
-    groups = np.cumsum(new_group, dtype=np.int64) - 1
-    out_s, out_e, out_v = coalesce_groups(starts, ends, volumes, groups)
-    return out_s, out_e, out_v, True
-
-
-def overlap_groups(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Transitive-overlap group ids for sorted intervals (§III-B2a).
-
-    One ``maximum.accumulate`` + one ``cumsum``: a new group starts when
-    an interval begins strictly after everything before it ended, judged
-    at clock resolution.
-    """
-    n = len(starts)
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    running_end = np.maximum.accumulate(ends)
-    new_group = np.empty(n, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = starts[1:] > running_end[:-1] + TIME_TOLERANCE_S
-    return np.cumsum(new_group, dtype=np.int64) - 1
 
 
 def coalesce_groups(
@@ -98,25 +39,6 @@ def coalesce_groups(
     np.maximum.at(out_e, groups, ends)
     out_v = np.bincount(groups, weights=volumes, minlength=n_groups)
     return out_s, out_e, out_v
-
-
-def segment(
-    starts: np.ndarray,
-    ends: np.ndarray,
-    volumes: np.ndarray,
-    run_time: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Cut a merged stream into segments (§III-B3a), vectorized."""
-    n = len(starts)
-    if n == 0:
-        z = np.empty(0, dtype=np.float64)
-        return z, z.copy(), z.copy(), z.copy()
-    next_start = np.empty(n, dtype=np.float64)
-    next_start[:-1] = starts[1:]
-    next_start[-1] = max(run_time, float(ends[-1]))
-    durations = next_start - starts
-    busy = np.minimum(ends - starts, durations)
-    return starts.copy(), durations, volumes.copy(), busy
 
 
 def shift_step(

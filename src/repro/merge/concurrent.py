@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-
 from ..darshan.trace import OperationArray
 from ..kernels import get_backend
 
@@ -41,20 +40,17 @@ class ConcurrentMergeResult:
         return self.n_input / self.n_output if self.n_output else 1.0
 
 
-def merge_concurrent(
-    ops: OperationArray, *, backend: str | None = None
-) -> ConcurrentMergeResult:
+def merge_concurrent(ops: OperationArray) -> ConcurrentMergeResult:
     """Fuse transitively-overlapping operations.
 
     The merged operation spans the union of its members' windows and
     carries their summed volume.  Input order is irrelevant (the
-    OperationArray invariant keeps starts sorted).  ``backend`` selects
-    the grouping/coalescing kernels (``None`` = vectorized default).
+    OperationArray invariant keeps starts sorted).
     """
     n = len(ops)
     if n <= 1:
         return ConcurrentMergeResult(ops=ops, n_input=n, n_output=n, n_fused=0)
-    kernels = get_backend(backend)
+    kernels = get_backend()
     groups = kernels.overlap_groups(ops.starts, ops.ends)
     starts, ends, volumes = kernels.coalesce_groups(
         ops.starts, ops.ends, ops.volumes, groups

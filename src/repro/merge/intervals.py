@@ -3,9 +3,10 @@
 All MOSAIC pre-processing reduces to operations on sets of weighted
 intervals ``(start, end, volume)``.  Following the NumPy-first idiom for
 this codebase, the hot paths here are expressed as array operations —
-union-find style grouping is done with one ``sort`` + one
-``maximum.accumulate`` + one ``cumsum`` instead of Python loops, which is
-what makes whole-corpus processing tractable on a single node.
+union-find style grouping is done with one ``sort``, a running maximum
+and one ``cumsum`` instead of Python loops, which is what makes
+whole-corpus processing tractable on a single node.  Grouping and
+coalescing are the kernels :func:`repro.kernels.get_backend` returns.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..darshan.trace import OperationArray
-from ..kernels import vectorized as _vec
+from ..kernels import get_backend
 
 __all__ = [
     "overlap_groups",
@@ -39,7 +40,7 @@ def overlap_groups(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
 
     Returns an int64 array of group ids, non-decreasing, starting at 0.
     """
-    return _vec.overlap_groups(starts, ends)
+    return get_backend().overlap_groups(starts, ends)
 
 
 def coalesce_groups(ops: OperationArray, groups: np.ndarray) -> OperationArray:
@@ -52,7 +53,7 @@ def coalesce_groups(ops: OperationArray, groups: np.ndarray) -> OperationArray:
         return OperationArray.empty()
     if len(groups) != len(ops):
         raise ValueError("groups must label every operation")
-    starts, ends, volumes = _vec.coalesce_groups(
+    starts, ends, volumes = get_backend().coalesce_groups(
         ops.starts, ops.ends, ops.volumes, groups
     )
     return OperationArray(starts, ends, volumes)

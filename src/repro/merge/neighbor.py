@@ -17,9 +17,9 @@ just as a long one leading it does.
 The scan repeats until a fixpoint — each pass strictly reduces the
 operation count, so the loop terminates in at most ``n`` passes and in
 practice in one or two.  The per-pass kernel comes from
-:mod:`repro.kernels` (greedy Python reference or chain-merge NumPy
-implementation); both converge to the same fixpoint because merging
-only ever shrinks gaps and grows the durations the rule tests against.
+:mod:`repro.kernels`: a chain-merge NumPy pass that converges to the
+same fixpoint as the greedy specification, because merging only ever
+shrinks gaps and grows the durations the rule tests against.
 """
 
 from __future__ import annotations
@@ -70,18 +70,15 @@ def merge_neighbors(
     ops: OperationArray,
     run_time: float,
     config: NeighborMergeConfig | None = None,
-    *,
-    backend: str | None = None,
 ) -> NeighborMergeResult:
     """Merge operations separated by negligible gaps.
 
     ``ops`` should already be concurrent-merged (disjoint); overlapping
     input is tolerated and simply fuses.  ``run_time`` anchors the
-    absolute gap threshold.  ``backend`` selects the per-pass kernel
-    (:func:`repro.kernels.get_backend`; ``None`` = vectorized default).
+    absolute gap threshold.
     """
     cfg = config or NeighborMergeConfig()
-    kernel = get_backend(backend).neighbor_pass
+    kernel = get_backend().neighbor_pass
     n_input = len(ops)
     if n_input <= 1:
         return NeighborMergeResult(ops=ops, n_input=n_input, n_output=n_input, n_passes=0)

@@ -35,12 +35,10 @@ def preprocess_operations(
     ops: OperationArray,
     run_time: float,
     neighbor_config: NeighborMergeConfig | None = None,
-    *,
-    backend: str | None = None,
 ) -> MergePipelineResult:
     """Run concurrent + neighbor merging over an operation array."""
-    conc = merge_concurrent(ops, backend=backend)
-    neigh = merge_neighbors(conc.ops, run_time, neighbor_config, backend=backend)
+    conc = merge_concurrent(ops)
+    neigh = merge_neighbors(conc.ops, run_time, neighbor_config)
     return MergePipelineResult(
         ops=neigh.ops,
         n_raw=len(ops),
@@ -54,13 +52,8 @@ def preprocess_trace(
     trace: Trace,
     direction: Direction,
     neighbor_config: NeighborMergeConfig | None = None,
-    *,
-    backend: str | None = None,
 ) -> MergePipelineResult:
     """Extract and pre-process one direction of ``trace``."""
     return preprocess_operations(
-        trace.operations(direction),
-        trace.meta.run_time,
-        neighbor_config,
-        backend=backend,
+        trace.operations(direction), trace.meta.run_time, neighbor_config
     )

@@ -71,21 +71,18 @@ class SegmentSet:
         return cls(z, z.copy(), z.copy(), z.copy())
 
 
-def segment_operations(
-    ops: OperationArray, run_time: float, *, backend: str | None = None
-) -> SegmentSet:
+def segment_operations(ops: OperationArray, run_time: float) -> SegmentSet:
     """Cut an operation stream into segments.
 
     ``ops`` must be the *merged* stream (disjoint, sorted); raw per-rank
     operations would produce meaningless near-zero segments — this
     ordering requirement is exactly why fusion precedes segmentation in
     the workflow.  The final segment is closed at the end of execution
-    (but never before the last operation itself finished).  ``backend``
-    selects the segmentation kernel (``None`` = vectorized default).
+    (but never before the last operation itself finished).
     """
     if len(ops) == 0:
         return SegmentSet.empty()
-    starts, durations, volumes, busy = get_backend(backend).segment(
+    starts, durations, volumes, busy = get_backend().segment(
         ops.starts, ops.ends, ops.volumes, run_time
     )
     return SegmentSet(

@@ -48,16 +48,13 @@ def build_activity_signal(
     run_time: float,
     n_bins: int | None = None,
     bin_width: float | None = None,
-    *,
-    backend: str | None = None,
 ) -> ActivitySignal:
     """Bin operation volumes into an evenly sampled signal.
 
     Exactly one of ``n_bins`` / ``bin_width`` may be given; the default is
     1024 bins (enough spectral resolution for periods down to
     ``run_time / 512``).  Each operation's volume is spread uniformly over
-    its window; boundary bins receive pro-rata shares.  ``backend``
-    selects the binning kernel (``None`` = vectorized default).
+    its window; boundary bins receive pro-rata shares.
     """
     if run_time <= 0:
         raise ValueError("run_time must be positive")
@@ -79,7 +76,7 @@ def build_activity_signal(
 
     starts = np.clip(ops.starts, 0.0, run_time)
     ends = np.clip(ops.ends, 0.0, run_time)
-    values = get_backend(backend).bin_activity(
+    values = get_backend().bin_activity(
         starts, ends, ops.volumes, run_time, n_bins
     )
     return ActivitySignal(values=values, bin_width=width)

@@ -46,7 +46,6 @@ def detect_periodicity_autocorr(
     *,
     min_strength: float = 0.2,
     min_cycles: int = 3,
-    backend: str | None = None,
 ) -> AutocorrDetection:
     """Detect periodicity from the first significant autocorrelation peak.
 
@@ -56,7 +55,6 @@ def detect_periodicity_autocorr(
     in the window.  The strict rise matters: a plateau test (``>=`` on
     the left) latches onto the monotone decay shoulder at lag 1 of any
     positively-autocorrelated signal and reports a bogus one-bin period.
-    ``backend`` selects the peak-scan kernel (``None`` = vectorized).
     """
     x = np.asarray(signal.values, dtype=np.float64)
     n = len(x)
@@ -70,7 +68,7 @@ def detect_periodicity_autocorr(
         return failed
 
     # First strict local maximum inside (0, max_lag).
-    lag = get_backend(backend).acf_peak_scan(acf, max_lag, min_strength)
+    lag = get_backend().acf_peak_scan(acf, max_lag, min_strength)
     if lag < 0:
         return failed
 

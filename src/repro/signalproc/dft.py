@@ -42,7 +42,6 @@ def detect_periodicity_dft(
     *,
     min_confidence: float = 0.15,
     min_cycles: int = 3,
-    backend: str | None = None,
 ) -> DftDetection:
     """Detect the dominant periodicity of an activity signal.
 
@@ -54,8 +53,6 @@ def detect_periodicity_dft(
     min_cycles:
         Minimum number of repetitions inside the observation window; a
         "period" seen fewer times is not evidence of periodicity.
-    backend:
-        Kernel backend for the comb scan (``None`` = vectorized).
     """
     x = np.asarray(signal.values, dtype=np.float64)
     n = len(x)
@@ -115,7 +112,7 @@ def detect_periodicity_dft(
     )
     if len(candidates) == 0:
         return not_periodic
-    per_slot, nets = get_backend(backend).dft_comb_scores(power, candidates, 12)
+    per_slot, nets = get_backend().dft_comb_scores(power, candidates, 12)
     best_idx = int(np.argmax(per_slot))
     best = float(candidates[best_idx])
     confidence = float(np.clip(nets[best_idx] / total, 0.0, 1.0))

@@ -1,23 +1,23 @@
-"""Differential-testing oracle for the kernel backends.
+"""Differential-testing oracle for the runtime kernels.
 
-The vectorized NumPy kernels in :mod:`repro.kernels.vectorized` only get
-to be the default because they are *provably interchangeable* with the
-pure-Python references on adversarial input: seeded generators produce
-operation streams and activity signals exercising every degenerate shape
-the corpus throws at the pipeline — zero-duration operations, negative
-gaps (overlapping input), fully-contained operations, heavy-tailed
-volumes, constant signals — and every kernel pair is asserted equivalent
-to tolerance on thousands of cases.
+The NumPy kernels of :mod:`repro.kernels` only get to run because they
+are *provably interchangeable* with the pure-Python specifications of
+:mod:`repro.testing.reference` on adversarial input: seeded generators
+produce operation streams and activity signals exercising every
+degenerate shape the corpus throws at the pipeline — zero-duration
+operations, negative gaps (overlapping input), fully-contained
+operations, heavy-tailed volumes, constant signals — and every kernel
+is asserted equivalent to its oracle to tolerance on thousands of cases.
 
-The oracle is a *triplet*, not a pair: every check compares the
-pure-Python reference against a candidate backend name, and the sweep
-runs once per candidate (``"vectorized"`` and ``"batched"`` — the
-segmented cross-trace twins of :mod:`repro.kernels.batched`).  The
-``segmented_*`` entries additionally exercise the batch shape itself:
+Each per-trace check runs a pipeline wrapper (or the bare kernel) twice,
+once on the runtime bundle and once inside
+:func:`~repro.testing.reference.reference_kernels`, which swaps the
+oracle in.  The ``segmented_*`` entries exercise the batch shape itself:
 several adversarial traces are concatenated under one offsets array, the
-segmented kernel runs in a single dispatch, and each trace's output
-slice is held equal to the per-trace reference — proving segment walls
-are hard and no merge, group, or bin ever leaks across traces.
+segmented kernel of :mod:`repro.kernels.batched` runs in a single
+dispatch, and each trace's output slice is held equal to the per-trace
+oracle — proving segment walls are hard and no merge, group, or bin
+ever leaks across traces.
 
 ``segmented_event_binning`` holds the closed-form metadata binning
 kernel equal to the event-expansion oracle of
@@ -29,7 +29,7 @@ exactly, rates bitwise whenever the request weights are integral.
 
 A divergence surfaced here is, by construction, either a vectorization
 bug or a latent reference bug; both kinds found while building the
-backends were fixed and carry named regression tests (the one-sided
+kernels were fixed and carry named regression tests (the one-sided
 neighbor-merge gap rule, the ACF decay-shoulder latch).
 
 The module is deliberately dependency-light so both the test suite
@@ -46,17 +46,24 @@ from ..cluster.meanshift import mean_shift
 from ..darshan.records import FileRecord, JobMeta
 from ..darshan.trace import OperationArray, Trace
 from ..kernels import get_backend
+from ..kernels.batched import (
+    group_offsets,
+    neighbor_pass_segmented,
+    overlap_groups_segmented,
+    segment_segmented,
+)
+from ..kernels.vectorized import coalesce_groups
 from ..merge.neighbor import NeighborMergeConfig, merge_neighbors
 from ..segment.op_segments import segment_operations
 from ..signalproc.activity import build_activity_signal
 from ..signalproc.autocorr import detect_periodicity_autocorr
 from ..signalproc.dft import detect_periodicity_dft
+from .reference import REFERENCE, reference_kernels
 
 __all__ = [
     "Divergence",
     "DifferentialReport",
     "KERNEL_PAIRS",
-    "CANDIDATE_BACKENDS",
     "adversarial_ops",
     "adversarial_signal",
     "adversarial_batch",
@@ -65,8 +72,8 @@ __all__ = [
     "run_all",
 ]
 
-#: Relative tolerance for float comparisons between backends.  Volume
-#: sums and weighted means may associate differently across backends;
+#: Relative tolerance for float comparisons with the oracle.  Volume
+#: sums and weighted means may associate differently in the two;
 #: anything beyond accumulated round-off is a real divergence.
 RTOL = 1e-9
 ATOL = 1e-12
@@ -89,20 +96,15 @@ SIGNAL_PROFILES = (
     "mixture",
 )
 
-#: Backends each sweep compares against the pure-Python reference.
-CANDIDATE_BACKENDS = ("vectorized", "batched")
-
-
 @dataclass(slots=True, frozen=True)
 class Divergence:
-    """One reference/candidate-backend disagreement."""
+    """One oracle/runtime disagreement."""
 
     kernel: str
     case: int
     seed: int
     profile: str
     message: str
-    backend: str = "vectorized"
 
 
 @dataclass(slots=True)
@@ -110,7 +112,6 @@ class DifferentialReport:
     """Outcome of a differential sweep over one kernel pair."""
 
     kernel: str
-    backend: str = "vectorized"
     n_cases: int = 0
     divergences: list[Divergence] = field(default_factory=list)
 
@@ -120,7 +121,7 @@ class DifferentialReport:
 
     def summary(self) -> str:
         state = "ok" if self.ok else f"{len(self.divergences)} divergences"
-        return f"{self.kernel}[{self.backend}]: {self.n_cases} cases, {state}"
+        return f"{self.kernel}: {self.n_cases} cases, {state}"
 
 
 # ---------------------------------------------------------------------------
@@ -233,21 +234,21 @@ def _close(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def _compare_ops(
-    ref: OperationArray, vec: OperationArray
+    ref: OperationArray, got: OperationArray
 ) -> str | None:
-    if len(ref) != len(vec):
-        return f"op count {len(ref)} != {len(vec)}"
-    if not np.array_equal(ref.starts, vec.starts):
+    if len(ref) != len(got):
+        return f"op count {len(ref)} != {len(got)}"
+    if not np.array_equal(ref.starts, got.starts):
         return "starts differ"
-    if not np.array_equal(ref.ends, vec.ends):
+    if not np.array_equal(ref.ends, got.ends):
         return "ends differ"
-    if not _close(ref.volumes, vec.volumes):
+    if not _close(ref.volumes, got.volumes):
         return "volumes differ beyond tolerance"
     return None
 
 
 def _check_neighbor(
-    rng: np.random.Generator, profile: str, backend: str
+    rng: np.random.Generator, profile: str
 ) -> str | None:
     arr = adversarial_ops(rng, profile)
     run_time = float(rng.choice([0.0, 100.0, 10_000.0, 1e6]))
@@ -255,47 +256,49 @@ def _check_neighbor(
         runtime_fraction=float(rng.choice([0.0, 0.001, 0.05])),
         op_fraction=float(rng.choice([0.0, 0.01, 0.2])),
     )
-    ref = merge_neighbors(arr, run_time, cfg, backend="reference")
-    vec = merge_neighbors(arr, run_time, cfg, backend=backend)
-    return _compare_ops(ref.ops, vec.ops)
+    with reference_kernels():
+        ref = merge_neighbors(arr, run_time, cfg)
+    got = merge_neighbors(arr, run_time, cfg)
+    return _compare_ops(ref.ops, got.ops)
 
 
 def _check_concurrent(
-    rng: np.random.Generator, profile: str, backend: str
+    rng: np.random.Generator, profile: str
 ) -> str | None:
     arr = adversarial_ops(rng, profile)
-    ref_k, vec_k = get_backend("reference"), get_backend(backend)
-    g_ref = ref_k.overlap_groups(arr.starts, arr.ends)
-    g_vec = vec_k.overlap_groups(arr.starts, arr.ends)
-    if not np.array_equal(g_ref, g_vec):
+    runtime = get_backend()
+    g_ref = REFERENCE.overlap_groups(arr.starts, arr.ends)
+    g_got = runtime.overlap_groups(arr.starts, arr.ends)
+    if not np.array_equal(g_ref, g_got):
         return "group labels differ"
     if len(arr) == 0:
         return None
-    c_ref = ref_k.coalesce_groups(arr.starts, arr.ends, arr.volumes, g_ref)
-    c_vec = vec_k.coalesce_groups(arr.starts, arr.ends, arr.volumes, g_vec)
-    for name, a, b in zip(("starts", "ends"), c_ref[:2], c_vec[:2]):
+    c_ref = REFERENCE.coalesce_groups(arr.starts, arr.ends, arr.volumes, g_ref)
+    c_got = runtime.coalesce_groups(arr.starts, arr.ends, arr.volumes, g_got)
+    for name, a, b in zip(("starts", "ends"), c_ref[:2], c_got[:2]):
         if not np.array_equal(a, b):
             return f"coalesced {name} differ"
-    if not _close(c_ref[2], c_vec[2]):
+    if not _close(c_ref[2], c_got[2]):
         return "coalesced volumes differ beyond tolerance"
     return None
 
 
 def _check_segment(
-    rng: np.random.Generator, profile: str, backend: str
+    rng: np.random.Generator, profile: str
 ) -> str | None:
     arr = adversarial_ops(rng, profile)
     run_time = float(rng.choice([0.0, 500.0, 1e5]))
-    ref = segment_operations(arr, run_time, backend="reference")
-    vec = segment_operations(arr, run_time, backend=backend)
+    with reference_kernels():
+        ref = segment_operations(arr, run_time)
+    got = segment_operations(arr, run_time)
     for name in ("starts", "durations", "volumes", "busy"):
-        if not np.array_equal(getattr(ref, name), getattr(vec, name)):
+        if not np.array_equal(getattr(ref, name), getattr(got, name)):
             return f"segment {name} differ"
     return None
 
 
 def _check_meanshift(
-    rng: np.random.Generator, profile: str, backend: str
+    rng: np.random.Generator, profile: str
 ) -> str | None:
     n = int(rng.integers(0, 40))
     if profile in ("constant", "zeros"):
@@ -306,89 +309,93 @@ def _check_meanshift(
     bandwidth = float(rng.choice([0.3, 1.0, 3.0]))
     if n:
         seeds = X.copy()
-        step_ref = get_backend("reference").shift_step(seeds, X, bandwidth, kernel)
-        step_vec = get_backend(backend).shift_step(seeds, X, bandwidth, kernel)
-        if not _close(step_ref, step_vec):
+        step_ref = REFERENCE.shift_step(seeds, X, bandwidth, kernel)
+        step_got = get_backend().shift_step(seeds, X, bandwidth, kernel)
+        if not _close(step_ref, step_got):
             return "shift step differs beyond tolerance"
-    ref = mean_shift(X, bandwidth, kernel=kernel, backend="reference")
-    vec = mean_shift(X, bandwidth, kernel=kernel, backend=backend)
-    if not np.array_equal(ref.labels, vec.labels):
+    with reference_kernels():
+        ref = mean_shift(X, bandwidth, kernel=kernel)
+    got = mean_shift(X, bandwidth, kernel=kernel)
+    if not np.array_equal(ref.labels, got.labels):
         return "cluster labels differ"
-    if not _close(ref.modes, vec.modes):
+    if not _close(ref.modes, got.modes):
         return "modes differ beyond tolerance"
     return None
 
 
 def _check_acf(
-    rng: np.random.Generator, profile: str, backend: str
+    rng: np.random.Generator, profile: str
 ) -> str | None:
     from ..signalproc.activity import ActivitySignal
 
     x = adversarial_signal(rng, profile)
     sig = ActivitySignal(values=x, bin_width=float(rng.choice([0.5, 1.0, 7.3])))
-    ref = detect_periodicity_autocorr(sig, backend="reference")
-    vec = detect_periodicity_autocorr(sig, backend=backend)
-    if ref.periodic != vec.periodic or ref.lag != vec.lag:
-        return f"detection differs: ref lag {ref.lag}, vec lag {vec.lag}"
+    with reference_kernels():
+        ref = detect_periodicity_autocorr(sig)
+    got = detect_periodicity_autocorr(sig)
+    if ref.periodic != got.periodic or ref.lag != got.lag:
+        return f"detection differs: ref lag {ref.lag}, runtime lag {got.lag}"
     if ref.periodic and not (
-        _close(np.array([ref.period]), np.array([vec.period]))
-        and _close(np.array([ref.strength]), np.array([vec.strength]))
+        _close(np.array([ref.period]), np.array([got.period]))
+        and _close(np.array([ref.strength]), np.array([got.strength]))
     ):
         return "period/strength differ beyond tolerance"
     return None
 
 
 def _check_dft(
-    rng: np.random.Generator, profile: str, backend: str
+    rng: np.random.Generator, profile: str
 ) -> str | None:
     from ..signalproc.activity import ActivitySignal
 
     x = adversarial_signal(rng, profile)
     sig = ActivitySignal(values=x, bin_width=float(rng.choice([0.5, 1.0, 7.3])))
-    ref = detect_periodicity_dft(sig, backend="reference")
-    vec = detect_periodicity_dft(sig, backend=backend)
-    if ref.periodic != vec.periodic:
-        return f"detection differs: ref {ref.periodic}, vec {vec.periodic}"
+    with reference_kernels():
+        ref = detect_periodicity_dft(sig)
+    got = detect_periodicity_dft(sig)
+    if ref.periodic != got.periodic:
+        return f"detection differs: ref {ref.periodic}, runtime {got.periodic}"
     if ref.periodic and not (
-        _close(np.array([ref.period]), np.array([vec.period]))
-        and _close(np.array([ref.confidence]), np.array([vec.confidence]))
+        _close(np.array([ref.period]), np.array([got.period]))
+        and _close(np.array([ref.confidence]), np.array([got.confidence]))
     ):
         return "period/confidence differ beyond tolerance"
     return None
 
 
 def _check_bin_activity(
-    rng: np.random.Generator, profile: str, backend: str
+    rng: np.random.Generator, profile: str
 ) -> str | None:
     arr = adversarial_ops(rng, profile)
     run_time = float(rng.choice([100.0, 1000.0, 123_456.7]))
     n_bins = int(rng.choice([1, 7, 64, 511]))
-    ref = build_activity_signal(arr, run_time, n_bins=n_bins, backend="reference")
-    vec = build_activity_signal(arr, run_time, n_bins=n_bins, backend=backend)
+    with reference_kernels():
+        ref = build_activity_signal(arr, run_time, n_bins=n_bins)
+    got = build_activity_signal(arr, run_time, n_bins=n_bins)
     # The difference-array vectorization carries round-off relative to
     # the *running* volume sum, not the individual bin, so the absolute
     # tolerance scales with the largest bin (triaged as inherent to the
     # cumsum trick — a logic bug shows up at bin scale, orders louder).
     scale = float(ref.values.max()) if len(ref.values) else 0.0
     if not np.allclose(
-        ref.values, vec.values, rtol=RTOL, atol=max(RTOL * scale, ATOL)
+        ref.values, got.values, rtol=RTOL, atol=max(RTOL * scale, ATOL)
     ):
-        worst = float(np.max(np.abs(ref.values - vec.values)))
+        worst = float(np.max(np.abs(ref.values - got.values)))
         return f"binned values differ beyond tolerance (max abs {worst:g})"
     # Volume conservation for fully in-window streams is a shared
-    # invariant worth asserting on both backends at once.
+    # invariant worth asserting on the runtime kernel too.
     clipped = np.clip(arr.starts, 0.0, run_time)
     if len(arr) and np.array_equal(clipped, arr.starts) and np.all(arr.ends <= run_time):
         expect = float(arr.volumes[arr.volumes > 0].sum())
-        if not np.isclose(vec.total, expect, rtol=1e-6):
-            return f"vectorized binning lost volume: {vec.total} != {expect}"
+        if not np.isclose(got.total, expect, rtol=1e-6):
+            return f"runtime binning lost volume: {got.total} != {expect}"
     return None
 
 
 # ---------------------------------------------------------------------------
 # segmented (cross-trace) comparators: one batched dispatch vs. a
-# per-trace reference loop.  The batch shape itself is the input under
-# test here, so these ignore the candidate-backend name.
+# per-trace oracle loop.  The batch shape itself is the input under
+# test here.
 
 
 def adversarial_batch(
@@ -436,10 +443,8 @@ def _slice_ops(
 
 
 def _check_neighbor_segmented(
-    rng: np.random.Generator, profile: str, backend: str
+    rng: np.random.Generator, profile: str
 ) -> str | None:
-    from ..kernels.batched import neighbor_pass_segmented
-
     arrays, offsets = adversarial_batch(rng, profile)
     run_times = np.array(
         [float(rng.choice([0.0, 100.0, 10_000.0, 1e6])) for _ in arrays]
@@ -458,7 +463,8 @@ def _check_neighbor_segmented(
         if not changed:
             break
     for k, arr in enumerate(arrays):
-        ref = merge_neighbors(arr, run_times[k], cfg, backend="reference")
+        with reference_kernels():
+            ref = merge_neighbors(arr, run_times[k], cfg)
         message = _compare_ops(ref.ops, _slice_ops(s, e, v, off, k))
         if message is not None:
             return f"trace {k}/{len(arrays)}: {message}"
@@ -466,21 +472,14 @@ def _check_neighbor_segmented(
 
 
 def _check_concurrent_segmented(
-    rng: np.random.Generator, profile: str, backend: str
+    rng: np.random.Generator, profile: str
 ) -> str | None:
-    from ..kernels.batched import (
-        coalesce_groups,
-        group_offsets,
-        overlap_groups_segmented,
-    )
-
     arrays, offsets = adversarial_batch(rng, profile)
     s, e, v = _concat(arrays)
     groups = overlap_groups_segmented(s, e, offsets)
-    ref_k = get_backend("reference")
     for k, arr in enumerate(arrays):
         lo, hi = int(offsets[k]), int(offsets[k + 1])
-        g_ref = ref_k.overlap_groups(arr.starts, arr.ends)
+        g_ref = REFERENCE.overlap_groups(arr.starts, arr.ends)
         g_seg = groups[lo:hi]
         if len(g_seg) and not np.array_equal(g_seg - g_seg[0], g_ref):
             return f"trace {k}/{len(arrays)}: group labels differ"
@@ -493,8 +492,8 @@ def _check_concurrent_segmented(
             if goff[k + 1] != goff[k]:
                 return f"trace {k}: empty trace produced groups"
             continue
-        g_ref = ref_k.overlap_groups(arr.starts, arr.ends)
-        r = ref_k.coalesce_groups(arr.starts, arr.ends, arr.volumes, g_ref)
+        g_ref = REFERENCE.overlap_groups(arr.starts, arr.ends)
+        r = REFERENCE.coalesce_groups(arr.starts, arr.ends, arr.volumes, g_ref)
         message = _compare_ops(
             OperationArray(*(np.asarray(x, dtype=np.float64) for x in r)),
             _slice_ops(cs, ce, cv, goff, k),
@@ -505,10 +504,8 @@ def _check_concurrent_segmented(
 
 
 def _check_segment_segmented(
-    rng: np.random.Generator, profile: str, backend: str
+    rng: np.random.Generator, profile: str
 ) -> str | None:
-    from ..kernels.batched import segment_segmented
-
     arrays, offsets = adversarial_batch(rng, profile)
     run_times = np.array(
         [float(rng.choice([0.0, 500.0, 1e5])) for _ in arrays]
@@ -518,7 +515,8 @@ def _check_segment_segmented(
     names = ("starts", "durations", "volumes", "busy")
     for k, arr in enumerate(arrays):
         lo, hi = int(offsets[k]), int(offsets[k + 1])
-        ref = segment_operations(arr, run_times[k], backend="reference")
+        with reference_kernels():
+            ref = segment_operations(arr, run_times[k])
         for name, col in zip(names, out):
             if not np.array_equal(getattr(ref, name), col[lo:hi]):
                 return f"trace {k}/{len(arrays)}: segment {name} differ"
@@ -639,7 +637,7 @@ def adversarial_metadata_batch(
 
 
 def _check_metadata_binning(
-    rng: np.random.Generator, profile: str, backend: str
+    rng: np.random.Generator, profile: str
 ) -> str | None:
     """Closed-form kernel vs expansion + sort + ``bincount`` oracle.
 
@@ -710,18 +708,9 @@ KERNEL_PAIRS = {
 
 
 def run_differential(
-    kernel: str,
-    n_cases: int = 1000,
-    seed: int = 0,
-    backend: str = "vectorized",
+    kernel: str, n_cases: int = 1000, seed: int = 0
 ) -> DifferentialReport:
-    """Sweep one kernel pair over ``n_cases`` seeded adversarial cases.
-
-    ``backend`` names the candidate compared against the reference
-    (``"vectorized"`` or ``"batched"``); the ``segmented_*`` kernels
-    always exercise the batched implementations against a per-trace
-    reference loop, whatever the name.
-    """
+    """Sweep one kernel pair over ``n_cases`` seeded adversarial cases."""
     try:
         check, profiles = KERNEL_PAIRS[kernel]
     except KeyError:
@@ -729,11 +718,11 @@ def run_differential(
             f"unknown kernel pair {kernel!r}; available: "
             + ", ".join(sorted(KERNEL_PAIRS))
         ) from None
-    report = DifferentialReport(kernel=kernel, backend=backend)
+    report = DifferentialReport(kernel=kernel)
     for case in range(n_cases):
         profile = profiles[case % len(profiles)]
         rng = np.random.default_rng(seed + case)
-        message = check(rng, profile, backend)
+        message = check(rng, profile)
         report.n_cases += 1
         if message is not None:
             report.divergences.append(
@@ -743,20 +732,11 @@ def run_differential(
                     seed=seed + case,
                     profile=profile,
                     message=message,
-                    backend=backend,
                 )
             )
     return report
 
 
-def run_all(
-    n_cases: int = 1000,
-    seed: int = 0,
-    backends: tuple[str, ...] = CANDIDATE_BACKENDS,
-) -> list[DifferentialReport]:
-    """Sweep every kernel pair against every candidate backend."""
-    return [
-        run_differential(k, n_cases, seed, backend=b)
-        for b in backends
-        for k in KERNEL_PAIRS
-    ]
+def run_all(n_cases: int = 1000, seed: int = 0) -> list[DifferentialReport]:
+    """Sweep every kernel pair."""
+    return [run_differential(k, n_cases, seed) for k in KERNEL_PAIRS]

@@ -3,24 +3,32 @@
 Every function here is the *specification* of one hot per-trace kernel:
 a deliberately plain, per-element Python implementation whose behaviour
 is easy to audit against the paper (§III-B merging rules, §III-B3a
-periodicity).  The vectorized twins in :mod:`repro.kernels.vectorized`
-must agree with these to numerical tolerance on every input the
-adversarial generators in :mod:`repro.testing.differential` produce —
-that equivalence, not review alone, is what lets the NumPy rewrites ship
-as the default backend.
+periodicity).  The runtime kernels of :mod:`repro.kernels` must agree
+with these to numerical tolerance on every input the adversarial
+generators in :mod:`repro.testing.differential` produce — that
+equivalence, not review alone, is what lets the NumPy kernels run.
 
-All kernels are array-in/array-out on plain ``float64`` arrays so both
-backends can be driven by the same oracle without touching the dataclass
-wrappers of the pipeline layers.
+:data:`REFERENCE` bundles these functions as a
+:class:`~repro.kernels.KernelBackend`, and :func:`reference_kernels`
+makes :func:`repro.kernels.get_backend` return it for the duration of a
+``with`` block, so a test can run any pipeline layer, or the whole
+pipeline, on the oracle.  The pipeline never imports this module.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
+
 import numpy as np
 
 from ..darshan.tolerance import TIME_TOLERANCE_S
+from ..kernels import KernelBackend
+from ..kernels import backend as _backend
 
 __all__ = [
+    "REFERENCE",
+    "reference_kernels",
     "neighbor_pass",
     "overlap_groups",
     "coalesce_groups",
@@ -277,3 +285,32 @@ def bin_activity(
             if hi > lo:
                 values[min(b, n_bins - 1)] += rate * (hi - lo)
     return values
+
+
+#: The oracle bundle.
+REFERENCE = KernelBackend(
+    name="reference",
+    neighbor_pass=neighbor_pass,
+    overlap_groups=overlap_groups,
+    coalesce_groups=coalesce_groups,
+    segment=segment,
+    shift_step=shift_step,
+    acf_peak_scan=acf_peak_scan,
+    dft_comb_scores=dft_comb_scores,
+    bin_activity=bin_activity,
+)
+
+
+@contextmanager
+def reference_kernels() -> Iterator[KernelBackend]:
+    """Run every kernel lookup inside the block on :data:`REFERENCE`.
+
+    Process-wide and not thread-safe: a test-only swap of the bundle
+    :func:`repro.kernels.get_backend` returns, restored on exit.
+    """
+    previous = _backend._active
+    _backend._active = REFERENCE
+    try:
+        yield REFERENCE
+    finally:
+        _backend._active = previous

@@ -1,86 +1,64 @@
-"""Unit tests for the kernel backend registry and its config wiring."""
+"""Unit tests for the kernel bundles: the runtime one ``get_backend``
+returns and the pure-Python oracle of ``repro.testing``."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.core import MosaicConfig
-from repro.kernels import (
-    DEFAULT_BACKEND,
-    KernelBackend,
-    available_backends,
-    get_backend,
-)
-from repro.kernels import reference as ref
-from repro.kernels import vectorized as vec
+from repro.kernels import KernelBackend, get_backend
+from repro.kernels.backend import RUNTIME
+from repro.testing import reference as ref
+from repro.testing.reference import REFERENCE, reference_kernels
+
+BUNDLES = (REFERENCE, RUNTIME)
 
 
 class TestRegistry:
-    def test_all_backends_registered(self):
-        assert set(available_backends()) == {
-            "reference",
-            "vectorized",
-            "batched",
-        }
-
-    def test_default_is_vectorized(self):
-        assert DEFAULT_BACKEND == "vectorized"
-        assert get_backend().name == "vectorized"
-        assert get_backend(None).name == "vectorized"
-
-    def test_named_lookup(self):
-        assert get_backend("reference").name == "reference"
-        assert get_backend("vectorized").name == "vectorized"
-
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="numba"):
             get_backend("numba")
 
     def test_backends_are_frozen(self):
-        backend = get_backend("reference")
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            backend.name = "other"
+        for backend in BUNDLES:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                backend.name = "other"
 
     def test_reference_backend_binds_reference_functions(self):
-        backend = get_backend("reference")
+        with reference_kernels():
+            backend = get_backend()
         assert backend.neighbor_pass is ref.neighbor_pass
         assert backend.bin_activity is ref.bin_activity
 
-    def test_vectorized_backend_binds_vectorized_functions(self):
-        backend = get_backend("vectorized")
-        assert backend.neighbor_pass is vec.neighbor_pass
-        assert backend.bin_activity is vec.bin_activity
+    def test_reference_swap_is_scoped(self):
+        assert get_backend() is RUNTIME
+        with reference_kernels() as oracle:
+            assert get_backend() is oracle is REFERENCE
+        assert get_backend() is RUNTIME
 
-
-class TestConfigWiring:
-    def test_default_config_uses_vectorized(self):
-        assert MosaicConfig().kernel_backend == "vectorized"
-
-    def test_reference_backend_accepted(self):
-        assert MosaicConfig(kernel_backend="reference").kernel_backend == "reference"
-
-    def test_unknown_backend_rejected_at_construction(self):
-        with pytest.raises(ValueError):
-            MosaicConfig(kernel_backend="gpu")
+    def test_reference_swap_restores_on_error(self):
+        with pytest.raises(RuntimeError):
+            with reference_kernels():
+                raise RuntimeError("boom")
+        assert get_backend() is RUNTIME
 
 
 class TestShiftStepKernels:
-    """The Mean Shift step must reject unknown kernels in both backends."""
+    """The Mean Shift step must reject unknown kernels in both bundles."""
 
     def test_unknown_kernel_name(self):
         seeds = np.zeros((2, 2))
         X = np.ones((3, 2))
-        for backend in ("reference", "vectorized"):
+        for backend in BUNDLES:
             with pytest.raises(ValueError, match="triweight"):
-                get_backend(backend).shift_step(seeds, X, 1.0, "triweight")
+                backend.shift_step(seeds, X, 1.0, "triweight")
 
     def test_gaussian_agrees_across_backends(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(40, 2))
         seeds = X[:7].copy()
-        a = get_backend("reference").shift_step(seeds, X, 0.8, "gaussian")
-        b = get_backend("vectorized").shift_step(seeds, X, 0.8, "gaussian")
+        a = REFERENCE.shift_step(seeds, X, 0.8, "gaussian")
+        b = RUNTIME.shift_step(seeds, X, 0.8, "gaussian")
         np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
 
 
@@ -89,8 +67,8 @@ def test_backend_dataclass_shape():
     fields = dataclasses.fields(KernelBackend)
     names = {f.name for f in fields}
     assert "name" in names
-    backend = get_backend()
-    for f in fields:
-        if f.name == "name":
-            continue
-        assert callable(getattr(backend, f.name))
+    for backend in BUNDLES:
+        for f in fields:
+            if f.name == "name":
+                continue
+            assert callable(getattr(backend, f.name))

@@ -2,11 +2,11 @@
 
 The differential oracle holds each kernel pair equivalent in isolation;
 this suite closes the loop at the system level: categorizing the same
-synthetic corpus with ``kernel_backend="reference"`` and
-``kernel_backend="vectorized"`` must produce identical categories for
-every trace, under the paper's Mean Shift method and under both
-signal-processing baselines (which exercise the activity-binning and
-peak-scan kernels).
+synthetic corpus on the runtime kernels and inside
+``reference_kernels()`` (the pure-Python oracle swapped in) must produce
+identical categories for every trace, under the paper's Mean Shift
+method and under both signal-processing baselines (which exercise the
+activity-binning and peak-scan kernels).
 """
 
 import dataclasses
@@ -16,6 +16,7 @@ import pytest
 from repro.core import DEFAULT_CONFIG, categorize_trace
 from repro.darshan import is_valid
 from repro.synth import FleetConfig, generate_fleet
+from repro.testing import reference_kernels
 
 
 @pytest.fixture(scope="module")
@@ -35,11 +36,10 @@ def _categories(traces, config):
 
 @pytest.mark.parametrize("method", ["meanshift", "dft", "autocorr", "hybrid"])
 def test_categories_identical_across_backends(fleet_traces, method):
-    base = dataclasses.replace(DEFAULT_CONFIG, periodicity_method=method)
-    reference = dataclasses.replace(base, kernel_backend="reference")
-    vectorized = dataclasses.replace(base, kernel_backend="vectorized")
-    got_ref = _categories(fleet_traces, reference)
-    got_vec = _categories(fleet_traces, vectorized)
+    config = dataclasses.replace(DEFAULT_CONFIG, periodicity_method=method)
+    with reference_kernels():
+        got_ref = _categories(fleet_traces, config)
+    got_vec = _categories(fleet_traces, config)
     assert got_ref == got_vec
 
 
@@ -47,11 +47,10 @@ def test_periods_identical_across_backends(fleet_traces):
     # Stronger than category equality: the detected period groups of the
     # Mean Shift path must agree per direction in count and numerically
     # on the period estimates.
-    reference = dataclasses.replace(DEFAULT_CONFIG, kernel_backend="reference")
-    vectorized = dataclasses.replace(DEFAULT_CONFIG, kernel_backend="vectorized")
     for trace in fleet_traces:
-        res_ref = categorize_trace(trace, reference)
-        res_vec = categorize_trace(trace, vectorized)
+        with reference_kernels():
+            res_ref = categorize_trace(trace, DEFAULT_CONFIG)
+        res_vec = categorize_trace(trace, DEFAULT_CONFIG)
         assert set(res_ref.periodic_groups) == set(res_vec.periodic_groups)
         for direction, groups_ref in res_ref.periodic_groups.items():
             groups_vec = res_vec.periodic_groups[direction]
