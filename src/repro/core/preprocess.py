@@ -12,9 +12,10 @@ At corpus scale this stage is the memory bottleneck if implemented
 naively, so it is two-pass and streaming:
 
 * **pass 1** (:func:`scan_corpus`) iterates a lazy
-  :class:`~repro.darshan.source.TraceSource`, validating each trace and
-  folding it into bounded dedup state — one small
-  :class:`SelectedRef` per application, never the traces themselves;
+  :class:`~repro.darshan.source.TraceSource` in bounded record batches,
+  validating each batch as one array and folding it into bounded dedup
+  state — one small :class:`SelectedRef` per application, never the
+  traces themselves;
 * **pass 2** (:func:`load_selected`, driven by the pipeline) reloads
   only the selected heaviest refs, one at a time.
 
@@ -27,10 +28,16 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from ..darshan.errors import TraceFormatError
-from ..darshan.source import InMemorySource, TraceRef, TraceSource
+import numpy as np
+
+from ..darshan.source import InMemorySource, RecordBatch, TraceRef, TraceSource
 from ..darshan.trace import Trace
-from ..darshan.validate import Violation, validate_trace
+from ..darshan.validate import (
+    VIOLATION_COLUMNS,
+    Violation,
+    validate_trace,
+    violation_matrix,
+)
 
 __all__ = [
     "PreprocessResult",
@@ -155,11 +162,15 @@ class PreprocessResult:
 def scan_corpus(source: TraceSource, *, repair: bool = False) -> SelectionPlan:
     """Pass ①: validate every trace and pick the heaviest run per app.
 
-    Streams the source one trace at a time; state is bounded by the
-    number of *applications* (one :class:`SelectedRef` each), not the
-    number of traces.  The heaviest trace is the one with the largest
+    Folds over the source's :meth:`~TraceSource.record_batches` in ref
+    order; state is bounded by the number of *applications* (one
+    :class:`SelectedRef` each) plus one batch, not by the number of
+    traces.  Each batch is validated as one array
+    (:func:`~repro.darshan.validate.violation_matrix`, which flags what
+    :func:`~repro.darshan.validate.validate_trace` would).  The heaviest
+    trace is the one with the largest
     :meth:`~repro.darshan.trace.Trace.io_weight` (bytes moved plus
-    metadata operations); ties break on job id for determinism.
+    metadata operations); ties break on job id, then on the first seen.
 
     Unreadable payloads (``TraceFormatError`` from the source) are
     counted as corrupted under :attr:`Violation.UNREADABLE` rather than
@@ -169,8 +180,9 @@ def scan_corpus(source: TraceSource, *, repair: bool = False) -> SelectionPlan:
     ``repair=True`` enables the eviction alternative: corrupted traces
     are first passed through the conservative repair heuristics
     (:mod:`repro.darshan.repair`) and only counted as corrupted when
-    repair fails.  The paper evicts outright; the REPAIR experiment
-    quantifies the difference.
+    repair fails.  The batch keeps what it read, so a repaired trace is
+    rebuilt without a second read.  The paper evicts outright; the
+    REPAIR experiment quantifies the difference.
     """
     from ..darshan.repair import repair_trace
 
@@ -182,46 +194,59 @@ def scan_corpus(source: TraceSource, *, repair: bool = False) -> SelectionPlan:
     best: dict[tuple[int, str], SelectedRef] = {}
     runs_per_app: dict[tuple[int, str], int] = {}
 
-    for ref in source.refs():
-        n_input += 1
-        try:
-            trace = source.load(ref)
-        except TraceFormatError:
-            n_corrupted += 1
-            n_unreadable += 1
-            corruption[Violation.UNREADABLE] += 1
-            continue
-        report = validate_trace(trace)
-        repaired = False
-        if not report.valid and repair:
-            outcome = repair_trace(trace)
-            if outcome.repaired:
-                trace = outcome.trace
+    for batch in source.record_batches(retain_traces=repair):
+        n_input += len(batch)
+        flags = violation_matrix(
+            batch.records, batch.run_time, batch.nprocs, batch.counts
+        )
+        invalid = flags.any(axis=1)
+        weights = _io_weights(batch, ~invalid & ~batch.unreadable)
+        rows = zip(batch.refs, batch.metas, invalid.tolist(), weights)
+        for i, (ref, meta, bad, weight) in enumerate(rows):
+            if meta is None:
+                n_corrupted += 1
+                n_unreadable += 1
+                corruption[Violation.UNREADABLE] += 1
+                continue
+            repaired = False
+            if i in batch.scalar or (bad and repair):
+                trace = batch.trace(i)
                 report = validate_trace(trace)
-                n_repaired += 1
-                repaired = True
-        if not report.valid:
-            n_corrupted += 1
-            for violation in report.categories():
-                corruption[violation] += 1
-            continue
-        key = trace.meta.app_key
-        runs_per_app[key] = runs_per_app.get(key, 0) + 1
-        weight = trace.io_weight()
-        job_id = trace.meta.job_id
-        current = best.get(key)
-        if (
-            current is None
-            or weight > current.io_weight
-            or (weight == current.io_weight and job_id < current.job_id)
-        ):
-            best[key] = SelectedRef(
-                ref=ref,
-                job_id=job_id,
-                app_key=key,
-                io_weight=weight,
-                repaired=repaired,
-            )
+                if not report.valid and repair:
+                    outcome = repair_trace(trace)
+                    if outcome.repaired:
+                        trace = outcome.trace
+                        report = validate_trace(trace)
+                        n_repaired += 1
+                        repaired = True
+                if not report.valid:
+                    n_corrupted += 1
+                    for violation in report.categories():
+                        corruption[violation] += 1
+                    continue
+                meta = trace.meta
+                weight = trace.io_weight()
+            elif bad:
+                n_corrupted += 1
+                for column in np.flatnonzero(flags[i]):
+                    corruption[VIOLATION_COLUMNS[column]] += 1
+                continue
+            key = meta.app_key
+            runs_per_app[key] = runs_per_app.get(key, 0) + 1
+            job_id = meta.job_id
+            current = best.get(key)
+            if (
+                current is None
+                or weight > current.io_weight
+                or (weight == current.io_weight and job_id < current.job_id)
+            ):
+                best[key] = SelectedRef(
+                    ref=ref,
+                    job_id=job_id,
+                    app_key=key,
+                    io_weight=weight,
+                    repaired=repaired,
+                )
 
     selected = sorted(best.values(), key=lambda e: e.job_id)
     return SelectionPlan(
@@ -233,6 +258,45 @@ def scan_corpus(source: TraceSource, *, repair: bool = False) -> SelectionPlan:
         n_repaired=n_repaired,
         n_unreadable=n_unreadable,
     )
+
+
+#: ``io_weight``'s two integer sums, as record field groups.
+_WEIGHT_TERMS = (("bytes_read", "bytes_written"), ("opens", "closes", "seeks"))
+
+
+def _io_weights(batch: RecordBatch, valid: np.ndarray) -> list[float]:
+    """``Trace.io_weight()`` of every ``valid`` trace of ``batch``.
+
+    ``float(total bytes) + float(total metadata ops)``, each total an
+    exact integer: summed in int64 when no trace's total can reach
+    2**63 (a valid trace has no negative counter), in Python ints
+    otherwise.  Entries of other traces are meaningless.
+    """
+    counts = batch.counts
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    owned = np.repeat(valid, counts)
+    recs = batch.records
+    longest = int(counts[valid].max()) if valid.any() else 0
+    totals: list[list[int]] = []
+    for fields in _WEIGHT_TERMS:
+        bound = sum(int(recs[f][owned].max(initial=0)) for f in fields) * longest
+        if bound < 2**63:
+            # int64 wraps in the running sum; the per-trace difference
+            # is still exact because every per-trace total fits
+            per_record = np.zeros(len(recs), dtype=np.int64)
+            for f in fields:
+                per_record += np.where(owned, recs[f], 0)
+            cum = np.concatenate(([0], np.cumsum(per_record)))
+            totals.append((cum[ends] - cum[starts]).tolist())
+        else:
+            totals.append(
+                [
+                    sum(sum(recs[f][s:e].tolist()) for f in fields)
+                    for s, e in zip(starts.tolist(), ends.tolist())
+                ]
+            )
+    return [float(b) + float(m) for b, m in zip(*totals)]
 
 
 def load_selected(source: TraceSource, entry: SelectedRef) -> Trace:

@@ -29,6 +29,7 @@ from .io_binary import (
 from .source import (
     DirectorySource,
     InMemorySource,
+    RecordBatch,
     SyntheticSource,
     TraceRef,
     TraceSource,
@@ -65,6 +66,7 @@ __all__ = [
     "load_binary",
     "load_binary_meta",
     "TraceRef",
+    "RecordBatch",
     "TraceSource",
     "DirectorySource",
     "InMemorySource",

@@ -11,7 +11,8 @@ costs.  Layout (little endian):
 ``string table``
     UTF-8 file names joined by ``\\x00``
 ``records``
-    fixed 112-byte struct per record (see ``_RECORD``)
+    fixed 148-byte struct per record (see ``_RECORD``; viewed as an
+    array through :data:`RECORD_DTYPE`)
 
 The codec is deliberately strict: any truncation or bad magic raises
 :class:`~repro.darshan.errors.TraceFormatError`, which the validity stage
@@ -24,13 +25,21 @@ against the bytes that actually remain **before** anything is allocated,
 so a header claiming a 2 GB string table in a 200-byte file is refused
 at zero cost instead of allocating the lie.  The caps come from
 :class:`~repro.darshan.limits.DecodeLimits`.
+
+One parser, :func:`parse_binary`, runs every one of those checks and
+hands back the record section as a read-only structured-array view.
+:func:`loads_binary` builds its ``FileRecord`` objects from that view;
+the streaming scan validates the view directly, without building any.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import struct
-from typing import BinaryIO
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import TraceFormatError, TraceWriteError
 from .limits import DEFAULT_LIMITS, DecodeLimits, check_declared_size
@@ -38,11 +47,15 @@ from .records import FileRecord, JobMeta
 from .trace import Trace
 
 __all__ = [
+    "RECORD_DTYPE",
+    "MosdSections",
     "save_binary",
     "load_binary",
     "load_binary_meta",
+    "read_payload",
     "dumps_binary",
     "loads_binary",
+    "parse_binary",
 ]
 
 MAGIC = b"MOSD"
@@ -52,10 +65,37 @@ _HEADER = struct.Struct("<4sHH")
 # job_id, uid, nprocs, start, end, exe_len, machine_len, partition_len
 _JOB = struct.Struct("<qqqddHHH")
 _COUNTS = struct.Struct("<II")
+_HEAD = struct.Struct(_HEADER.format + _JOB.format[1:])
 # file_id rank opens closes seeks stats reads writes bytes_read bytes_written
 # open_start close_end read_start read_end write_start write_end
 # read_time write_time meta_time
 _RECORD = struct.Struct("<qiqqqqqqqq9d")
+
+#: ``_RECORD`` as a packed NumPy dtype, one field per ``FileRecord``
+#: attribute (``file_name`` lives in the string table instead).
+RECORD_DTYPE = np.dtype(
+    [
+        ("file_id", "<i8"),
+        ("rank", "<i4"),
+        ("opens", "<i8"),
+        ("closes", "<i8"),
+        ("seeks", "<i8"),
+        ("stats", "<i8"),
+        ("reads", "<i8"),
+        ("writes", "<i8"),
+        ("bytes_read", "<i8"),
+        ("bytes_written", "<i8"),
+        ("open_start", "<f8"),
+        ("close_end", "<f8"),
+        ("read_start", "<f8"),
+        ("read_end", "<f8"),
+        ("write_start", "<f8"),
+        ("write_end", "<f8"),
+        ("read_time", "<f8"),
+        ("write_time", "<f8"),
+        ("meta_time", "<f8"),
+    ]
+)
 
 
 def _pack_job(meta: JobMeta) -> bytes:
@@ -77,18 +117,8 @@ def _pack_job(meta: JobMeta) -> bytes:
     return head + exe + machine + partition
 
 
-def _read_exact(fh: BinaryIO, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise TraceFormatError(f"truncated trace: expected {n} bytes for {what}")
-    return data
-
-
-def _read_checked(fh: BinaryIO, n: int, remaining: int, what: str) -> bytes:
-    """Read a header-declared section, refusing the claim before any
-    allocation when it exceeds the bytes that actually remain."""
-    check_declared_size(n, remaining, what)
-    return _read_exact(fh, n, what)
+def _truncated(n: int, what: str) -> TraceFormatError:
+    return TraceFormatError(f"truncated trace: expected {n} bytes for {what}")
 
 
 def _decode_utf8(data: bytes, what: str) -> str:
@@ -98,33 +128,48 @@ def _decode_utf8(data: bytes, what: str) -> str:
         raise TraceFormatError(f"invalid UTF-8 in {what}: {exc}") from exc
 
 
-def _unpack_job(fh: BinaryIO, remaining: int, limits: DecodeLimits) -> JobMeta:
-    """Decode the job header; ``remaining`` bounds the payload bytes
-    past the fixed header so string lengths cannot lie."""
-    raw = _read_exact(fh, _JOB.size, "job header")
-    remaining -= _JOB.size
-    job_id, uid, nprocs, start, end, n_exe, n_mach, n_part = _JOB.unpack(raw)
-    cap = limits.max_string_bytes
-    check_declared_size(n_exe + n_mach + n_part, remaining, "job strings", cap)
-    exe = _decode_utf8(_read_checked(fh, n_exe, remaining, "exe string"), "exe string")
-    remaining -= n_exe
-    machine = _decode_utf8(
-        _read_checked(fh, n_mach, remaining, "machine string"), "machine string"
-    )
-    remaining -= n_mach
-    partition = _decode_utf8(
-        _read_checked(fh, n_part, remaining, "partition string"), "partition string"
-    )
-    return JobMeta(
+def _check_magic(magic: bytes, version: int) -> None:
+    if magic != MAGIC:
+        raise TraceFormatError(f"bad magic: {magic!r}")
+    if version != VERSION:
+        raise TraceFormatError(f"unsupported binary trace version: {version}")
+
+
+def _parse_head(buf: bytes, size: int, limits: DecodeLimits) -> tuple[JobMeta, int]:
+    """Check magic and version and decode the job header.
+
+    ``buf`` holds the first bytes of a ``size``-byte payload; ``size``
+    bounds the job-string lengths, so they cannot lie.  Returns the
+    header and the offset just past the job strings.
+    """
+    if len(buf) < _HEAD.size:
+        if len(buf) < _HEADER.size:
+            raise _truncated(_HEADER.size, "magic header")
+        _check_magic(*_HEADER.unpack_from(buf)[:2])
+        raise _truncated(_JOB.size, "job header")
+    (
+        magic, version, _, job_id, uid, nprocs, start, end, n_exe, n_mach, n_part
+    ) = _HEAD.unpack_from(buf)
+    _check_magic(magic, version)
+    pos = _HEAD.size
+    n_strings = n_exe + n_mach + n_part
+    check_declared_size(n_strings, size - pos, "job strings", limits.max_string_bytes)
+    if len(buf) - pos < n_strings:  # the file shrank after it was measured
+        raise _truncated(n_strings, "job strings")
+    mach_at = pos + n_exe
+    part_at = mach_at + n_mach
+    pos = part_at + n_part
+    meta = JobMeta(
         job_id=job_id,
         uid=uid,
-        exe=exe,
+        exe=_decode_utf8(buf[mach_at - n_exe : mach_at], "exe string"),
         nprocs=nprocs,
         start_time=start,
         end_time=end,
-        machine=machine,
-        partition=partition,
+        machine=_decode_utf8(buf[mach_at:part_at], "machine string"),
+        partition=_decode_utf8(buf[part_at:pos], "partition string"),
     )
+    return meta, pos
 
 
 def _pack_record(rec: FileRecord) -> bytes:
@@ -168,30 +213,37 @@ def dumps_binary(trace: Trace) -> bytes:
     return b"".join(parts)
 
 
-def loads_binary(payload: bytes, limits: DecodeLimits = DEFAULT_LIMITS) -> Trace:
-    """Parse the MOSD binary container produced by :func:`dumps_binary`.
+class MosdSections(NamedTuple):
+    """A checked MOSD payload: job header, string table, record view."""
+
+    meta: JobMeta
+    #: The decoded string table: record names joined by ``"\x00"``.
+    table: str
+    #: Read-only :data:`RECORD_DTYPE` view of the record section.
+    records: np.ndarray
+
+
+def parse_binary(
+    payload: bytes, limits: DecodeLimits = DEFAULT_LIMITS
+) -> MosdSections:
+    """Check a MOSD payload and view its record section as an array.
 
     Every header-declared length is validated against ``len(payload)``
     before the corresponding section is allocated; a payload larger
-    than ``limits.max_payload_bytes`` is refused outright.
+    than ``limits.max_payload_bytes`` is refused outright.  The record
+    section is not copied: the returned view shares ``payload``.
     """
-    import io as _io
-
     if len(payload) > limits.max_payload_bytes:
         raise TraceFormatError(
             f"trace payload of {len(payload)} bytes exceeds decode limit "
             f"{limits.max_payload_bytes}"
         )
-    fh = _io.BytesIO(payload)
-    raw = _read_exact(fh, _HEADER.size, "magic header")
-    magic, version, _ = _HEADER.unpack(raw)
-    if magic != MAGIC:
-        raise TraceFormatError(f"bad magic: {magic!r}")
-    if version != VERSION:
-        raise TraceFormatError(f"unsupported binary trace version: {version}")
-    meta = _unpack_job(fh, len(payload) - fh.tell(), limits)
-    n_records, n_table = _COUNTS.unpack(_read_exact(fh, _COUNTS.size, "counts"))
-    remaining = len(payload) - fh.tell()
+    meta, pos = _parse_head(payload, len(payload), limits)
+    if len(payload) - pos < _COUNTS.size:
+        raise _truncated(_COUNTS.size, "counts")
+    n_records, n_table = _COUNTS.unpack_from(payload, pos)
+    pos += _COUNTS.size
+    remaining = len(payload) - pos
     if n_records > limits.max_records:
         raise TraceFormatError(
             f"record count {n_records} exceeds decode limit {limits.max_records}"
@@ -202,45 +254,33 @@ def loads_binary(payload: bytes, limits: DecodeLimits = DEFAULT_LIMITS) -> Trace
     check_declared_size(
         n_table + n_records * _RECORD.size, remaining, "record section"
     )
-    table = _decode_utf8(
-        _read_checked(fh, n_table, remaining, "string table"), "string table"
-    )
-    names = table.split("\x00") if table else []
-    if names and len(names) != n_records:
+    table = _decode_utf8(payload[pos : pos + n_table], "string table")
+    pos += n_table
+    # NUL never occurs inside a multi-byte UTF-8 sequence, so counting
+    # separators counts the names ``table.split("\x00")`` would give
+    n_names = table.count("\x00") + 1 if table else 0
+    if n_names and n_names != n_records:
         raise TraceFormatError(
-            f"string table holds {len(names)} names for {n_records} records"
+            f"string table holds {n_names} names for {n_records} records"
         )
-    records: list[FileRecord] = []
-    for i in range(n_records):
-        vals = _RECORD.unpack(_read_exact(fh, _RECORD.size, f"record {i}"))
-        records.append(
-            FileRecord(
-                file_id=vals[0],
-                file_name=names[i] if names else "",
-                rank=vals[1],
-                opens=vals[2],
-                closes=vals[3],
-                seeks=vals[4],
-                stats=vals[5],
-                reads=vals[6],
-                writes=vals[7],
-                bytes_read=vals[8],
-                bytes_written=vals[9],
-                open_start=vals[10],
-                close_end=vals[11],
-                read_start=vals[12],
-                read_end=vals[13],
-                write_start=vals[14],
-                write_end=vals[15],
-                read_time=vals[16],
-                write_time=vals[17],
-                meta_time=vals[18],
-            )
-        )
-    trailing = fh.read(1)
-    if trailing:
+    if pos + n_records * _RECORD.size != len(payload):
         raise TraceFormatError("trailing bytes after last record")
-    return Trace(meta=meta, records=records)
+    records = np.frombuffer(payload, dtype=RECORD_DTYPE, count=n_records, offset=pos)
+    records.flags.writeable = False
+    return MosdSections(meta=meta, table=table, records=records)
+
+
+def loads_binary(payload: bytes, limits: DecodeLimits = DEFAULT_LIMITS) -> Trace:
+    """Parse the MOSD binary container produced by :func:`dumps_binary`.
+
+    All checks are :func:`parse_binary`'s; this only turns its record
+    view into ``FileRecord`` objects.
+    """
+    sections = parse_binary(payload, limits)
+    rows = sections.records.tolist()
+    names = sections.table.split("\x00") if sections.table else [""] * len(rows)
+    records = [FileRecord(row[0], name, *row[1:]) for row, name in zip(rows, names)]
+    return Trace(meta=sections.meta, records=records)
 
 
 def save_binary(trace: Trace, path: str | os.PathLike[str]) -> None:
@@ -248,6 +288,29 @@ def save_binary(trace: Trace, path: str | os.PathLike[str]) -> None:
     data = dumps_binary(trace)
     with open(os.fspath(path), "wb") as fh:
         fh.write(data)
+
+
+def read_payload(
+    path: str | os.PathLike[str], limits: DecodeLimits = DEFAULT_LIMITS
+) -> bytes:
+    """Read a MOSD file's bytes, refusing an oversized file unread.
+
+    The size comes from ``os.fstat`` on the opened file, so the file
+    that is measured is the file that is read.  An unbuffered
+    ``FileIO`` spares the buffered reader a payload read whole does not
+    need.
+    """
+    try:
+        with io.FileIO(os.fspath(path)) as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size > limits.max_payload_bytes:
+                raise TraceFormatError(
+                    f"trace file {path!r} is {size} bytes, exceeding decode "
+                    f"limit {limits.max_payload_bytes}"
+                )
+            return fh.readall()
+    except OSError as exc:
+        raise TraceFormatError(f"cannot read trace file {path!r}: {exc}") from exc
 
 
 def load_binary(
@@ -258,17 +321,7 @@ def load_binary(
     The on-disk size is checked against ``limits.max_payload_bytes``
     before the file is read, so an oversized file never reaches memory.
     """
-    try:
-        size = os.stat(os.fspath(path)).st_size
-        if size > limits.max_payload_bytes:
-            raise TraceFormatError(
-                f"trace file {path!r} is {size} bytes, exceeding decode "
-                f"limit {limits.max_payload_bytes}"
-            )
-        with open(os.fspath(path), "rb") as fh:
-            return loads_binary(fh.read(), limits)
-    except OSError as exc:
-        raise TraceFormatError(f"cannot read trace file {path!r}: {exc}") from exc
+    return loads_binary(read_payload(path, limits), limits)
 
 
 def load_binary_meta(path: str | os.PathLike[str]) -> JobMeta:
@@ -280,17 +333,10 @@ def load_binary_meta(path: str | os.PathLike[str]) -> JobMeta:
     :class:`TraceFormatError` on bad magic, unsupported version, or a
     header truncated before the job strings end.
     """
+    head_max = _HEADER.size + _JOB.size + 3 * 0xFFFF
     try:
-        size = os.stat(os.fspath(path)).st_size
         with open(os.fspath(path), "rb") as fh:
-            raw = _read_exact(fh, _HEADER.size, "magic header")
-            magic, version, _ = _HEADER.unpack(raw)
-            if magic != MAGIC:
-                raise TraceFormatError(f"bad magic: {magic!r}")
-            if version != VERSION:
-                raise TraceFormatError(
-                    f"unsupported binary trace version: {version}"
-                )
-            return _unpack_job(fh, size - _HEADER.size, DEFAULT_LIMITS)
+            size = os.fstat(fh.fileno()).st_size
+            return _parse_head(fh.read(head_max), size, DEFAULT_LIMITS)[0]
     except OSError as exc:
         raise TraceFormatError(f"cannot read trace file {path!r}: {exc}") from exc

@@ -8,11 +8,19 @@ the streaming pipeline (:func:`repro.core.pipeline.run_pipeline_stream`)
 can make two bounded-memory passes (scan/dedup, then categorize the
 selected refs) instead of materializing a ``list[Trace]``.
 
+The scan pass reads a source through :meth:`TraceSource.record_batches`:
+consecutive refs with their records concatenated into one
+:data:`~repro.darshan.io_binary.RECORD_DTYPE` array, bounded in bytes,
+so that validation and dedup run over whole arrays.  The default fills
+batches through :meth:`~TraceSource.load`; :class:`DirectorySource`
+views each MOSD file's record section straight from its bytes.
+
 Three implementations cover the repo's workloads:
 
 * :class:`DirectorySource` — a directory of MOSD/JSON/Darshan-text
-  traces, discovered lazily and decoded per ref; tracks bytes read and
-  offers a header-only metadata peek for MOSD files;
+  traces, discovered lazily and decoded per ref; tracks bytes read,
+  offers a header-only metadata peek for MOSD files and batches MOSD
+  record sections without building ``FileRecord`` objects;
 * :class:`InMemorySource` — wraps an existing ``list[Trace]``; the
   compatibility path behind the batch ``run_pipeline(traces)`` API and
   the natural source for unit tests;
@@ -25,11 +33,21 @@ from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Iterator, NamedTuple, Sequence
 
-from .errors import TraceFormatError
-from .io_binary import load_binary, load_binary_meta
+import numpy as np
+
+from .errors import TraceFormatError, TraceWriteError
+from .io_binary import (
+    RECORD_DTYPE,
+    _pack_record,
+    load_binary,
+    load_binary_meta,
+    loads_binary,
+    parse_binary,
+    read_payload,
+)
 from .io_json import load_json
 from .io_text import load_text
 from .records import JobMeta
@@ -40,7 +58,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "TraceRef",
+    "RecordBatch",
     "TraceSource",
+    "batch_payloads",
     "DirectorySource",
     "InMemorySource",
     "SyntheticSource",
@@ -52,6 +72,13 @@ TRACE_SUFFIXES = (".mosd", ".json", ".json.gz", ".darshan.txt")
 
 #: Files never treated as traces even with a matching suffix.
 _NON_TRACE_NAMES = frozenset({"manifest.json"})
+
+#: Default byte budget of one :meth:`TraceSource.record_batches` batch.
+BATCH_BYTES = 1024 * 1024
+
+#: Bytes charged per ref on top of its records, so that batches of
+#: record-less or unreadable traces stay bounded too.
+_REF_BYTES = 256
 
 
 @dataclass(slots=True, frozen=True)
@@ -66,6 +93,129 @@ class TraceRef:
     key: Any
     #: On-disk payload size when known, 0 otherwise.
     size_bytes: int = 0
+
+
+class _Entry(NamedTuple):
+    """One ref as a scan batch holds it."""
+
+    ref: TraceRef
+    #: Job header; ``None`` when the payload could not be decoded.
+    meta: JobMeta | None
+    #: The ref's records (empty when unreadable or ``scalar``).
+    records: np.ndarray
+    #: What :meth:`RecordBatch.trace` rebuilds the trace from, if kept.
+    held: Trace | bytes | None
+    #: Bytes charged against the batch budget.
+    cost: int
+    #: True when the trace's values do not fit ``RECORD_DTYPE`` (an
+    #: integer beyond int64, a fractional counter); ``held`` is then the
+    #: trace itself.
+    scalar: bool = False
+
+
+_NO_RECORDS = np.empty(0, dtype=RECORD_DTYPE)
+
+
+def _unreadable_entry(ref: TraceRef) -> _Entry:
+    return _Entry(ref, None, _NO_RECORDS, None, _REF_BYTES)
+
+
+def _mosd_entry(ref: TraceRef, payload: bytes, retain: bool) -> _Entry:
+    """A MOSD payload's record section, viewed in place."""
+    try:
+        sections = parse_binary(payload)
+    except TraceFormatError:
+        return _unreadable_entry(ref)
+    held = payload if retain else None
+    return _Entry(ref, sections.meta, sections.records, held, len(payload))
+
+
+def _trace_entry(ref: TraceRef, trace: Trace, retain: bool) -> _Entry:
+    """Lay a decoded trace out as ``RECORD_DTYPE`` rows."""
+    meta = trace.meta
+    try:
+        # packing through the MOSD struct refuses what the layout cannot
+        # hold exactly, where a NumPy cast would truncate a float counter
+        packed = b"".join([_pack_record(rec) for rec in trace.records])
+        np.int64(meta.nprocs)
+        float(meta.run_time)
+    except (TraceWriteError, OverflowError, TypeError, ValueError):
+        return _Entry(ref, meta, _NO_RECORDS, trace, _REF_BYTES, True)
+    records = np.frombuffer(packed, dtype=RECORD_DTYPE)
+    held = trace if retain else None
+    return _Entry(ref, meta, records, held, _REF_BYTES + records.nbytes)
+
+
+@dataclass(slots=True)
+class RecordBatch:
+    """Consecutive refs of a source, their records in one array.
+
+    Per-ref columns are aligned with :attr:`refs`; ref ``i`` owns the
+    next ``counts[i]`` rows of :attr:`records`.  An unreadable ref has
+    ``unreadable[i]`` set, no header and no records.
+    """
+
+    refs: list[TraceRef]
+    unreadable: np.ndarray
+    metas: list[JobMeta | None]
+    nprocs: np.ndarray
+    run_time: np.ndarray
+    counts: np.ndarray
+    #: Every readable ref's records, back to back (``RECORD_DTYPE``).
+    records: np.ndarray
+    #: Positions of refs whose values do not fit ``RECORD_DTYPE``: they
+    #: carry no records here and must be validated as traces.
+    scalar: frozenset[int] = frozenset()
+    _held: list[Trace | bytes | None] = field(default_factory=list)
+
+    @classmethod
+    def of(cls, entries: Sequence[_Entry]) -> "RecordBatch":
+        """Assemble a batch from one or more entries, in order."""
+        refs, metas, records, held, _, scalar = zip(*entries)
+        nprocs = [1] * len(entries)
+        run_time = [1.0] * len(entries)
+        for i, meta in enumerate(metas):
+            if meta is not None and not scalar[i]:
+                nprocs[i] = meta.nprocs
+                run_time[i] = meta.end_time - meta.start_time
+        return cls(
+            refs=list(refs),
+            unreadable=np.array([m is None for m in metas], dtype=bool),
+            metas=list(metas),
+            nprocs=np.array(nprocs, dtype=np.int64),
+            run_time=np.array(run_time, dtype=np.float64),
+            counts=np.array([len(r) for r in records], dtype=np.int64),
+            # joining the raw sections skips concatenate's per-array
+            # structured-dtype promotion
+            records=np.frombuffer(
+                b"".join([r.data for r in records]), dtype=RECORD_DTYPE
+            ),
+            scalar=frozenset(i for i, s in enumerate(scalar) if s),
+            _held=list(held),
+        )
+
+    def __len__(self) -> int:
+        return len(self.refs)
+
+    def trace(self, i: int) -> Trace:
+        """Rebuild ref ``i`` as a ``Trace`` from what the batch kept."""
+        held = self._held[i]
+        if isinstance(held, Trace):
+            return held
+        if isinstance(held, bytes):
+            return loads_binary(held)
+        raise ValueError(f"batch kept no payload for ref {i}")
+
+
+def batch_payloads(payloads: Sequence[bytes]) -> RecordBatch:
+    """MOSD payloads already in hand, laid out as one scan batch.
+
+    The same per-payload step :class:`DirectorySource` takes after
+    reading a file; refs are the payloads' positions.
+    """
+    return RecordBatch.of(
+        [_mosd_entry(TraceRef(key=i), p, True) for i, p in enumerate(payloads)]
+    )
 
 
 class TraceSource(ABC):
@@ -103,6 +253,38 @@ class TraceSource(ABC):
     def count(self) -> int:
         """Number of refs (enumerates; O(corpus) but loads nothing)."""
         return sum(1 for _ in self.refs())
+
+    def record_batches(self, *, retain_traces: bool = False) -> Iterator[RecordBatch]:
+        """Every ref in :meth:`refs` order, grouped into record batches.
+
+        A batch holds at most :data:`BATCH_BYTES` of payload (record
+        bytes plus a fixed charge per ref), except that a trace larger
+        than that forms a batch on its own.  With
+        ``retain_traces`` each batch can rebuild any readable ref's
+        ``Trace`` (:meth:`RecordBatch.trace`) without reading it again.
+        Decode failures mark the ref unreadable; any other error
+        propagates.
+        """
+        budget = BATCH_BYTES
+        entries: list[_Entry] = []
+        used = 0
+        for ref in self.refs():
+            entry = self._batch_entry(ref, retain_traces)
+            if entries and used + entry.cost > budget:
+                yield RecordBatch.of(entries)
+                entries, used = [], 0
+            entries.append(entry)
+            used += entry.cost
+        if entries:
+            yield RecordBatch.of(entries)
+
+    def _batch_entry(self, ref: TraceRef, retain: bool) -> _Entry:
+        """One ref for :meth:`record_batches`; the default loads it."""
+        try:
+            trace = self.load(ref)
+        except TraceFormatError:
+            return _unreadable_entry(ref)
+        return _trace_entry(ref, trace, retain)
 
     @property
     def bytes_read(self) -> int:
@@ -165,6 +347,21 @@ class DirectorySource(TraceSource):
         if path.endswith(".mosd"):
             return load_binary_meta(path)
         return super().peek_meta(ref)
+
+    def _batch_entry(self, ref: TraceRef, retain: bool) -> _Entry:
+        """A MOSD file's record section, viewed in place; other formats
+        go through :meth:`load`."""
+        path = str(ref.key)
+        if not path.endswith(".mosd"):
+            return super()._batch_entry(ref, retain)
+        try:
+            payload = read_payload(path)
+        except TraceFormatError:
+            return _unreadable_entry(ref)
+        entry = _mosd_entry(ref, payload, retain)
+        if entry.meta is not None:
+            self._bytes_read += ref.size_bytes
+        return entry
 
     @property
     def bytes_read(self) -> int:

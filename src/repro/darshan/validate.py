@@ -3,8 +3,11 @@
 The paper reports that 32% of the Blue Waters 2019 traces were corrupted
 and evicted before categorization, citing as an example records whose
 resources are deallocated before the end of the application's execution.
-This module defines the corruption taxonomy the validator detects and the
-vectorization-friendly checker used by the pre-processing stage.
+This module defines the corruption taxonomy the validator detects and two
+checkers over it: :func:`validate_trace`, the scalar, detail-producing
+one for a ``Trace``, and :func:`violation_matrix`, which flags the same
+categories for a whole batch of record arrays at once (the streaming
+scan's path; ``validate_trace`` is its oracle).
 
 Every check is pure structural invariant checking — a *valid* trace may
 still be I/O-insignificant; that is a categorization outcome, not a
@@ -16,10 +19,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
+import numpy as np
+
 from .records import FileRecord
 from .trace import Trace
 
-__all__ = ["Violation", "ValidationReport", "validate_trace", "is_valid"]
+__all__ = [
+    "Violation",
+    "ValidationReport",
+    "validate_trace",
+    "is_valid",
+    "violation_matrix",
+]
 
 #: Slack (seconds) allowed past the nominal job end: Darshan flushes its
 #: log during MPI_Finalize, so the last timestamps can slightly exceed the
@@ -162,3 +173,107 @@ def validate_trace(trace: Trace) -> ValidationReport:
 def is_valid(trace: Trace) -> bool:
     """Fast boolean form of :func:`validate_trace`."""
     return validate_trace(trace).valid
+
+
+#: Column of each category in :func:`violation_matrix`'s result.
+VIOLATION_COLUMNS: tuple[Violation, ...] = tuple(Violation)
+_COL = {v: i for i, v in enumerate(VIOLATION_COLUMNS)}
+
+_COUNTERS = (
+    "opens", "closes", "seeks", "stats", "reads", "writes",
+    "bytes_read", "bytes_written",
+)
+
+
+def _py_max(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Element-wise Python ``max(a, b)``: ``b if b > a else a``.
+
+    Unlike ``np.maximum`` this keeps ``a`` whenever the comparison is
+    False, so a NaN in ``a`` survives and a NaN in ``b`` is skipped.
+    """
+    return np.where(b > a, b, a)
+
+
+def _record_flags(records: np.ndarray, hi: np.ndarray) -> dict[Violation, np.ndarray]:
+    """Per-record flags of :func:`_check_record`, one array per category.
+
+    ``hi`` is each record's ``run_time + END_SLACK``.  The ``continue``
+    branches of the window checks become masks: a window that raises
+    ``BYTES_WITHOUT_WINDOW`` or a half-open ``TIMESTAMP_BEFORE_START``
+    is not checked further.
+    """
+    negative = np.zeros(len(records), dtype=bool)
+    for label in _COUNTERS:
+        negative |= records[label] < 0
+    bytes_without = np.zeros(len(records), dtype=bool)
+    half_open = np.zeros(len(records), dtype=bool)
+    inverted = np.zeros(len(records), dtype=bool)
+    after_end = np.zeros(len(records), dtype=bool)
+    for lo_f, hi_f, n_f in (
+        ("read_start", "read_end", "bytes_read"),
+        ("write_start", "write_end", "bytes_written"),
+    ):
+        lo_ts, hi_ts = records[lo_f], records[hi_f]
+        present = (lo_ts >= 0.0) | (hi_ts >= 0.0)
+        bytes_without |= (records[n_f] > 0) & ~present
+        negative_ts = present & ((lo_ts < 0.0) | (hi_ts < 0.0))
+        half_open |= negative_ts
+        whole = present & ~negative_ts
+        inverted |= whole & (hi_ts < lo_ts)
+        after_end |= whole & ((lo_ts > hi) | (hi_ts > hi))
+
+    open_start, close_end = records["open_start"], records["close_end"]
+    has_open = open_start >= 0.0
+    has_close = close_end >= 0.0
+    meta_window = has_open | has_close
+    both = has_open & has_close
+    inverted |= both & (close_end < open_start)
+    last_activity = _py_max(records["read_end"], records["write_end"])
+    dealloc = both & (last_activity >= 0.0) & (close_end + 1e-9 < last_activity)
+    after_end |= meta_window & (_py_max(open_start, close_end) > hi)
+    return {
+        Violation.NEGATIVE_COUNTER: negative,
+        Violation.BYTES_WITHOUT_WINDOW: bytes_without,
+        Violation.TIMESTAMP_BEFORE_START: half_open,
+        Violation.INVERTED_WINDOW: inverted,
+        Violation.TIMESTAMP_AFTER_END: after_end,
+        Violation.DEALLOC_BEFORE_END: dealloc,
+        Violation.OPENS_WITHOUT_CLOSE_WINDOW: ~meta_window & (records["opens"] > 0),
+    }
+
+
+def violation_matrix(
+    records: np.ndarray,
+    run_time: np.ndarray,
+    nprocs: np.ndarray,
+    counts: np.ndarray,
+) -> np.ndarray:
+    """Flag every trace of a batch the way :func:`validate_trace` would.
+
+    ``records`` holds the traces' records back to back (a structured
+    array with ``FileRecord``'s field names, such as
+    :data:`repro.darshan.io_binary.RECORD_DTYPE`); trace ``t`` owns the
+    next ``counts[t]`` of them.  Returns a ``(len(counts),
+    len(VIOLATION_COLUMNS))`` boolean matrix whose row ``t`` flags
+    exactly ``validate_trace(trace_t).categories()``.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    run_time = np.asarray(run_time, dtype=np.float64)
+    out = np.zeros((len(counts), len(VIOLATION_COLUMNS)), dtype=bool)
+    out[:, _COL[Violation.NEGATIVE_RUNTIME]] = run_time <= 0.0
+    out[:, _COL[Violation.BAD_NPROCS]] = np.asarray(nprocs) <= 0
+    if not len(records):
+        return out
+    owner = np.repeat(np.arange(len(counts)), counts)
+    flags = _record_flags(records, (run_time + END_SLACK)[owner])
+    # record checks run only under `if run_time > 0.0` (False for NaN)
+    checked = (run_time > 0.0)[owner]
+    columns = [_COL[v] for v in flags]
+    hits = np.stack(list(flags.values()), axis=1) & checked[:, None]
+    # per-trace "any" through a cumulative count, so that traces with
+    # no records get an empty (all False) window
+    cum = np.zeros((len(hits) + 1, len(columns)), dtype=np.int64)
+    np.cumsum(hits, axis=0, out=cum[1:])
+    ends = np.cumsum(counts)
+    out[:, columns] = (cum[ends] - cum[ends - counts]) > 0
+    return out

@@ -24,7 +24,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from ..darshan.errors import TraceFormatError
-from ..darshan.io_binary import loads_binary
+from ..darshan.io_binary import _pack_record, loads_binary
+from ..darshan.source import batch_payloads
+from ..darshan.validate import VIOLATION_COLUMNS, validate_trace, violation_matrix
 from ..darshan.io_json import loads
 from ..darshan.io_text import loads_text
 from .mutators import FuzzCase, generate_cases
@@ -33,6 +35,7 @@ __all__ = [
     "FORMATS",
     "FuzzFinding",
     "FuzzReport",
+    "ReaderMismatch",
     "run_case",
     "run_fuzz",
     "replay_corpus",
@@ -59,8 +62,29 @@ def _entry_text(data: bytes) -> None:
     loads_text(text)
 
 
+class ReaderMismatch(Exception):
+    """The two MOSD readers decoded one payload differently."""
+
+
 def _entry_binary(data: bytes) -> None:
-    loads_binary(data)
+    """``loads_binary``, cross-checked against the scan's batch reader."""
+    batch = batch_payloads([data])
+    try:
+        trace = loads_binary(data)
+    except TraceFormatError:
+        if not batch.unreadable[0]:
+            raise ReaderMismatch("only the batch reader accepted the payload")
+        raise
+    if batch.unreadable[0]:
+        raise ReaderMismatch("only loads_binary accepted the payload")
+    if repr(batch.metas[0]) != repr(trace.meta):
+        raise ReaderMismatch("the readers decoded different job headers")
+    if batch.records.tobytes() != b"".join(_pack_record(r) for r in trace.records):
+        raise ReaderMismatch("the readers decoded different records")
+    row = violation_matrix(batch.records, batch.run_time, batch.nprocs, batch.counts)[0]
+    flagged = {VIOLATION_COLUMNS[i] for i in row.nonzero()[0]}
+    if flagged != validate_trace(trace).categories():
+        raise ReaderMismatch("the validators flagged different violations")
 
 
 def _entry_json(data: bytes) -> None:
@@ -89,7 +113,7 @@ class FuzzFinding:
     """One contract violation, with everything needed to reproduce it."""
 
     fmt: str
-    #: "crash" | "hang" | "alloc"
+    #: "crash" | "mismatch" | "hang" | "alloc"
     kind: str
     mutation: str
     seed: int
@@ -138,7 +162,8 @@ def _run_guarded(
 ) -> tuple[str, str, str]:
     """Execute one payload; returns (outcome, error_type, message).
 
-    outcome: "parsed" | "rejected" | "crash" | "hang" | "alloc".
+    outcome: "parsed" | "rejected" | "crash" | "mismatch" | "hang" |
+    "alloc".
     """
     use_alarm = (
         deadline_s > 0
@@ -164,6 +189,9 @@ def _run_guarded(
             outcome, etype, msg = "parsed", "", ""
         except TraceFormatError as exc:
             outcome, etype, msg = "rejected", type(exc).__name__, str(exc)
+        except ReaderMismatch as exc:
+            settled = True
+            outcome, etype, msg = "mismatch", type(exc).__name__, str(exc)
         except _DeadlineExceeded:
             settled = True
             outcome, etype, msg = "hang", "DeadlineExceeded", (

@@ -471,29 +471,35 @@ class MosaicServer:
                 continue
             job.status = "running"
             self._publish(job.job_id, {"event": "running"})
+            status = "done"
             try:
                 await self._loop.run_in_executor(
                     self._job_executor, self._execute, job
                 )
-                job.status = "done"
             except StorageError as exc:
-                job.status = "storage-failed"
+                status = "storage-failed"
                 job.error = str(exc)
             except Exception as exc:  # noqa: BLE001 - job isolation
-                job.status = "failed"
+                status = "failed"
                 job.error = f"{type(exc).__name__}: {exc}"
-            await self._loop.run_in_executor(
-                None,
-                self._register,
-                {
-                    "event": "finished",
-                    "job_id": job.job_id,
-                    "status": job.status,
-                    "error": job.error,
-                    "n_results": job.n_results,
-                    "n_failures": job.n_failures,
-                },
-            )
+            try:
+                await self._loop.run_in_executor(
+                    None,
+                    self._register,
+                    {
+                        "event": "finished",
+                        "job_id": job.job_id,
+                        "status": status,
+                        "error": job.error,
+                        "n_results": job.n_results,
+                        "n_failures": job.n_failures,
+                    },
+                )
+            finally:
+                # the job leaves "running" only once its end is recorded:
+                # a drain waits on "running", and tearing down before
+                # this append lets the next incarnation re-run the job
+                job.status = status
             self._publish(
                 job.job_id, {"event": "finished", "status": job.status}
             )

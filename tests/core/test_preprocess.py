@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core import preprocess_corpus
-from repro.darshan import Violation
+from repro.core import preprocess_corpus, scan_corpus
+from repro.darshan import InMemorySource, Violation
 
 from tests.conftest import make_record, make_trace
 
@@ -86,3 +86,49 @@ class TestFunnel:
         assert pre.n_input == 0
         assert pre.corrupted_fraction == 0.0
         assert pre.unique_fraction == 0.0
+
+
+class TestScanOutsideTheRecordLayout:
+    """Values the MOSD record layout cannot hold take the scalar route,
+    and weights whose int64 sum would wrap are summed exactly."""
+
+    def test_counter_beyond_int64_is_weighed_exactly(self):
+        big = run(1, 1, "a", 2**70)
+        small = run(2, 1, "a", 100)
+        pre = preprocess_corpus([small, big])
+        assert pre.n_corrupted == 0
+        assert [t.meta.job_id for t in pre.selected] == [1]
+
+    def test_nprocs_beyond_int64_is_valid(self):
+        trace = run(1, 1, "a", 100)
+        trace.meta.nprocs = 2**70
+        assert preprocess_corpus([trace]).n_corrupted == 0
+
+    def test_fractional_counter_is_not_truncated(self):
+        # 0.5 opens without an open/close window is a violation; a
+        # truncating cast to 0 would hide it
+        trace = run(1, 1, "a", 100)
+        trace.records[0].open_start = trace.records[0].close_end = -1.0
+        trace.records[0].opens = 0.5
+        pre = preprocess_corpus([trace])
+        assert pre.corruption_histogram == {Violation.OPENS_WITHOUT_CLOSE_WINDOW: 1}
+
+    def test_total_past_int64_does_not_wrap(self):
+        def heavy(job_id, per_record):
+            return make_trace(
+                [
+                    make_record(i, 0, read=(0.0, 10.0, per_record))
+                    for i in range(1, 3)
+                ],
+                job_id=job_id,
+                uid=1,
+                exe="a",
+            )
+
+        # each record fits int64, the per-trace total (2**63) does not
+        wide = heavy(1, 2**62)
+        narrow = heavy(2, 2**61)
+        pre = preprocess_corpus([narrow, wide])
+        assert [t.meta.job_id for t in pre.selected] == [1]
+        plan = scan_corpus(InMemorySource([narrow, wide]))
+        assert plan.selected[0].io_weight == wide.io_weight()

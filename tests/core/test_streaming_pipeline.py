@@ -26,6 +26,7 @@ from repro.darshan import (
     save_binary,
     save_json,
 )
+from repro.darshan import source as source_module
 from repro.darshan.validate import Violation
 from repro.parallel import ParallelConfig
 from repro.synth import FleetConfig, generate_fleet
@@ -218,3 +219,208 @@ class TestPipelineContext:
         assert [r.job_id for r in batch.results] == [
             r.job_id for r in streamed.results
         ]
+
+
+class DelegatingSource(TraceSource):
+    """Exposes only ``refs``/``load`` of another source, so a scan over
+    it takes the default, ``load()``-driven batch path."""
+
+    def __init__(self, inner: TraceSource):
+        self.inner = inner
+
+    def refs(self):
+        return self.inner.refs()
+
+    def load(self, ref):
+        return self.inner.load(ref)
+
+    @property
+    def bytes_read(self):
+        return self.inner.bytes_read
+
+
+class CountingDirectorySource(DirectorySource):
+    """A directory source that counts ``load()`` calls and can delete
+    one of its files right after listing the directory."""
+
+    def __init__(self, path, delete_after_refs=None):
+        super().__init__(path)
+        self.n_loads = 0
+        self.delete_after_refs = delete_after_refs
+
+    def refs(self):
+        refs = list(super().refs())
+        if self.delete_after_refs is not None and self.delete_after_refs.exists():
+            self.delete_after_refs.unlink()
+        return iter(refs)
+
+    def load(self, ref):
+        self.n_loads += 1
+        return super().load(ref)
+
+
+def _mosd_variants(trace):
+    """Malformed MOSD payloads derived from one valid trace, by name."""
+    import struct
+
+    from repro.darshan.io_binary import _COUNTS, _HEADER, _JOB
+
+    payload = dumps_binary(trace)
+    meta = trace.meta
+    strings = sum(len(s.encode()) for s in (meta.exe, meta.machine, meta.partition))
+    counts_at = _HEADER.size + _JOB.size + strings
+    table_at = counts_at + _COUNTS.size
+    n_records, n_table = _COUNTS.unpack_from(payload, counts_at)
+    assert n_records >= 2 and n_table > 0
+    records = payload[table_at + n_table :]
+    table = payload[table_at : table_at + n_table]
+
+    def with_counts(n, t, tbl=table, recs=records):
+        return payload[:counts_at] + _COUNTS.pack(n, t) + tbl + recs
+
+    bad_utf8 = bytearray(payload)
+    bad_utf8[table_at] = 0xFF
+    return {
+        "truncated": payload[: len(payload) // 2],
+        "badmagic": b"NOPE" + payload[4:],
+        "badversion": payload[:4] + struct.pack("<H", 9) + payload[6:],
+        "lying-count-high": with_counts(n_records + 1, n_table),
+        "lying-count-low": with_counts(n_records - 1, n_table),
+        "lying-count-unnamed": with_counts(n_records - 1, 0, b""),
+        "lying-table": with_counts(n_records, n_table + 10_000),
+        "bad-utf8": bytes(bad_utf8),
+        "name-mismatch": with_counts(n_records, n_table + 1, table + b"\x00"),
+        "trailing": payload + b"\x00",
+        "empty": b"",
+    }
+
+
+class TestScanFastPath:
+    """The DirectorySource batch reader against the load()-driven path."""
+
+    @pytest.fixture()
+    def mixed_dir(self, fleet, tmp_path):
+        import numpy as np
+
+        from repro.darshan import save_text
+        from repro.synth import corrupt_trace
+
+        rng = np.random.default_rng(4)
+        traces = []
+        for i, trace in enumerate(fleet.traces[:60]):
+            if i % 4 == 1:
+                trace = corrupt_trace(trace, rng)
+            traces.append(trace)
+            stem = tmp_path / f"job{i:04d}"
+            if i % 10 == 3:
+                save_json(trace, f"{stem}.json")
+            elif i % 10 == 7:
+                save_text(trace, f"{stem}.darshan.txt")
+            else:
+                save_binary(trace, f"{stem}.mosd")
+        donor = max(fleet.traces, key=len)
+        for name, data in _mosd_variants(donor).items():
+            (tmp_path / f"bad-{name}.mosd").write_bytes(data)
+        (tmp_path / "bad-garbage.json").write_text("{not json")
+        victim = tmp_path / "job0002.mosd"
+        return tmp_path, traces, victim
+
+    @pytest.mark.parametrize("repair", [False, True])
+    def test_plan_and_bytes_match_load_path(self, mixed_dir, repair):
+        path, _, victim = mixed_dir
+        fast_src = CountingDirectorySource(path)
+        slow_inner = DirectorySource(path)
+        fast = scan_corpus(fast_src, repair=repair)
+        slow = scan_corpus(DelegatingSource(slow_inner), repair=repair)
+        assert fast == slow
+        assert list(fast.runs_per_app) == list(slow.runs_per_app)
+        assert fast.n_unreadable == 12
+        assert fast_src.bytes_read == slow_inner.bytes_read > 0
+        # only the .json and .darshan.txt files go through load()
+        assert fast_src.n_loads == 13
+
+    @pytest.mark.parametrize("repair", [False, True])
+    def test_file_deleted_after_listing(self, mixed_dir, repair):
+        path, _, victim = mixed_dir
+        fast = scan_corpus(
+            CountingDirectorySource(path, delete_after_refs=victim), repair=repair
+        )
+        assert fast.n_unreadable == 13
+        assert fast.corruption_histogram[Violation.UNREADABLE] == 13
+
+    @pytest.mark.parametrize("repair", [False, True])
+    def test_matches_in_memory_source(self, mixed_dir, repair):
+        path, traces, _ = mixed_dir
+        on_disk = scan_corpus(DirectorySource(path), repair=repair)
+        in_memory = scan_corpus(InMemorySource(traces), repair=repair)
+        assert on_disk.n_input == in_memory.n_input + 12
+        assert on_disk.n_corrupted == in_memory.n_corrupted + 12
+        assert on_disk.n_repaired == in_memory.n_repaired
+        histogram = on_disk.corruption_histogram.copy()
+        del histogram[Violation.UNREADABLE]
+        assert histogram == in_memory.corruption_histogram
+        assert list(on_disk.runs_per_app.items()) == list(in_memory.runs_per_app.items())
+        # ref keys differ (paths vs positions); everything else matches
+        assert [
+            (s.job_id, s.app_key, s.io_weight, s.repaired) for s in on_disk.selected
+        ] == [
+            (s.job_id, s.app_key, s.io_weight, s.repaired) for s in in_memory.selected
+        ]
+
+    @pytest.mark.parametrize("repair", [False, True])
+    def test_stream_metrics_match_load_path(self, corpus_dir, repair):
+        fast = run_pipeline_stream(DirectorySource(corpus_dir), repair=repair)
+        slow = run_pipeline_stream(
+            DelegatingSource(DirectorySource(corpus_dir)), repair=repair
+        )
+        assert fast.metrics["scan_bytes_read"] == slow.metrics["scan_bytes_read"]
+        assert fast.preprocess.funnel() == slow.preprocess.funnel()
+        assert [r.to_dict() for r in fast.results] == [
+            r.to_dict() for r in slow.results
+        ]
+
+    @pytest.mark.parametrize("repair", [False, True])
+    def test_mosd_scan_makes_no_load_calls(self, corpus_dir, repair):
+        source = CountingDirectorySource(corpus_dir)
+        plan = scan_corpus(source, repair=repair)
+        assert plan.n_input > 0
+        assert source.n_loads == 0
+
+    def test_oversized_trace_is_a_batch_of_its_own(self, fleet, tmp_path, monkeypatch):
+        small = fleet.traces[:6]
+        big = max(fleet.traces, key=len)
+        for i, trace in enumerate(small[:3] + [big] + small[3:]):
+            save_binary(trace, tmp_path / f"job{i:04d}.mosd")
+        budget = len(dumps_binary(big)) - 1
+        assert all(len(dumps_binary(t)) * 3 < budget for t in small)
+        monkeypatch.setattr(source_module, "BATCH_BYTES", budget)
+        source = DirectorySource(tmp_path)
+        batches = list(source.record_batches())
+        keys = [ref.key for batch in batches for ref in batch.refs]
+        assert keys == [ref.key for ref in source.refs()]
+        alone = [b for b in batches if str(tmp_path / "job0003.mosd") in
+                 [r.key for r in b.refs]]
+        assert len(alone) == 1 and len(alone[0]) == 1
+        assert int(alone[0].counts[0]) == len(big)
+        for batch in batches:
+            payload = sum(r.size_bytes for r in batch.refs)
+            assert payload <= budget or len(batch) == 1
+
+    def test_batch_records_equal_decoded_records(self, corpus_dir, monkeypatch):
+        from repro.darshan import load_binary
+        from repro.darshan.io_binary import RECORD_DTYPE
+
+        monkeypatch.setattr(source_module, "BATCH_BYTES", 20_000)
+        source = DirectorySource(corpus_dir)
+        for batch in source.record_batches():
+            ends = batch.counts.cumsum()
+            for ref, meta, end, count in zip(
+                batch.refs, batch.metas, ends, batch.counts
+            ):
+                trace = load_binary(ref.key)
+                assert meta == trace.meta
+                rows = batch.records[end - count : end]
+                assert rows.tolist() == [
+                    tuple(getattr(r, f) for f in RECORD_DTYPE.names)
+                    for r in trace.records
+                ]

@@ -199,3 +199,36 @@ class TestBinaryMetaPeek:
 
         with pytest.raises(TraceFormatError, match="cannot read"):
             load_binary_meta(tmp_path / "absent.mosd")
+
+
+class TestRecordLayout:
+    """``_RECORD`` (the writer's struct) and ``RECORD_DTYPE`` (the
+    readers' array view) must describe the same 148 bytes."""
+
+    def test_sizes_agree(self):
+        from repro.darshan.io_binary import _RECORD, RECORD_DTYPE
+
+        assert _RECORD.size == RECORD_DTYPE.itemsize == 148
+
+    def test_packed_record_reads_back_field_by_field(self):
+        import numpy as np
+
+        from repro.darshan import FileRecord
+        from repro.darshan.io_binary import RECORD_DTYPE, _pack_record
+
+        names = RECORD_DTYPE.names
+        # distinct, field-identifying values: a swapped or shifted field
+        # reads back as some other field's value
+        values = {
+            name: (i + 1) * (2**33 + 7) for i, name in enumerate(names[:10])
+        }
+        values["rank"] = -12345
+        values.update({name: (i + 1) * 1.25 for i, name in enumerate(names[10:])})
+        rec = FileRecord(file_name="ignored", **values)
+        row = np.frombuffer(_pack_record(rec), dtype=RECORD_DTYPE)[0]
+        assert list(names) == [
+            f for f in FileRecord.__dataclass_fields__ if f != "file_name"
+        ]
+        for name in names:
+            got, want = row[name].item(), getattr(rec, name)
+            assert got == want and type(got) is type(want), name

@@ -140,6 +140,53 @@ class TestRunFuzz:
         assert finding.data == case.data
 
 
+class TestReaderCrossCheck:
+    """The binary entry runs loads_binary and the scan's batch reader on
+    every payload and reports any disagreement as a mismatch."""
+
+    @staticmethod
+    def _skewed(field, value):
+        from repro.darshan.source import batch_payloads
+
+        def reader(payloads):
+            batch = batch_payloads(payloads)
+            setattr(batch, field, value(batch))
+            return batch
+
+        return reader
+
+    @pytest.mark.parametrize(
+        "field, value, expect",
+        [
+            ("unreadable", lambda b: ~b.unreadable, "accepted"),
+            ("records", lambda b: b.records[:-1], "records"),
+            ("run_time", lambda b: -b.run_time, "violations"),
+        ],
+    )
+    def test_disagreement_is_a_mismatch_finding(self, monkeypatch, field, value, expect):
+        import repro.fuzz.harness as harness
+
+        monkeypatch.setattr(harness, "batch_payloads", self._skewed(field, value))
+        payload = seed_payloads("binary", 0)[0]
+        outcome, etype, msg = _run_guarded(FORMATS["binary"], payload, 5.0, 0)
+        assert (outcome, etype) == ("mismatch", "ReaderMismatch")
+        assert expect in msg
+
+    def test_refused_payload_checks_both_readers(self, monkeypatch):
+        import repro.fuzz.harness as harness
+
+        monkeypatch.setattr(
+            harness, "batch_payloads", self._skewed("unreadable", lambda b: ~b.unreadable)
+        )
+        outcome, _, msg = _run_guarded(FORMATS["binary"], b"garbage", 5.0, 0)
+        assert outcome == "mismatch" and "batch reader" in msg
+
+    def test_readers_agree_on_seed_payloads(self):
+        for payload in seed_payloads("binary", 0):
+            outcome, _, _ = _run_guarded(FORMATS["binary"], payload, 5.0, 0)
+            assert outcome == "parsed"
+
+
 class TestCommittedCorpus:
     def test_corpus_is_nonempty_per_format(self):
         by_fmt = {}
