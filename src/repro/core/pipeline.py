@@ -16,9 +16,10 @@ executor (:func:`~repro.parallel.resilient.resilient_imap`): worker
 crashes rebuild the pool, hung units are quarantined as TIMEOUT,
 transient errors are retried with backoff, and inputs that repeatedly
 kill workers are quarantined as POISON.  With a ``journal_path``, every
-per-trace outcome is checkpointed to an append-only JSONL journal as it
-settles, so a killed run resumes (``resume=True``) exactly where it
-died, on either route.  See docs/ROBUSTNESS.md.
+per-trace outcome is appended to a JSONL journal as it settles and
+committed (fsynced) once per unit, so a killed run resumes
+(``resume=True``) exactly where it died, on either route.  See
+docs/ROBUSTNESS.md.
 
 A :class:`PipelineContext` threads configuration, error policy, and
 observability (per-stage wall-clock timings plus counters: traces
@@ -102,17 +103,19 @@ class PipelineContext:
     #: :class:`repro.service.cache.ResultCache`): ``trace_key(crc,
     #: job_id)`` derives the cache key of one store row from its CRC
     #: chain and job id, ``get(key)`` returns a saved result payload or
-    #: ``None``, ``put(key, payload)`` stores one.  Consulted only for
-    #: store runs — the per-trace CRC that addresses it exists only in
-    #: ``.mosc`` v2.
+    #: ``None``, ``put(key, payload)`` stores one, ``commit()`` makes
+    #: the puts so far durable and ``close()`` ends the run's use of
+    #: it.  Consulted only for store runs — the per-trace CRC that
+    #: addresses it exists only in ``.mosc`` v2.
     result_cache: Any | None = None
     #: Optional settle hook passed to the journal-backed
     #: :class:`~repro.parallel.jobstore.JobStore`: called as
-    #: ``(kind, job_id, record, seq)`` after every durably-journaled
-    #: outcome (``kind`` is ``"result"`` or ``"failure"``; ``seq`` is
-    #: the journal settle-event sequence number, stable across
-    #: resumes).  The service's SSE live stream; no effect without
-    #: ``journal_path``.
+    #: ``(kind, job_id, record, seq)`` for every outcome once the
+    #: commit that made it durable has happened — after each unit, not
+    #: as each outcome is journaled (``kind`` is ``"result"`` or
+    #: ``"failure"``; ``seq`` is the journal settle-event sequence
+    #: number, stable across resumes).  The service's SSE live stream;
+    #: no effect without ``journal_path``.
     on_settle: Any | None = None
 
     def __post_init__(self) -> None:
@@ -339,6 +342,8 @@ def _run_pipeline_plan(
     settles every member of its unit — a failed unit journals one
     failure per member.  Journal records stay per trace however the
     work ships, so a journal started on one route resumes on another.
+    Persistence is group-committed: one journal commit (and one cache
+    commit) after the cache-served block and after each unit.
     """
     scan = plan.scan
     jobstore: JobStore | None = None
@@ -355,6 +360,7 @@ def _run_pipeline_plan(
             quarantined = set(state.quarantined)
             ctx.count("n_journal_malformed", state.n_malformed)
 
+    cache = ctx.result_cache
     source = plan.source
     bytes_before = source.bytes_read if source is not None else 0
     n_failures = 0
@@ -377,7 +383,6 @@ def _run_pipeline_plan(
             # CRC chain with its job id (plus the config/repair
             # namespace baked into the cache), so two traces whose
             # 32-bit CRCs collide never share an entry.
-            cache = ctx.result_cache
             crcs = plan.trace_crcs
             cache_keys: dict[int, str] = {}
             if cache is not None and crcs is not None:
@@ -398,6 +403,10 @@ def _run_pipeline_plan(
                     )
                     if jobstore is not None:
                         jobstore.settle_result(entry.job_id, saved)
+                # group commit: one fsync for the whole cache-served block
+                cache.commit()
+                if jobstore is not None and jobstore.commit():
+                    ctx.count("n_journal_commits")
                 pending = uncached
 
             shipped: list[list[_Member]] = []
@@ -437,19 +446,28 @@ def _run_pipeline_plan(
                                 trace_key=plan.failure_key(entry),
                                 attempts=outcome.attempts,
                             )
-                    continue
-                for (slot, entry), result in zip(members, outcome):
-                    slots[slot] = result
-                    if jobstore is None and slot not in cache_keys:
-                        continue
-                    payload = result.to_dict()
-                    if jobstore is not None:
-                        jobstore.settle_result(entry.job_id, payload)
-                    if cache is not None and slot in cache_keys:
-                        cache.put(cache_keys[slot], payload)
+                else:
+                    for (slot, entry), result in zip(members, outcome):
+                        slots[slot] = result
+                        if jobstore is None and slot not in cache_keys:
+                            continue
+                        payload = result.to_dict()
+                        if jobstore is not None:
+                            jobstore.settle_result(entry.job_id, payload)
+                        if cache is not None and slot in cache_keys:
+                            cache.put(cache_keys[slot], payload)
+                # group commit: one fsync per unit, whatever its outcome
+                if cache is not None:
+                    cache.commit()
+                if jobstore is not None and jobstore.commit():
+                    ctx.count("n_journal_commits")
     finally:
-        if jobstore is not None:
-            jobstore.close()
+        try:
+            if cache is not None:
+                cache.close()
+        finally:
+            if jobstore is not None:
+                jobstore.close()
 
     results = [r for r in slots if r is not None]
     ctx.count("n_selected", scan.n_selected)

@@ -11,7 +11,8 @@ CSV/report exports, result files — goes through this package:
   fsync + rename + parent-dir fsync: crash leaves old or new artifact,
   never a torn hybrid;
 * :func:`durable_append` / :class:`DurableAppender` — flush-per-line,
-  fsync-per-checkpoint JSONL appends for the run journal;
+  fsync-per-checkpoint (or per group commit) line appends for the run
+  journal and the result cache segments;
 * :class:`StorageError` — the typed, operation- and path-carrying
   failure every persistence site raises instead of a raw errno.
 

@@ -9,11 +9,11 @@ Two write shapes cover every artifact the system persists
   fsynced, renamed over the final path, and the parent directory is
   fsynced.  A crash at any instant leaves either the old artifact or
   the new one at the final path — never a torn hybrid;
-* **append-only logs** (the checkpoint journal) —
-  :class:`DurableAppender`: each line is flushed as written and fsynced
-  at checkpoint boundaries, so a power cut loses at most the outcomes
-  since the last checkpoint (and the journal loader already tolerates
-  one torn trailing line).
+* **append-only logs** (the checkpoint journal, result cache segments)
+  — :class:`DurableAppender`: each line is flushed as written and
+  fsynced at checkpoint or commit boundaries, so a power cut loses at
+  most the lines since the last one (and the readers already tolerate
+  a torn trailing line).
 
 Transient errnos (:data:`~repro.io.vfs.TRANSIENT_ERRNOS`) are retried
 with deterministic exponential backoff; everything else — and exhausted
@@ -212,10 +212,11 @@ class DurableAppender:
     Every line is written + flushed immediately; the file is fsynced
     every ``sync_interval`` lines (the checkpoint boundary) and on
     close, so a power cut loses at most ``sync_interval - 1`` settled
-    lines — with the default of 1, none.  A transient write failure
-    newline-terminates whatever fragment may have landed and rewrites
-    the whole line: the loader skips the malformed fragment and keeps
-    the retried entry.
+    lines — with the default of 1, none.  ``sync_interval=0`` leaves
+    the boundary to the caller: :meth:`commit` fsyncs a whole group of
+    lines at once.  A transient write failure newline-terminates
+    whatever fragment may have landed and rewrites the whole line: the
+    loader skips the malformed fragment and keeps the retried entry.
     """
 
     def __init__(
@@ -312,6 +313,21 @@ class DurableAppender:
         fh = self._require_open()
         _retry(self._io, self._policy, "fsync", self.path, self._io.fsync, fh)
         self._since_sync = 0
+
+    def commit(self) -> bool:
+        """fsync the lines appended since the last fsync, if any.
+
+        Returns False, without an fsync, when nothing was appended: a
+        group commit with an empty group costs nothing.
+        """
+        if not self._since_sync:
+            return False
+        self.checkpoint()
+        return True
+
+    def size(self) -> int:
+        """Bytes in the file now (every append is already flushed)."""
+        return os.fstat(self._require_open().fileno()).st_size
 
     def close(self, *, sync: bool = True) -> None:
         if self._fh is None:

@@ -22,19 +22,27 @@ Lifecycle::
     ...                                             # state.completed /
     store.settle_result(job_id, payload)            # state.quarantined
     store.settle_failure(job_id, failure_kind=..., ...)
+    store.commit()                                  # one fsync per unit
     store.close()                                   # manifest + unlock
 
-``on_settle`` (optional) is invoked after every durably-journaled
-outcome — the service's live-stream hook.  Every settle carries a
-1-based sequence number (:attr:`JobStore.seq`) that counts journal
-settle lines, so a resumed store continues exactly where the dead
-incarnation's numbering stopped; :func:`replay_settles` re-reads a
-journal and reproduces the same ``(seq, event)`` stream, which is what
-backs SSE ``Last-Event-ID`` resume on the server.
+Settles are group-committed: each one appends and flushes its journal
+line (a ``kill -9`` loses nothing), and :meth:`JobStore.commit` fsyncs
+every line since the previous commit at once — the driver commits once
+per unit of work.  ``on_settle`` (optional) is invoked for each
+outcome only after the commit that made it durable — the service's
+live-stream hook, so a client never sees a result a power cut could
+lose.  Every settle carries a 1-based sequence number
+(:attr:`JobStore.seq`) that counts journal settle lines, so a resumed
+store continues exactly where the dead incarnation's numbering
+stopped; :attr:`JobStore.committed_seq` is the last durable one.
+:func:`replay_settles` re-reads a journal and reproduces the same
+``(seq, event)`` stream, which is what backs SSE ``Last-Event-ID``
+resume on the server.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 from typing import Any, Callable
 
@@ -57,24 +65,29 @@ SettleFn = Callable[[str, int, dict[str, Any], int], None]
 
 
 def replay_settles(
-    path: str | os.PathLike[str], *, after: int = 0
+    path: str | os.PathLike[str], *, after: int = 0, upto: int | None = None
 ) -> list[tuple[int, str, dict[str, Any]]]:
-    """Settle events journaled at ``path`` with sequence number > ``after``.
+    """Settle events journaled at ``path`` with ``after < seq <= upto``.
 
     Returns ``(seq, kind, record)`` triples in journal order, where
     ``record`` is the journal entry (``result`` lines carry the payload
-    under ``"result"``; ``failure`` lines are the failure record).  A
-    missing or unreadable journal replays as empty — the caller treats
-    that as "nothing settled yet", the same answer a fresh job gives.
+    under ``"result"``; ``failure`` lines are the failure record).
+    ``upto`` (default: no bound) caps the replay at a live store's
+    :attr:`JobStore.committed_seq`, so lines written but not yet
+    committed are never replayed.  A missing or unreadable journal
+    replays as empty — the caller treats that as "nothing settled
+    yet", the same answer a fresh job gives.
     """
+    out: list[tuple[int, str, dict[str, Any]]] = []
     try:
-        return [
-            (seq, kind, entry)
-            for seq, kind, entry in iter_settle_events(path)
-            if seq > after
-        ]
+        for seq, kind, entry in iter_settle_events(path):
+            if upto is not None and seq > upto:
+                break
+            if seq > after:
+                out.append((seq, kind, entry))
     except OSError:
         return []
+    return out
 
 
 class JobStore:
@@ -91,12 +104,10 @@ class JobStore:
         path: str | os.PathLike[str],
         *,
         resume: bool = False,
-        sync_interval: int = 1,
         on_settle: SettleFn | None = None,
     ) -> None:
         self.path = os.fspath(path)
         self.resuming = resume and os.path.exists(self.path)
-        self.sync_interval = sync_interval
         self.on_settle = on_settle
         self._writer: JournalWriter | None = None
         #: Failure records quarantined this run *or* inherited from the
@@ -107,11 +118,20 @@ class JobStore:
         #: count in :meth:`open`, so event numbering is stable across
         #: kill/restart cycles.
         self.seq = 0
+        #: Sequence number of the last settle made durable by
+        #: :meth:`commit` (or inherited, fsynced, on resume).
+        self.committed_seq = 0
+        #: Settle events waiting for the next commit to be published.
+        self._unpublished: list[tuple[str, int, dict[str, Any], int]] = []
         self._closed = False
 
     # ------------------------------------------------------------------
     def open(self, *, n_selected: int) -> JournalState:
         """Load prior state, take the lock, write the header if fresh.
+
+        A resumed journal is fsynced before its lines count as settled:
+        a line that survived a ``kill -9`` only in the page cache is
+        durable before any client is told about it.
 
         Raises :class:`ValueError` when a resumed journal was written
         for a corpus with a different selected-trace count, and
@@ -133,14 +153,18 @@ class JobStore:
                     f"selects {n_selected} — refusing to resume"
                 )
             self.quarantine_records.extend(state.quarantined.values())
-            self.seq = state.n_settle_events
-        self._writer = JournalWriter(
-            self.path,
-            append=self.resuming,
-            sync_interval=self.sync_interval,
-        )
-        if not self.resuming:
-            self._writer.write_header(n_selected=n_selected)
+        writer = JournalWriter(self.path, append=self.resuming, sync_interval=0)
+        try:
+            if self.resuming:
+                writer.checkpoint()
+            else:
+                writer.write_header(n_selected=n_selected)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                writer.close()
+            raise
+        self._writer = writer
+        self.seq = self.committed_seq = state.n_settle_events
         return state
 
     def _require_writer(self) -> JournalWriter:
@@ -150,13 +174,17 @@ class JobStore:
             )
         return self._writer
 
-    # ------------------------------------------------------------------
-    def settle_result(self, job_id: int, payload: dict[str, Any]) -> None:
-        """Durably record one completed categorization."""
-        self._require_writer().record_result(job_id, payload)
+    def _settled(self, kind: str, job_id: int, record: dict[str, Any]) -> None:
         self.seq += 1
         if self.on_settle is not None:
-            self.on_settle("result", job_id, payload, self.seq)
+            self._unpublished.append((kind, job_id, record, self.seq))
+
+    # ------------------------------------------------------------------
+    def settle_result(self, job_id: int, payload: dict[str, Any]) -> None:
+        """Journal one completed categorization (durable at the next
+        :meth:`commit`)."""
+        self._require_writer().record_result(job_id, payload)
+        self._settled("result", job_id, payload)
 
     def settle_failure(
         self,
@@ -168,7 +196,8 @@ class JobStore:
         trace_key: str = "",
         attempts: int = 1,
     ) -> bool:
-        """Durably record one failure; True when it was quarantined."""
+        """Journal one failure (durable at the next :meth:`commit`);
+        True when it was quarantined."""
         record = {
             "job_id": job_id,
             "failure_kind": failure_kind,
@@ -188,18 +217,29 @@ class JobStore:
             trace_key=trace_key,
             attempts=attempts,
         )
-        self.seq += 1
-        if self.on_settle is not None:
-            self.on_settle("failure", job_id, record, self.seq)
+        self._settled("failure", job_id, record)
         return quarantined
 
-    def checkpoint(self) -> None:
-        """Force-fsync everything settled so far."""
-        self._require_writer().checkpoint()
+    def commit(self) -> bool:
+        """Make every settle since the last commit durable, then
+        publish them to ``on_settle`` in sequence order.
+
+        One fsync however many settles the group holds, and none when
+        nothing was appended since the last commit; returns whether an
+        fsync happened.
+        """
+        synced = self._require_writer().commit()
+        self.committed_seq = self.seq
+        events, self._unpublished = self._unpublished, []
+        if self.on_settle is not None:
+            for kind, job_id, record, seq in events:
+                self.on_settle(kind, job_id, record, seq)
+        return synced
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the journal lock and publish the quarantine manifest.
+        """Commit, release the journal lock and publish the quarantine
+        manifest.
 
         Idempotent.  The manifest is written even when nothing was
         quarantined (its absence must always mean "no journaled run")
@@ -208,15 +248,18 @@ class JobStore:
         """
         if self._closed:
             return
-        writer, self._writer = self._writer, None
-        if writer is None:
+        if self._writer is None:
             self._closed = True
             return
         try:
-            writer.close()
+            self.commit()
         finally:
-            self._closed = True
-            write_quarantine_manifest(self.path, self.quarantine_records)
+            writer, self._writer = self._writer, None
+            try:
+                writer.close()
+            finally:
+                self._closed = True
+                write_quarantine_manifest(self.path, self.quarantine_records)
 
     def __enter__(self) -> "JobStore":
         return self

@@ -18,9 +18,9 @@ Format (one JSON object per line):
   one failed trace with its taxonomy kind, error class, and source key.
 
 The file is crash-tolerant by construction: lines are flushed as
-written and fsynced at checkpoint boundaries (every line by default),
-so a killed process — or a power cut — leaves at most one partial
-trailing line, which the loader ignores.
+written and fsynced at commit boundaries, so a killed process — or a
+power cut — leaves at most one partial trailing line, which the loader
+ignores.
 Quarantined outcomes (TIMEOUT/POISON) are skipped on resume — a hung
 decode does not get to hang every resumed run — while plain EXCEPTION
 failures are re-attempted, since they may have been environmental.
@@ -287,15 +287,17 @@ def release_journal_lock(lock_path: str) -> None:
 
 
 class JournalWriter:
-    """Append-only writer; one flushed, fsynced JSON line per outcome.
+    """Append-only writer; one flushed JSON line per outcome.
 
     Opened in truncate mode for a fresh run and append mode for a
     resumed one.  Writes go through :class:`repro.io.DurableAppender`:
-    every line is flushed as written and the file is fsynced every
-    ``sync_interval`` lines (default 1), so a power cut — not just a
-    ``kill -9`` — loses at most the outcomes since the last checkpoint.
-    Storage failures surface as :class:`repro.io.StorageError` naming
-    the journal path.
+    every line is flushed as written, so a ``kill -9`` loses nothing.
+    The file is fsynced every ``sync_interval`` lines (default 1), and
+    with ``sync_interval=0`` only at :meth:`commit`, :meth:`checkpoint`
+    and close — the group commit :class:`~repro.parallel.jobstore.JobStore`
+    uses, where a power cut loses at most the outcomes since the last
+    commit.  Storage failures surface as :class:`repro.io.StorageError`
+    naming the journal path.
 
     Construction takes the ``<path>.lock`` sidecar exclusively
     (:func:`acquire_journal_lock`) and :meth:`close` releases it, so two
@@ -373,6 +375,13 @@ class JournalWriter:
         """Force-fsync everything journaled so far."""
         if self._appender is not None:
             self._appender.checkpoint()
+
+    def commit(self) -> bool:
+        """fsync the lines written since the last fsync; False (and no
+        fsync) when there are none."""
+        if self._appender is None:
+            raise ValueError(f"journal {self.path!r} is closed")
+        return self._appender.commit()
 
     def close(self) -> None:
         try:

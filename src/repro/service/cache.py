@@ -13,29 +13,51 @@ record slab, operation slabs, and every referenced heap string) plus
 the trace's job id, since a 32-bit CRC alone collides across a fleet,
 mixed with a namespace digest of the
 :class:`~repro.core.thresholds.MosaicConfig` repr and the repair flag,
-since either changes the output.  Entries are
-one JSON file per key, fanned out by the key's first byte
-(``<root>/<k[:2]>/<k>.json``), written atomically through
-:mod:`repro.io` so a crash never publishes a torn entry.
+since either changes the output.
+
+Entries live in append-only *segments*, one directory per namespace
+(``<root>/<namespace>/<random hex>.seg``).  A run's puts append to one
+segment through :class:`repro.io.DurableAppender`, and :meth:`commit`
+fsyncs it once per unit of work.  Each entry is one line that checks
+itself::
+
+    <key> <length> <crc32(key + payload):08x> <payload>
+
+where ``payload`` is the exact compact JSON the pipeline journaled.
+Hits come from an in-memory index (key → segment, offset, length,
+CRC), rebuilt by scanning the segments the first time the cache is
+used; the rebuild truncates a torn or zero-filled segment tail.
 
 The cache is a performance artifact, like the lint cache: a miss, a
-torn entry, or a failed write must never fail the categorization that
-consulted it — reads degrade to misses and writes are dropped (counted
-in :attr:`ResultCache.put_errors`).  Served payloads are the exact JSON
-the pipeline journaled when the trace was first categorized, so a cache
-hit is byte-identical to a re-run.
+torn or foreign entry, or a failed write must never fail the
+categorization that consulted it — reads degrade to misses and writes
+are dropped (counted in :attr:`ResultCache.put_errors`).  Served
+payloads are the exact JSON the pipeline journaled when the trace was
+first categorized, so a cache hit is byte-identical to a re-run.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
-from typing import Any
+import zlib
+from typing import IO, Any
 
-from ..io import StorageError, atomic_write_text
+from ..io import DurableAppender, StorageError
 
 __all__ = ["ResultCache", "config_namespace"]
+
+#: Segment file suffix inside a namespace directory.
+_SEGMENT_SUFFIX = ".seg"
+
+#: Hex digits of a cache key (see :meth:`ResultCache.trace_key`).
+_KEY_LEN = 40
+
+#: Where one entry's payload lives: (segment path, payload offset,
+#: payload length, CRC of key + payload).
+_Location = tuple[str, int, int, int]
 
 
 def config_namespace(config: Any, repair: bool = False) -> str:
@@ -52,21 +74,56 @@ def config_namespace(config: Any, repair: bool = False) -> str:
     return digest[:16]
 
 
+def _entry_crc(key: bytes, payload: bytes) -> int:
+    return zlib.crc32(payload, zlib.crc32(key))
+
+
+def _parse_entry(line: bytes) -> tuple[str, int, int, int] | None:
+    """``(key, payload offset in line, length, crc)`` of one complete,
+    self-consistent entry line, else ``None``."""
+    if not line.endswith(b"\n"):
+        return None
+    parts = line[:-1].split(b" ", 3)
+    if len(parts) != 4 or len(parts[0]) != _KEY_LEN:
+        return None
+    key, raw_len, raw_crc, payload = parts
+    try:
+        text_key = key.decode("ascii")
+        length = int(raw_len)
+        crc = int(raw_crc, 16)
+    except ValueError:
+        return None
+    if length != len(payload) or crc != _entry_crc(key, payload):
+        return None
+    return text_key, len(line) - 1 - length, length, crc
+
+
 class ResultCache:
-    """Directory-backed content-addressed store of result payloads.
+    """Segment-backed content-addressed store of result payloads.
 
     Implements the duck-typed protocol
     :attr:`repro.core.pipeline.PipelineContext.result_cache` consumes:
-    :meth:`trace_key`, :meth:`get`, :meth:`put`.  Hit/miss counters feed
-    the service's ``/metrics`` endpoint.
+    :meth:`trace_key`, :meth:`get`, :meth:`put`, :meth:`commit` and
+    :meth:`close`.  One thread at a time drives it (the pipeline run
+    that holds it).  Hit/miss counters and segment totals feed the
+    service's ``/metrics`` endpoint.
     """
 
     def __init__(self, root: str | os.PathLike[str], *, namespace: str = "") -> None:
         self.root = os.fspath(root)
         self.namespace = namespace
+        self.directory = os.path.join(self.root, namespace or "default")
         self.hits = 0
         self.misses = 0
         self.put_errors = 0
+        #: Segment bytes known to the index (rebuilt plus appended).
+        self.bytes = 0
+        #: Torn or zero-filled tail bytes dropped by the rebuild.
+        self.truncated_bytes = 0
+        self._index: dict[str, _Location] | None = None
+        self._segments: set[str] = set()
+        self._writer: DurableAppender | None = None
+        self._readers: dict[str, IO[bytes]] = {}
 
     @classmethod
     def for_config(
@@ -90,48 +147,151 @@ class ResultCache:
         digest = hashlib.sha256(
             f"{self.namespace}:{trace_crc & 0xFFFFFFFF:08x}:{job_id}".encode()
         ).hexdigest()
-        return digest[:40]
+        return digest[:_KEY_LEN]
 
-    def entry_path(self, key: str) -> str:
-        """Where ``key``'s payload lives (two-level fan-out)."""
-        return os.path.join(self.root, key[:2], f"{key}.json")
+    # -- index ---------------------------------------------------------
+    def _load(self) -> dict[str, _Location]:
+        """The key index, rebuilt from the segments on first use."""
+        if self._index is None:
+            self._index = {}
+            try:
+                names = sorted(os.listdir(self.directory))
+            except OSError:
+                names = []
+            for name in names:
+                if name.endswith(_SEGMENT_SUFFIX):
+                    self._scan(self._index, os.path.join(self.directory, name))
+        return self._index
+
+    def _scan(self, index: dict[str, _Location], path: str) -> None:
+        """Index one segment's valid entries; truncate a bad tail.
+
+        Entries are complete lines, so a bad line in the middle (a torn
+        append a retry re-wrote after) is skipped and scanning resumes
+        at the next newline.  Everything past the last valid entry —
+        a torn final append, or the zero fill a power cut can leave —
+        is cut off, so the segment ends on an entry boundary again.
+        """
+        valid_end = pos = 0
+        try:
+            with open(path, "rb") as fh:  # read path: not the seam
+                for line in fh:
+                    entry = _parse_entry(line)
+                    if entry is not None:
+                        key, start, length, crc = entry
+                        index[key] = (path, pos + start, length, crc)
+                        valid_end = pos + len(line)
+                    pos += len(line)
+        except OSError:
+            return
+        self._segments.add(path)
+        if pos > valid_end:
+            # outside the seam on purpose: the cut only drops bytes no
+            # reader accepts, and one lost to a crash is redone by the
+            # next rebuild
+            with contextlib.suppress(OSError):
+                os.truncate(path, valid_end)
+                self.truncated_bytes += pos - valid_end
+        self.bytes += valid_end
+
+    def _read(self, location: _Location, key: str) -> dict[str, Any] | None:
+        path, offset, length, crc = location
+        fh = self._readers.get(path)
+        if fh is None:
+            fh = self._readers[path] = open(path, "rb")
+        fh.seek(offset)
+        data = fh.read(length)
+        if len(data) != length or _entry_crc(key.encode("ascii"), data) != crc:
+            return None
+        payload = json.loads(data)
+        return payload if isinstance(payload, dict) else None
 
     # -- protocol ------------------------------------------------------
     def get(self, key: str) -> dict[str, Any] | None:
         """Saved payload for ``key``, or ``None`` (counted as a miss).
 
-        Unreadable or torn entries degrade to misses: the pipeline
-        recomputes, and the next :meth:`put` heals the entry.
+        A missing, unreadable or corrupted entry degrades to a miss and
+        leaves the index, so the pipeline recomputes and the next
+        :meth:`put` heals the entry.
         """
-        try:
-            with open(self.entry_path(key), "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except (OSError, json.JSONDecodeError, ValueError):
-            self.misses += 1
-            return None
-        if not isinstance(payload, dict):
+        index = self._load()
+        location = index.get(key)
+        payload = None
+        if location is not None:
+            with contextlib.suppress(OSError, ValueError):
+                payload = self._read(location, key)
+            if payload is None:
+                del index[key]
+        if payload is None:
             self.misses += 1
             return None
         self.hits += 1
         return payload
 
     def put(self, key: str, payload: dict[str, Any]) -> None:
-        """Persist ``payload`` under ``key`` (atomic, best-effort).
+        """Append ``payload`` under ``key`` (best-effort; durable at the
+        next :meth:`commit`).
 
-        A cache that cannot be written is a performance loss, not a
-        failure: storage errors are counted and swallowed so the
-        categorization that produced ``payload`` still succeeds.
+        Re-putting an indexed key is a no-op.  A cache that cannot be
+        written is a performance loss, not a failure: storage errors are
+        counted and swallowed so the categorization that produced
+        ``payload`` still succeeds, and the segment that failed is
+        abandoned — the next put starts a fresh one.
         """
-        path = self.entry_path(key)
+        index = self._load()
+        if key in index:
+            return
+        # json.dumps escapes every non-ASCII character and newline, so
+        # the entry is one ASCII line and characters count bytes
+        data = json.dumps(payload, separators=(",", ":"), sort_keys=False)
+        crc = _entry_crc(key.encode("ascii"), data.encode("ascii"))
+        line = f"{key} {len(data)} {crc:08x} {data}"
         try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            atomic_write_text(
-                path,
-                json.dumps(payload, separators=(",", ":"), sort_keys=False)
-                + "\n",
-            )
+            writer = self._writer
+            if writer is None:
+                os.makedirs(self.directory, exist_ok=True)
+                writer = self._writer = DurableAppender(
+                    os.path.join(
+                        self.directory, os.urandom(16).hex() + _SEGMENT_SUFFIX
+                    ),
+                    sync_interval=0,
+                )
+                self._segments.add(writer.path)
+            writer.append_line(line)
+            end = writer.size()
         except (StorageError, OSError):
             self.put_errors += 1
+            self._drop_writer()
+            return
+        index[key] = (writer.path, end - 1 - len(data), len(data), crc)
+        self.bytes += len(line) + 1
+
+    def commit(self) -> None:
+        """fsync the puts since the last commit: one fsync per unit of
+        work, none when nothing was put.  A failed fsync is counted in
+        :attr:`put_errors` and abandons the segment."""
+        if self._writer is None:
+            return
+        try:
+            self._writer.commit()
+        except (StorageError, OSError):
+            self.put_errors += 1
+            self._drop_writer()
+
+    def close(self) -> None:
+        """Commit, close the run's segment and every segment opened for
+        reading.  The index stays: the next put starts a new segment."""
+        self.commit()
+        self._drop_writer()
+        readers, self._readers = self._readers, {}
+        for fh in readers.values():
+            fh.close()
+
+    def _drop_writer(self) -> None:
+        writer, self._writer = self._writer, None
+        if writer is not None:
+            with contextlib.suppress(StorageError, OSError):
+                writer.close(sync=False)
 
     # -- observability -------------------------------------------------
     @property
@@ -140,11 +300,16 @@ class ResultCache:
         return self.hits / total if total else 0.0
 
     def stats(self) -> dict[str, Any]:
-        """Counter snapshot for ``/metrics``."""
+        """Counter snapshot for ``/metrics`` (segment totals read zero
+        until the first job builds the index)."""
         return {
             "hits": self.hits,
             "misses": self.misses,
             "hit_rate": round(self.hit_rate, 4),
             "put_errors": self.put_errors,
+            "entries": len(self._index or ()),
+            "segments": len(self._segments),
+            "bytes": self.bytes,
+            "truncated_bytes": self.truncated_bytes,
             "namespace": self.namespace,
         }

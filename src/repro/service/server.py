@@ -28,8 +28,9 @@ The server is built to stay correct *under* overload and restarts:
   registered for the next incarnation), sends every SSE subscriber a
   terminal ``drain`` event, and exits.  A hard deadline
   (``drain_timeout_s``) escalates to the kill-9-safe resume path: the
-  journal has checkpointed every settled trace, so abandoning the
-  in-flight job costs only the one trace in flight;
+  journal has committed every finished unit of work, so abandoning the
+  in-flight job costs only the unit in flight (one trace, or one store
+  slice);
 * **durability** — the job registry (``<data>/jobs.jsonl``) is a
   :class:`~repro.io.DurableAppender` log replayed at startup; each
   job's per-trace outcomes live in its own
@@ -52,7 +53,9 @@ Routes::
                               500 failed | 507 storage-failed
     GET  /jobs/<id>/events    SSE settle stream until terminal; settle
                               events carry ``id:`` so ``Last-Event-ID``
-                              resumes from the journal
+                              resumes from the journal; a settle event
+                              goes out only after the journal commit
+                              that made it durable
 
 A job that dies with :class:`~repro.io.StorageError` (disk full, torn
 device) is reported as HTTP 507 Insufficient Storage, matching the
@@ -103,7 +106,7 @@ _TERMINAL = frozenset({"done", "failed", "storage-failed"})
 _SSE_TERMINAL = frozenset({"finished", "drain"})
 
 #: Exit status of a drain that hit its hard deadline: the process
-#: abandons the in-flight executor thread (journal already checkpointed
+#: abandons the in-flight executor thread (the journal already holds
 #: every settled trace) and the supervisor restarts into journal resume.
 DRAIN_ESCALATION_EXIT = 75  # EX_TEMPFAIL: transient, retry (restart) works
 
@@ -264,6 +267,9 @@ class MosaicServer:
         self._conn_tasks: set[asyncio.Task] = set()
         #: job_id -> SSE subscriber queues.
         self._subscribers: dict[str, list[asyncio.Queue]] = {}
+        #: job_id -> seq of the last committed settle published this
+        #: incarnation (loop side): the replay bound of a live job.
+        self._committed_seq: dict[str, int] = {}
         #: Jobs run on a dedicated executor so an abandoned (escalated)
         #: job never blocks ``loop.shutdown_default_executor``.
         self._job_executor = concurrent.futures.ThreadPoolExecutor(
@@ -416,6 +422,8 @@ class MosaicServer:
         loop.call_soon_threadsafe(self._publish_on_loop, job_id, event)
 
     def _publish_on_loop(self, job_id: str, event: dict[str, Any]) -> None:
+        if "seq" in event:
+            self._committed_seq[job_id] = event["seq"]
         for queue in self._subscribers.get(job_id, []):
             queue.put_nowait(event)
 
@@ -533,8 +541,14 @@ class MosaicServer:
         for job in self.jobs.values():
             by_status[job.status] = by_status.get(job.status, 0) + 1
         caches = [c.stats() for c in self._caches.values()]
-        hits = sum(c["hits"] for c in caches)
-        misses = sum(c["misses"] for c in caches)
+        totals = {
+            name: sum(c[name] for c in caches)
+            for name in (
+                "hits", "misses", "entries", "segments", "bytes",
+                "truncated_bytes",
+            )
+        }
+        hits, misses = totals["hits"], totals["misses"]
         with self._metrics_lock:
             pipeline = dict(self.pipeline_metrics)
         return {
@@ -544,8 +558,7 @@ class MosaicServer:
             "jobs": by_status,
             "admission": self.admission.snapshot(),
             "cache": {
-                "hits": hits,
-                "misses": misses,
+                **totals,
                 "hit_rate": round(hits / (hits + misses), 4)
                 if hits + misses
                 else 0.0,
@@ -1102,6 +1115,35 @@ class MosaicServer:
             return f"id: {event['seq']}\ndata: {data}\n\n".encode()
         return f"data: {data}\n\n".encode()
 
+    async def _replay(
+        self,
+        writer: asyncio.StreamWriter,
+        job_id: str,
+        after: int,
+        upto: int | None,
+    ) -> int:
+        """Send the journaled settle events with ``after < seq <= upto``;
+        returns the last seq sent (``after`` when none)."""
+        assert self._loop is not None
+        journal = os.path.join(self._job_dir(job_id), "journal.jsonl")
+        replayed = await self._loop.run_in_executor(
+            None,
+            functools.partial(replay_settles, journal, after=after, upto=upto),
+        )
+        for seq, kind, entry in replayed:
+            writer.write(
+                self._sse_frame(
+                    {
+                        "event": kind,
+                        "trace_job_id": int(entry["job_id"]),
+                        "seq": seq,
+                    }
+                )
+            )
+            after = seq
+        await writer.drain()
+        return after
+
     async def _handle_events(
         self,
         job_id: str,
@@ -1145,22 +1187,14 @@ class MosaicServer:
                 )
                 await writer.drain()
             if after is not None:
-                journal = os.path.join(self._job_dir(job_id), "journal.jsonl")
-                replayed = await self._loop.run_in_executor(
-                    None, functools.partial(replay_settles, journal, after=after)
+                # a job still in flight replays only what its commits
+                # made durable; later settles arrive as live events
+                upto = (
+                    None
+                    if job.status in _TERMINAL
+                    else self._committed_seq.get(job_id, 0)
                 )
-                for seq, kind, entry in replayed:
-                    writer.write(
-                        self._sse_frame(
-                            {
-                                "event": kind,
-                                "trace_job_id": int(entry["job_id"]),
-                                "seq": seq,
-                            }
-                        )
-                    )
-                    sent = seq
-                await writer.drain()
+                sent = await self._replay(writer, job_id, sent, upto)
             if queue is None:
                 # terminal (or draining) at subscribe time: replay above
                 # is all there is — finish with the terminal event
@@ -1186,6 +1220,16 @@ class MosaicServer:
                 seq = event.get("seq")
                 if seq is not None and seq <= sent:
                     continue  # already delivered by the journal replay
+                if after is not None and (
+                    event.get("event") == "finished"
+                    or (seq is not None and seq > sent + 1)
+                ):
+                    # a committed event covers every settle before it:
+                    # fill the gap from the journal (a resumed job's
+                    # inherited settles are never published live)
+                    sent = await self._replay(
+                        writer, job_id, sent, None if seq is None else seq - 1
+                    )
                 writer.write(self._sse_frame(event))
                 await writer.drain()
                 if seq is not None:
@@ -1238,8 +1282,8 @@ class MosaicServer:
                 return
             if self._loop.time() >= deadline:
                 # hard-deadline escalation: abandon the executor thread;
-                # the job's journal has checkpointed every settled trace,
-                # so the restart resumes it (the kill-9-safe path)
+                # the job's journal holds every settled trace, so the
+                # restart resumes it (the kill-9-safe path)
                 self.drain_escalated = True
                 return
             await asyncio.sleep(0.05)

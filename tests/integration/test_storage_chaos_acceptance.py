@@ -20,6 +20,7 @@ A machine-readable summary lands at ``MOSAIC_CHAOS_REPORT`` (or
 ``<tmp>/chaos-report.json``) for CI artifact upload.
 """
 
+import contextlib
 import errno
 import json
 import os
@@ -31,11 +32,13 @@ from repro.columnar import compile_corpus, verify_store
 from repro.darshan.source import InMemorySource
 from repro.io import StorageError, scoped_io
 from repro.lint.baseline import Baseline
+from repro.parallel.jobstore import JobStore
 from repro.parallel.journal import (
     JournalState,
     JournalWriter,
     write_quarantine_manifest,
 )
+from repro.service import ResultCache
 from repro.synth import FleetConfig, generate_fleet
 from repro.testing import (
     FAULT_POWER_CUT,
@@ -80,7 +83,7 @@ def _site_journal(root):
 
 
 def _site_journal_sync1(root):
-    # fsync-per-line (the pipeline default): every op is a case
+    # fsync-per-line (JournalWriter's default): every op is a case
     with JournalWriter(str(root / "sync1.jsonl")) as journal:
         journal.write_header(n_selected=9)
         for job in range(9):
@@ -97,6 +100,53 @@ def _site_journal_resume(root):
     with JournalWriter(path, append=True, sync_interval=2) as journal:
         for job in range(1, 8):
             journal.record_result(job, {"job_id": job})
+
+
+#: Settle seqs published by the last ``jobstore-commit`` run: on_settle
+#: fires only after the commit's fsync, so each one must be durable.
+_PUBLISHED: list[int] = []
+
+
+def _site_jobstore_commit(root):
+    # group commit: three units of settles, one commit each
+    _PUBLISHED.clear()
+    store = JobStore(
+        str(root / "job.jsonl"),
+        on_settle=lambda _kind, _job, _record, seq: _PUBLISHED.append(seq),
+    )
+    store.open(n_selected=8)
+    try:
+        for unit in ((0, 1, 2), (3, 4), (5, 6, 7)):
+            for job in unit:
+                if job == 4:
+                    store.settle_failure(
+                        job, failure_kind="exception", error_type="E", message="m"
+                    )
+                else:
+                    store.settle_result(job, {"job_id": job})
+            store.commit()
+    except StorageError:
+        with contextlib.suppress(StorageError):
+            store.close()
+        raise
+    store.close()
+
+
+#: (key, payload) pairs the ``cache-segment`` site puts, two units.
+_CACHE_ENTRIES = [
+    (f"{i:040x}", {"job_id": i, "categories": ["c" * (i % 5)]}) for i in range(10)
+]
+
+
+def _site_cache_segment(root):
+    # puts plus one commit per unit; storage errors are swallowed into
+    # put_errors, so only a power cut escapes
+    cache = ResultCache(root / "cache", namespace="ns")
+    for unit in (_CACHE_ENTRIES[:6], _CACHE_ENTRIES[6:]):
+        for key, payload in unit:
+            cache.put(key, payload)
+        cache.commit()
+    cache.close()
 
 
 def _site_quarantine(root):
@@ -119,6 +169,8 @@ SITES = {
     "journal": (_site_journal, "run.jsonl"),
     "journal-sync1": (_site_journal_sync1, "sync1.jsonl"),
     "journal-resume": (_site_journal_resume, "resume.jsonl"),
+    "jobstore-commit": (_site_jobstore_commit, "job.jsonl"),
+    "cache-segment": (_site_cache_segment, None),
     "quarantine": (_site_quarantine, "run.jsonl.quarantine.json"),
     "baseline": (_site_baseline, "baseline.json"),
     "csv": (_site_csv, "t.csv"),
@@ -144,13 +196,24 @@ def _reset(root):
 
 def _check_artifact(site, root, artifact, complete):
     """Absent-or-complete, and loadable by the artifact's own reader."""
+    if site == "cache-segment":
+        # a rebuilt index serves each key its exact payload, or a miss
+        rebuilt = ResultCache(root / "cache", namespace="ns")
+        served = [rebuilt.get(key) for key, _payload in _CACHE_ENTRIES]
+        for (_key, payload), got in zip(_CACHE_ENTRIES, served):
+            assert got is None or got == payload, "cache served a wrong payload"
+        rebuilt.close()
+        return "complete" if None not in served else "prefix"
     path = root / artifact
     content = path.read_bytes() if path.exists() else None
     if content is None:
         return "absent"
-    if site in ("journal", "journal-sync1", "journal-resume"):
+    if site in ("journal", "journal-sync1", "journal-resume", "jobstore-commit"):
         state = JournalState.load(path)  # parses whatever survived
         assert len(state.completed) <= 30
+        if site == "jobstore-commit":
+            # every settle a client was told about survived
+            assert state.n_settle_events >= max(_PUBLISHED, default=0)
         return "complete" if content == complete else "prefix"
     assert content == complete, f"torn {artifact} at {site}"
     if site == "compile":
@@ -166,7 +229,7 @@ def test_storage_chaos_acceptance(tmp_path):
         with scoped_io(StorageChaos(root)) as chaos:
             action(root)
             census = list(chaos.ops_log)
-        complete = (root / artifact).read_bytes()
+        complete = (root / artifact).read_bytes() if artifact else None
         for op, idx in _per_op_indexes(census):
             for fault in FAULTS:
                 cases.append((site, action, artifact, complete, op, idx, fault))

@@ -214,6 +214,18 @@ class TestDurableAppender:
         app.close()
         assert chaos.counts["fsync"] == 1
 
+    def test_commit_fsyncs_a_group_once_and_an_empty_group_never(self, tmp_path):
+        chaos = StorageChaos(tmp_path)
+        app = DurableAppender(tmp_path / "l.jsonl", sync_interval=0, io=chaos)
+        assert app.commit() is False
+        app.append_line("a")
+        app.append_line("b")
+        assert app.size() == len("a\nb\n")
+        assert app.commit() is True
+        assert app.commit() is False
+        app.close()  # nothing left to sync
+        assert chaos.counts["fsync"] == 1
+
     def test_negative_sync_interval_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             DurableAppender(tmp_path / "l", sync_interval=-1)

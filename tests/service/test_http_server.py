@@ -18,12 +18,15 @@ import asyncio
 
 import pytest
 
+from repro.cli.main import main as cli_main
 from repro.columnar import compile_corpus
 from repro.core import run_pipeline_store, save_results_jsonl
 from repro.darshan import DirectorySource, save_binary
 from repro.io import scoped_io
 from repro.parallel import ParallelConfig
+from repro.parallel.journal import JournalWriter
 from repro.service import MosaicServer
+from repro.service.server import JobRecord
 from repro.synth import FleetConfig, generate_fleet
 from repro.testing import StorageChaos
 
@@ -307,6 +310,70 @@ class TestEvents:
             _shutdown(server, thread)
 
 
+    def test_replay_of_a_running_job_stops_at_committed_seq(self, tmp_path):
+        """A running job's journal may hold settle lines its store has
+        not committed yet: ``Last-Event-ID`` replay must stop at the
+        last committed one, and the rest go out once a commit covers
+        them."""
+        server = MosaicServer(tmp_path / "data", port=0)
+        thread, endpoint = _start(server)
+        job_id = "job-000042"
+        try:
+            # a job mid-run: five settle lines journaled, three committed
+            server.jobs[job_id] = JobRecord(
+                job_id=job_id, kind="store", path="/x.mosc", status="running"
+            )
+            job_dir = server._job_dir(job_id)
+            os.makedirs(job_dir)
+            with JournalWriter(os.path.join(job_dir, "journal.jsonl")) as journal:
+                journal.write_header(n_selected=5)
+                for trace in range(5):
+                    journal.record_result(trace, {"job_id": trace})
+            server._publish(job_id, {"event": "result", "trace_job_id": 2, "seq": 3})
+            deadline = time.monotonic() + 30
+            while server._committed_seq.get(job_id) != 3:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+
+            conn = http.client.HTTPConnection(
+                endpoint["host"], endpoint["port"], timeout=60
+            )
+            try:
+                conn.request(
+                    "GET", f"/jobs/{job_id}/events", headers={"Last-Event-ID": "0"}
+                )
+                resp = conn.getresponse()
+                assert resp.status == 200
+
+                def frame():
+                    lines = []
+                    while True:
+                        line = resp.readline()
+                        assert line, "stream closed early"
+                        if line == b"\n":
+                            return lines
+                        lines.append(line.rstrip(b"\n"))
+
+                assert frame()[0].startswith(b'data: {"event":"subscribed"')
+                assert [frame()[0] for _ in range(3)] == [
+                    b"id: 1", b"id: 2", b"id: 3"
+                ]
+                # a marker published now arrives before anything past the
+                # committed seq: the replay stopped at 3
+                server._publish(job_id, {"event": "running"})
+                assert frame() == [b'data: {"event":"running"}']
+                # the commit covering settles 4 and 5 publishes seq 5; the
+                # gap below it is filled from the journal
+                server._publish(job_id, {"event": "result", "trace_job_id": 4, "seq": 5})
+                assert [frame()[0] for _ in range(2)] == [b"id: 4", b"id: 5"]
+                server._publish(job_id, {"event": "finished", "status": "done"})
+                assert frame() == [b'data: {"event":"finished","status":"done"}']
+            finally:
+                conn.close()
+        finally:
+            _shutdown(server, thread)
+
+
 # -- storage exhaustion ------------------------------------------------
 class _JobsDirChaos(StorageChaos):
     """Faults scoped to paths under the chaos root; the registry and
@@ -345,6 +412,73 @@ class TestStorageFailure:
             assert _wait_terminal(endpoint, job_id)["status"] == "done"
         finally:
             _shutdown(server, thread)
+
+
+# -- cross-route resume -------------------------------------------------
+def _truncate_journal(path, n_outcomes):
+    """Keep the header plus the first ``n_outcomes`` settle lines — the
+    journal a run killed at that point leaves behind."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    with open(path, "wb") as fh:
+        fh.writelines(lines[: 1 + n_outcomes])
+    return b"".join(lines[: 1 + n_outcomes])
+
+
+class TestCrossRouteResume:
+    """A journal started by the batch CLI resumes in the server, and a
+    server job's journal resumes in the batch CLI, byte-identically."""
+
+    def test_cli_journal_resumes_in_server(self, corpus, tmp_path):
+        journal = tmp_path / "cli.jsonl"
+        cli_main([
+            "categorize", "--store", corpus["store"],
+            "--journal", str(journal), "--out", str(tmp_path / "cli.out"),
+        ])
+        prefix = _truncate_journal(journal, 5)
+
+        # a server that died holding the job: registered, never finished
+        data_dir = tmp_path / "data"
+        job_dir = data_dir / "jobs" / "job-000001"
+        job_dir.mkdir(parents=True)
+        (job_dir / "journal.jsonl").write_bytes(prefix)
+        (data_dir / "jobs.jsonl").write_text(
+            json.dumps(
+                {"event": "submitted", "job_id": "job-000001",
+                 "kind": "store", "path": corpus["store"], "repair": False}
+            ) + "\n"
+        )
+        server = MosaicServer(data_dir, port=0)
+        thread, endpoint = _start(server)
+        try:
+            job = _wait_terminal(endpoint, "job-000001")
+            assert job["status"] == "done", job
+            status, data = _request(endpoint, "GET", "/jobs/job-000001/results")
+            assert status == 200
+            assert data == corpus["batch_bytes"]
+        finally:
+            _shutdown(server, thread)
+        resumed = (job_dir / "journal.jsonl").read_bytes()
+        assert resumed.startswith(prefix)  # resumed, not restarted
+        assert job["metrics"]["n_resumed"] == 5
+
+    def test_server_journal_resumes_in_cli(self, corpus, tmp_path):
+        server = MosaicServer(tmp_path / "data", port=0)
+        thread, endpoint = _start(server)
+        try:
+            job_id = _submit(endpoint, {"store": corpus["store"]})
+            assert _wait_terminal(endpoint, job_id)["status"] == "done"
+        finally:
+            _shutdown(server, thread)
+        journal = tmp_path / "data" / "jobs" / job_id / "journal.jsonl"
+        _truncate_journal(journal, 5)
+        # resumed on the other route: the stream over the trace files
+        out = tmp_path / "resumed.jsonl"
+        cli_main([
+            "categorize", "--traces", corpus["trace_dir"],
+            "--resume", str(journal), "--out", str(out),
+        ])
+        assert out.read_bytes() == corpus["batch_bytes"]
 
 
 # -- registry replay ---------------------------------------------------

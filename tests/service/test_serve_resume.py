@@ -30,23 +30,31 @@ from repro.synth import FleetConfig, generate_fleet
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
-def _serve_env(delay_s=None):
+#: Test-side launcher that kills the server at an exact journal settle.
+CRASH_LAUNCHER = os.path.join(os.path.dirname(__file__), "crash_launcher.py")
+
+
+def _serve_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
     env.pop("MOSAIC_SERVE_TEST_DELAY_S", None)
-    if delay_s is not None:
-        env["MOSAIC_SERVE_TEST_DELAY_S"] = str(delay_s)
     return env
 
 
-def _spawn(data_dir, log_path, delay_s=None):
+def _spawn(data_dir, log_path, exit_after_settles=None):
+    """Start ``mosaic serve``; with ``exit_after_settles=N`` it dies
+    (exit 137, as under ``kill -9``) right after the Nth journal settle
+    line is flushed, before that unit's commit."""
+    entry = ["-m", "repro.cli.main"]
+    if exit_after_settles is not None:
+        entry = [CRASH_LAUNCHER, str(exit_after_settles)]
     log = open(log_path, "ab")
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli.main", "serve",
+        [sys.executable, *entry, "serve",
          "--data-dir", str(data_dir), "--port", "0"],
         stdout=log,
         stderr=subprocess.STDOUT,
-        env=_serve_env(delay_s),
+        env=_serve_env(),
     )
     log.close()
     return proc
@@ -118,9 +126,12 @@ class TestKillResume:
     def test_sigkill_mid_job_resumes_byte_identical(self, corpus, tmp_path):
         data_dir = tmp_path / "data"
         journal = data_dir / "jobs" / "job-000001" / "journal.jsonl"
+        killed_at = 3
 
-        # -- first incarnation: slowed workers, killed mid-journal -----
-        proc = _spawn(data_dir, tmp_path / "server-1.log", delay_s=0.25)
+        # -- first incarnation: dies right after the 3rd settle line ----
+        proc = _spawn(
+            data_dir, tmp_path / "server-1.log", exit_after_settles=killed_at
+        )
         try:
             endpoint = _wait_endpoint(data_dir, proc)
             status, data = _request(
@@ -128,18 +139,17 @@ class TestKillResume:
             )
             assert status == 202
             assert json.loads(data)["job_id"] == "job-000001"
-            deadline = time.monotonic() + 60
-            while _journal_outcomes(journal) < 3:
-                assert time.monotonic() < deadline, "no journal progress"
-                assert proc.poll() is None, "server died before the kill"
-                time.sleep(0.001)
+            assert proc.wait(timeout=60) == 137
         finally:
             if proc.poll() is None:
                 os.kill(proc.pid, signal.SIGKILL)
-            proc.wait(timeout=30)
+                proc.wait(timeout=30)
 
-        settled_before = _journal_outcomes(journal)
-        assert settled_before >= 3
+        assert _journal_outcomes(journal) == killed_at
+        survivors = [
+            json.loads(l)["job_id"]
+            for l in journal.read_bytes().decode().splitlines()[1:]
+        ]
         assert not (data_dir / "jobs" / "job-000001" / "results.jsonl").exists()
 
         # -- second incarnation: full speed, must resume on its own ----
@@ -161,13 +171,14 @@ class TestKillResume:
             jobs = json.loads(data)["jobs"]
             assert [j["job_id"] for j in jobs] == ["job-000001"]
 
-            # the journal was resumed, not restarted: outcomes settled
-            # before the kill were never re-journaled
+            # the journal was resumed, not restarted: the outcomes that
+            # survived the kill were never re-journaled
             lines = journal.read_bytes().decode().splitlines()
             outcomes = [json.loads(l) for l in lines[1:] if l.strip()]
             trace_ids = [o["job_id"] for o in outcomes]
             assert len(trace_ids) == len(set(trace_ids)), "duplicated outcomes"
-            assert len(trace_ids) >= settled_before
+            assert trace_ids[:killed_at] == survivors
+            assert len(trace_ids) == job["n_results"] + job["n_failures"]
 
             status, data = _request(
                 endpoint, "GET", "/jobs/job-000001/results"
