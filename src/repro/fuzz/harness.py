@@ -16,6 +16,7 @@ allows but cannot abort a truly unbounded loop.
 
 from __future__ import annotations
 
+import functools
 import signal
 import threading
 import time
@@ -24,12 +25,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from ..darshan.errors import TraceFormatError
-from ..darshan.io_binary import _pack_record, loads_binary
-from ..darshan.source import batch_payloads
+from ..darshan.io_binary import _pack_record, loads_binary, parse_binary
+from ..darshan.source import RecordBatch, batch_payloads
 from ..darshan.validate import VIOLATION_COLUMNS, validate_trace, violation_matrix
 from ..darshan.io_json import loads
 from ..darshan.io_text import loads_text
-from .mutators import FuzzCase, generate_cases
+from .mutators import FuzzCase, generate_cases, seed_payloads
 
 __all__ = [
     "FORMATS",
@@ -66,14 +67,64 @@ class ReaderMismatch(Exception):
     """The two MOSD readers decoded one payload differently."""
 
 
+def _row(batch: RecordBatch, i: int) -> tuple[object, ...]:
+    """Everything a scan batch says about its ``i``-th payload."""
+    end = int(batch.counts[: i + 1].sum())
+    records = batch.records[end - int(batch.counts[i]) : end]
+    return (
+        bool(batch.unreadable[i]),
+        repr(batch.metas[i]),
+        batch.job_id[i],
+        batch.uid[i],
+        batch.exe[i],
+        int(batch.nprocs[i]),
+        float(batch.run_time[i]),
+        records.tobytes(),
+    )
+
+
+@functools.cache
+def _neighbours() -> tuple[tuple[bytes, tuple[object, ...]], ...]:
+    """Two valid payloads, each with the row :func:`_row` must give it."""
+    seeds = seed_payloads("binary", 0)
+    out = []
+    for payload in (seeds[0], seeds[-1]):
+        meta, _, records = parse_binary(payload)
+        row = (
+            False,
+            repr(meta),
+            meta.job_id,
+            meta.uid,
+            meta.exe,
+            meta.nprocs,
+            meta.run_time,
+            records.tobytes(),
+        )
+        out.append((payload, row))
+    return tuple(out)
+
+
+def _check_neighbours(data: bytes, alone: RecordBatch) -> None:
+    """Between two valid payloads in one batch, ``data`` parses as it
+    does alone and leaves both neighbours as they are."""
+    (left, left_row), (right, right_row) = _neighbours()
+    batch = batch_payloads([left, data, right])
+    if _row(batch, 1) != _row(alone, 0):
+        raise ReaderMismatch("the payload parsed differently between neighbours")
+    if (_row(batch, 0), _row(batch, 2)) != (left_row, right_row):
+        raise ReaderMismatch("the payload changed a neighbour's header or records")
+
+
 def _entry_binary(data: bytes) -> None:
-    """``loads_binary``, cross-checked against the scan's batch reader."""
+    """``loads_binary``, cross-checked against the scan's batch reader,
+    alone and between two valid neighbours."""
     batch = batch_payloads([data])
     try:
         trace = loads_binary(data)
     except TraceFormatError:
         if not batch.unreadable[0]:
             raise ReaderMismatch("only the batch reader accepted the payload")
+        _check_neighbours(data, batch)
         raise
     if batch.unreadable[0]:
         raise ReaderMismatch("only loads_binary accepted the payload")
@@ -85,6 +136,7 @@ def _entry_binary(data: bytes) -> None:
     flagged = {VIOLATION_COLUMNS[i] for i in row.nonzero()[0]}
     if flagged != validate_trace(trace).categories():
         raise ReaderMismatch("the validators flagged different violations")
+    _check_neighbours(data, batch)
 
 
 def _entry_json(data: bytes) -> None:

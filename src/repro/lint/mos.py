@@ -972,8 +972,9 @@ class InputHardeningRule(ExhaustiveEnumDispatchRule):
     * Dispatches over :class:`~repro.core.governor.DegradationLevel`
       must be exhaustive or carry a default — a new ladder rung must
       not silently fall through report/metric/journal logic.
-    * Inside ``repro.darshan`` no ``.read(n)`` may size its allocation
-      from an untrusted (header-declared) value: the size must be a
+    * Inside ``repro.darshan`` no ``.read(n)`` (nor ``os.read(fd, n)``
+      or ``os.pread(fd, n, offset)``) may size its allocation from an
+      untrusted (header-declared) value: the size must be a
       constant, reference a decode limit/cap/budget, or the call must
       live in the ``_read_exact``/``_read_checked`` chokepoints that
       validate ``n`` against what actually remains.  Believing a length
@@ -997,6 +998,7 @@ class InputHardeningRule(ExhaustiveEnumDispatchRule):
     #: The sanctioned chokepoints: they validate the requested size
     #: against the bytes actually remaining before allocating.
     _READ_CHOKEPOINTS = frozenset({"_read_exact", "_read_checked"})
+    _OS_READS = frozenset({"os.read", "os.pread"})
     #: Size expressions referencing a declared bound are trusted.
     _BOUNDED_RE = re.compile(r"(^|_)(limit|cap|budget|remaining|max)s?(_|$)")
 
@@ -1010,11 +1012,16 @@ class InputHardeningRule(ExhaustiveEnumDispatchRule):
         if not self._read_check_applies():
             return
         func = node.func
-        if not isinstance(func, ast.Attribute) or func.attr != "read":
+        if not isinstance(func, ast.Attribute):
             return
-        if not node.args:
+        # os.read(fd, n) / os.pread(fd, n, offset) size by their second
+        # argument; a file object's read(n) by its first
+        at = 1 if dotted_name(func) in self._OS_READS else 0
+        if not at and func.attr != "read":
+            return
+        if len(node.args) <= at:
             return  # whole-file read: bounded by on-disk size, not a header
-        size = node.args[0]
+        size = node.args[at]
         if isinstance(size, ast.Constant):
             return
         enclosing = self.ctx.enclosing_function()

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
 from repro.core import run_pipeline
-from repro.darshan import FileRecord, JobMeta, Trace
+from repro.darshan import FileRecord, JobMeta, Trace, dumps_binary
+from repro.darshan.io_binary import _COUNTS, _HEADER, _JOB
 from repro.darshan.trace import OperationArray
 from repro.synth import FleetConfig, generate_fleet
 
@@ -82,6 +85,38 @@ def make_trace(
 
 def ops(*triples: tuple[float, float, float]) -> OperationArray:
     return OperationArray.from_tuples(list(triples))
+
+
+def mosd_variants(trace: Trace) -> dict[str, bytes]:
+    """Malformed MOSD payloads derived from one valid trace, by name."""
+    payload = dumps_binary(trace)
+    meta = trace.meta
+    strings = sum(len(s.encode()) for s in (meta.exe, meta.machine, meta.partition))
+    counts_at = _HEADER.size + _JOB.size + strings
+    table_at = counts_at + _COUNTS.size
+    n_records, n_table = _COUNTS.unpack_from(payload, counts_at)
+    assert n_records >= 2 and n_table > 0
+    records = payload[table_at + n_table :]
+    table = payload[table_at : table_at + n_table]
+
+    def with_counts(n: int, t: int, tbl: bytes = table, recs: bytes = records) -> bytes:
+        return payload[:counts_at] + _COUNTS.pack(n, t) + tbl + recs
+
+    bad_utf8 = bytearray(payload)
+    bad_utf8[table_at] = 0xFF
+    return {
+        "truncated": payload[: len(payload) // 2],
+        "badmagic": b"NOPE" + payload[4:],
+        "badversion": payload[:4] + struct.pack("<H", 9) + payload[6:],
+        "lying-count-high": with_counts(n_records + 1, n_table),
+        "lying-count-low": with_counts(n_records - 1, n_table),
+        "lying-count-unnamed": with_counts(n_records - 1, 0, b""),
+        "lying-table": with_counts(n_records, n_table + 10_000),
+        "bad-utf8": bytes(bad_utf8),
+        "name-mismatch": with_counts(n_records, n_table + 1, table + b"\x00"),
+        "trailing": payload + b"\x00",
+        "empty": b"",
+    }
 
 
 @pytest.fixture(scope="session")

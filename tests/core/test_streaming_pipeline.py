@@ -31,6 +31,8 @@ from repro.darshan.validate import Violation
 from repro.parallel import ParallelConfig
 from repro.synth import FleetConfig, generate_fleet
 
+from tests.conftest import mosd_variants
+
 
 @pytest.fixture(scope="module")
 def fleet():
@@ -248,51 +250,30 @@ class CountingDirectorySource(DirectorySource):
         self.n_loads = 0
         self.delete_after_refs = delete_after_refs
 
-    def refs(self):
-        refs = list(super().refs())
+    def _listing(self):
+        entries = super()._listing()
         if self.delete_after_refs is not None and self.delete_after_refs.exists():
             self.delete_after_refs.unlink()
-        return iter(refs)
+        return entries
 
     def load(self, ref):
         self.n_loads += 1
         return super().load(ref)
 
 
-def _mosd_variants(trace):
-    """Malformed MOSD payloads derived from one valid trace, by name."""
-    import struct
+class LazyDeletingSource(DirectorySource):
+    """A directory source that deletes one of its files once the first
+    entry of its listing has been handed out."""
 
-    from repro.darshan.io_binary import _COUNTS, _HEADER, _JOB
+    def __init__(self, path, victim):
+        super().__init__(path)
+        self.victim = victim
 
-    payload = dumps_binary(trace)
-    meta = trace.meta
-    strings = sum(len(s.encode()) for s in (meta.exe, meta.machine, meta.partition))
-    counts_at = _HEADER.size + _JOB.size + strings
-    table_at = counts_at + _COUNTS.size
-    n_records, n_table = _COUNTS.unpack_from(payload, counts_at)
-    assert n_records >= 2 and n_table > 0
-    records = payload[table_at + n_table :]
-    table = payload[table_at : table_at + n_table]
-
-    def with_counts(n, t, tbl=table, recs=records):
-        return payload[:counts_at] + _COUNTS.pack(n, t) + tbl + recs
-
-    bad_utf8 = bytearray(payload)
-    bad_utf8[table_at] = 0xFF
-    return {
-        "truncated": payload[: len(payload) // 2],
-        "badmagic": b"NOPE" + payload[4:],
-        "badversion": payload[:4] + struct.pack("<H", 9) + payload[6:],
-        "lying-count-high": with_counts(n_records + 1, n_table),
-        "lying-count-low": with_counts(n_records - 1, n_table),
-        "lying-count-unnamed": with_counts(n_records - 1, 0, b""),
-        "lying-table": with_counts(n_records, n_table + 10_000),
-        "bad-utf8": bytes(bad_utf8),
-        "name-mismatch": with_counts(n_records, n_table + 1, table + b"\x00"),
-        "trailing": payload + b"\x00",
-        "empty": b"",
-    }
+    def _listing(self):
+        entries = super()._listing()
+        yield entries[0]
+        self.victim.unlink()
+        yield from entries[1:]
 
 
 class TestScanFastPath:
@@ -319,7 +300,7 @@ class TestScanFastPath:
             else:
                 save_binary(trace, f"{stem}.mosd")
         donor = max(fleet.traces, key=len)
-        for name, data in _mosd_variants(donor).items():
+        for name, data in mosd_variants(donor).items():
             (tmp_path / f"bad-{name}.mosd").write_bytes(data)
         (tmp_path / "bad-garbage.json").write_text("{not json")
         victim = tmp_path / "job0002.mosd"
@@ -347,6 +328,33 @@ class TestScanFastPath:
         )
         assert fast.n_unreadable == 13
         assert fast.corruption_histogram[Violation.UNREADABLE] == 13
+
+    @pytest.mark.parametrize("repair", [False, True])
+    def test_file_deleted_while_refs_are_consumed(self, mixed_dir, repair):
+        path, _, _ = mixed_dir
+        victim = max(path.glob("*.mosd"))
+        payload = victim.read_bytes()
+        plans = []
+        for source in (
+            LazyDeletingSource(path, victim),
+            DelegatingSource(LazyDeletingSource(path, victim)),
+        ):
+            victim.write_bytes(payload)
+            plans.append(scan_corpus(source, repair=repair))
+            assert not victim.exists()
+        fast, slow = plans
+        assert fast == slow
+        assert fast.n_input == 72
+        assert fast.n_unreadable == 13
+        assert fast.corruption_histogram[Violation.UNREADABLE] == 13
+
+    def test_batch_refs_equal_listed_refs(self, mixed_dir, monkeypatch):
+        path, _, _ = mixed_dir
+        monkeypatch.setattr(source_module, "BATCH_BYTES", 20_000)
+        source = DirectorySource(path)
+        batches = list(source.record_batches())
+        assert len(batches) > 3
+        assert [r for b in batches for r in b.refs] == list(source.refs())
 
     @pytest.mark.parametrize("repair", [False, True])
     def test_matches_in_memory_source(self, mixed_dir, repair):

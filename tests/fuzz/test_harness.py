@@ -181,6 +181,23 @@ class TestReaderCrossCheck:
         outcome, _, msg = _run_guarded(FORMATS["binary"], b"garbage", 5.0, 0)
         assert outcome == "mismatch" and "batch reader" in msg
 
+    @pytest.mark.parametrize("refused", [False, True])
+    def test_a_row_that_moves_a_neighbour_is_a_mismatch(self, monkeypatch, refused):
+        import repro.fuzz.harness as harness
+        from repro.darshan.source import batch_payloads
+
+        def reader(payloads):
+            batch = batch_payloads(payloads)
+            if len(batch) == 3:
+                batch.uid[2] += 1
+            return batch
+
+        monkeypatch.setattr(harness, "batch_payloads", reader)
+        payload = b"garbage" if refused else seed_payloads("binary", 0)[0]
+        outcome, etype, msg = _run_guarded(FORMATS["binary"], payload, 5.0, 0)
+        assert (outcome, etype) == ("mismatch", "ReaderMismatch")
+        assert "neighbour" in msg
+
     def test_readers_agree_on_seed_payloads(self):
         for payload in seed_payloads("binary", 0):
             outcome, _, _ = _run_guarded(FORMATS["binary"], payload, 5.0, 0)

@@ -1,5 +1,6 @@
 """Fixture: input-hardening contracts violated (MOS012)."""
 
+import os
 import struct
 from typing import BinaryIO
 
@@ -31,3 +32,9 @@ def _decode_records(fh: BinaryIO) -> bytes:
     (n_records,) = struct.unpack("<I", header)
     # believes the header's declared count: the allocation bomb
     return fh.read(n_records * 112)
+
+
+def _read_declared(fd_cap: int) -> bytes:
+    (declared,) = struct.unpack("<I", os.read(fd_cap, 4))
+    # the descriptor's name is no bound: the header-declared size is read
+    return os.read(fd_cap, declared)

@@ -1,9 +1,11 @@
 """Fixture: input-hardening contracts honoured (MOS012)."""
 
+import os
 import struct
 from typing import BinaryIO
 
 from repro.core.governor import DegradationLevel
+from repro.darshan.limits import DecodeLimits
 
 
 def _describe(level: DegradationLevel) -> str:
@@ -38,3 +40,8 @@ def _decode_records(fh: BinaryIO, remaining: int, max_record_bytes: int) -> byte
     (n_records,) = struct.unpack("<I", header)
     n = min(n_records * 112, max_record_bytes)
     return _read_checked(fh, n, remaining, "record section")
+
+
+def _read_capped(fd: int, limits: DecodeLimits) -> bytes:
+    # os.read sizes by its second argument, here a decode limit
+    return os.read(fd, limits.max_payload_bytes)

@@ -51,6 +51,17 @@ def test_select_isolates_one_rule(rule_id):
     assert fired == {rule_id}
 
 
+def test_mos012_sizes_os_read_by_its_second_argument():
+    config = LintConfig(select=frozenset({"MOS012"}))
+    good = lint_paths(_fixture_files("MOS012", "good"), config)
+    assert good.findings == []
+    (bad,) = _fixture_files("MOS012", "bad")
+    with open(bad, encoding="utf-8") as fh:
+        line = 1 + fh.read().split("\n").index("    return os.read(fd_cap, declared)")
+    findings = lint_paths([bad], config).findings
+    assert line in {f.line for f in findings}
+
+
 def test_ignore_drops_a_rule():
     config = LintConfig(ignore=frozenset({"MOS001"}))
     result = lint_paths([FIXTURES], config)
