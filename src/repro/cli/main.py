@@ -247,10 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--workers", type=int, default=0,
                      help="process-pool workers per job (0 = serial)")
     srv.add_argument(
-        "--shards", type=int, default=8,
-        help="application-catalog shard count",
-    )
-    srv.add_argument(
         "--budget-max-ops", type=int, metavar="N",
         help="per-trace operation budget applied to every job "
         "(see `mosaic categorize`)",
@@ -859,7 +855,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         args.data_dir,
         config=_effective_config(args),
         workers=args.workers,
-        n_shards=args.shards,
         host=args.host,
         port=args.port,
         limits=limits,
@@ -867,7 +862,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     print(
         f"mosaic service: data-dir {args.data_dir}, "
-        f"{args.shards} catalog shards, "
         f"{args.workers or 'serial'} workers per job"
     )
     print(f"listening on {args.host}:{args.port or '<ephemeral>'} "

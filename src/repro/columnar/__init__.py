@@ -28,7 +28,7 @@ See docs/COLUMNAR.md for the file layout and the equivalence argument.
 from .batch import DEFAULT_SLICE_OPS, categorize_slice, plan_slices
 from .compile import CompileReport, compile_corpus
 from .format import MAGIC, VERSION
-from .scan import StoreSource, scan_store
+from .scan import scan_store
 from .store import CorpusStore, StoreSlice, attach, detach_all
 from .verify import (
     SalvageReport,
@@ -45,7 +45,6 @@ __all__ = [
     "CorpusStore",
     "SalvageReport",
     "StoreSlice",
-    "StoreSource",
     "VerifyFinding",
     "VerifyReport",
     "DEFAULT_SLICE_OPS",

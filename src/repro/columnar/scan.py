@@ -13,27 +13,19 @@ identical to the streaming one.
 Repair is a *compile-time* property of a store: ``scan_store`` refuses a
 ``repair`` flag that disagrees with how the store was compiled rather
 than silently producing a differently-filtered corpus.
-
-:class:`StoreSource` additionally adapts a store to the ordinary
-``TraceSource`` protocol, so every per-trace code path (the streaming
-pipeline, the differential harness, ad-hoc tooling) can read a compiled
-store without knowing about slices.
 """
 
 from __future__ import annotations
 
-import os
 from collections import Counter
-from typing import Iterator
 
 import numpy as np
 
 from ..core.preprocess import SelectedRef, SelectionPlan
-from ..darshan.source import TraceRef, TraceSource
-from ..darshan.trace import Trace
+from ..darshan.source import TraceRef
 from .store import CorpusStore
 
-__all__ = ["scan_store", "StoreSource"]
+__all__ = ["scan_store"]
 
 
 def scan_store(store: CorpusStore, *, repair: bool = False) -> SelectionPlan:
@@ -41,8 +33,7 @@ def scan_store(store: CorpusStore, *, repair: bool = False) -> SelectionPlan:
 
     Returns a plan whose ``SelectedRef.ref.key`` is the winning trace's
     *row* in ``store`` — the store-backed pipeline feeds rows straight
-    to the slice planner, and :class:`StoreSource` resolves the same
-    refs for the per-trace fallback path.
+    to the slice planner.
     """
     if repair != store.compiled_with_repair:
         state = "with" if store.compiled_with_repair else "without"
@@ -171,34 +162,3 @@ def _keep_heaviest_python(
             )
     return best, runs_per_app
 
-
-class StoreSource(TraceSource):
-    """A compiled store behind the ordinary ``TraceSource`` protocol.
-
-    Refs are row numbers; loads decode bit-for-bit equal traces.  The
-    per-trace fallback path of ``repro categorize --store`` runs through
-    this adapter when the batched fast path is disabled.  Note the
-    compile-time ``n_unreadable`` payloads cannot be re-enumerated (they
-    were never stored), so a streaming scan over this source sees only
-    the stored traces; use :func:`scan_store` for funnel-exact numbers.
-    """
-
-    def __init__(self, store: CorpusStore):
-        self._store = store
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"StoreSource({self._store.path!r}, n={self._store.n_traces})"
-
-    @property
-    def store(self) -> CorpusStore:
-        return self._store
-
-    def refs(self) -> Iterator[TraceRef]:
-        for row in range(self._store.n_traces):
-            yield TraceRef(key=row)
-
-    def load(self, ref: TraceRef) -> Trace:
-        return self._store.decode_trace(int(ref.key))
-
-    def count(self) -> int:
-        return self._store.n_traces

@@ -16,12 +16,9 @@ applications).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import Any
 
 from ..darshan.trace import Trace
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..columnar.store import CorpusStore
 from ..darshan.validate import validate_trace
 from .categorizer import categorize_trace
 from .governor import DegradationLevel
@@ -60,6 +57,9 @@ class ApplicationCatalog:
     and dropped rather than killing the stream, and an application whose
     traces *keep* failing is quarantined — its runs are rejected at the
     door so one poison producer cannot monopolize the catalog's time.
+
+    Not synchronized: callers sharing one catalog across threads hold
+    their own lock, as :class:`~repro.service.server.MosaicServer` does.
     """
 
     config: MosaicConfig = DEFAULT_CONFIG
@@ -116,47 +116,45 @@ class ApplicationCatalog:
             self.n_rejected += 1
             return None
         weight = trace.io_weight()
-        entry = self._entries.get(key)
-
-        if entry is None:
-            try:
-                result = categorize_trace(trace, self.config)
-            except Exception:
-                self._record_failure(key)
-                return None
-            return self._fold(key, weight, result)
-
-        entry.n_runs += 1
         try:
             result = categorize_trace(trace, self.config)
         except Exception:
-            # the catalog still holds a good reference answer for this
-            # application; the failed run just doesn't refresh it
             self._record_failure(key)
+            entry = self._entries.get(key)
+            if entry is not None:
+                # the catalog still holds a good reference answer for
+                # this application; the failed run just doesn't refresh it
+                entry.n_runs += 1
             return entry
-        return self._fold(key, weight, result, entry=entry)
+        return self._fold(key, weight, result)
+
+    def fold(self, result: CategorizationResult, weight: float) -> AppEntry:
+        """Fold one already-computed categorization of weight ``weight``.
+
+        The server path: pipeline jobs produce results without retaining
+        their traces, so the catalog takes the result directly — the
+        same keep-heaviest and agreement bookkeeping as :meth:`ingest`,
+        minus the (already-done) validation and categorization.
+        """
+        self.n_ingested += 1
+        return self._fold(result.app_key, weight, result)
 
     def _fold(
         self,
         key: tuple[int, str],
         weight: float,
         result: CategorizationResult,
-        *,
-        entry: AppEntry | None = None,
     ) -> AppEntry:
-        """Fold one already-computed categorization into the catalog.
-
-        Shared by :meth:`ingest` (per-trace) and :meth:`ingest_store`
-        (batched), so both apply identical keep-heaviest and agreement
-        accounting.  ``entry`` must be the key's current entry with
-        ``n_runs`` already incremented, or ``None`` for a first run.
-        """
+        """Count one valid run of ``key`` and fold its categorization
+        (shared by :meth:`ingest` and :meth:`fold`)."""
         if result.degradation is not DegradationLevel.FULL:
             self.n_degraded += 1
+        entry = self._entries.get(key)
         if entry is None:
             entry = AppEntry(result=result, weight=weight)
             self._entries[key] = entry
             return entry
+        entry.n_runs += 1
         if result.categories == entry.result.categories:
             entry.n_agreeing += 1
         if weight >= entry.weight * self.min_weight_gain and weight > entry.weight:
@@ -164,59 +162,6 @@ class ApplicationCatalog:
             entry.result = result
             entry.weight = weight
         return entry
-
-    def ingest_store(
-        self, store: "CorpusStore", rows: list[int] | None = None
-    ) -> int:
-        """Bulk-ingest a compiled columnar store via the batched path.
-
-        Every valid trace of ``rows`` (default: the whole store) whose
-        application is not quarantined at call time is categorized
-        through :func:`repro.columnar.batch.categorize_slice` — many
-        traces per kernel dispatch — and folded into the catalog with
-        exactly the semantics of calling :meth:`ingest` trace by trace
-        in row order (validity comes from the compile-time bitmask, the
-        same ``validate_trace`` verdict).  Returns the number of runs
-        folded in.
-        """
-        from ..columnar.batch import categorize_slice, plan_slices
-
-        if rows is None:
-            rows = list(range(store.n_traces))
-
-        admitted: list[int] = []
-        for row in rows:
-            self.n_ingested += 1
-            if not store.is_valid(row):
-                self.n_rejected += 1
-                continue
-            if store.app_key(row) in self._quarantined:
-                self.n_rejected += 1
-                continue
-            admitted.append(row)
-
-        n_folded = 0
-        idx = store.index
-        for task in plan_slices(store, admitted, budget=self.config.budget):
-            keys = [store.app_key(row) for row in task.rows]
-            try:
-                results = categorize_slice(task, self.config)
-            except Exception:
-                for key in keys:
-                    entry = self._entries.get(key)
-                    if entry is not None:
-                        entry.n_runs += 1
-                    self._record_failure(key)
-                continue
-            for row, key, result in zip(task.rows, keys, results):
-                entry = self._entries.get(key)
-                if entry is not None:
-                    entry.n_runs += 1
-                self._fold(
-                    key, float(idx[row]["io_weight"]), result, entry=entry
-                )
-                n_folded += 1
-        return n_folded
 
     def lookup(self, uid: int, exe: str) -> AppEntry | None:
         """Scheduler-side query: known categorization of an application."""
@@ -234,3 +179,14 @@ class ApplicationCatalog:
     def run_weights(self) -> list[int]:
         """Valid-run counts aligned with :meth:`results`."""
         return [e.n_runs for e in self.entries()]
+
+    def stats(self) -> dict[str, Any]:
+        """Counter snapshot (the ``catalog`` block of ``/metrics``)."""
+        return {
+            "n_apps": len(self),
+            "n_ingested": self.n_ingested,
+            "n_rejected": self.n_rejected,
+            "n_failed": self.n_failed,
+            "n_degraded": self.n_degraded,
+            "n_quarantined": self.n_quarantined,
+        }

@@ -6,9 +6,10 @@ the one home of every retry knob), and an append-only run journal for
 checkpoint/resume."""
 
 from .executor import ParallelConfig, TaskFailure
-from .jobstore import QUARANTINE_KINDS, JobStore, replay_settles
+from .jobstore import JobStore, replay_settles
 from .journal import (
     JOURNAL_VERSION,
+    QUARANTINE_KINDS,
     JournalLockHeld,
     JournalState,
     JournalWriter,

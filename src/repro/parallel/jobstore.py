@@ -47,16 +47,14 @@ import os
 from typing import Any, Callable
 
 from .journal import (
+    QUARANTINE_KINDS,
     JournalState,
     JournalWriter,
     iter_settle_events,
     write_quarantine_manifest,
 )
 
-__all__ = ["QUARANTINE_KINDS", "JobStore", "replay_settles"]
-
-#: Failure kinds that stay settled (skipped) across resumes.
-QUARANTINE_KINDS = frozenset({"timeout", "poison"})
+__all__ = ["JobStore", "replay_settles"]
 
 #: Settle callback signature: (kind, job_id, record, seq) with kind one
 #: of ``"result"`` / ``"failure"`` and ``seq`` the 1-based journal

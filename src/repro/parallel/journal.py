@@ -45,6 +45,7 @@ __all__ = [
     "JournalLockHeld",
     "JournalState",
     "JournalWriter",
+    "QUARANTINE_KINDS",
     "acquire_journal_lock",
     "iter_settle_events",
     "release_journal_lock",
@@ -53,8 +54,8 @@ __all__ = [
 
 JOURNAL_VERSION = 1
 
-#: Failure kinds that stay quarantined across resumes.
-_QUARANTINE_KINDS = frozenset({"timeout", "poison"})
+#: Failure kinds that stay quarantined (skipped) across resumes.
+QUARANTINE_KINDS = frozenset({"timeout", "poison"})
 
 
 @dataclass(slots=True)
@@ -95,50 +96,69 @@ class JournalState:
         a crash is expected to be imperfect.
         """
         state = cls()
-        with open(os.fspath(path), "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    state.n_malformed += 1
-                    continue
-                if not isinstance(entry, dict):
-                    state.n_malformed += 1
-                    continue
-                kind = entry.get("kind")
-                if kind == "header":
-                    version = entry.get("version")
-                    if version != JOURNAL_VERSION:
-                        raise ValueError(
-                            f"journal version {version!r} is not supported "
-                            f"(expected {JOURNAL_VERSION})"
-                        )
-                    if entry.get("n_selected") is not None:
-                        state.n_selected = int(entry["n_selected"])
-                elif kind == "result":
-                    try:
-                        state.completed[int(entry["job_id"])] = entry["result"]
-                    except (KeyError, TypeError, ValueError):
-                        state.n_malformed += 1
-                        continue
-                    state.n_settle_events += 1
-                elif kind == "failure":
-                    try:
-                        job_id = int(entry["job_id"])
-                    except (KeyError, TypeError, ValueError):
-                        state.n_malformed += 1
-                        continue
-                    state.n_settle_events += 1
-                    if entry.get("failure_kind") in _QUARANTINE_KINDS:
-                        state.quarantined[job_id] = entry
-                    else:
-                        state.transient_failures.append(entry)
-                else:
-                    state.n_malformed += 1
+        for line in _read_lines(path):
+            if line is None:
+                state.n_malformed += 1
+                continue
+            kind, job_id, entry = line
+            if kind == "header":
+                version = entry.get("version")
+                if version != JOURNAL_VERSION:
+                    raise ValueError(
+                        f"journal version {version!r} is not supported "
+                        f"(expected {JOURNAL_VERSION})"
+                    )
+                if entry.get("n_selected") is not None:
+                    state.n_selected = int(entry["n_selected"])
+                continue
+            state.n_settle_events += 1
+            if kind == "result":
+                state.completed[job_id] = entry["result"]
+            elif entry.get("failure_kind") in QUARANTINE_KINDS:
+                state.quarantined[job_id] = entry
+            else:
+                state.transient_failures.append(entry)
         return state
+
+
+def _parse_line(line: str) -> tuple[str, int, dict[str, Any]] | None:
+    """``(kind, job_id, entry)`` of one header or well-formed settle
+    line (``job_id`` 0 for a header), ``None`` for a malformed one.
+
+    A ``result`` line needs a ``"result"`` payload and every settle line
+    an integral ``job_id``; anything else is malformed.
+    """
+    try:
+        entry = json.loads(line)
+    except json.JSONDecodeError:
+        return None
+    if not isinstance(entry, dict):
+        return None
+    kind = entry.get("kind")
+    if kind == "header":
+        return "header", 0, entry
+    if kind not in ("result", "failure") or (
+        kind == "result" and "result" not in entry
+    ):
+        return None
+    try:
+        return kind, int(entry["job_id"]), entry
+    except (KeyError, TypeError, ValueError):
+        return None
+
+
+def _read_lines(
+    path: str | os.PathLike[str],
+) -> Iterator[tuple[str, int, dict[str, Any]] | None]:
+    """:func:`_parse_line` of every non-blank journal line, in order —
+    the one reader behind both :meth:`JournalState.load` and
+    :func:`iter_settle_events`, so the two agree on which lines are
+    settle events."""
+    with open(os.fspath(path), "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if line:
+                yield _parse_line(line)
 
 
 def iter_settle_events(
@@ -146,7 +166,7 @@ def iter_settle_events(
 ) -> "Iterator[tuple[int, str, dict[str, Any]]]":
     """Yield ``(seq, kind, entry)`` for every settle line, in order.
 
-    ``seq`` is 1-based and counts every parseable ``result``/``failure``
+    ``seq`` is 1-based and counts every well-formed ``result``/``failure``
     line (duplicates from resumed transient failures included), matching
     the cursor :class:`JournalState` tracks in ``n_settle_events`` and
     the one a live :class:`~repro.parallel.jobstore.JobStore` advances —
@@ -156,26 +176,11 @@ def iter_settle_events(
     number, exactly as :meth:`JournalState.load` skips them.
     """
     seq = 0
-    with open(os.fspath(path), "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if not isinstance(entry, dict):
-                continue
-            kind = entry.get("kind")
-            if kind not in ("result", "failure"):
-                continue
-            try:
-                int(entry["job_id"])
-            except (KeyError, TypeError, ValueError):
-                continue
+    for line in _read_lines(path):
+        if line is not None and line[0] != "header":
+            kind, _job_id, entry = line
             seq += 1
-            yield seq, str(kind), entry
+            yield seq, kind, entry
 
 
 class JournalLockHeld(StorageError):

@@ -4,8 +4,9 @@ The service layer packages the batch pipeline for long-lived operation
 (``mosaic serve``): an asyncio HTTP front end (:mod:`.server`) over the
 shared journal-backed :class:`~repro.parallel.jobstore.JobStore`, a
 content-addressed result cache (:mod:`.cache`) keyed on ``.mosc`` v2
-per-trace CRC chains, and an application catalog sharded by app-key
-hash (:mod:`.shards`) for concurrent scheduler queries.
+per-trace CRC chains, and one application catalog
+(:class:`~repro.core.stream.ApplicationCatalog`) folded on the job
+thread and read by scheduler queries.
 
 Coroutines in this package must never block the event loop — every
 filesystem or pipeline call goes through ``run_in_executor``.  The
@@ -22,7 +23,6 @@ from .client import (
     idempotency_key_for,
 )
 from .server import JobRecord, MosaicServer, result_weight
-from .shards import ShardedCatalog, shard_of
 
 __all__ = [
     "AdmissionControl",
@@ -34,9 +34,7 @@ __all__ = [
     "MosaicClientError",
     "MosaicServer",
     "ResultCache",
-    "ShardedCatalog",
     "config_namespace",
     "idempotency_key_for",
     "result_weight",
-    "shard_of",
 ]

@@ -42,8 +42,11 @@ Routes::
 
     GET  /healthz             liveness (503 once the job worker died)
     GET  /readyz              readiness (503 while draining/degraded)
-    GET  /metrics             queue depth, cache hit rate, shard sizes,
-                              admission/shed counters, pipeline counters
+    GET  /metrics             queue depth, cache hit rate, catalog
+                              counters, admission/shed counters,
+                              pipeline counters
+    GET  /catalog             per-application categories, runs and
+                              stability, in application-key order
     POST /jobs                {"store": path} | {"traces": path}
                               [+ "repair", "budget", "idempotency_key"]
                               -> 202 {job_id} | 200 (deduplicated)
@@ -81,7 +84,8 @@ from ..core.pipeline import (
     run_pipeline_store,
     run_pipeline_stream,
 )
-from ..core.result import save_results_jsonl
+from ..core.result import CategorizationResult, save_results_jsonl
+from ..core.stream import ApplicationCatalog
 from ..core.thresholds import DEFAULT_CONFIG, MosaicConfig
 from ..darshan.errors import TraceFormatError
 from ..darshan.source import DirectorySource
@@ -90,7 +94,6 @@ from ..parallel.executor import ParallelConfig
 from ..parallel.jobstore import replay_settles
 from .admission import AdmissionControl, AdmissionLimits
 from .cache import ResultCache, config_namespace
-from .shards import ShardedCatalog
 
 __all__ = ["JobRecord", "MosaicServer", "result_weight"]
 
@@ -220,7 +223,6 @@ class MosaicServer:
         *,
         config: MosaicConfig = DEFAULT_CONFIG,
         workers: int = 0,
-        n_shards: int = 8,
         host: str = "127.0.0.1",
         port: int = 8377,
         limits: AdmissionLimits | None = None,
@@ -235,7 +237,10 @@ class MosaicServer:
         self.sse_keepalive_s = sse_keepalive_s
         self.jobs_dir = os.path.join(self.data_dir, "jobs")
         os.makedirs(self.jobs_dir, exist_ok=True)
-        self.catalog = ShardedCatalog(n_shards, config=config)
+        #: One catalog, folded only on the single job thread; the lock
+        #: keeps ``/metrics`` and ``/catalog`` readers off a half-done fold.
+        self.catalog = ApplicationCatalog(config=config)
+        self._catalog_lock = threading.Lock()
         self._caches: dict[str, ResultCache] = {}
         self.jobs: dict[str, JobRecord] = {}
         self._order: list[str] = []
@@ -398,8 +403,7 @@ class MosaicServer:
             # an unreadable/corrupt submission is this job's failure,
             # re-raised as the typed error the job worker reports
             raise ValueError(f"unreadable {job.kind}: {exc}") from exc
-        for r in result.results:
-            self.catalog.fold_result(r, weight=result_weight(r))
+        self._fold_into_catalog(result.results)
         save_results_jsonl(
             result.results, os.path.join(job_dir, "results.jsonl")
         )
@@ -412,6 +416,12 @@ class MosaicServer:
                     self.pipeline_metrics.get(key, 0) + value
                 )
         return result
+
+    def _fold_into_catalog(self, results: list[CategorizationResult]) -> None:
+        """Fold one finished job's results into the catalog (job thread)."""
+        with self._catalog_lock:
+            for r in results:
+                self.catalog.fold(r, result_weight(r))
 
     # -- SSE plumbing --------------------------------------------------
     def _publish(self, job_id: str, event: dict[str, Any]) -> None:
@@ -551,6 +561,8 @@ class MosaicServer:
         hits, misses = totals["hits"], totals["misses"]
         with self._metrics_lock:
             pipeline = dict(self.pipeline_metrics)
+        with self._catalog_lock:
+            catalog = self.catalog.stats()
         return {
             "queue_depth": self.queue_depth(),
             "draining": self.draining,
@@ -564,7 +576,7 @@ class MosaicServer:
                 else 0.0,
                 "namespaces": caches,
             },
-            "catalog": self.catalog.stats(),
+            "catalog": catalog,
             "pipeline": pipeline,
         }
 
@@ -921,11 +933,8 @@ class MosaicServer:
             )
 
     def _catalog_payload(self) -> dict[str, Any]:
-        entries = self.catalog.entries()
-        return {
-            "n_apps": len(entries),
-            "shard_sizes": self.catalog.shard_sizes(),
-            "apps": [
+        with self._catalog_lock:
+            apps = [
                 {
                     "uid": e.result.uid,
                     "exe": e.result.exe,
@@ -933,9 +942,9 @@ class MosaicServer:
                     "n_runs": e.n_runs,
                     "stability": round(e.stability, 4),
                 }
-                for e in entries
-            ],
-        }
+                for e in self.catalog.entries()
+            ]
+        return {"n_apps": len(apps), "apps": apps}
 
     async def _handle_submit(
         self, body: bytes, writer: asyncio.StreamWriter

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.core import preprocess_corpus
+from repro.core import preprocess_corpus, run_pipeline
 from repro.core.stream import ApplicationCatalog
+from repro.service import result_weight
+from repro.synth import FleetConfig, generate_fleet
 
 from tests.conftest import make_record, make_trace
 
@@ -139,3 +141,40 @@ class TestCatalogFaultIsolation:
         assert again is entry
         assert entry.result is reference
         assert catalog.n_failed == 1
+
+
+class TestFold:
+    """``fold`` takes results that are already computed (the server path)."""
+
+    @pytest.fixture(scope="class")
+    def pipeline(self):
+        fleet = generate_fleet(FleetConfig(n_apps=24, mean_runs=2.0, seed=7))
+        return run_pipeline(fleet.traces[:6])
+
+    def test_fold_already_computed_results(self, pipeline):
+        catalog = ApplicationCatalog()
+        for result in pipeline.results:
+            catalog.fold(result, result_weight(result))
+        assert catalog.n_ingested == len(pipeline.results)
+        for result in pipeline.results:
+            assert catalog.lookup(*result.app_key) is not None
+
+    def test_refold_increments_runs(self, pipeline):
+        result = pipeline.results[0]
+        catalog = ApplicationCatalog()
+        catalog.fold(result, 10.0)
+        entry = catalog.fold(result, 10.0)
+        assert entry.n_runs == 2
+        assert entry.stability == 1.0
+
+    def test_stats_snapshot_keys(self, pipeline):
+        catalog = ApplicationCatalog()
+        for result in pipeline.results:
+            catalog.fold(result, result_weight(result))
+        stats = catalog.stats()
+        assert stats["n_apps"] == len(catalog)
+        assert stats["n_ingested"] == len(pipeline.results)
+        assert set(stats) == {
+            "n_apps", "n_ingested", "n_rejected", "n_failed", "n_degraded",
+            "n_quarantined",
+        }

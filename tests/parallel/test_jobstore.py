@@ -159,3 +159,30 @@ class TestResume:
         assert seen == [1, 2, 3]
         state = JournalState.load(path)
         assert sorted(state.completed) == [0, 1, 2]
+
+    def test_payloadless_result_line_takes_no_seq(self, tmp_path):
+        # a result line without its payload is malformed to the loader,
+        # so the replayed numbering and a resumed store must skip it too
+        path = tmp_path / "j.jsonl"
+        path.write_text(
+            '{"kind":"header","version":1,"n_selected":5}\n'
+            '{"kind":"result","job_id":1,"result":{"job_id":1}}\n'
+            '{"kind":"result","job_id":2}\n'
+            '{"kind":"failure","job_id":3,"failure_kind":"exception"}\n'
+            '{"kind":"result","job_id":4,"result":{"job_id":4}}\n'
+        )
+        state = JournalState.load(path)
+        replayed = replay_settles(path)
+        assert state.n_malformed == 1
+        assert [(s, e["job_id"]) for s, _k, e in replayed] == [
+            (1, 1), (2, 3), (3, 4)
+        ]
+        assert state.n_settle_events == replayed[-1][0] == 3
+
+        store = JobStore(path, resume=True)
+        store.open(n_selected=5)
+        store.settle_result(5, {"job_id": 5})
+        store.close()
+        assert store.seq == 4
+        assert replay_settles(path)[-1][0] == 4
+        assert replay_settles(path)[-1][2]["job_id"] == 5
