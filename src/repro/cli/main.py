@@ -566,12 +566,12 @@ def _print_journal_paths(result: PipelineResult, journal: str | None) -> None:
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
-    from ..columnar import compile_corpus
+    from ..columnar import StoreOverflowError, compile_corpus
 
     source = _dir_source(args.traces)
     try:
         report = compile_corpus(source, args.out, repair=args.repair)
-    except TraceFormatError as exc:
+    except (TraceFormatError, StoreOverflowError) as exc:
         raise SystemExit(str(exc)) from exc
     print(
         f"compiled {report.n_traces} traces "

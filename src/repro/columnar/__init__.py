@@ -26,7 +26,7 @@ See docs/COLUMNAR.md for the file layout and the equivalence argument.
 """
 
 from .batch import DEFAULT_SLICE_OPS, categorize_slice, plan_slices
-from .compile import CompileReport, compile_corpus
+from .compile import CompileReport, StoreOverflowError, compile_corpus
 from .format import MAGIC, VERSION
 from .scan import scan_store
 from .store import CorpusStore, StoreSlice, attach, detach_all
@@ -44,6 +44,7 @@ __all__ = [
     "CompileReport",
     "CorpusStore",
     "SalvageReport",
+    "StoreOverflowError",
     "StoreSlice",
     "VerifyFinding",
     "VerifyReport",

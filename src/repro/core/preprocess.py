@@ -30,7 +30,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..darshan.source import InMemorySource, RecordBatch, TraceRef, TraceSource
+from ..darshan.source import (
+    InMemorySource,
+    RecordBatch,
+    TraceRef,
+    TraceSource,
+    segment_sums,
+)
 from ..darshan.trace import Trace
 from ..darshan.validate import (
     VIOLATION_COLUMNS,
@@ -199,7 +205,7 @@ def scan_corpus(source: TraceSource, *, repair: bool = False) -> SelectionPlan:
         flags = violation_matrix(
             batch.records, batch.run_time, batch.nprocs, batch.counts
         )
-        weights = _io_weights(batch, ~flags.any(axis=1) & ~batch.unreadable)
+        weights = _io_weights(batch)
         # each flagged trace's violations, in column order
         flagged: dict[int, list[Violation]] = {}
         for row, column in zip(*(a.tolist() for a in np.nonzero(flags))):
@@ -268,38 +274,12 @@ def scan_corpus(source: TraceSource, *, repair: bool = False) -> SelectionPlan:
 _WEIGHT_TERMS = (("bytes_read", "bytes_written"), ("opens", "closes", "seeks"))
 
 
-def _io_weights(batch: RecordBatch, valid: np.ndarray) -> list[float]:
-    """``Trace.io_weight()`` of every ``valid`` trace of ``batch``.
-
-    ``float(total bytes) + float(total metadata ops)``, each total an
-    exact integer: summed in int64 when no trace's total can reach
-    2**63 (a valid trace has no negative counter), in Python ints
-    otherwise.  Entries of other traces are meaningless.
+def _io_weights(batch: RecordBatch) -> list[float]:
+    """``Trace.io_weight()`` of every trace whose records ``batch``
+    holds: ``float(total bytes) + float(total metadata ops)``, each
+    total an exact integer (:func:`~repro.darshan.source.segment_sums`).
     """
-    counts = batch.counts
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    owned = np.repeat(valid, counts)
-    recs = batch.records
-    longest = int(counts[valid].max()) if valid.any() else 0
-    totals: list[list[int]] = []
-    for fields in _WEIGHT_TERMS:
-        bound = sum(int(recs[f][owned].max(initial=0)) for f in fields) * longest
-        if bound < 2**63:
-            # int64 wraps in the running sum; the per-trace difference
-            # is still exact because every per-trace total fits
-            per_record = np.zeros(len(recs), dtype=np.int64)
-            for f in fields:
-                per_record += np.where(owned, recs[f], 0)
-            cum = np.concatenate(([0], np.cumsum(per_record)))
-            totals.append((cum[ends] - cum[starts]).tolist())
-        else:
-            totals.append(
-                [
-                    sum(sum(recs[f][s:e].tolist()) for f in fields)
-                    for s, e in zip(starts.tolist(), ends.tolist())
-                ]
-            )
+    totals = [segment_sums(batch.records, batch.counts, f) for f in _WEIGHT_TERMS]
     return [float(b) + float(m) for b, m in zip(*totals)]
 
 

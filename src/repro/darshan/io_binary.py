@@ -33,9 +33,10 @@ builds its ``FileRecord`` objects from that view.
 :func:`parse_payloads` runs it on a whole scan batch at once: the size
 checks are array predicates over every payload's gathered header, and
 only the UTF-8 decodes and the name count run per payload.  The scan
-reads the columns it returns without building a ``JobMeta`` or a
-``FileRecord``.  Files are read through :func:`read_payload`, which
-refuses an oversized file before reading it.
+and the store compiler read the columns it returns, string tables
+included, without building a ``JobMeta`` or a ``FileRecord``.  Files
+are read through :func:`read_payload`, which refuses an oversized file
+before reading it.
 """
 
 from __future__ import annotations
@@ -320,6 +321,8 @@ class MosdColumns(NamedTuple):
     exe: list[str]
     machine: list[str]
     partition: list[str]
+    #: Each row's decoded string table (record names joined by ``"\x00"``).
+    tables: list[str]
     #: Records per row.
     counts: np.ndarray
     #: Every accepted row's record section, back to back.
@@ -381,6 +384,7 @@ def parse_payloads(
     exe = [""] * n
     machine = [""] * n
     partition = [""] * n
+    tables = [""] * n
     sections: list[memoryview] = []
     survivors = np.flatnonzero(ok)
     rows = zip(
@@ -399,7 +403,7 @@ def parse_payloads(
             exe_i = str(view[_HEAD.size : mach_at], "utf-8")
             machine_i = str(view[mach_at:part_at], "utf-8")
             partition_i = str(view[part_at:cnt_at], "utf-8")
-            str(view[tab_at:rec_at], "utf-8")
+            table_i = str(view[tab_at:rec_at], "utf-8")
         except UnicodeDecodeError:
             ok[i] = False
             continue
@@ -408,6 +412,7 @@ def parse_payloads(
             ok[i] = False
             continue
         exe[i], machine[i], partition[i] = exe_i, machine_i, partition_i
+        tables[i] = table_i
         sections.append(view[rec_at:])
 
     def column(values: np.ndarray) -> np.ndarray:
@@ -423,6 +428,7 @@ def parse_payloads(
         exe=exe,
         machine=machine,
         partition=partition,
+        tables=tables,
         counts=column(n_records),
         # one accepted row is viewed in place, several are copied once
         records=np.frombuffer(

@@ -8,10 +8,11 @@ the streaming pipeline (:func:`repro.core.pipeline.run_pipeline_stream`)
 can make two bounded-memory passes (scan/dedup, then categorize the
 selected refs) instead of materializing a ``list[Trace]``.
 
-The scan pass reads a source through :meth:`TraceSource.record_batches`:
-consecutive refs with their job-header columns and their records
-concatenated into one :data:`~repro.darshan.io_binary.RECORD_DTYPE`
-array, bounded in bytes, so that validation and dedup run over whole
+The scan pass and the store compiler read a source through
+:meth:`TraceSource.record_batches`: consecutive refs with their
+job-header columns, file names and records, the records concatenated
+into one :data:`~repro.darshan.io_binary.RECORD_DTYPE` array, bounded
+in bytes, so that validation, dedup and compilation run over whole
 arrays.  The default fills batches through :meth:`~TraceSource.load`;
 :class:`DirectorySource` reads a batch's MOSD files back to back and
 parses them as one column set
@@ -138,17 +139,19 @@ class _Entry(NamedTuple):
     held: Trace | bytes | None
     #: Bytes charged against the batch budget.
     cost: int
-    #: True when the trace's values do not fit ``RECORD_DTYPE`` (an
-    #: integer beyond int64, a fractional counter); ``held`` is then the
-    #: trace itself.
-    scalar: bool = False
+    #: True when the trace's values do not fit ``RECORD_DTYPE`` or the
+    #: header columns (an integer beyond int64, a fractional counter);
+    #: ``held`` is then the trace itself.
+    scalar: bool
+    #: The file name of each of ``records``.
+    names: list[str]
 
 
 _NO_RECORDS = np.empty(0, dtype=RECORD_DTYPE)
 
 
 def _unreadable_entry(ref: TraceRef) -> _Entry:
-    return _Entry(ref, None, _NO_RECORDS, None, _REF_BYTES)
+    return _Entry(ref, None, _NO_RECORDS, None, _REF_BYTES, False, [])
 
 
 def _trace_entry(ref: TraceRef, trace: Trace, retain: bool) -> _Entry:
@@ -158,13 +161,16 @@ def _trace_entry(ref: TraceRef, trace: Trace, retain: bool) -> _Entry:
         # packing through the MOSD struct refuses what the layout cannot
         # hold exactly, where a NumPy cast would truncate a float counter
         packed = b"".join([_pack_record(rec) for rec in trace.records])
-        np.int64(meta.nprocs)
+        np.array([meta.job_id, meta.uid, meta.nprocs], dtype=np.int64)
+        float(meta.start_time)
+        float(meta.end_time)
         float(meta.run_time)
     except (TraceWriteError, OverflowError, TypeError, ValueError):
-        return _Entry(ref, meta, _NO_RECORDS, trace, _REF_BYTES, True)
+        return _Entry(ref, meta, _NO_RECORDS, trace, _REF_BYTES, True, [])
     records = np.frombuffer(packed, dtype=RECORD_DTYPE)
     held = trace if retain else None
-    return _Entry(ref, meta, records, held, _REF_BYTES + records.nbytes)
+    names = [rec.file_name for rec in trace.records]
+    return _Entry(ref, meta, records, held, _REF_BYTES + records.nbytes, False, names)
 
 
 @dataclass(slots=True)
@@ -172,9 +178,9 @@ class RecordBatch:
     """Consecutive refs of a source, their headers and records as columns.
 
     Per-ref columns are aligned with :attr:`refs`; ref ``i`` owns the
-    next ``counts[i]`` rows of :attr:`records`.  An unreadable ref has
-    ``unreadable[i]`` set, no records, job id and uid 0 and an empty
-    exe.
+    next ``counts[i]`` rows of :attr:`records`, named by
+    :meth:`file_names`.  An unreadable ref has ``unreadable[i]`` set, no
+    records, job id and uid 0, start and end time 0 and empty strings.
     """
 
     refs: list[TraceRef]
@@ -184,25 +190,37 @@ class RecordBatch:
     exe: list[str]
     nprocs: np.ndarray
     run_time: np.ndarray
+    start_time: np.ndarray
+    end_time: np.ndarray
+    machine: list[str]
+    partition: list[str]
     counts: np.ndarray
     #: Every readable ref's records, back to back (``RECORD_DTYPE``).
     records: np.ndarray
-    #: Positions of refs whose values do not fit ``RECORD_DTYPE``: they
-    #: carry no records here and must be validated as traces.
+    #: Positions of refs whose values do not fit ``RECORD_DTYPE`` or the
+    #: header columns: they carry no records and no header columns
+    #: beyond job id, uid and exe here, and must be handled as traces.
     scalar: frozenset[int] = frozenset()
     _held: list[Trace | bytes | None] = field(default_factory=list)
     #: Job headers, or the parsed MOSD columns to build them from.
     _headers: list[JobMeta | None] | MosdColumns = field(default_factory=list)
+    #: Each ref's file names, or its MOSD string table to split.
+    _names: Sequence[list[str] | str] = field(default_factory=list)
 
     @classmethod
     def of(cls, entries: Sequence[_Entry]) -> "RecordBatch":
         """Assemble a batch from one or more decoded entries, in order."""
-        refs, metas, records, held, _, scalar = zip(*entries)
-        nprocs = [1] * len(entries)
-        run_time = [1.0] * len(entries)
-        job_id = [0] * len(entries)
-        uid = [0] * len(entries)
-        exe = [""] * len(entries)
+        refs, metas, records, held, _, scalar, names = zip(*entries)
+        n = len(entries)
+        nprocs = [1] * n
+        run_time = [1.0] * n
+        start_time = [0.0] * n
+        end_time = [0.0] * n
+        job_id = [0] * n
+        uid = [0] * n
+        exe = [""] * n
+        machine = [""] * n
+        partition = [""] * n
         for i, meta in enumerate(metas):
             if meta is None:
                 continue
@@ -210,6 +228,8 @@ class RecordBatch:
             if not scalar[i]:
                 nprocs[i] = meta.nprocs
                 run_time[i] = meta.end_time - meta.start_time
+                start_time[i], end_time[i] = meta.start_time, meta.end_time
+                machine[i], partition[i] = meta.machine, meta.partition
         return cls(
             refs=list(refs),
             unreadable=np.array([m is None for m in metas], dtype=bool),
@@ -218,6 +238,10 @@ class RecordBatch:
             exe=exe,
             nprocs=np.array(nprocs, dtype=np.int64),
             run_time=np.array(run_time, dtype=np.float64),
+            start_time=np.array(start_time, dtype=np.float64),
+            end_time=np.array(end_time, dtype=np.float64),
+            machine=machine,
+            partition=partition,
             counts=np.array([len(r) for r in records], dtype=np.int64),
             # joining the raw sections skips concatenate's per-array
             # structured-dtype promotion
@@ -227,6 +251,7 @@ class RecordBatch:
             scalar=frozenset(i for i, s in enumerate(scalar) if s),
             _held=list(held),
             _headers=list(metas),
+            _names=list(names),
         )
 
     @classmethod
@@ -245,10 +270,15 @@ class RecordBatch:
             exe=cols.exe,
             nprocs=np.where(cols.ok, cols.nprocs, 1),
             run_time=np.where(cols.ok, cols.end - cols.start, 1.0),
+            start_time=cols.start,
+            end_time=cols.end,
+            machine=cols.machine,
+            partition=cols.partition,
             counts=cols.counts,
             records=cols.records,
             _held=list(payloads) if retain else [None] * len(refs),
             _headers=cols,
+            _names=cols.tables,
         )
 
     def __len__(self) -> int:
@@ -274,6 +304,13 @@ class RecordBatch:
         )
         return [JobMeta(*row[1:]) if row[0] else None for row in rows]
 
+    def file_names(self, i: int) -> list[str]:
+        """The file name of each of ref ``i``'s records in the batch."""
+        names = self._names[i]
+        if isinstance(names, str):  # a MOSD string table
+            return names.split("\x00") if names else [""] * int(self.counts[i])
+        return names
+
     def app_key(self, i: int) -> tuple[int, str]:
         """Ref ``i``'s :attr:`JobMeta.app_key
         <repro.darshan.records.JobMeta.app_key>`, read from the columns."""
@@ -287,6 +324,36 @@ class RecordBatch:
         if isinstance(held, bytes):
             return loads_binary(held)
         raise ValueError(f"batch kept no payload for ref {i}")
+
+
+def segment_sums(
+    records: np.ndarray, counts: np.ndarray, fields: Sequence[str]
+) -> list[int]:
+    """Each trace's exact sum of ``fields`` over its records.
+
+    Trace ``t`` owns the next ``counts[t]`` of ``records``.  The sums
+    run in int64 when no trace's sum can reach 2**63 in magnitude (the
+    running sum may wrap; each trace's difference is still exact), in
+    Python ints otherwise.
+    """
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    largest = sum(
+        max(int(records[f].max(initial=0)), -int(records[f].min(initial=0)))
+        for f in fields
+    )
+    if largest * int(counts.max(initial=0)) < 2**63:
+        per_record = np.zeros(len(records), dtype=np.int64)
+        for f in fields:
+            per_record += records[f]
+        cum = np.zeros(len(records) + 1, dtype=np.int64)
+        np.cumsum(per_record, out=cum[1:])
+        return (cum[ends] - cum[starts]).tolist()
+    columns = [records[f].tolist() for f in fields]
+    return [
+        sum(sum(column[s:e]) for column in columns)
+        for s, e in zip(starts.tolist(), ends.tolist())
+    ]
 
 
 def batch_payloads(payloads: Sequence[bytes]) -> RecordBatch:

@@ -80,6 +80,7 @@ def _row(batch: RecordBatch, i: int) -> tuple[object, ...]:
         int(batch.nprocs[i]),
         float(batch.run_time[i]),
         records.tobytes(),
+        batch.file_names(i),
     )
 
 
@@ -99,6 +100,7 @@ def _neighbours() -> tuple[tuple[bytes, tuple[object, ...]], ...]:
             meta.nprocs,
             meta.run_time,
             records.tobytes(),
+            [r.file_name for r in loads_binary(payload).records],
         )
         out.append((payload, row))
     return tuple(out)
@@ -132,6 +134,8 @@ def _entry_binary(data: bytes) -> None:
         raise ReaderMismatch("the readers decoded different job headers")
     if batch.records.tobytes() != b"".join(_pack_record(r) for r in trace.records):
         raise ReaderMismatch("the readers decoded different records")
+    if batch.file_names(0) != [r.file_name for r in trace.records]:
+        raise ReaderMismatch("the readers decoded different file names")
     row = violation_matrix(batch.records, batch.run_time, batch.nprocs, batch.counts)[0]
     flagged = {VIOLATION_COLUMNS[i] for i in row.nonzero()[0]}
     if flagged != validate_trace(trace).categories():
