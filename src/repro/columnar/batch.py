@@ -87,8 +87,10 @@ def plan_slices(
     slices: list[StoreSlice] = []
     current: list[int] = []
     acc_ops = 0
-    for row in rows:
-        n_ops = int(idx[row]["n_read_ops"]) + int(idx[row]["n_write_ops"])
+    n_read = idx["n_read_ops"][rows].tolist()
+    n_write = idx["n_write_ops"][rows].tolist()
+    for row, n_r, n_w in zip(rows, n_read, n_write):
+        n_ops = n_r + n_w
         over = current and (
             acc_ops + n_ops > cap_ops
             or len(current) >= max_traces
@@ -216,13 +218,12 @@ def _batch_metadata(
     and the rate rules run on each trace's own bin slice.
     """
     idx = store.index
+    totals = idx["total_meta_ops"][rows].tolist()
+    nprocs = idx["nprocs"][rows].tolist()
     out: list[MetadataDetection | None] = [None] * len(rows)
     binned: list[int] = []
-    for i, row in enumerate(rows):
-        total = int(idx[row]["total_meta_ops"])
-        threshold = config.metadata_min_ops_per_rank * max(
-            int(idx[row]["nprocs"]), 1
-        )
+    for i, total in enumerate(totals):
+        threshold = config.metadata_min_ops_per_rank * max(nprocs[i], 1)
         if total < threshold:
             out[i] = insignificant_metadata(total)
         else:
@@ -238,12 +239,10 @@ def _batch_metadata(
             np.maximum(run_times[binned], width),
             width,
         )
-        values = values / width
+        values /= width
         for j, i in enumerate(binned):
             rate = values[bin_offsets[j] : bin_offsets[j + 1]]
-            out[i] = detect_from_rate(
-                int(idx[rows[i]]["total_meta_ops"]), rate, config
-            )
+            out[i] = detect_from_rate(totals[i], rate, config)
     return [m for m in out if m is not None]
 
 
@@ -265,9 +264,10 @@ def categorize_slice(
     )
 
     governors = [Governor(config.budget) for _ in rows]
-    for i, row in enumerate(rows):
-        n_ops = int(idx[row]["n_read_ops"]) + int(idx[row]["n_write_ops"])
-        governors[i].admit_cost(n_ops, n_ops * OP_WORKING_SET_BYTES)
+    n_read = idx["n_read_ops"][rows].tolist()
+    n_write = idx["n_write_ops"][rows].tolist()
+    for governor, n_r, n_w in zip(governors, n_read, n_write):
+        governor.admit_cost(n_r + n_w, (n_r + n_w) * OP_WORKING_SET_BYTES)
 
     active = [i for i, g in enumerate(governors) if g.allows_axes()]
     active_rows = [rows[i] for i in active]

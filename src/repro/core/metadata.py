@@ -107,7 +107,8 @@ def metadata_rate(trace: Trace, bin_width: float) -> np.ndarray:
         bin_width,
     )
     # Normalize to requests per second regardless of bin width.
-    return values / bin_width
+    values /= bin_width
+    return values
 
 
 def classify_metadata(trace: Trace, config: MosaicConfig) -> MetadataDetection:

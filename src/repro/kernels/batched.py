@@ -232,15 +232,17 @@ def _first_past_edge(
     offset: np.ndarray,
     bin_width: float,
 ) -> np.ndarray:
-    """First event index of each progression whose bin is ``>= edge``.
+    """First event index of each progression whose bin is ``>= edge``, exactly.
 
-    The caller guarantees ``1 <= edge <= last bin``, event 0 below the
-    edge and event ``k - 1`` at or past it, so the answer is bracketed in
-    ``(0, k - 1]``, and "bin >= edge" is simply ``t / w >= edge``.  A
+    The fallback of :func:`_spanned_counts`, for the edges whose crossing
+    estimate lies too close to an integer to certify.  The caller
+    guarantees ``1 <= edge <= last bin``, event 0 below the edge and
+    event ``k - 1`` at or past it, so the answer is bracketed in
+    ``(0, k - 1]``, and "bin >= edge" is simply ``t / w >= edge``.  The
     ``ceil`` estimate of the crossing is checked by evaluating the exact
-    event expression on both sides of it.  The few estimates rounding
-    puts off (a step below the ulp of ``t0``) try the next index over,
-    then bisect on the same predicate.
+    event expression on both sides of it.  Estimates rounding puts off
+    (a crossing within ulps of the edge, or a step below the ulp of
+    ``t0``) try the next index over, then bisect on the same predicate.
     """
 
     def past(i: np.ndarray, sel: np.ndarray | slice = slice(None)) -> np.ndarray:
@@ -270,6 +272,91 @@ def _first_past_edge(
     return i
 
 
+#: Error bound of a spanned-bin crossing estimate, in units of
+#: ``(|t0| + |offset| + k*step + edge*w) / step``: 16 unit roundoffs
+#: (2**-53).  docs/ALGORITHMS.md derives 7 for the estimate and the event
+#: expression together; 16 also covers rounding in the bound and the check.
+_CROSSING_ROUNDOFFS = 16 * 2.0**-53
+
+
+def _ramps(starts: np.ndarray, span: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with ``starts[p] + arange(span[p])`` for every ``p``, in order.
+
+    One cumulative sum over unit steps and per-run jumps (every
+    ``span >= 1``); exact for integers below 2**53 in a float ``out``.
+    """
+    out.fill(1)
+    jump = starts.astype(out.dtype)
+    jump[1:] -= starts[:-1] + (span[:-1] - 1)
+    out[np.cumsum(span) - span] = jump
+    np.cumsum(out, out=out)
+    return out
+
+
+def _certify(x: np.ndarray, tol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``ceil(x)``, and where ``x`` is more than ``tol`` from every integer.
+
+    ``ceil(x) - x`` is exact and the rest of the check rounds by at most
+    2**-53, so a ``True`` is sure whenever ``tol`` exceeds that; a NaN is
+    never sure.  Overwrites ``x``.
+    """
+    up = np.ceil(x)
+    np.subtract(up, x, out=x)
+    x -= 0.5
+    np.abs(x, out=x)
+    x += tol
+    return up, x < 0.5
+
+
+def _spanned_counts(
+    first: np.ndarray,
+    span: np.ndarray,
+    k: np.ndarray,
+    t0: np.ndarray,
+    step: np.ndarray,
+    offset: np.ndarray,
+    bin_width: float,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Events of every (progression, spanned bin) row, written to ``out``.
+
+    Progression ``p`` owns ``span[p]`` consecutive rows, one per bin from
+    ``first[p]``.  Row 0 starts at event 0 and row ``j > 0`` at the first
+    event past edge ``first + j``; a row's count is the gap to the next
+    row's start, or to ``k`` on the last row.  That edge's crossing is
+    ``x_j = A + j*B`` events in, with ``A = (first*w - t0 - offset)/step``
+    and ``B = w/step``, and ``ceil(x_j)`` is taken without evaluating any
+    event when ``x_j`` is farther from an integer than the rounding of
+    ``x_j`` and of the event expression together can move it.  Rows
+    closer than that are settled exactly by :func:`_first_past_edge`.
+    """
+    # a one-row progression has no edge; its step may be 0 or NaN
+    step_e = np.where(span > 1, step, 1.0)
+    a = (first * bin_width - t0 - offset) / step_e
+    b = bin_width / step_e
+    tol = np.abs(t0) + np.abs(offset) + k * step_e + (first + span - 1) * bin_width
+    tol *= _CROSSING_ROUNDOFFS
+    tol /= step_e
+    x = _ramps(np.zeros(len(span)), span, out)  # j, then x_j
+    x *= np.repeat(b, span)
+    x += np.repeat(a, span)
+    start, unsure = _certify(x, np.repeat(tol, span))
+    np.logical_not(unsure, out=unsure)
+    row0 = np.cumsum(span) - span
+    unsure[row0] = False
+    miss = np.flatnonzero(unsure)
+    if len(miss):
+        p = np.searchsorted(row0, miss, side="right") - 1
+        start[miss] = _first_past_edge(
+            first[p] + (miss - row0[p]), k[p], t0[p], step[p], offset[p], bin_width
+        )
+    start[row0] = 0.0
+    np.subtract(start[1:], start[:-1], out=out[:-1])
+    tail = row0 + span - 1
+    out[tail] = k - start[tail]
+    return out
+
+
 def bin_events_segmented(
     t0: np.ndarray,
     t1: np.ndarray,
@@ -297,8 +384,10 @@ def bin_events_segmented(
     These events are never materialized.  The bin index
     ``min(int(t / w), nb - 1)`` is monotone in ``i``, so each bin's
     event count is the gap between the first indices past consecutive
-    bin edges, found from a ``ceil`` estimate corrected by evaluating the
-    event's own float expression.  Per progression the kernel
+    bin edges.  Each is the ``ceil`` of the edge's crossing estimate,
+    certified in closed form against a proven rounding bound; the rare
+    estimate within that bound of an integer is settled by evaluating
+    the events' own float expression.  Per progression the kernel
     enumerates whichever is fewer, its events (each adding ``n / k``
     requests) or its spanned bins (each adding ``count * n / k``):
     O(records + sum of min(k, bins spanned)), no sort.
@@ -356,56 +445,42 @@ def bin_events_segmented(
     # the bins its window spans (the window is about k steps wide).
     # The choice only sets the cost; both enumerations are exact.
     by_event = k <= k * step / bin_width + 1
-    bins: list[np.ndarray] = []
-    requests: list[np.ndarray] = []
-
     s = np.flatnonzero(~by_event)
+    e = np.flatnonzero(by_event)
+    ke = k[e]
+    n_rows = 0
     if len(s):
-        # Bins are monotone in the event index, so a progression's
-        # events per bin are the gaps between the first indices past
-        # each bin edge.  One row per spanned bin: row j > 0 starts at
-        # its edge's first index, and the next row's start (or k, on
-        # the last bin) closes it.
         prog_s = tuple(x[s] for x in prog)
         k_s, last_s = k[s], last[s]
         first = _event_bins(_progression(np.zeros_like(k_s), *prog_s), bin_width, last_s)
         final = _event_bins(_progression(k_s - 1, *prog_s), bin_width, last_s)
         span = final - first + 1
-        row0 = np.cumsum(span) - span
-        rows = np.arange(int(row0[-1] + span[-1]))
-        bins.append(rows + np.repeat(base[s] + first - row0, span))
-        inner = np.ones(len(rows), dtype=bool)
-        inner[row0] = False
-        n_edges = span - 1
-        start = np.zeros(len(rows), dtype=np.int64)
-        start[inner] = _first_past_edge(
-            rows[inner] + np.repeat(first - row0, n_edges),
-            *(np.repeat(x[s], n_edges) for x in (k, *prog)),
-            bin_width,
-        )
-        stop = np.empty_like(start)
-        stop[:-1] = start[1:]
-        stop[row0 + span - 1] = k_s
-        count = (stop - start).astype(np.float64)
-        count *= np.repeat(n[s], span)
-        count /= np.repeat(k_s, span)
-        requests.append(count)
+        n_rows = int(span.sum())
+    # the rows bincount adds, in its order: one per (progression, spanned
+    # bin), then one per enumerated event
+    bins = np.empty(n_rows + int(ke.sum()), dtype=np.int64)
+    requests = np.empty(len(bins))
 
-    e = np.flatnonzero(by_event)
+    if len(s):
+        # Bins are monotone in the event index, so a progression's
+        # events per bin are the gaps between the first indices past
+        # each bin edge, each row adding fl(fl(count * n) / k).
+        _ramps(base[s] + first, span, bins[:n_rows])
+        count = _spanned_counts(
+            first, span, k_s, *prog_s, bin_width, requests[:n_rows]
+        )
+        count *= np.repeat(n[s], span)
+        count /= np.repeat(k_s.astype(np.float64), span)
+
     if len(e):
         # each event binned directly, carrying n / k requests
-        ke = k[e]
         pid = np.repeat(e, ke)
         i = np.arange(len(pid)) - np.repeat(np.cumsum(ke) - ke, ke)
         times = _progression(i, *(x[pid] for x in prog))
-        bins.append(_event_bins(times, bin_width, last[pid]) + base[pid])
-        requests.append(np.repeat(n[e] / ke, ke))
+        bins[n_rows:] = _event_bins(times, bin_width, last[pid]) + base[pid]
+        requests[n_rows:] = np.repeat(n[e] / ke, ke)
 
-    values = np.bincount(
-        np.concatenate(bins or [np.empty(0, dtype=np.int64)]),
-        weights=np.concatenate(requests or [np.empty(0)]),
-        minlength=int(bin_offsets[-1]),
-    )
+    values = np.bincount(bins, weights=requests, minlength=int(bin_offsets[-1]))
     return values, bin_offsets
 
 

@@ -24,7 +24,8 @@ kernel equal to the event-expansion oracle of
 :mod:`repro.testing.metadata` on adversarial record families (k = 1,
 swapped and empty windows, ``-1`` sentinels, grid points on bin edges,
 million-open records, events past run_time, sub-bin runs, non-integral
-request weights, steps below the ulp of ``t0``): per-bin event counts
+request weights, steps below the ulp of ``t0``, steps a few ulps off a
+bin-edge grid): per-bin event counts
 exactly, rates bitwise whenever the request weights are integral.
 
 A divergence surfaced here is, by construction, either a vectorization
@@ -534,6 +535,7 @@ METADATA_PROFILES = (
     "short_run",  # run_time shorter than one bin
     "fractional",  # non-integral n/k request weights
     "dense",  # step below the ulp of t0: staircase event times
+    "near_tie",  # t0 on an edge, step a few ulps off w/m: near-edge events
 )
 
 
@@ -590,6 +592,18 @@ def _metadata_record(
         span = float(rng.choice([1e-9, 1e-7, 1e-5]))
         t0 = edge - float(rng.uniform(0.0, span))
         t1 = t0 + span
+    elif profile == "near_tie":
+        # t0 on a bin edge (large on long runs) and t1 = t0 + k*w/m moved
+        # 1-4 ulps, so the step is a few ulps off w/m and every m-th open
+        # lands within ulps of an edge: the crossing estimates that the
+        # kernel cannot certify and settles by evaluating events
+        k = int(rng.integers(2, 5000))
+        m = int(rng.choice([2, 3, 4, 8, 10]))
+        t0 = width * float(rng.integers(0, max(int(run_time / (2 * width)), 1)))
+        t1 = t0 + k * (width / m)
+        toward = float(rng.choice([-np.inf, np.inf]))
+        for _ in range(int(rng.integers(1, 5))):
+            t1 = float(np.nextafter(t1, toward))
     read_start = -1.0 if rng.random() < 0.3 else float(rng.uniform(0, run_time))
     return FileRecord(
         file_id=int(rng.integers(1, 1 << 30)),
@@ -612,7 +626,11 @@ def adversarial_metadata_batch(
     Returns the traces (one segment each) and the bin width.
     """
     width = float(
-        rng.choice([0.25, 0.5, 1.0] if profile == "bin_edges" else [0.1, 0.5, 1.0, 7.3])
+        rng.choice(
+            [0.25, 0.5, 1.0]
+            if profile in ("bin_edges", "near_tie")
+            else [0.1, 0.5, 1.0, 7.3]
+        )
     )
     traces = []
     for j in range(int(rng.integers(1, max_traces + 1))):

@@ -23,8 +23,9 @@ N_CASES = 1000
 #: traces per case, so they get a smaller (still multi-hundred) sweep.
 N_CASES_SEGMENTED = 300
 #: The closed-form metadata binning replaced event expansion on both
-#: routes; its adversarial records get the full sweep.
-N_CASES_METADATA = 1000
+#: routes; its adversarial records get the full sweep, at least 112
+#: cases for each of its ten record families.
+N_CASES_METADATA = 1120
 SEED = 20260806
 
 #: The ``KernelBackend`` field or ``repro.kernels.batched`` export each
