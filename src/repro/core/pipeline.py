@@ -102,21 +102,21 @@ class PipelineContext:
     #: independent of :mod:`repro.service`; see
     #: :class:`repro.service.cache.ResultCache`): ``trace_key(crc,
     #: job_id)`` derives the cache key of one store row from its CRC
-    #: chain and job id, ``get(key)`` returns a saved result payload or
-    #: ``None``, ``put(key, payload)`` stores one, ``commit()`` makes
-    #: the puts so far durable and ``close()`` ends the run's use of
-    #: it.  Consulted only for store runs — the per-trace CRC that
-    #: addresses it exists only in ``.mosc`` v2.
+    #: chain and job id, ``get(key)`` returns a saved result line
+    #: (:meth:`CategorizationResult.json_line`) or ``None``, ``put(key,
+    #: line)`` stores one, ``commit()`` makes the puts so far durable
+    #: and ``close()`` ends the run's use of it.  Consulted only for
+    #: store runs — the per-trace CRC that addresses it exists only in
+    #: ``.mosc`` v2.
     result_cache: Any | None = None
-    #: Optional settle hook passed to the journal-backed
-    #: :class:`~repro.parallel.jobstore.JobStore`: called as
-    #: ``(kind, job_id, record, seq)`` for every outcome once the
-    #: commit that made it durable has happened — after each unit, not
-    #: as each outcome is journaled (``kind`` is ``"result"`` or
-    #: ``"failure"``; ``seq`` is the journal settle-event sequence
-    #: number, stable across resumes).  The service's SSE live stream;
-    #: no effect without ``journal_path``.
-    on_settle: Any | None = None
+    #: Optional commit hook passed to the journal-backed
+    #: :class:`~repro.parallel.jobstore.JobStore`: called once per
+    #: journal commit that made settles durable — after each unit —
+    #: with their ``(kind, job_id, seq)`` in order (``kind`` is
+    #: ``"result"`` or ``"failure"``; ``seq`` is the journal settle
+    #: sequence number, stable across resumes).  The service's SSE live
+    #: stream; no effect without ``journal_path``.
+    on_commit: Any | None = None
 
     def __post_init__(self) -> None:
         if self.error_policy not in ("collect", "raise"):
@@ -335,12 +335,14 @@ def _run_pipeline_plan(
 
     Members already settled in a resumed journal keep their saved
     outcome; with a result cache and per-row CRCs, members whose
-    content was categorized before are served their saved payload (and
+    content was categorized before are served their saved line (and
     still journaled, so resume and byte-identity hold regardless of
-    cache state).  The rest ship in units through
-    :func:`~repro.parallel.resilient.resilient_imap`; each outcome
-    settles every member of its unit — a failed unit journals one
-    failure per member.  Journal records stay per trace however the
+    cache state).  A result is encoded once, as it settles; the
+    journal, the cache and ``results.jsonl`` all write that line
+    (:meth:`CategorizationResult.json_line`).  The rest ship in units
+    through :func:`~repro.parallel.resilient.resilient_imap`; each
+    outcome settles every member of its unit — a failed unit journals
+    one failure per member.  Journal records stay per trace however the
     work ships, so a journal started on one route resumes on another.
     Persistence is group-committed: one journal commit (and one cache
     commit) after the cache-served block and after each unit.
@@ -350,7 +352,7 @@ def _run_pipeline_plan(
     resumed: dict[int, CategorizationResult] = {}
     quarantined: set[int] = set()
     if journal_path is not None:
-        jobstore = JobStore(journal_path, resume=resume, on_settle=ctx.on_settle)
+        jobstore = JobStore(journal_path, resume=resume, on_commit=ctx.on_commit)
         state = jobstore.open(n_selected=scan.n_selected)
         if jobstore.resuming:
             resumed = {
@@ -398,7 +400,7 @@ def _run_pipeline_plan(
                         uncached.append((slot, entry))
                         continue
                     ctx.count("n_cache_hits")
-                    slots[slot] = CategorizationResult.from_dict(  # mosaic: disable=MOS016 (rehydration of an already-governed result)
+                    slots[slot] = CategorizationResult.from_json_line(  # mosaic: disable=MOS016 (rehydration of an already-governed result)
                         saved
                     )
                     if jobstore is not None:
@@ -451,11 +453,11 @@ def _run_pipeline_plan(
                         slots[slot] = result
                         if jobstore is None and slot not in cache_keys:
                             continue
-                        payload = result.to_dict()
+                        line = result.json_line()
                         if jobstore is not None:
-                            jobstore.settle_result(entry.job_id, payload)
+                            jobstore.settle_result(entry.job_id, line)
                         if cache is not None and slot in cache_keys:
-                            cache.put(cache_keys[slot], payload)
+                            cache.put(cache_keys[slot], line)
                 # group commit: one fsync per unit, whatever its outcome
                 if cache is not None:
                     cache.commit()

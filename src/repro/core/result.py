@@ -21,10 +21,15 @@ from .periodicity import PeriodicGroup, PeriodicityDetection
 from .temporality import TemporalityDetection
 
 __all__ = [
+    "ENCODING_VERSION",
     "CategorizationResult",
     "save_results_jsonl",
     "load_results_jsonl",
 ]
+
+#: Version of :meth:`CategorizationResult.json_line`'s bytes, which the
+#: result cache serves unparsed: bump it whenever that line changes.
+ENCODING_VERSION = 2
 
 
 @dataclass(slots=True, frozen=True)
@@ -54,6 +59,8 @@ class CategorizationResult:
     degradation: DegradationLevel = DegradationLevel.FULL
     #: Human-readable reasons for every budget escalation, in order.
     budget_violations: tuple[str, ...] = ()
+    #: The canonical line, once made (:meth:`json_line`).
+    _line: str | None = field(default=None, init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     @property
@@ -144,6 +151,22 @@ class CategorizationResult:
             "budget_violations": list(self.budget_violations),
         }
 
+    def json_line(self) -> str:
+        """This result's ``results.jsonl`` line, ``json.dumps(to_dict())``
+        without the newline: made on the first call, then kept."""
+        line = self._line
+        if line is None:
+            line = json.dumps(self.to_dict())
+            object.__setattr__(self, "_line", line)
+        return line
+
+    @classmethod
+    def from_json_line(cls, line: str) -> "CategorizationResult":
+        """Rehydrate a :meth:`json_line` line, keeping it as the line."""
+        result = cls.from_dict(json.loads(line))
+        object.__setattr__(result, "_line", line)
+        return result
+
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "CategorizationResult":
         meta = d.get("metadata", {})
@@ -194,7 +217,7 @@ def save_results_jsonl(
     n = 0
     with atomic_write(path, "w") as fh:
         for r in results:
-            fh.write(json.dumps(r.to_dict()) + "\n")
+            fh.write(r.json_line() + "\n")
             n += 1
     return n
 

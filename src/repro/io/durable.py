@@ -275,8 +275,9 @@ class DurableAppender:
             raise ValueError(f"appender for {self.path!r} is closed")
         return self._fh
 
-    def append_line(self, line: str) -> None:
-        """Append one complete line (newline added if missing)."""
+    def append_line(self, line: str) -> bool:
+        """Append one complete line (newline added if missing); True when
+        a transient failure made it rewrite the line after a fragment."""
         fh = self._require_open()
         io, policy = self._io, self._policy
         data = line if line.endswith("\n") else line + "\n"
@@ -307,6 +308,7 @@ class DurableAppender:
         self._since_sync += 1
         if self.sync_interval and self._since_sync >= self.sync_interval:
             self.checkpoint()
+        return attempt > 0
 
     def checkpoint(self) -> None:
         """fsync everything appended so far — the durability boundary."""

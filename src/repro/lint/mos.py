@@ -187,7 +187,8 @@ class UnboundedAccumulationRule(Rule):
         if self.ctx.enclosing_function() is None:
             return  # module-level one-time initialization is fine
         name = func.value.id
-        if self.ctx.resolves_to_module_scope(name):
+        # an imported module (``np.add(a, b, out=c)``) is not a collection
+        if self.ctx.resolves_to_module_scope(name) and self.ctx.binding_kind(name) != "import":
             self.report(
                 node,
                 f"{func.attr}() on module-scope collection {name!r} inside "

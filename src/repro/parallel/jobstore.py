@@ -12,7 +12,7 @@ close.  Before this module each caller re-implemented that dance;
 the CLI can be resumed by the server (and vice versa) byte-identically.
 
 Like :mod:`repro.parallel.journal` underneath it, this layer traffics in
-plain dicts — never :class:`~repro.core.result.CategorizationResult` —
+JSON text — never :class:`~repro.core.result.CategorizationResult` —
 so the parallel package stays independent of the core package.
 
 Lifecycle::
@@ -20,7 +20,7 @@ Lifecycle::
     store = JobStore(path, resume=True)
     state = store.open(n_selected=plan.n_selected)  # lock + header
     ...                                             # state.completed /
-    store.settle_result(job_id, payload)            # state.quarantined
+    store.settle_result(job_id, line)               # state.quarantined
     store.settle_failure(job_id, failure_kind=..., ...)
     store.commit()                                  # one fsync per unit
     store.close()                                   # manifest + unlock
@@ -28,10 +28,10 @@ Lifecycle::
 Settles are group-committed: each one appends and flushes its journal
 line (a ``kill -9`` loses nothing), and :meth:`JobStore.commit` fsyncs
 every line since the previous commit at once — the driver commits once
-per unit of work.  ``on_settle`` (optional) is invoked for each
-outcome only after the commit that made it durable — the service's
-live-stream hook, so a client never sees a result a power cut could
-lose.  Every settle carries a 1-based sequence number
+per unit of work.  ``on_commit`` (optional) is handed each commit's
+settles, once, only after the commit that made them durable — the
+service's live-stream hook, so a client never sees a result a power
+cut could lose.  Every settle carries a 1-based sequence number
 (:attr:`JobStore.seq`) that counts journal settle lines, so a resumed
 store continues exactly where the dead incarnation's numbering
 stopped; :attr:`JobStore.committed_seq` is the last durable one.
@@ -56,10 +56,10 @@ from .journal import (
 
 __all__ = ["JobStore", "replay_settles"]
 
-#: Settle callback signature: (kind, job_id, record, seq) with kind one
-#: of ``"result"`` / ``"failure"`` and ``seq`` the 1-based journal
-#: settle-event sequence number (stable across resumes).
-SettleFn = Callable[[str, int, dict[str, Any], int], None]
+#: Commit callback: the ``(kind, job_id, seq)`` settles one commit made
+#: durable, in order; ``seq`` is the 1-based journal settle-event
+#: sequence number, stable across resumes.
+CommitFn = Callable[[list[tuple[str, int, int]]], None]
 
 
 def replay_settles(
@@ -102,11 +102,11 @@ class JobStore:
         path: str | os.PathLike[str],
         *,
         resume: bool = False,
-        on_settle: SettleFn | None = None,
+        on_commit: CommitFn | None = None,
     ) -> None:
         self.path = os.fspath(path)
         self.resuming = resume and os.path.exists(self.path)
-        self.on_settle = on_settle
+        self.on_commit = on_commit
         self._writer: JournalWriter | None = None
         #: Failure records quarantined this run *or* inherited from the
         #: resumed journal — the manifest content.
@@ -120,7 +120,7 @@ class JobStore:
         #: :meth:`commit` (or inherited, fsynced, on resume).
         self.committed_seq = 0
         #: Settle events waiting for the next commit to be published.
-        self._unpublished: list[tuple[str, int, dict[str, Any], int]] = []
+        self._unpublished: list[tuple[str, int, int]] = []
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -172,17 +172,17 @@ class JobStore:
             )
         return self._writer
 
-    def _settled(self, kind: str, job_id: int, record: dict[str, Any]) -> None:
+    def _settled(self, kind: str, job_id: int) -> None:
         self.seq += 1
-        if self.on_settle is not None:
-            self._unpublished.append((kind, job_id, record, self.seq))
+        if self.on_commit is not None:
+            self._unpublished.append((kind, job_id, self.seq))
 
     # ------------------------------------------------------------------
-    def settle_result(self, job_id: int, payload: dict[str, Any]) -> None:
-        """Journal one completed categorization (durable at the next
-        :meth:`commit`)."""
-        self._require_writer().record_result(job_id, payload)
-        self._settled("result", job_id, payload)
+    def settle_result(self, job_id: int, line: str) -> None:
+        """Journal one completed categorization, given as its canonical
+        line (durable at the next :meth:`commit`)."""
+        self._require_writer().record_result(job_id, line)
+        self._settled("result", job_id)
 
     def settle_failure(
         self,
@@ -207,20 +207,13 @@ class JobStore:
         quarantined = failure_kind in QUARANTINE_KINDS
         if quarantined:
             self.quarantine_records.append(record)
-        self._require_writer().record_failure(
-            job_id,
-            failure_kind=failure_kind,
-            error_type=error_type,
-            message=message,
-            trace_key=trace_key,
-            attempts=attempts,
-        )
-        self._settled("failure", job_id, record)
+        self._require_writer().record_failure(record)
+        self._settled("failure", job_id)
         return quarantined
 
     def commit(self) -> bool:
-        """Make every settle since the last commit durable, then
-        publish them to ``on_settle`` in sequence order.
+        """Make every settle since the last commit durable, then hand
+        them to ``on_commit`` in one call, in sequence order.
 
         One fsync however many settles the group holds, and none when
         nothing was appended since the last commit; returns whether an
@@ -229,9 +222,8 @@ class JobStore:
         synced = self._require_writer().commit()
         self.committed_seq = self.seq
         events, self._unpublished = self._unpublished, []
-        if self.on_settle is not None:
-            for kind, job_id, record, seq in events:
-                self.on_settle(kind, job_id, record, seq)
+        if events and self.on_commit is not None:
+            self.on_commit(events)
         return synced
 
     # ------------------------------------------------------------------

@@ -12,8 +12,10 @@ Format (one JSON object per line):
 * ``{"kind": "header", "version": 1, "n_selected": N}`` — first line of
   a fresh journal; ``n_selected`` guards against resuming over a
   *different* corpus.
-* ``{"kind": "result", "job_id": J, "result": {...}}`` — one completed
-  categorization (the :meth:`CategorizationResult.to_dict` payload).
+* ``{"kind":"result","job_id":J,"result":{...}}`` — one completed
+  categorization; the ``"result"`` value is its ``results.jsonl`` line,
+  verbatim.  Older journals held a compact re-encoding of the same
+  object, which parses to the same values.
 * ``{"kind": "failure", "job_id": J, "failure_kind": "poison", ...}`` —
   one failed trace with its taxonomy kind, error class, and source key.
 
@@ -25,7 +27,7 @@ Quarantined outcomes (TIMEOUT/POISON) are skipped on resume — a hung
 decode does not get to hang every resumed run — while plain EXCEPTION
 failures are re-attempted, since they may have been environmental.
 
-This module deliberately traffics in plain dicts (not
+This module deliberately traffics in JSON text and plain dicts (not
 :class:`~repro.core.result.CategorizationResult`) so the parallel layer
 never imports the core package.
 """
@@ -65,7 +67,7 @@ class JournalState:
     #: Selected-trace count recorded by the run that wrote the journal
     #: (``None`` for a headerless/legacy file).
     n_selected: int | None = None
-    #: job_id → result payload dict of completed categorizations.
+    #: job_id → parsed ``"result"`` object of completed categorizations.
     completed: dict[int, dict[str, Any]] = field(default_factory=dict)
     #: job_id → failure record of quarantined (TIMEOUT/POISON) traces.
     quarantined: dict[int, dict[str, Any]] = field(default_factory=dict)
@@ -328,7 +330,6 @@ class JournalWriter:
         except BaseException:
             self._release_lock()
             raise
-        self.n_written = 0
 
     def _release_lock(self) -> None:
         if self._lock_path is not None:
@@ -336,45 +337,23 @@ class JournalWriter:
             self._lock_path = None
 
     # ------------------------------------------------------------------
-    def _write(self, entry: dict[str, Any]) -> None:
+    def _write(self, line: str) -> None:
         if self._appender is None:
             raise ValueError(f"journal {self.path!r} is closed")
-        self._appender.append_line(json.dumps(entry, separators=(",", ":")))
-        self.n_written += 1
+        self._appender.append_line(line)
 
     def write_header(self, *, n_selected: int) -> None:
-        self._write(
-            {
-                "kind": "header",
-                "version": JOURNAL_VERSION,
-                "n_selected": n_selected,
-            }
-        )
+        header = (JOURNAL_VERSION, n_selected)
+        self._write('{"kind":"header","version":%d,"n_selected":%d}' % header)
 
-    def record_result(self, job_id: int, result: dict[str, Any]) -> None:
-        self._write({"kind": "result", "job_id": job_id, "result": result})
+    def record_result(self, job_id: int, line: str) -> None:
+        """Journal one result, given as its canonical line."""
+        self._write('{"kind":"result","job_id":%d,"result":%s}' % (job_id, line))
 
-    def record_failure(
-        self,
-        job_id: int,
-        *,
-        failure_kind: str,
-        error_type: str,
-        message: str,
-        trace_key: str = "",
-        attempts: int = 1,
-    ) -> None:
-        self._write(
-            {
-                "kind": "failure",
-                "job_id": job_id,
-                "failure_kind": failure_kind,
-                "error_type": error_type,
-                "message": message,
-                "trace_key": trace_key,
-                "attempts": attempts,
-            }
-        )
+    def record_failure(self, record: dict[str, Any]) -> None:
+        """Journal one failure record (``job_id``, ``failure_kind``,
+        ``error_type``, ``message``, ``trace_key``, ``attempts``)."""
+        self._write(json.dumps({"kind": "failure", **record}, separators=(",", ":")))
 
     def checkpoint(self) -> None:
         """Force-fsync everything journaled so far."""

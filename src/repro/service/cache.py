@@ -12,8 +12,8 @@ chain the ``.mosc`` v2 store records at compile time
 record slab, operation slabs, and every referenced heap string) plus
 the trace's job id, since a 32-bit CRC alone collides across a fleet,
 mixed with a namespace digest of the
-:class:`~repro.core.thresholds.MosaicConfig` repr and the repair flag,
-since either changes the output.
+:class:`~repro.core.thresholds.MosaicConfig` repr, the repair flag and
+the result encoding version, since each changes the bytes served.
 
 Entries live in append-only *segments*, one directory per namespace
 (``<root>/<namespace>/<random hex>.seg``).  A run's puts append to one
@@ -23,7 +23,8 @@ itself::
 
     <key> <length> <crc32(key + payload):08x> <payload>
 
-where ``payload`` is the exact compact JSON the pipeline journaled.
+where ``payload`` is the result's ``results.jsonl`` line, verbatim
+(:meth:`~repro.core.result.CategorizationResult.json_line`).
 Hits come from an in-memory index (key → segment, offset, length,
 CRC), rebuilt by scanning the segments the first time the cache is
 used; the rebuild truncates a torn or zero-filled segment tail.
@@ -31,20 +32,19 @@ used; the rebuild truncates a torn or zero-filled segment tail.
 The cache is a performance artifact, like the lint cache: a miss, a
 torn or foreign entry, or a failed write must never fail the
 categorization that consulted it — reads degrade to misses and writes
-are dropped (counted in :attr:`ResultCache.put_errors`).  Served
-payloads are the exact JSON the pipeline journaled when the trace was
-first categorized, so a cache hit is byte-identical to a re-run.
+are dropped (counted in :attr:`ResultCache.put_errors`).  A hit
+returns the stored line unparsed, so it is byte-identical to a re-run.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
-import json
 import os
 import zlib
 from typing import IO, Any
 
+from ..core.result import ENCODING_VERSION
 from ..io import DurableAppender, StorageError
 
 __all__ = ["ResultCache", "config_namespace"]
@@ -66,10 +66,11 @@ def config_namespace(config: Any, repair: bool = False) -> str:
     ``config`` is hashed by ``repr`` — :class:`MosaicConfig` is a frozen
     dataclass whose repr enumerates every threshold, so any knob change
     re-namespaces the cache instead of serving results computed under
-    different thresholds.
+    different thresholds.  Hits are not re-encoded, so a new
+    :data:`~repro.core.result.ENCODING_VERSION` re-namespaces it too.
     """
     digest = hashlib.sha256(
-        f"{config!r}|repair={bool(repair)}".encode()
+        f"{config!r}|repair={bool(repair)}|encoding={ENCODING_VERSION}".encode()
     ).hexdigest()
     return digest[:16]
 
@@ -99,7 +100,7 @@ def _parse_entry(line: bytes) -> tuple[str, int, int, int] | None:
 
 
 class ResultCache:
-    """Segment-backed content-addressed store of result payloads.
+    """Segment-backed content-addressed store of result lines.
 
     Implements the duck-typed protocol
     :attr:`repro.core.pipeline.PipelineContext.result_cache` consumes:
@@ -123,6 +124,8 @@ class ResultCache:
         self._index: dict[str, _Location] | None = None
         self._segments: set[str] = set()
         self._writer: DurableAppender | None = None
+        #: Byte length of the open segment.
+        self._end = 0
         self._readers: dict[str, IO[bytes]] = {}
 
     @classmethod
@@ -194,7 +197,7 @@ class ResultCache:
                 self.truncated_bytes += pos - valid_end
         self.bytes += valid_end
 
-    def _read(self, location: _Location, key: str) -> dict[str, Any] | None:
+    def _read(self, location: _Location, key: str) -> str | None:
         path, offset, length, crc = location
         fh = self._readers.get(path)
         if fh is None:
@@ -203,12 +206,11 @@ class ResultCache:
         data = fh.read(length)
         if len(data) != length or _entry_crc(key.encode("ascii"), data) != crc:
             return None
-        payload = json.loads(data)
-        return payload if isinstance(payload, dict) else None
+        return data.decode("ascii")
 
     # -- protocol ------------------------------------------------------
-    def get(self, key: str) -> dict[str, Any] | None:
-        """Saved payload for ``key``, or ``None`` (counted as a miss).
+    def get(self, key: str) -> str | None:
+        """Saved line for ``key``, or ``None`` (counted as a miss).
 
         A missing, unreadable or corrupted entry degrades to a miss and
         leaves the index, so the pipeline recomputes and the next
@@ -228,24 +230,23 @@ class ResultCache:
         self.hits += 1
         return payload
 
-    def put(self, key: str, payload: dict[str, Any]) -> None:
-        """Append ``payload`` under ``key`` (best-effort; durable at the
+    def put(self, key: str, line: str) -> None:
+        """Append ``line`` under ``key`` (best-effort; durable at the
         next :meth:`commit`).
 
-        Re-putting an indexed key is a no-op.  A cache that cannot be
-        written is a performance loss, not a failure: storage errors are
-        counted and swallowed so the categorization that produced
-        ``payload`` still succeeds, and the segment that failed is
-        abandoned — the next put starts a fresh one.
+        ``line`` is a canonical result line: ASCII and newline-free, so
+        characters count bytes.  Re-putting an indexed key is a no-op.
+        A cache that cannot be written is a performance loss, not a
+        failure: storage errors are counted and swallowed so the
+        categorization that produced ``line`` still succeeds, and the
+        segment that failed is abandoned — the next put starts a fresh
+        one.
         """
         index = self._load()
         if key in index:
             return
-        # json.dumps escapes every non-ASCII character and newline, so
-        # the entry is one ASCII line and characters count bytes
-        data = json.dumps(payload, separators=(",", ":"), sort_keys=False)
-        crc = _entry_crc(key.encode("ascii"), data.encode("ascii"))
-        line = f"{key} {len(data)} {crc:08x} {data}"
+        crc = _entry_crc(key.encode("ascii"), line.encode("ascii"))
+        entry = f"{key} {len(line)} {crc:08x} {line}"
         try:
             writer = self._writer
             if writer is None:
@@ -257,14 +258,15 @@ class ResultCache:
                     sync_interval=0,
                 )
                 self._segments.add(writer.path)
-            writer.append_line(line)
-            end = writer.size()
+            # a retried append may leave a fragment before the entry
+            retried = writer.append_line(entry)
+            self._end = writer.size() if retried else self._end + len(entry) + 1
         except (StorageError, OSError):
             self.put_errors += 1
             self._drop_writer()
             return
-        index[key] = (writer.path, end - 1 - len(data), len(data), crc)
-        self.bytes += len(line) + 1
+        index[key] = (writer.path, self._end - 1 - len(line), len(line), crc)
+        self.bytes += len(entry) + 1
 
     def commit(self) -> None:
         """fsync the puts since the last commit: one fsync per unit of
@@ -288,7 +290,7 @@ class ResultCache:
             fh.close()
 
     def _drop_writer(self) -> None:
-        writer, self._writer = self._writer, None
+        writer, self._writer, self._end = self._writer, None, 0
         if writer is not None:
             with contextlib.suppress(StorageError, OSError):
                 writer.close(sync=False)

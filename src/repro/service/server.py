@@ -366,20 +366,16 @@ class MosaicServer:
         resume = os.path.exists(journal)
         config = self._job_config(job)
 
-        def on_settle(
-            kind: str, trace_job_id: int, record: dict[str, Any], seq: int
-        ) -> None:
-            self._publish(
-                job.job_id,
-                {"event": kind, "trace_job_id": trace_job_id, "seq": seq},
-            )
+        def on_commit(events: list[tuple[str, int, int]]) -> None:
+            settles = [{"event": k, "trace_job_id": j, "seq": s} for k, j, s in events]
+            self._publish(job.job_id, *settles)
 
         ctx = PipelineContext(
             config=config,
             parallel=ParallelConfig(max_workers=self.workers),
             repair=job.repair,
             result_cache=self.cache_for(job.repair) if job.kind == "store" else None,
-            on_settle=on_settle,
+            on_commit=on_commit,
         )
         if self._test_delay_s > 0:
             delay = self._test_delay_s
@@ -424,18 +420,21 @@ class MosaicServer:
                 self.catalog.fold(r, result_weight(r))
 
     # -- SSE plumbing --------------------------------------------------
-    def _publish(self, job_id: str, event: dict[str, Any]) -> None:
-        """Push one event to a job's SSE subscribers (any thread)."""
+    def _publish(self, job_id: str, *events: dict[str, Any]) -> None:
+        """Push events to a job's SSE subscribers, in order, with one
+        event-loop wakeup (any thread)."""
         loop = self._loop
         if loop is None or loop.is_closed():
             return
-        loop.call_soon_threadsafe(self._publish_on_loop, job_id, event)
+        loop.call_soon_threadsafe(self._publish_on_loop, job_id, events)
 
-    def _publish_on_loop(self, job_id: str, event: dict[str, Any]) -> None:
-        if "seq" in event:
-            self._committed_seq[job_id] = event["seq"]
-        for queue in self._subscribers.get(job_id, []):
-            queue.put_nowait(event)
+    def _publish_on_loop(self, job_id: str, events: tuple[dict[str, Any], ...]) -> None:
+        queues = self._subscribers.get(job_id, [])
+        for event in events:
+            if "seq" in event:
+                self._committed_seq[job_id] = event["seq"]
+            for queue in queues:
+                queue.put_nowait(event)
 
     def _publish_all_on_loop(self, event: dict[str, Any]) -> None:
         """Broadcast one event to every SSE subscriber (loop side)."""

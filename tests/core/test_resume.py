@@ -2,13 +2,17 @@
 journal, must produce byte-identical output to an uninterrupted run."""
 
 import json
+import os
+import shutil
 
 import pytest
 
+from repro.columnar import compile_corpus
 from repro.core import (
     DEFAULT_CONFIG,
     DegradationLevel,
     ResourceBudget,
+    run_pipeline_store,
     run_pipeline_stream,
     save_results_jsonl,
 )
@@ -18,6 +22,11 @@ from repro.synth import FleetConfig, generate_fleet
 
 SERIAL = ParallelConfig(max_workers=0)
 POOLED = ParallelConfig(max_workers=2)
+
+#: What a killed run left after 15 of ``corpus_dir``'s 30 outcomes, as
+#: the journal writer spelled it before journals embedded each result's
+#: ``results.jsonl`` line verbatim: compact ``"result"`` objects.
+PARENT_JOURNAL = os.path.join(os.path.dirname(__file__), "data", "parent_journal.jsonl")
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +63,19 @@ class TestJournalWriting:
         assert lines[0]["kind"] == "header"
         assert lines[0]["n_selected"] == len(result.results)
         assert len(lines) == 1 + len(result.results)
+
+    def test_result_lines_embed_the_results_jsonl_line(self, corpus_dir, tmp_path):
+        journal = tmp_path / "run.jsonl"
+        result = run_pipeline_stream(
+            DirectorySource(corpus_dir), parallel=SERIAL, journal_path=journal
+        )
+        saved = _results_bytes(result.results, tmp_path / "results.jsonl")
+        with open(journal, encoding="utf-8") as fh:
+            settles = fh.read().splitlines()[1:]
+        assert settles == [
+            '{"kind":"result","job_id":%d,"result":%s}' % (r.job_id, line)
+            for r, line in zip(result.results, saved.decode().splitlines())
+        ]
 
     def test_empty_quarantine_manifest_written(self, corpus_dir, tmp_path):
         journal = tmp_path / "run.jsonl"
@@ -132,6 +154,41 @@ class TestResumeEquivalence:
             _results_bytes(resumed.results, tmp_path / "a.jsonl")
             == _results_bytes(first.results, tmp_path / "b.jsonl")
         )
+
+
+class TestParentJournal:
+    @pytest.mark.parametrize("route", ["stream", "store"])
+    def test_compact_journal_resumes_byte_identical(self, corpus_dir, tmp_path, route):
+        with open(PARENT_JOURNAL, encoding="utf-8") as fh:
+            assert '"result":{"job_id":' in fh.read()  # compact spelling
+        oracle = run_pipeline_stream(DirectorySource(corpus_dir), parallel=SERIAL)
+        baseline = _results_bytes(oracle.results, tmp_path / "baseline.jsonl")
+        journal = tmp_path / "run.jsonl"
+        shutil.copyfile(PARENT_JOURNAL, journal)
+        if route == "stream":
+            def run():
+                return run_pipeline_stream(
+                    DirectorySource(corpus_dir),
+                    parallel=SERIAL,
+                    journal_path=journal,
+                    resume=True,
+                )
+        else:
+            store = tmp_path / "corpus.mosc"
+            compile_corpus(DirectorySource(corpus_dir), store)
+
+            def run():
+                return run_pipeline_store(
+                    store, parallel=SERIAL, journal_path=journal, resume=True
+                )
+
+        resumed = run()
+        assert resumed.metrics["n_resumed"] == 15
+        assert _results_bytes(resumed.results, tmp_path / "resumed.jsonl") == baseline
+        # the journal now mixes both spellings, and resumes all the same
+        again = run()
+        assert again.metrics["n_resumed"] == 30
+        assert _results_bytes(again.results, tmp_path / "again.jsonl") == baseline
 
 
 class TestResumeGuards:

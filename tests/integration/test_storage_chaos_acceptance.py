@@ -79,7 +79,7 @@ def _site_journal(root):
     with JournalWriter(str(root / "run.jsonl"), sync_interval=5) as journal:
         journal.write_header(n_selected=30)
         for job in range(30):
-            journal.record_result(job, {"job_id": job, "categories": ["a"]})
+            journal.record_result(job, json.dumps({"job_id": job, "categories": ["a"]}))
 
 
 def _site_journal_sync1(root):
@@ -87,7 +87,7 @@ def _site_journal_sync1(root):
     with JournalWriter(str(root / "sync1.jsonl")) as journal:
         journal.write_header(n_selected=9)
         for job in range(9):
-            journal.record_result(job, {"job_id": job})
+            journal.record_result(job, json.dumps({"job_id": job}))
 
 
 def _site_journal_resume(root):
@@ -96,13 +96,13 @@ def _site_journal_resume(root):
         # seed a prior run outside the fault window
         with JournalWriter(path) as journal:
             journal.write_header(n_selected=8)
-            journal.record_result(0, {"job_id": 0})
+            journal.record_result(0, json.dumps({"job_id": 0}))
     with JournalWriter(path, append=True, sync_interval=2) as journal:
         for job in range(1, 8):
-            journal.record_result(job, {"job_id": job})
+            journal.record_result(job, json.dumps({"job_id": job}))
 
 
-#: Settle seqs published by the last ``jobstore-commit`` run: on_settle
+#: Settle seqs published by the last ``jobstore-commit`` run: on_commit
 #: fires only after the commit's fsync, so each one must be durable.
 _PUBLISHED: list[int] = []
 
@@ -112,7 +112,7 @@ def _site_jobstore_commit(root):
     _PUBLISHED.clear()
     store = JobStore(
         str(root / "job.jsonl"),
-        on_settle=lambda _kind, _job, _record, seq: _PUBLISHED.append(seq),
+        on_commit=lambda events: _PUBLISHED.extend(seq for _k, _j, seq in events),
     )
     store.open(n_selected=8)
     try:
@@ -123,7 +123,7 @@ def _site_jobstore_commit(root):
                         job, failure_kind="exception", error_type="E", message="m"
                     )
                 else:
-                    store.settle_result(job, {"job_id": job})
+                    store.settle_result(job, json.dumps({"job_id": job}))
             store.commit()
     except StorageError:
         with contextlib.suppress(StorageError):
@@ -132,9 +132,10 @@ def _site_jobstore_commit(root):
     store.close()
 
 
-#: (key, payload) pairs the ``cache-segment`` site puts, two units.
+#: (key, line) pairs the ``cache-segment`` site puts, two units.
 _CACHE_ENTRIES = [
-    (f"{i:040x}", {"job_id": i, "categories": ["c" * (i % 5)]}) for i in range(10)
+    (f"{i:040x}", json.dumps({"job_id": i, "categories": ["c" * (i % 5)]}))
+    for i in range(10)
 ]
 
 

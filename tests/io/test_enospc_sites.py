@@ -52,13 +52,15 @@ def _site_compile(fleet):
 def _site_journal(root):
     with JournalWriter(str(root / "run.jsonl")) as journal:
         journal.write_header(n_selected=2)
-        journal.record_result(1, {"job_id": 1, "categories": ["a"]})
+        journal.record_result(1, json.dumps({"job_id": 1, "categories": ["a"]}))
         journal.record_failure(
-            2,
-            failure_kind="timeout",
-            error_type="TaskTimeout",
-            message="deadline",
-            attempts=1,
+            {
+                "job_id": 2,
+                "failure_kind": "timeout",
+                "error_type": "TaskTimeout",
+                "message": "deadline",
+                "attempts": 1,
+            }
         )
 
 

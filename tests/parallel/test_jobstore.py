@@ -2,10 +2,12 @@
 
 Every settle appends and flushes its journal line, but only
 :meth:`JobStore.commit` fsyncs — once for the whole group — and only
-after that fsync is ``on_settle`` told about the group.  These tests pin
+after that fsync is ``on_commit`` handed the group, in one call.  These tests pin
 the ordering with :class:`~repro.testing.StorageChaos`, whose op log
 records every write and fsync the journal performs.
 """
+
+import json
 
 import pytest
 
@@ -16,10 +18,17 @@ from repro.testing import FAULT_POWER_CUT, PowerCut, StorageChaos
 
 
 class _LoggingChaos(StorageChaos):
-    """StorageChaos whose op log also receives the settle callbacks."""
+    """StorageChaos whose op log also receives the commit callbacks."""
 
-    def settle_hook(self, kind, job_id, record, seq):
-        self.ops_log.append(("on_settle", seq))
+    def __init__(self, root):
+        super().__init__(root)
+        #: the seqs of each on_commit call, one list per call
+        self.groups = []
+
+    def commit_hook(self, events):
+        self.groups.append([seq for _kind, _job_id, seq in events])
+        for _kind, _job_id, seq in events:
+            self.ops_log.append(("on_settle", seq))
 
 
 def _journal_fsyncs(chaos):
@@ -34,7 +43,7 @@ def _settle_units(store, units):
     """Settle ``units`` (lists of job ids) with one commit per unit."""
     for unit in units:
         for job_id in unit:
-            store.settle_result(job_id, {"job_id": job_id})
+            store.settle_result(job_id, json.dumps({"job_id": job_id}))
         store.commit()
 
 
@@ -58,7 +67,7 @@ class TestGroupCommit:
             store.open(n_selected=2)
             assert store.commit() is True  # the header
             assert store.commit() is False
-            store.settle_result(0, {"job_id": 0})
+            store.settle_result(0, json.dumps({"job_id": 0}))
             assert store.commit() is True
             assert store.commit() is False
             store.close()
@@ -67,9 +76,9 @@ class TestGroupCommit:
     def test_no_on_settle_before_its_commit_fsync(self, tmp_path):
         chaos = _LoggingChaos(tmp_path)
         with scoped_io(chaos):
-            store = JobStore(tmp_path / "j.jsonl", on_settle=chaos.settle_hook)
+            store = JobStore(tmp_path / "j.jsonl", on_commit=chaos.commit_hook)
             store.open(n_selected=6)
-            store.settle_result(0, {"job_id": 0})
+            store.settle_result(0, json.dumps({"job_id": 0}))
             store.settle_failure(
                 1, failure_kind="poison", error_type="E", message="m"
             )
@@ -84,6 +93,7 @@ class TestGroupCommit:
         ]
         published = [arg for op, arg in chaos.ops_log if op == "on_settle"]
         assert published == [1, 2, 3, 4, 5, 6]  # every settle, in seq order
+        assert chaos.groups == [[1, 2], [3, 4], [5, 6]]  # one call per commit
         # the n-th settle line is the (n+1)-th write (after the header);
         # its callback must come after an fsync that followed that write
         writes = [i for i, op in enumerate(log) if op == "write"]
@@ -97,7 +107,7 @@ class TestGroupCommit:
         store = JobStore(path)
         store.open(n_selected=4)
         _settle_units(store, [[0, 1]])
-        store.settle_result(2, {"job_id": 2})
+        store.settle_result(2, json.dumps({"job_id": 2}))
         assert (store.seq, store.committed_seq) == (3, 2)
         # replay bounded by committed_seq never shows the pending line
         committed = replay_settles(path, upto=store.committed_seq)
@@ -111,11 +121,12 @@ class TestGroupCommit:
     def test_close_commits_and_publishes_pending_settles(self, tmp_path):
         seen = []
         store = JobStore(
-            tmp_path / "j.jsonl", on_settle=lambda *event: seen.append(event[-1])
+            tmp_path / "j.jsonl",
+            on_commit=lambda events: seen.extend(e[-1] for e in events),
         )
         store.open(n_selected=2)
-        store.settle_result(0, {"job_id": 0})
-        store.settle_result(1, {"job_id": 1})
+        store.settle_result(0, json.dumps({"job_id": 0}))
+        store.settle_result(1, json.dumps({"job_id": 1}))
         assert seen == []
         store.close()
         assert seen == [1, 2]
@@ -150,7 +161,9 @@ class TestResume:
         seen = []
         chaos = StorageChaos(tmp_path, script={("fsync", 1): FAULT_POWER_CUT})
         with scoped_io(chaos):
-            store = JobStore(path, on_settle=lambda *event: seen.append(event[-1]))
+            store = JobStore(
+                path, on_commit=lambda events: seen.extend(e[-1] for e in events)
+            )
             store.open(n_selected=6)
             _settle_units(store, [[0, 1, 2]])
             with pytest.raises(PowerCut):
@@ -181,7 +194,7 @@ class TestResume:
 
         store = JobStore(path, resume=True)
         store.open(n_selected=5)
-        store.settle_result(5, {"job_id": 5})
+        store.settle_result(5, json.dumps({"job_id": 5}))
         store.close()
         assert store.seq == 4
         assert replay_settles(path)[-1][0] == 4

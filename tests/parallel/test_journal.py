@@ -20,21 +20,25 @@ from repro.parallel.journal import (
 def _write_run(path, *, n_selected=3):
     with JournalWriter(path) as journal:
         journal.write_header(n_selected=n_selected)
-        journal.record_result(10, {"job_id": 10, "categories": ["a"]})
+        journal.record_result(10, json.dumps({"job_id": 10, "categories": ["a"]}))
         journal.record_failure(
-            11,
-            failure_kind="timeout",
-            error_type="TaskTimeout",
-            message="exceeded deadline",
-            trace_key="/corpus/job11.mosd",
-            attempts=1,
+            {
+                "job_id": 11,
+                "failure_kind": "timeout",
+                "error_type": "TaskTimeout",
+                "message": "exceeded deadline",
+                "trace_key": "/corpus/job11.mosd",
+                "attempts": 1,
+            }
         )
         journal.record_failure(
-            12,
-            failure_kind="exception",
-            error_type="ValueError",
-            message="bad trace",
-            attempts=3,
+            {
+                "job_id": 12,
+                "failure_kind": "exception",
+                "error_type": "ValueError",
+                "message": "bad trace",
+                "attempts": 3,
+            }
         )
     return path
 
@@ -60,7 +64,7 @@ class TestRoundTrip:
     def test_append_mode_extends_existing_journal(self, tmp_path):
         path = _write_run(str(tmp_path / "run.jsonl"))
         with JournalWriter(path, append=True) as journal:
-            journal.record_result(12, {"job_id": 12})
+            journal.record_result(12, json.dumps({"job_id": 12}))
         state = JournalState.load(path)
         assert set(state.completed) == {10, 12}
 
@@ -68,7 +72,7 @@ class TestRoundTrip:
         journal = JournalWriter(str(tmp_path / "run.jsonl"))
         journal.close()
         with pytest.raises(ValueError, match="closed"):
-            journal.record_result(1, {})
+            journal.record_result(1, "{}")
 
 
 class TestCrashTolerance:
@@ -156,10 +160,10 @@ class TestJournalLock:
         path = str(tmp_path / "run.jsonl")
         with JournalWriter(path) as journal:
             journal.write_header(n_selected=2)
-            journal.record_result(0, {"job_id": 0})
+            journal.record_result(0, json.dumps({"job_id": 0}))
             with pytest.raises(JournalLockHeld):
                 JournalWriter(path)
-            journal.record_result(1, {"job_id": 1})
+            journal.record_result(1, json.dumps({"job_id": 1}))
         state = JournalState.load(path)
         assert sorted(state.completed) == [0, 1]
         assert state.n_malformed == 0

@@ -32,13 +32,15 @@ class TestSettledMeansDurable:
         with scoped_io(chaos):
             journal = JournalWriter(path)
             journal.write_header(n_selected=3)
-            journal.record_result(10, {"job_id": 10, "categories": ["a"]})
+            journal.record_result(10, json.dumps({"job_id": 10, "categories": ["a"]}))
             journal.record_failure(
-                11,
-                failure_kind="timeout",
-                error_type="TaskTimeout",
-                message="deadline",
-                attempts=2,
+                {
+                    "job_id": 11,
+                    "failure_kind": "timeout",
+                    "error_type": "TaskTimeout",
+                    "message": "deadline",
+                    "attempts": 2,
+                }
             )
             # no close(): the cut arrives mid-run
         chaos.power_cut()
@@ -57,7 +59,7 @@ class TestSettledMeansDurable:
         with scoped_io(chaos):
             journal = JournalWriter(path, sync_interval=0)
             journal.write_header(n_selected=1)
-            journal.record_result(10, {"job_id": 10})
+            journal.record_result(10, json.dumps({"job_id": 10}))
         chaos.power_cut()
         # file creation itself was never fsynced: the journal vanishes
         assert not os.path.exists(path)
@@ -68,9 +70,9 @@ class TestSettledMeansDurable:
         with scoped_io(chaos):
             journal = JournalWriter(path, sync_interval=0)
             journal.write_header(n_selected=2)
-            journal.record_result(10, {"job_id": 10})
+            journal.record_result(10, json.dumps({"job_id": 10}))
             journal.checkpoint()
-            journal.record_result(11, {"job_id": 11})  # volatile tail
+            journal.record_result(11, json.dumps({"job_id": 11}))  # volatile tail
         chaos.power_cut()
         state = JournalState.load(path)
         assert set(state.completed) == {10}
@@ -81,7 +83,7 @@ class TestTornTail:
         path = str(tmp_path / "run.jsonl")
         with JournalWriter(path) as journal:
             journal.write_header(n_selected=3)
-            journal.record_result(10, {"job_id": 10})
+            journal.record_result(10, json.dumps({"job_id": 10}))
         # tear the tail mid-line, as a cut between write and fsync would
         raw = open(path, "rb").read()
         with open(path, "wb") as fh:
@@ -94,7 +96,7 @@ class TestTornTail:
         # resume appends after the torn fragment; the retried outcome
         # and the old settled ones all load
         with JournalWriter(path, append=True) as journal:
-            journal.record_result(11, {"job_id": 11})
+            journal.record_result(11, json.dumps({"job_id": 11}))
         state = JournalState.load(path)
         assert set(state.completed) == {10, 11}
 
@@ -106,15 +108,15 @@ class TestTornTail:
         torn = str(tmp_path / "torn.jsonl")
         with JournalWriter(torn) as journal:
             journal.write_header(n_selected=2)
-            journal.record_result(10, {"job_id": 10})
+            journal.record_result(10, json.dumps({"job_id": 10}))
         with JournalWriter(torn, append=True) as journal:
-            journal.record_result(11, {"job_id": 11})
+            journal.record_result(11, json.dumps({"job_id": 11}))
 
         straight = str(tmp_path / "straight.jsonl")
         with JournalWriter(straight) as journal:
             journal.write_header(n_selected=2)
-            journal.record_result(10, {"job_id": 10})
-            journal.record_result(11, {"job_id": 11})
+            journal.record_result(10, json.dumps({"job_id": 10}))
+            journal.record_result(11, json.dumps({"job_id": 11}))
 
         assert _entries(torn) == _entries(straight)
 

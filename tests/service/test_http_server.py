@@ -325,7 +325,7 @@ class TestEvents:
             with JournalWriter(os.path.join(job_dir, "journal.jsonl")) as journal:
                 journal.write_header(n_selected=5)
                 for trace in range(5):
-                    journal.record_result(trace, {"job_id": trace})
+                    journal.record_result(trace, json.dumps({"job_id": trace}))
             server._publish(job_id, {"event": "result", "trace_job_id": 2, "seq": 3})
             deadline = time.monotonic() + 30
             while server._committed_seq.get(job_id) != 3:
