@@ -58,14 +58,6 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .. import __version__
-from ..analysis import (
-    funnel_report,
-    jaccard_matrix,
-    metadata_table,
-    paper_correlations,
-    periodicity_table,
-    temporality_table,
-)
 from ..core import run_pipeline_stream, save_results_jsonl
 from ..io import StorageError, atomic_write_text
 from ..core.governor import ResourceBudget
@@ -79,11 +71,8 @@ from ..darshan import (
     save_binary,
     save_json,
 )
-from ..lint.cli import add_lint_subparser, cmd_lint
 from ..parallel import ParallelConfig, PoolRebuildLimit, RetryPolicy
-from ..testing import ChaosInjector
 from ..synth import FleetConfig, cohort_by_name, generate_fleet, generate_run
-from ..viz import render_jaccard, render_shares_table, render_trace_anatomy
 
 __all__ = ["main", "build_parser"]
 
@@ -313,8 +302,65 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_client_flags(wch)
 
-    add_lint_subparser(sub)
+    _add_lint_parser(sub)
     return parser
+
+
+def _add_lint_parser(sub: "argparse._SubParsersAction") -> None:
+    lint = sub.add_parser(
+        "lint",
+        help="check Mosaic pipeline contracts (MOS001-MOS018)",
+        description="AST-based invariant analysis: streaming discipline, "
+        "exhaustive Violation handling, tolerance-based timestamp "
+        "comparison, guarded divisions, named thresholds, plus "
+        "whole-program dataflow rules (taint, fork safety, governor "
+        "coverage, exception routing).  See docs/LINT.md.",
+    )
+    lint.add_argument(
+        "paths", nargs="*", default=["src"], help="files/directories (default: src)"
+    )
+    lint.add_argument(
+        "--strict",
+        action="store_true",
+        help="fail on warnings too, not only errors",
+    )
+    lint.add_argument(
+        "--format", choices=("text", "json", "sarif"), default="text", dest="fmt"
+    )
+    lint.add_argument(
+        "--select", help="comma-separated rule ids to run (default: all)"
+    )
+    lint.add_argument("--ignore", help="comma-separated rule ids to skip")
+    lint.add_argument("--baseline", help="baseline file of adopted findings")
+    lint.add_argument(
+        "--write-baseline",
+        metavar="PATH",
+        help="adopt every current finding into PATH and exit 0",
+    )
+    lint.add_argument(
+        "--sarif",
+        metavar="PATH",
+        help="additionally write a SARIF 2.1.0 report to PATH",
+    )
+    lint.add_argument(
+        "--cache",
+        metavar="PATH",
+        help="content-hash findings cache: warm runs skip re-analysis "
+        "of unchanged files (and of the whole project phase when "
+        "nothing changed)",
+    )
+    lint.add_argument(
+        "--explain",
+        metavar="RULE_ID",
+        help="print one rule's full contract, then run only that rule "
+        "over the paths with source→sink path traces",
+    )
+    lint.add_argument(
+        "--no-hints", action="store_true", help="omit fix hints from text output"
+    )
+    lint.add_argument(
+        "--list-rules", action="store_true", help="print the rule catalogue and exit"
+    )
 
 
 def _add_client_flags(sub: argparse.ArgumentParser) -> None:
@@ -517,6 +563,8 @@ def _chaos_wrap(
 ) -> Callable[[Any], Any]:
     """Default CLI chaos schedule: mostly-healthy corpus with a few
     crashes, one-in-fifty hangs, and recoverable transient errors."""
+    from ..testing import ChaosInjector
+
     return ChaosInjector(
         inner=fn,
         seed=seed,
@@ -685,6 +733,16 @@ def _corpus_source(args: argparse.Namespace) -> TraceSource:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from ..analysis import (
+        funnel_report,
+        jaccard_matrix,
+        metadata_table,
+        paper_correlations,
+        periodicity_table,
+        temporality_table,
+    )
+    from ..viz import render_jaccard, render_shares_table
+
     journal, _resume = _journal_args(args)
     context = _chaos_context(args)
     if context is not None:
@@ -726,6 +784,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_anatomy(args: argparse.Namespace) -> int:
+    from ..viz import render_trace_anatomy
+
     rng = np.random.default_rng(args.seed)
     spec = cohort_by_name(args.cohort).build(1, rng)
     trace = generate_run(spec, 1, rng, force_nominal=True)
@@ -949,6 +1009,12 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     return _watch_to_exit(_make_client(args), args.job_id, args)
 
 
+def _cmd_lint(args: argparse.Namespace) -> int:
+    from ..lint.cli import cmd_lint
+
+    return cmd_lint(args)
+
+
 _COMMANDS = {
     "compile": _cmd_compile,
     "verify": _cmd_verify,
@@ -962,7 +1028,7 @@ _COMMANDS = {
     "serve": _cmd_serve,
     "submit": _cmd_submit,
     "watch": _cmd_watch,
-    "lint": cmd_lint,
+    "lint": _cmd_lint,
 }
 
 

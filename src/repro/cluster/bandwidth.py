@@ -5,13 +5,15 @@ the bandwidth is the threshold at which two segments count as "the same
 periodic operation".  The paper sets it empirically on one month of
 traces; this module provides both that fixed-threshold mode and the
 classical k-nearest-neighbour quantile estimator for datasets where no
-calibration exists.
+calibration exists, on distances from the NumPy kernel
+:func:`~repro.kernels.vectorized.pairwise_distances`.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import cdist
+
+from ..kernels.vectorized import pairwise_distances
 
 __all__ = ["estimate_bandwidth"]
 
@@ -42,7 +44,7 @@ def estimate_bandwidth(
         X = X[rng.choice(n, size=max_samples, replace=False)]
         n = max_samples
     k = max(1, int(np.ceil(quantile * n)))
-    d = cdist(X, X)
+    d = pairwise_distances(X, X)
     d.sort(axis=1)
     # column 0 is the self-distance (0); the k-th neighbour is column k
     kth = d[:, min(k, n - 1)]

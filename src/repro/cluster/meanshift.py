@@ -9,8 +9,11 @@ checkpoint *and* read inputs periodically, yielding two modes.
 
 The implementation supports the flat (uniform ball) and Gaussian kernels,
 runs all seeds as one vectorized fixed-point iteration, and merges
-converged modes closer than the bandwidth.  Complexity O(iters · n²) in
-distance evaluations — segments per trace are few (fusion collapsed
+converged modes closer than the bandwidth.  Every distance matrix comes
+from the NumPy kernel
+:func:`~repro.kernels.vectorized.pairwise_distances`; no third-party
+clustering or distance library is involved.  Complexity O(iters · n²)
+in distance evaluations — segments per trace are few (fusion collapsed
 them), so this is never the corpus bottleneck.
 """
 
@@ -20,9 +23,9 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from ..kernels import get_backend
+from ..kernels.vectorized import pairwise_distances
 from .bandwidth import estimate_bandwidth
 
 __all__ = ["MeanShiftResult", "mean_shift"]
@@ -113,7 +116,7 @@ def mean_shift(
 
     # Merge converged seeds closer than the bandwidth into shared modes,
     # preferring denser modes as representatives.
-    d_seed = cdist(seeds, X)
+    d_seed = pairwise_distances(seeds, X)
     density = (d_seed <= bandwidth).sum(axis=1)
     order = np.argsort(-density, kind="stable")
     modes: list[np.ndarray] = []

@@ -7,7 +7,8 @@ ground truth, and by threshold-calibration utilities.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import cdist
+
+from ..kernels.vectorized import pairwise_distances
 
 __all__ = [
     "within_cluster_spread",
@@ -38,7 +39,7 @@ def silhouette_mean(X: np.ndarray, labels: np.ndarray) -> float:
     uniq = np.unique(labels)
     if len(uniq) < 2 or len(X) < 3:
         return 0.0
-    d = cdist(X, X)
+    d = pairwise_distances(X, X)
     scores = []
     for i in range(len(X)):
         same = labels == labels[i]

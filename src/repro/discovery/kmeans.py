@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
+
+from ..kernels.vectorized import pairwise_distances
 
 __all__ = ["KMeansResult", "kmeans", "select_k"]
 
@@ -58,7 +59,7 @@ def _fit_once(
     labels = np.zeros(len(X), dtype=np.int64)
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
-        d = cdist(X, centers)
+        d = pairwise_distances(X, centers)
         labels = np.argmin(d, axis=1)
         new_centers = centers.copy()
         for j in range(k):
@@ -73,7 +74,7 @@ def _fit_once(
         centers = new_centers
         if shift < tol:
             break
-    d = cdist(X, centers)
+    d = pairwise_distances(X, centers)
     labels = np.argmin(d, axis=1)
     inertia = float(np.sum(np.min(d, axis=1) ** 2))
     return KMeansResult(labels=labels, centers=centers, inertia=inertia, n_iter=n_iter)

@@ -7,6 +7,10 @@ twin of the same-named pure-Python specification in
 :mod:`repro.testing.reference`; the differential oracle
 (:mod:`repro.testing.differential`) holds every pair equivalent on
 thousands of seeded adversarial cases.
+
+:func:`pairwise_distances` is the one Euclidean distance matrix every
+clustering routine uses; its oracle is the third-party ``cdist``, which
+it equals bit for bit and which only the test suite imports.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import numpy as np
 
 __all__ = [
     "coalesce_groups",
+    "pairwise_distances",
     "shift_step",
     "acf_peak_scan",
     "dft_comb_scores",
@@ -41,13 +46,34 @@ def coalesce_groups(
     return out_s, out_e, out_v
 
 
+def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of ``a`` (n, d) and ``b`` (m, d).
+
+    Squares are summed one dimension at a time into one (n, m) array, in
+    dimension order, as ``cdist(a, b)``'s euclidean metric sums them per
+    pair, so the two agree bit for bit.  A single 3-D broadcast summed
+    over its last axis (or ``einsum``) associates differently and does
+    not.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise ValueError(
+            f"need two 2-D arrays with equal columns, got {a.shape} and {b.shape}"
+        )
+    out = np.zeros((len(a), len(b)))
+    for j in range(a.shape[1]):
+        diff = a[:, j, None] - b[None, :, j]
+        diff *= diff
+        out += diff
+    return np.sqrt(out, out=out)
+
+
 def shift_step(
     seeds: np.ndarray, X: np.ndarray, bandwidth: float, kernel: str
 ) -> np.ndarray:
     """One Mean Shift update of every seed, all seeds at once."""
-    from scipy.spatial.distance import cdist
-
-    d = cdist(seeds, X)
+    d = pairwise_distances(seeds, X)
     if kernel == "flat":
         w = (d <= bandwidth).astype(np.float64)
     elif kernel == "gaussian":

@@ -1,8 +1,11 @@
-"""The ``lint`` subcommand: argument wiring and run orchestration.
+"""The ``lint`` subcommand: run orchestration.
 
 Kept separate from :mod:`repro.cli.main` so the engine is usable
-without argparse and the CLI stays a thin shell: parse flags, build a
-:class:`~repro.lint.engine.LintConfig`, run, render, exit.
+without argparse and the CLI stays a thin shell: build a
+:class:`~repro.lint.engine.LintConfig` from the parsed flags, run,
+render, exit.  The flags themselves are declared in
+:mod:`repro.cli.main`, which imports this module only when ``lint``
+runs, so the other subcommands never load the engine.
 """
 
 from __future__ import annotations
@@ -18,64 +21,7 @@ from .reporters import render_json, render_text
 from .rules import REGISTRY, all_rule_ids
 from .sarif import render_sarif
 
-__all__ = ["add_lint_subparser", "cmd_lint"]
-
-
-def add_lint_subparser(sub: "argparse._SubParsersAction") -> None:
-    lint = sub.add_parser(
-        "lint",
-        help="check Mosaic pipeline contracts (MOS001-MOS018)",
-        description="AST-based invariant analysis: streaming discipline, "
-        "exhaustive Violation handling, tolerance-based timestamp "
-        "comparison, guarded divisions, named thresholds, plus "
-        "whole-program dataflow rules (taint, fork safety, governor "
-        "coverage, exception routing).  See docs/LINT.md.",
-    )
-    lint.add_argument(
-        "paths", nargs="*", default=["src"], help="files/directories (default: src)"
-    )
-    lint.add_argument(
-        "--strict",
-        action="store_true",
-        help="fail on warnings too, not only errors",
-    )
-    lint.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text", dest="fmt"
-    )
-    lint.add_argument(
-        "--select", help="comma-separated rule ids to run (default: all)"
-    )
-    lint.add_argument("--ignore", help="comma-separated rule ids to skip")
-    lint.add_argument("--baseline", help="baseline file of adopted findings")
-    lint.add_argument(
-        "--write-baseline",
-        metavar="PATH",
-        help="adopt every current finding into PATH and exit 0",
-    )
-    lint.add_argument(
-        "--sarif",
-        metavar="PATH",
-        help="additionally write a SARIF 2.1.0 report to PATH",
-    )
-    lint.add_argument(
-        "--cache",
-        metavar="PATH",
-        help="content-hash findings cache: warm runs skip re-analysis "
-        "of unchanged files (and of the whole project phase when "
-        "nothing changed)",
-    )
-    lint.add_argument(
-        "--explain",
-        metavar="RULE_ID",
-        help="print one rule's full contract, then run only that rule "
-        "over the paths with source→sink path traces",
-    )
-    lint.add_argument(
-        "--no-hints", action="store_true", help="omit fix hints from text output"
-    )
-    lint.add_argument(
-        "--list-rules", action="store_true", help="print the rule catalogue and exit"
-    )
+__all__ = ["cmd_lint"]
 
 
 def _parse_ids(raw: str | None) -> frozenset[str]:

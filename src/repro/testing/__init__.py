@@ -5,8 +5,10 @@ service's client/server resilience, and the slow pure-Python oracles the
 runtime is held to: the reference kernels (:mod:`.reference`, with the
 ``reference_kernels()`` swap), the metadata event expansion
 (:mod:`.metadata`), and the differential sweep that compares them
-(:mod:`.differential`).  The pipeline, store, service and kernel
-packages never import this one."""
+(:mod:`.differential`, which also holds the distance kernel to the
+third-party ``cdist``).  The pipeline, store, service and kernel
+packages never import this one, and the CLI imports it only for
+``--chaos``."""
 
 from .differential import (
     DifferentialReport,

@@ -28,18 +28,29 @@ request weights, steps below the ulp of ``t0``, steps a few ulps off a
 bin-edge grid): per-bin event counts
 exactly, rates bitwise whenever the request weights are integral.
 
+``pairwise_distances`` holds the Euclidean distance kernel every
+clustering routine uses bitwise equal to the third-party ``cdist`` on
+point sets in 1-9 dimensions (1x1 inputs, duplicate and integer-valued
+rows, magnitudes from 1e-5 to 1e12), and ``distance_consumers`` holds
+Mean Shift, the bandwidth estimate, k-means and the silhouette metric
+output-equal with ``cdist`` swapped in by :func:`cdist_distances`.
+
 A divergence surfaced here is, by construction, either a vectorization
 bug or a latent reference bug; both kinds found while building the
 kernels were fixed and carry named regression tests (the one-sided
 neighbor-merge gap rule, the ACF decay-shoulder latch).
 
 The module is deliberately dependency-light so both the test suite
-(``tests/kernels/``) and ad-hoc debugging sessions can drive it.
+(``tests/kernels/``) and ad-hoc debugging sessions can drive it: the
+``cdist`` oracle is imported only when a distance check runs.
 """
 
 from __future__ import annotations
 
+import importlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -53,7 +64,7 @@ from ..kernels.batched import (
     overlap_groups_segmented,
     segment_segmented,
 )
-from ..kernels.vectorized import coalesce_groups
+from ..kernels.vectorized import coalesce_groups, pairwise_distances
 from ..merge.neighbor import NeighborMergeConfig, merge_neighbors
 from ..segment.op_segments import segment_operations
 from ..signalproc.activity import build_activity_signal
@@ -69,6 +80,8 @@ __all__ = [
     "adversarial_signal",
     "adversarial_batch",
     "adversarial_metadata_batch",
+    "adversarial_points",
+    "cdist_distances",
     "run_differential",
     "run_all",
 ]
@@ -710,6 +723,143 @@ def _check_metadata_binning(
     return None
 
 
+# ---------------------------------------------------------------------------
+# the distance kernel vs the third-party cdist
+
+
+#: Point families of the distance check, each in 1-9 dimensions.
+POINT_PROFILES = (
+    "single",  # 1x1 inputs
+    "duplicates",  # repeated rows, shared between both inputs
+    "integers",  # integer-valued rows up to 1e12
+    "tiny",  # magnitudes around 1e-5
+    "huge",  # magnitudes around 1e12
+    "offset",  # close points far from the origin: cancelling differences
+    "mixed_scale",  # per-dimension magnitudes from 1e-5 to 1e12
+)
+
+#: Modules whose ``pairwise_distances`` global :func:`cdist_distances`
+#: swaps.
+DISTANCE_USERS = (
+    "repro.kernels.vectorized",
+    "repro.cluster.meanshift",
+    "repro.cluster.bandwidth",
+    "repro.cluster.metrics",
+    "repro.discovery.kmeans",
+)
+
+
+def _cdist():
+    """The oracle, imported on first use: the runtime never needs it."""
+    from scipy.spatial.distance import cdist
+
+    return cdist
+
+
+def adversarial_points(
+    rng: np.random.Generator, profile: str, max_n: int = 40
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two seeded point sets ``(n, d)`` and ``(m, d)`` of ``profile``."""
+    d = int(rng.integers(1, 10))
+    n, m = (1, 1) if profile == "single" else rng.integers(1, max_n + 1, 2)
+    scale = 10.0 ** rng.uniform(-5.0, 12.0)
+    if profile in ("single", "duplicates"):
+        pool = rng.normal(0.0, scale, (int(rng.integers(1, 4)), d))
+        return pool[rng.integers(0, len(pool), n)], pool[rng.integers(0, len(pool), m)]
+    if profile == "integers":
+        hi = 10 ** int(rng.integers(1, 13))
+        return (
+            rng.integers(-hi, hi, (n, d)).astype(np.float64),
+            rng.integers(-hi, hi, (m, d)).astype(np.float64),
+        )
+    if profile == "offset":
+        origin = rng.normal(0.0, 1e12, d)
+        return (
+            origin + rng.normal(0.0, scale * 1e-6, (n, d)),
+            origin + rng.normal(0.0, scale * 1e-6, (m, d)),
+        )
+    if profile == "tiny":
+        scale = 10.0 ** rng.uniform(-5.0, -3.0)
+    elif profile == "huge":
+        scale = 10.0 ** rng.uniform(10.0, 12.0)
+    elif profile == "mixed_scale":
+        scale = 10.0 ** rng.uniform(-5.0, 12.0, d)
+    else:
+        raise ValueError(f"unknown point profile: {profile!r}")
+    return rng.normal(0.0, 1.0, (n, d)) * scale, rng.normal(0.0, 1.0, (m, d)) * scale
+
+
+@contextmanager
+def cdist_distances() -> Iterator[None]:
+    """Run every ``pairwise_distances`` call inside the block on ``cdist``.
+
+    Process-wide and not thread-safe, like
+    :func:`~repro.testing.reference.reference_kernels`: a test-only swap
+    of the name in each of :data:`DISTANCE_USERS`, restored on exit.
+    """
+    cdist = _cdist()
+    modules = [importlib.import_module(name) for name in DISTANCE_USERS]
+    saved = [module.pairwise_distances for module in modules]
+    for module in modules:
+        module.pairwise_distances = cdist
+    try:
+        yield
+    finally:
+        for module, fn in zip(modules, saved):
+            module.pairwise_distances = fn
+
+
+def _check_pairwise_distances(
+    rng: np.random.Generator, profile: str
+) -> str | None:
+    """Exact equality with ``cdist``, across and within point sets."""
+    cdist = _cdist()
+    a, b = adversarial_points(rng, profile)
+    for name, x, y in (("a x b", a, b), ("a x a", a, a)):
+        if not np.array_equal(pairwise_distances(x, y), cdist(x, y)):
+            return f"{name} distances differ from cdist"
+    return None
+
+
+def _check_distance_consumers(
+    rng: np.random.Generator, profile: str
+) -> str | None:
+    """Every clustering routine gives the same output on either distance."""
+    from ..cluster.bandwidth import estimate_bandwidth
+    from ..cluster.metrics import silhouette_mean
+    from ..discovery.kmeans import kmeans
+
+    X, _ = adversarial_points(rng, profile)
+    labels = rng.integers(0, 3, len(X))
+    k = int(rng.integers(1, min(len(X), 4) + 1))
+    kernel = "flat" if rng.random() < 0.7 else "gaussian"
+    seed = int(rng.integers(0, 2**31))
+
+    def outputs() -> dict[str, object]:
+        ms = mean_shift(X, kernel=kernel)
+        km = kmeans(X, k, n_init=2, seed=seed)
+        return {
+            "mean_shift labels": ms.labels,
+            "mean_shift modes": ms.modes,
+            "mean_shift n_iter": ms.n_iter,
+            "mean_shift bandwidth": ms.bandwidth,
+            "estimate_bandwidth": estimate_bandwidth(X),
+            "kmeans labels": km.labels,
+            "kmeans centers": km.centers,
+            "kmeans inertia": km.inertia,
+            "kmeans n_iter": km.n_iter,
+            "silhouette_mean": silhouette_mean(X, labels),
+        }
+
+    got = outputs()
+    with cdist_distances():
+        ref = outputs()
+    for name, want in ref.items():
+        if not np.array_equal(got[name], want):
+            return f"{name} differs under cdist"
+    return None
+
+
 KERNEL_PAIRS = {
     "neighbor_merge": (_check_neighbor, OP_PROFILES),
     "concurrent_fusion": (_check_concurrent, OP_PROFILES),
@@ -722,6 +872,8 @@ KERNEL_PAIRS = {
     "segmented_concurrent_fusion": (_check_concurrent_segmented, OP_PROFILES),
     "segmented_segmentation": (_check_segment_segmented, OP_PROFILES),
     "segmented_event_binning": (_check_metadata_binning, METADATA_PROFILES),
+    "pairwise_distances": (_check_pairwise_distances, POINT_PROFILES),
+    "distance_consumers": (_check_distance_consumers, POINT_PROFILES),
 }
 
 
