@@ -50,7 +50,18 @@ from .darshan import (
     Trace,
     TraceSource,
 )
-from .synth import FleetConfig, generate_fleet
+
+#: Served on first use (module ``__getattr__``): the synthetic-fleet
+#: generator is only needed to make corpora, never to categorize one.
+_LAZY_SYNTH = ("FleetConfig", "generate_fleet")
+
+
+def __getattr__(name: str) -> object:
+    if name in _LAZY_SYNTH:
+        from . import synth
+
+        return getattr(synth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "__version__",

@@ -72,7 +72,6 @@ from ..darshan import (
     save_json,
 )
 from ..parallel import ParallelConfig, PoolRebuildLimit, RetryPolicy
-from ..synth import FleetConfig, cohort_by_name, generate_fleet, generate_run
 
 __all__ = ["main", "build_parser"]
 
@@ -499,6 +498,8 @@ def _print_stage_metrics(result) -> None:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from ..synth import FleetConfig, generate_fleet
+
     os.makedirs(args.out, exist_ok=True)
     fleet = generate_fleet(
         FleetConfig(n_apps=args.n_apps, mean_runs=args.mean_runs, seed=args.seed)
@@ -728,6 +729,8 @@ def _corpus_source(args: argparse.Namespace) -> TraceSource:
     """Trace directory when given, lazy synthetic corpus otherwise."""
     if args.traces:
         return _dir_source(args.traces)
+    from ..synth import FleetConfig
+
     print(f"synthesizing corpus (n_apps={args.n_apps}, seed={args.seed})...")
     return SyntheticSource(FleetConfig(n_apps=args.n_apps, seed=args.seed))
 
@@ -784,6 +787,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_anatomy(args: argparse.Namespace) -> int:
+    from ..synth import cohort_by_name, generate_run
     from ..viz import render_trace_anatomy
 
     rng = np.random.default_rng(args.seed)

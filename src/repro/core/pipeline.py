@@ -80,17 +80,15 @@ class PipelineContext:
     """Everything a pipeline run carries besides the corpus itself.
 
     One context per run: configuration in, per-stage observability out.
-    ``error_policy`` decides what a per-trace categorization failure
-    does — ``"collect"`` (the paper's behaviour: count it, keep going)
-    or ``"raise"`` (abort on first failure; debugging).
-    ``wrap_worker`` optionally decorates the picklable worker function
-    before it ships to the pool — the chaos harness's injection point.
+    A per-trace categorization failure is counted and the run keeps
+    going (the paper's behaviour).  ``wrap_worker`` optionally decorates
+    the picklable worker function before it ships to the pool — the
+    chaos harness's injection point.
     """
 
     config: MosaicConfig = DEFAULT_CONFIG
     parallel: ParallelConfig = field(default_factory=_default_parallel)
     repair: bool = False
-    error_policy: str = "collect"
     wrap_worker: WorkerWrapper | None = None
     #: Wall-clock seconds per stage, keyed ``<stage>_s``.
     timings: dict[str, float] = field(default_factory=dict)
@@ -117,13 +115,6 @@ class PipelineContext:
     #: sequence number, stable across resumes).  The service's SSE live
     #: stream; no effect without ``journal_path``.
     on_commit: Any | None = None
-
-    def __post_init__(self) -> None:
-        if self.error_policy not in ("collect", "raise"):
-            raise ValueError(
-                f"error_policy must be 'collect' or 'raise', "
-                f"got {self.error_policy!r}"
-            )
 
     @contextmanager
     def stage(self, name: str) -> Iterator[None]:
@@ -433,8 +424,6 @@ def _run_pipeline_plan(
                 members = shipped[index]
                 inflight -= len(members)
                 if isinstance(outcome, TaskFailure):
-                    if ctx.error_policy == "raise":
-                        raise RuntimeError(f"categorization failed: {outcome}")
                     for _slot, entry in members:
                         n_failures += 1
                         if outcome.kind in (FailureKind.TIMEOUT, FailureKind.POISON):

@@ -209,14 +209,14 @@ def atomic_write(
 class DurableAppender:
     """Crash-safe line appender for JSONL logs.
 
-    Every line is written + flushed immediately; the file is fsynced
-    every ``sync_interval`` lines (the checkpoint boundary) and on
-    close, so a power cut loses at most ``sync_interval - 1`` settled
-    lines — with the default of 1, none.  ``sync_interval=0`` leaves
-    the boundary to the caller: :meth:`commit` fsyncs a whole group of
-    lines at once.  A transient write failure newline-terminates
-    whatever fragment may have landed and rewrites the whole line: the
-    loader skips the malformed fragment and keeps the retried entry.
+    Every line is written + flushed immediately, so a ``kill -9`` loses
+    nothing.  The fsync is a group commit: :meth:`commit` (and close)
+    fsyncs every line appended since the last one at once, so a power
+    cut loses at most the lines since the last commit.  A caller that
+    needs each line durable commits after each append.  A transient
+    write failure newline-terminates whatever fragment may have landed
+    and rewrites the whole line: the loader skips the malformed
+    fragment and keeps the retried entry.
     """
 
     def __init__(
@@ -224,14 +224,10 @@ class DurableAppender:
         path: str | os.PathLike[str],
         *,
         append: bool = False,
-        sync_interval: int = 1,
         io: FaultableIO | None = None,
         policy: Backoff = DEFAULT_RETRY,
     ) -> None:
-        if sync_interval < 0:
-            raise ValueError("sync_interval must be >= 0 (0 = fsync only on close)")
         self.path = os.fspath(path)
-        self.sync_interval = sync_interval
         self._io = io or get_io()
         self._policy = policy
         self._since_sync = 0
@@ -306,8 +302,6 @@ class DurableAppender:
                     errno_value=exc.errno,
                 ) from exc
         self._since_sync += 1
-        if self.sync_interval and self._since_sync >= self.sync_interval:
-            self.checkpoint()
         return attempt > 0
 
     def checkpoint(self) -> None:
@@ -354,16 +348,9 @@ def durable_append(
     path: str | os.PathLike[str],
     *,
     append: bool = False,
-    sync_interval: int = 1,
     io: FaultableIO | None = None,
     policy: Backoff = DEFAULT_RETRY,
 ) -> DurableAppender:
     """Open a :class:`DurableAppender` (functional spelling of the
     constructor, mirroring :func:`atomic_write`)."""
-    return DurableAppender(
-        path,
-        append=append,
-        sync_interval=sync_interval,
-        io=io,
-        policy=policy,
-    )
+    return DurableAppender(path, append=append, io=io, policy=policy)

@@ -20,7 +20,6 @@ from .retry import (
     FailureKind,
     RetryPolicy,
     TRANSIENT_ERROR_TYPES,
-    backoff_delay,
     is_transient,
 )
 
@@ -40,6 +39,5 @@ __all__ = [
     "FailureKind",
     "RetryPolicy",
     "TRANSIENT_ERROR_TYPES",
-    "backoff_delay",
     "is_transient",
 ]

@@ -74,18 +74,18 @@ class TaskFailure:
         )
 
 
+#: Submitted-but-unfinished items per worker: the in-flight window is
+#: ``workers * PENDING_PER_WORKER`` — enough to keep every worker fed
+#: while bounding how many loaded items exist at once.
+PENDING_PER_WORKER = 8
+
+
 @dataclass(slots=True, frozen=True)
 class ParallelConfig:
     """Execution knobs for :func:`~repro.parallel.resilient.resilient_imap`."""
 
     #: 0 = serial in-process; None = os.cpu_count().
     max_workers: int | None = None
-    #: Per-worker share of the default in-flight window.
-    chunksize: int = 8
-    #: Maximum submitted-but-unfinished items.  ``None`` derives
-    #: ``workers * chunksize`` — enough to keep every worker fed while
-    #: bounding how many loaded items exist at once.
-    max_pending: int | None = None
     #: Retry, deadline, and crash-quarantine budget of the run.
     retry: RetryPolicy = RetryPolicy()
 
@@ -97,11 +97,9 @@ class ParallelConfig:
         return self.max_workers
 
     def resolved_pending(self) -> int:
-        if self.max_pending is not None:
-            if self.max_pending < 1:
-                raise ValueError("max_pending must be >= 1")
-            return self.max_pending
-        return max(1, self.resolved_workers()) * max(1, self.chunksize)
+        """The in-flight window: at most this many items drawn and
+        unfinished at once."""
+        return max(1, self.resolved_workers()) * PENDING_PER_WORKER
 
 
 # ----------------------------------------------------------------------

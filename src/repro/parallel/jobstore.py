@@ -151,7 +151,7 @@ class JobStore:
                     f"selects {n_selected} — refusing to resume"
                 )
             self.quarantine_records.extend(state.quarantined.values())
-        writer = JournalWriter(self.path, append=self.resuming, sync_interval=0)
+        writer = JournalWriter(self.path, append=self.resuming)
         try:
             if self.resuming:
                 writer.checkpoint()

@@ -299,10 +299,9 @@ class JournalWriter:
     Opened in truncate mode for a fresh run and append mode for a
     resumed one.  Writes go through :class:`repro.io.DurableAppender`:
     every line is flushed as written, so a ``kill -9`` loses nothing.
-    The file is fsynced every ``sync_interval`` lines (default 1), and
-    with ``sync_interval=0`` only at :meth:`commit`, :meth:`checkpoint`
-    and close — the group commit :class:`~repro.parallel.jobstore.JobStore`
-    uses, where a power cut loses at most the outcomes since the last
+    The file is fsynced only at :meth:`commit`, :meth:`checkpoint` and
+    close — the group commit :class:`~repro.parallel.jobstore.JobStore`
+    drives, where a power cut loses at most the outcomes since the last
     commit.  Storage failures surface as :class:`repro.io.StorageError`
     naming the journal path.
 
@@ -319,13 +318,12 @@ class JournalWriter:
         path: str | os.PathLike[str],
         *,
         append: bool = False,
-        sync_interval: int = 1,
     ):
         self.path = os.fspath(path)
         self._lock_path: str | None = acquire_journal_lock(self.path)
         try:
             self._appender: DurableAppender | None = DurableAppender(
-                self.path, append=append, sync_interval=sync_interval
+                self.path, append=append
             )
         except BaseException:
             self._release_lock()

@@ -30,7 +30,6 @@ __all__ = [
     "TRANSIENT_BUILTIN_TYPES",
     "TRANSIENT_ERROR_TYPES",
     "TRANSIENT_QUALIFIED_TYPES",
-    "backoff_delay",
     "is_transient",
 ]
 
@@ -172,13 +171,3 @@ class RetryPolicy:
             attempts=self.max_retries + 1,
             jitter=True,
         )
-
-
-def backoff_delay(
-    attempt: int, policy: RetryPolicy, key: int | str = 0
-) -> float:
-    """Seconds to wait before retry number ``attempt`` (1-based): the
-    policy's :attr:`RetryPolicy.backoff` at retry ``attempt - 1``."""
-    if attempt < 1:
-        raise ValueError("attempt is 1-based")
-    return policy.backoff.backoff_s(attempt - 1, key=key)

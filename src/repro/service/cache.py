@@ -254,8 +254,7 @@ class ResultCache:
                 writer = self._writer = DurableAppender(
                     os.path.join(
                         self.directory, os.urandom(16).hex() + _SEGMENT_SUFFIX
-                    ),
-                    sync_interval=0,
+                    )
                 )
                 self._segments.add(writer.path)
             # a retried append may leave a fragment before the entry

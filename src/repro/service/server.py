@@ -73,7 +73,6 @@ import functools
 import json
 import os
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -93,7 +92,7 @@ from ..io import DurableAppender, StorageError, atomic_write_text
 from ..parallel.executor import ParallelConfig
 from ..parallel.jobstore import replay_settles
 from .admission import AdmissionControl, AdmissionLimits
-from .cache import ResultCache, config_namespace
+from .cache import ResultCache
 
 __all__ = ["JobRecord", "MosaicServer", "result_weight"]
 
@@ -134,23 +133,6 @@ def result_weight(result: Any) -> float:
         if vols:
             total += float(sum(vols))
     return total
-
-
-class _SlowWorker:
-    """Test-only worker wrapper: stretch each task by a fixed delay.
-
-    Enabled via ``MOSAIC_SERVE_TEST_DELAY_S`` so crash tests can land a
-    ``kill -9`` mid-journal deterministically.  Module-level and
-    state-free, hence picklable for pool workers.
-    """
-
-    def __init__(self, fn: Any, delay_s: float) -> None:
-        self.fn = fn
-        self.delay_s = delay_s
-
-    def __call__(self, item: Any) -> Any:
-        time.sleep(self.delay_s)
-        return self.fn(item)
 
 
 class _Reject(Exception):
@@ -241,7 +223,7 @@ class MosaicServer:
         #: keeps ``/metrics`` and ``/catalog`` readers off a half-done fold.
         self.catalog = ApplicationCatalog(config=config)
         self._catalog_lock = threading.Lock()
-        self._caches: dict[str, ResultCache] = {}
+        self._caches: dict[bool, ResultCache] = {}
         self.jobs: dict[str, JobRecord] = {}
         self._order: list[str] = []
         self._seq = 0
@@ -281,8 +263,6 @@ class MosaicServer:
             max_workers=1, thread_name_prefix="mosaic-job"
         )
         self._resumed_at_start = resumed
-        delay = os.environ.get("MOSAIC_SERVE_TEST_DELAY_S")
-        self._test_delay_s = float(delay) if delay else 0.0
 
     # -- registry ------------------------------------------------------
     def _replay_registry(self) -> list[JobRecord]:
@@ -330,19 +310,20 @@ class MosaicServer:
         return [j for j in self.jobs.values() if j.status not in _TERMINAL]
 
     def _register(self, event: dict[str, Any]) -> None:
-        """Durably append one registry event (executor thread only)."""
+        """Durably append one registry event — one fsync each
+        (executor thread only)."""
         self._registry.append_line(json.dumps(event, separators=(",", ":")))
+        self._registry.commit()
 
     # -- jobs ----------------------------------------------------------
     def cache_for(self, repair: bool) -> ResultCache:
         """The (config, repair)-namespaced result cache, memoized so hit
         counters survive across jobs."""
-        ns = config_namespace(self.config, repair)
-        if ns not in self._caches:
-            self._caches[ns] = ResultCache(
-                os.path.join(self.data_dir, "cache"), namespace=ns
+        if repair not in self._caches:
+            self._caches[repair] = ResultCache.for_config(
+                os.path.join(self.data_dir, "cache"), self.config, repair=repair
             )
-        return self._caches[ns]
+        return self._caches[repair]
 
     def _job_dir(self, job_id: str) -> str:
         return os.path.join(self.jobs_dir, job_id)
@@ -377,9 +358,6 @@ class MosaicServer:
             result_cache=self.cache_for(job.repair) if job.kind == "store" else None,
             on_commit=on_commit,
         )
-        if self._test_delay_s > 0:
-            delay = self._test_delay_s
-            ctx.wrap_worker = lambda fn: _SlowWorker(fn, delay)
         try:
             if job.kind == "store":
                 result = run_pipeline_store(

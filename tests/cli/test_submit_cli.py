@@ -27,7 +27,6 @@ SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
-    env.pop("MOSAIC_SERVE_TEST_DELAY_S", None)
     return env
 
 

@@ -192,10 +192,6 @@ class TestUnreadablePayloads:
 
 
 class TestPipelineContext:
-    def test_rejects_unknown_error_policy(self):
-        with pytest.raises(ValueError, match="error_policy"):
-            PipelineContext(error_policy="ignore")
-
     def test_custom_context_collects_metrics(self, corpus_dir):
         ctx = PipelineContext()
         result = run_pipeline_stream(DirectorySource(corpus_dir), context=ctx)

@@ -76,18 +76,23 @@ def _site_compile(root):
 
 
 def _site_journal(root):
-    with JournalWriter(str(root / "run.jsonl"), sync_interval=5) as journal:
+    # a group commit every 5 lines, the header included
+    with JournalWriter(str(root / "run.jsonl")) as journal:
         journal.write_header(n_selected=30)
         for job in range(30):
             journal.record_result(job, json.dumps({"job_id": job, "categories": ["a"]}))
+            if (job + 2) % 5 == 0:
+                journal.commit()
 
 
 def _site_journal_sync1(root):
-    # fsync-per-line (JournalWriter's default): every op is a case
+    # a commit after every line: every op is a case
     with JournalWriter(str(root / "sync1.jsonl")) as journal:
         journal.write_header(n_selected=9)
+        journal.commit()
         for job in range(9):
             journal.record_result(job, json.dumps({"job_id": job}))
+            journal.commit()
 
 
 def _site_journal_resume(root):
@@ -96,10 +101,15 @@ def _site_journal_resume(root):
         # seed a prior run outside the fault window
         with JournalWriter(path) as journal:
             journal.write_header(n_selected=8)
+            journal.commit()
             journal.record_result(0, json.dumps({"job_id": 0}))
-    with JournalWriter(path, append=True, sync_interval=2) as journal:
+            journal.commit()
+    # resumed: a commit every 2 lines
+    with JournalWriter(path, append=True) as journal:
         for job in range(1, 8):
             journal.record_result(job, json.dumps({"job_id": job}))
+            if job % 2 == 0:
+                journal.commit()
 
 
 #: Settle seqs published by the last ``jobstore-commit`` run: on_commit

@@ -196,18 +196,10 @@ class TestDurableAppender:
             app.append_line("second")
         assert path.read_text().splitlines() == ["first", "second"]
 
-    def test_fsync_cadence_follows_sync_interval(self, tmp_path):
-        chaos = StorageChaos(tmp_path)
-        app = DurableAppender(tmp_path / "l.jsonl", sync_interval=3, io=chaos)
-        for i in range(7):
-            app.append_line(f'{{"i": {i}}}')
-        assert chaos.counts["fsync"] == 2  # after lines 3 and 6
-        app.close()  # one settled line remains -> close checkpoints
-        assert chaos.counts["fsync"] == 3
-
     def test_sync_interval_zero_syncs_only_on_close(self, tmp_path):
+        # group commit is the only cadence: appends alone never fsync
         chaos = StorageChaos(tmp_path)
-        app = DurableAppender(tmp_path / "l.jsonl", sync_interval=0, io=chaos)
+        app = DurableAppender(tmp_path / "l.jsonl", io=chaos)
         app.append_line("a")
         app.append_line("b")
         assert chaos.counts["fsync"] == 0
@@ -216,7 +208,7 @@ class TestDurableAppender:
 
     def test_commit_fsyncs_a_group_once_and_an_empty_group_never(self, tmp_path):
         chaos = StorageChaos(tmp_path)
-        app = DurableAppender(tmp_path / "l.jsonl", sync_interval=0, io=chaos)
+        app = DurableAppender(tmp_path / "l.jsonl", io=chaos)
         assert app.commit() is False
         app.append_line("a")
         app.append_line("b")
@@ -225,10 +217,6 @@ class TestDurableAppender:
         assert app.commit() is False
         app.close()  # nothing left to sync
         assert chaos.counts["fsync"] == 1
-
-    def test_negative_sync_interval_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            DurableAppender(tmp_path / "l", sync_interval=-1)
 
     def test_append_after_close_raises(self, tmp_path):
         app = durable_append(tmp_path / "l.jsonl")
@@ -264,9 +252,11 @@ class TestDurableAppender:
     def test_settled_lines_survive_power_cut(self, tmp_path):
         path = tmp_path / "l.jsonl"
         chaos = StorageChaos(tmp_path, script={("write", 2): "power-cut"})
-        app = DurableAppender(path, io=chaos)  # sync_interval=1
+        app = DurableAppender(path, io=chaos)
         app.append_line('{"n": 1}')
+        app.commit()
         app.append_line('{"n": 2}')
+        app.commit()
         with pytest.raises(PowerCut):
             app.append_line('{"n": 3}')
         chaos.power_cut()

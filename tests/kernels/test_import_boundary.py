@@ -7,7 +7,9 @@ the pipeline, the store, the service or the kernels must not pull any of
 
 The runtime depends on NumPy alone: ``import repro`` and the ``mosaic``
 CLI module load no ``scipy`` (the third-party distance oracle of the
-differential tests), no ``repro.testing`` and no lint engine.  The file
+differential tests), no ``repro.testing``, no lint engine and no
+synthetic-fleet generator (``repro.synth``: ``from repro import
+FleetConfig, generate_fleet`` loads it on first use).  The file
 needs no pytest, so an environment with only NumPy installed can run it
 directly: ``PYTHONPATH=src python tests/kernels/test_import_boundary.py``.
 """
@@ -37,9 +39,13 @@ import repro, repro.core, repro.cli.main
 print(sorted(
     m for m in sys.modules
     if m.split(".")[0] == "scipy"
-    or m.split(".")[:2] == ["repro", "testing"]
+    or m.split(".")[:2] in (["repro", "testing"], ["repro", "synth"])
     or m == "repro.lint.engine"
 ))
+
+from repro import FleetConfig, generate_fleet
+
+print(FleetConfig.__module__, generate_fleet.__module__)
 """
 
 
@@ -59,7 +65,7 @@ def test_runtime_imports_no_test_oracle():
 
 
 def test_cli_imports_no_scipy_oracle_or_lint_engine():
-    assert _run("-c", CLI_PROBE) == ["[]"]
+    assert _run("-c", CLI_PROBE) == ["[]", "repro.synth.fleet repro.synth.fleet"]
 
 
 def test_cli_help_still_runs():

@@ -16,6 +16,7 @@ from repro.parallel import (
     TaskFailure,
     resilient_imap,
 )
+from repro.parallel.executor import PENDING_PER_WORKER
 
 SERIAL = ParallelConfig(max_workers=0)
 
@@ -85,7 +86,7 @@ class TestSerialMode:
 class TestProcessPool:
     def test_parallel_results_match_serial(self):
         items = list(range(30))
-        par = resilient_imap(square, items, ParallelConfig(max_workers=2, chunksize=4))
+        par = resilient_imap(square, items, ParallelConfig(max_workers=2))
         ser = resilient_imap(square, items, SERIAL)
         assert dict(par) == dict(ser)
 
@@ -105,7 +106,7 @@ class TestProcessPool:
         fn = PickleCountingFn()
         PickleCountingFn.pickled = 0
         pairs = dict(
-            resilient_imap(fn, list(range(64)), ParallelConfig(max_workers=2, chunksize=4))
+            resilient_imap(fn, list(range(64)), ParallelConfig(max_workers=2))
         )
         assert pairs == {x: x + 1 for x in range(64)}
         # <= workers (0 under the fork start method, where initargs are
@@ -147,7 +148,7 @@ class TestParallelImap:
     def test_pool_results_complete_and_indexed(self):
         items = list(range(40))
         pairs = list(
-            resilient_imap(square, iter(items), ParallelConfig(max_workers=2, chunksize=2))
+            resilient_imap(square, iter(items), ParallelConfig(max_workers=2))
         )
         assert sorted(i for i, _ in pairs) == items
         for i, r in pairs:
@@ -161,12 +162,13 @@ class TestParallelImap:
                 drawn.append(i)
                 yield i
 
-        cfg = ParallelConfig(max_workers=2, chunksize=2, max_pending=3)
+        cfg = ParallelConfig(max_workers=2)
+        assert cfg.resolved_pending() == 2 * PENDING_PER_WORKER == 16
         stream = resilient_imap(square, gen(), cfg)
         first = next(stream)
         assert first[1] == first[0] ** 2
-        # window of 3 plus the one being refilled — never all 50
-        assert len(drawn) <= 8
+        # one full window is drawn before the first result — never all 50
+        assert len(drawn) == 16
         stream.close()
 
     def test_pool_failures_isolated(self):
@@ -189,13 +191,10 @@ class TestConfig:
     def test_none_resolves_to_cpu_count(self):
         assert ParallelConfig(max_workers=None).resolved_workers() >= 1
 
-    def test_bad_max_pending_rejected(self):
-        with pytest.raises(ValueError):
-            ParallelConfig(max_workers=2, max_pending=0).resolved_pending()
-
     def test_default_pending_window(self):
-        cfg = ParallelConfig(max_workers=3, chunksize=4)
-        assert cfg.resolved_pending() == 12
+        assert ParallelConfig(max_workers=3).resolved_pending() == 24
+        # serial runs still bound their draw-ahead by one worker's share
+        assert SERIAL.resolved_pending() == PENDING_PER_WORKER
 
 
 class CustomError(Exception):
@@ -244,7 +243,7 @@ class TestImapAbandonment:
         # draining its whole pending window before shutdown
         before = {p.pid for p in multiprocessing.active_children()}
         stream = resilient_imap(
-            slow_square, range(64), ParallelConfig(max_workers=2, max_pending=8)
+            slow_square, range(64), ParallelConfig(max_workers=2)
         )
         for _index, _result in stream:
             break  # consumer walks away mid-stream

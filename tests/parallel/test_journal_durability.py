@@ -3,8 +3,8 @@
 The journal is the resume contract: an outcome the writer reported as
 settled must survive a power cut (the pre-seam writer buffered lines in
 the stdlib file object — a cut could lose *every* settled outcome of
-the run).  These tests pin the fsync-per-line fix and the torn-tail
-tolerance it composes with.
+the run).  These tests pin the commit as the durability boundary and
+the torn-tail tolerance it composes with.
 """
 
 import json
@@ -32,7 +32,9 @@ class TestSettledMeansDurable:
         with scoped_io(chaos):
             journal = JournalWriter(path)
             journal.write_header(n_selected=3)
+            journal.commit()
             journal.record_result(10, json.dumps({"job_id": 10, "categories": ["a"]}))
+            journal.commit()
             journal.record_failure(
                 {
                     "job_id": 11,
@@ -42,6 +44,7 @@ class TestSettledMeansDurable:
                     "attempts": 2,
                 }
             )
+            journal.commit()
             # no close(): the cut arrives mid-run
         chaos.power_cut()
         state = JournalState.load(path)
@@ -51,13 +54,13 @@ class TestSettledMeansDurable:
         assert state.n_malformed == 0
 
     def test_lost_sync_regression_interval_zero_loses_the_tail(self, tmp_path):
-        # sync_interval=0 is the old buffered behavior made explicit:
-        # nothing is durable until close.  A cut mid-run loses the run —
-        # which is why JournalWriter defaults to fsync-per-line.
+        # appends alone are the old buffered behavior: nothing is
+        # durable until a commit.  A cut mid-run loses the run — which
+        # is why every settle is covered by a commit (JobStore.commit).
         path = str(tmp_path / "run.jsonl")
         chaos = StorageChaos(tmp_path)
         with scoped_io(chaos):
-            journal = JournalWriter(path, sync_interval=0)
+            journal = JournalWriter(path)
             journal.write_header(n_selected=1)
             journal.record_result(10, json.dumps({"job_id": 10}))
         chaos.power_cut()
@@ -68,7 +71,7 @@ class TestSettledMeansDurable:
         path = str(tmp_path / "run.jsonl")
         chaos = StorageChaos(tmp_path)
         with scoped_io(chaos):
-            journal = JournalWriter(path, sync_interval=0)
+            journal = JournalWriter(path)
             journal.write_header(n_selected=2)
             journal.record_result(10, json.dumps({"job_id": 10}))
             journal.checkpoint()

@@ -11,7 +11,6 @@ from repro.parallel.retry import (
     TRANSIENT_QUALIFIED_TYPES,
     FailureKind,
     RetryPolicy,
-    backoff_delay,
     is_transient,
 )
 
@@ -164,33 +163,36 @@ class TestRetryPolicy:
 
 
 class TestBackoffDelay:
+    """The retry schedule, ``RetryPolicy.backoff``: retry n (1-based)
+    sleeps ``backoff_s(n - 1)``."""
+
     def test_deterministic_for_same_key_and_attempt(self):
         pol = RetryPolicy(backoff_base_s=0.1)
-        assert backoff_delay(1, pol, key=42) == backoff_delay(1, pol, key=42)
+        assert pol.backoff.backoff_s(0, key=42) == pol.backoff.backoff_s(0, key=42)
 
     def test_jitter_varies_with_key(self):
         pol = RetryPolicy(backoff_base_s=0.1)
-        delays = {backoff_delay(1, pol, key=k) for k in range(16)}
+        delays = {pol.backoff.backoff_s(0, key=k) for k in range(16)}
         assert len(delays) > 1
 
     def test_grows_exponentially_until_cap(self):
         pol = RetryPolicy(backoff_base_s=0.1, backoff_cap_s=100.0)
         # jitter is in [0.5, 1.0), so attempt n+1's floor (0.5 * 2x)
         # equals attempt n's ceiling: growth holds per-key
-        d1 = backoff_delay(1, pol, key=7)
-        d3 = backoff_delay(3, pol, key=7)
+        d1 = pol.backoff.backoff_s(0, key=7)
+        d3 = pol.backoff.backoff_s(2, key=7)
         assert d3 > d1
 
     def test_cap_bounds_delay(self):
         pol = RetryPolicy(backoff_base_s=1.0, backoff_cap_s=2.0)
-        assert backoff_delay(10, pol, key=0) <= 2.0
+        assert pol.backoff.backoff_s(9, key=0) <= 2.0
 
     def test_zero_base_disables_sleep(self):
         pol = RetryPolicy(backoff_base_s=0.0)
-        assert backoff_delay(1, pol, key=0) == 0.0
+        assert pol.backoff.backoff_s(0, key=0) == 0.0
 
     def test_jitter_keeps_half_to_full_band(self):
         pol = RetryPolicy(backoff_base_s=1.0, backoff_cap_s=64.0)
         for key in range(32):
-            d = backoff_delay(1, pol, key=key)
+            d = pol.backoff.backoff_s(0, key=key)
             assert 0.5 <= d < 1.0

@@ -11,7 +11,6 @@ import http.client
 import json
 import os
 import signal
-import socket
 import subprocess
 import sys
 import threading
@@ -341,13 +340,31 @@ class TestConnectionTeardown:
 
 
 # -- SIGTERM end to end (subprocess) -----------------------------------
-def _serve_env(delay_s=None):
+#: Test-side launcher that holds the job at its first journal settle.
+FAULT_LAUNCHER = os.path.join(os.path.dirname(__file__), "fault_launcher.py")
+
+
+def _serve_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
-    env.pop("MOSAIC_SERVE_TEST_DELAY_S", None)
-    if delay_s is not None:
-        env["MOSAIC_SERVE_TEST_DELAY_S"] = str(delay_s)
     return env
+
+
+def _spawn_held(data_dir, log_path, marker, drain_timeout):
+    """Start ``mosaic serve`` whose first job stops right after its
+    first journal settle flush, before that unit's commit: the launcher
+    creates ``marker`` when the job is held there and lets it go on at
+    a line on the process's stdin."""
+    log = open(log_path, "ab")
+    proc = subprocess.Popen(
+        [sys.executable, FAULT_LAUNCHER, "hold", str(marker), "serve",
+         "--data-dir", str(data_dir), "--port", "0",
+         "--drain-timeout", str(drain_timeout)],
+        stdin=subprocess.PIPE, stdout=log, stderr=subprocess.STDOUT,
+        env=_serve_env(),
+    )
+    log.close()
+    return proc
 
 
 def _wait_endpoint(data_dir, proc, timeout=60.0):
@@ -367,23 +384,42 @@ def _wait_endpoint(data_dir, proc, timeout=60.0):
     raise RuntimeError("server never published server.json")
 
 
+def _wait_held(marker, proc, timeout=60.0):
+    """Wait until the launcher reports the job held at its first settle."""
+    deadline = time.monotonic() + timeout
+    while not os.path.exists(marker):
+        if proc.poll() is not None:
+            raise RuntimeError(f"server exited early: rc={proc.returncode}")
+        assert time.monotonic() < deadline, "job never reached its first settle"
+        time.sleep(0.02)
+
+
+def _settle_lines(journal):
+    return [
+        line for line in journal.read_text().splitlines()
+        if line.startswith(('{"kind":"result"', '{"kind":"failure"'))
+    ]
+
+
+def _stop(proc):
+    if proc.poll() is None:
+        proc.kill()
+    proc.wait(timeout=30)
+    if proc.stdin is not None:
+        proc.stdin.close()
+
+
 class TestSigtermDrain:
     def test_sigterm_mid_job_drains_and_exits_zero(
         self, store, tmp_path
     ):
-        """SIGTERM while a (slowed) job runs: the server finishes it,
-        registers the outcome, and exits 0 — no escalation needed."""
+        """SIGTERM while a job is held mid-run: the server drains, lets
+        the job finish once released, registers the outcome, and exits
+        0 — no escalation needed."""
         data_dir = tmp_path / "data"
         log_path = tmp_path / "serve.log"
-        log = open(log_path, "ab")
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli.main", "serve",
-             "--data-dir", str(data_dir), "--port", "0",
-             "--drain-timeout", "60"],
-            stdout=log, stderr=subprocess.STDOUT,
-            env=_serve_env(delay_s=0.05),
-        )
-        log.close()
+        marker = tmp_path / "held"
+        proc = _spawn_held(data_dir, log_path, marker, drain_timeout=60)
         try:
             endpoint = _wait_endpoint(data_dir, proc)
             status, data = _request(
@@ -391,42 +427,37 @@ class TestSigtermDrain:
             )
             assert status == 202
             job_id = json.loads(data)["job_id"]
-            # wait until the job is actually running, then SIGTERM
-            deadline = time.monotonic() + 30
-            while time.monotonic() < deadline:
-                _s, d = _request(endpoint, "GET", f"/jobs/{job_id}")
-                if json.loads(d)["status"] == "running":
-                    break
-                time.sleep(0.05)
+            _wait_held(marker, proc)
+            _s, d = _request(endpoint, "GET", f"/jobs/{job_id}")
+            assert json.loads(d)["status"] == "running"
             proc.send_signal(signal.SIGTERM)
+            # the drain has begun (readiness flips) with the job still
+            # held; only then does the job go on
+            deadline = time.monotonic() + 30
+            while _request(endpoint, "GET", "/readyz")[0] != 503:
+                assert time.monotonic() < deadline, "drain never began"
+                time.sleep(0.02)
+            proc.stdin.write(b"release\n")
+            proc.stdin.flush()
             assert proc.wait(timeout=60) == 0, log_path.read_text()
         finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=30)
+            _stop(proc)
         # the drained incarnation durably finished the job
         registry = (data_dir / "jobs.jsonl").read_text().splitlines()
         events = [json.loads(line) for line in registry if line.strip()]
         finished = [e for e in events if e["event"] == "finished"]
-        assert [e["status"] for e in finished] == ["done"]
+        assert [(e["job_id"], e["status"]) for e in finished] == [(job_id, "done")]
 
     def test_sigterm_past_hard_deadline_escalates_and_resumes(
         self, store, tmp_path
     ):
-        """A job too slow for the drain budget: the server exits with
-        the escalation code and a restart resumes the job from its
-        journal to completion."""
+        """A job held past the drain budget: the server exits with the
+        escalation code and a restart resumes the job from its journal
+        to completion."""
         data_dir = tmp_path / "data"
         log_path = tmp_path / "serve.log"
-        log = open(log_path, "ab")
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli.main", "serve",
-             "--data-dir", str(data_dir), "--port", "0",
-             "--drain-timeout", "0.5"],
-            stdout=log, stderr=subprocess.STDOUT,
-            env=_serve_env(delay_s=1.0),
-        )
-        log.close()
+        marker = tmp_path / "held"
+        proc = _spawn_held(data_dir, log_path, marker, drain_timeout=0.5)
         try:
             endpoint = _wait_endpoint(data_dir, proc)
             status, data = _request(
@@ -434,17 +465,15 @@ class TestSigtermDrain:
             )
             assert status == 202
             job_id = json.loads(data)["job_id"]
-            journal = data_dir / "jobs" / job_id / "journal.jsonl"
-            deadline = time.monotonic() + 60
-            while time.monotonic() < deadline and not journal.exists():
-                time.sleep(0.05)
+            _wait_held(marker, proc)
             proc.send_signal(signal.SIGTERM)
             rc = proc.wait(timeout=60)
             assert rc == 75, (rc, log_path.read_text())
         finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=30)
+            _stop(proc)
+        # the abandoned job left exactly its one held settle behind
+        journal = data_dir / "jobs" / job_id / "journal.jsonl"
+        assert len(_settle_lines(journal)) == 1
         # restart: the abandoned job resumes from its journal
         log = open(log_path, "ab")
         proc = subprocess.Popen(
@@ -463,6 +492,7 @@ class TestSigtermDrain:
                     break
                 time.sleep(0.1)
             assert job["status"] == "done", job
+            assert len(_settle_lines(journal)) == job["n_results"] + job["n_failures"]
         finally:
             proc.send_signal(signal.SIGTERM)
             try:

@@ -30,6 +30,8 @@ from repro.service.server import JobRecord
 from repro.synth import FleetConfig, generate_fleet
 from repro.testing import StorageChaos
 
+from fault_launcher import HoldAtFirstSettle
+
 SERIAL = ParallelConfig(max_workers=0)
 
 
@@ -272,40 +274,50 @@ class TestServiceFlow:
 
 # -- live SSE ----------------------------------------------------------
 class TestEvents:
-    def test_live_settle_stream(self, corpus, tmp_path, monkeypatch):
-        monkeypatch.setenv("MOSAIC_SERVE_TEST_DELAY_S", "0.05")
+    def test_live_settle_stream(self, corpus, tmp_path):
+        """A subscriber that joins while the job is held at its first
+        journal settle (before any commit) sees the whole live stream:
+        ``subscribed``, one ``result`` per selected trace in seq order,
+        then ``finished``."""
         server = MosaicServer(tmp_path / "data", port=0)
         thread, endpoint = _start(server)
+        hold = HoldAtFirstSettle()
         try:
-            job_id = _submit(endpoint, {"store": corpus["store"]})
-            conn = http.client.HTTPConnection(
-                endpoint["host"], endpoint["port"], timeout=120
-            )
-            try:
-                conn.request("GET", f"/jobs/{job_id}/events")
-                resp = conn.getresponse()
-                assert resp.status == 200
-                events = []
-                deadline = time.monotonic() + 120
-                while time.monotonic() < deadline:
-                    line = resp.readline()
-                    if not line:
-                        break
-                    if line.startswith(b"data: "):
-                        events.append(json.loads(line[len(b"data: ") :]))
-                        if events[-1].get("event") == "finished":
-                            break
-            finally:
-                conn.close()
-            assert events, "no SSE events received"
+            with scoped_io(hold):
+                job_id = _submit(endpoint, {"store": corpus["store"]})
+                assert hold.held.wait(timeout=60), "job never reached a settle"
+                conn = http.client.HTTPConnection(
+                    endpoint["host"], endpoint["port"], timeout=120
+                )
+                try:
+                    conn.request("GET", f"/jobs/{job_id}/events")
+                    resp = conn.getresponse()
+                    assert resp.status == 200
+                    events = []
+                    while not events or events[-1]["event"] != "finished":
+                        line = resp.readline()
+                        assert line, f"stream closed early after {events}"
+                        if line.startswith(b"data: "):
+                            events.append(json.loads(line[len(b"data: ") :]))
+                            if len(events) == 1:
+                                # subscribed while held: now let it run
+                                hold.release()
+                finally:
+                    conn.close()
+            n = corpus["n_results"]
+            job_ids = [
+                json.loads(line)["job_id"]
+                for line in corpus["batch_bytes"].decode().splitlines()
+            ]
+            assert events[0] == {"event": "subscribed", "status": "running"}
             assert events[-1] == {"event": "finished", "status": "done"}
-            if len(events) > 1:  # subscribed before the job settled
-                assert events[0]["event"] == "subscribed"
-                kinds = {e["event"] for e in events[1:-1]}
-                assert "result" in kinds
+            settles = events[1:-1]
+            assert [e["event"] for e in settles] == ["result"] * n
+            assert [e["seq"] for e in settles] == list(range(1, n + 1))
+            assert sorted(e["trace_job_id"] for e in settles) == sorted(job_ids)
         finally:
+            hold.release()
             _shutdown(server, thread)
-
 
     def test_replay_of_a_running_job_stops_at_committed_seq(self, tmp_path):
         """A running job's journal may hold settle lines its store has

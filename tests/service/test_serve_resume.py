@@ -31,13 +31,12 @@ SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 #: Test-side launcher that kills the server at an exact journal settle.
-CRASH_LAUNCHER = os.path.join(os.path.dirname(__file__), "crash_launcher.py")
+FAULT_LAUNCHER = os.path.join(os.path.dirname(__file__), "fault_launcher.py")
 
 
 def _serve_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
-    env.pop("MOSAIC_SERVE_TEST_DELAY_S", None)
     return env
 
 
@@ -47,7 +46,7 @@ def _spawn(data_dir, log_path, exit_after_settles=None):
     line is flushed, before that unit's commit."""
     entry = ["-m", "repro.cli.main"]
     if exit_after_settles is not None:
-        entry = [CRASH_LAUNCHER, str(exit_after_settles)]
+        entry = [FAULT_LAUNCHER, "exit", str(exit_after_settles)]
     log = open(log_path, "ab")
     proc = subprocess.Popen(
         [sys.executable, *entry, "serve",
