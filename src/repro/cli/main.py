@@ -474,13 +474,13 @@ def _print_stage_metrics(result) -> None:
         f"peak {m.get('peak_inflight_traces', 0)} traces in flight"
     )
     resilience = (
-        "n_retries", "n_reload_retries", "n_timeouts", "n_crash_events",
+        "n_retries", "n_timeouts", "n_crash_events",
         "n_pool_rebuilds", "n_poisoned", "n_resumed", "n_quarantined",
     )
     if any(m.get(k, 0) for k in resilience):
         print(
             f"  resilience: "
-            f"{m.get('n_retries', 0) + m.get('n_reload_retries', 0)} retries, "
+            f"{m.get('n_retries', 0)} retries, "
             f"{m.get('n_timeouts', 0)} timeouts, "
             f"{m.get('n_crash_events', 0)} crash events, "
             f"{m.get('n_pool_rebuilds', 0)} pool rebuilds, "
@@ -672,17 +672,23 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.clean else 1
 
 
-def _run_pipeline(args: argparse.Namespace, **kwargs: Any) -> PipelineResult:
-    """Dispatch on --store vs --traces: batched fast path or streaming."""
+def _run_pipeline(
+    args: argparse.Namespace, context: PipelineContext | None = None
+) -> PipelineResult:
+    """Dispatch on --store vs --traces: batched fast path or streaming.
+
+    A ``context`` (``--chaos``) already carries the run's config,
+    parallelism and repair flag."""
     journal, resume = _journal_args(args)
-    common = dict(
-        config=_effective_config(args),
-        parallel=_parallel(args.workers, args.task_timeout),
-        repair=getattr(args, "repair", False),
-        journal_path=journal,
-        resume=resume,
-        **kwargs,
+    common: dict[str, Any] = dict(
+        journal_path=journal, resume=resume, context=context
     )
+    if context is None:
+        common.update(
+            config=_effective_config(args),
+            parallel=_parallel(args.workers, args.task_timeout),
+            repair=getattr(args, "repair", False),
+        )
     if getattr(args, "store", None):
         if getattr(args, "traces", None):
             raise SystemExit("--store and --traces are mutually exclusive")

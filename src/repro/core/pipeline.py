@@ -3,23 +3,24 @@
 
 Every run goes through one driver, :func:`_run_pipeline_plan`, over a
 *plan*: the scan result of pass ① plus the work units of pass ②.  The
-entry points only build plans: :func:`run_pipeline_stream` ships one
-lazily loaded trace per unit (corpora larger than RAM are
-categorizable), :func:`run_pipeline_store` ships ``(store_path, rows)``
-slices of a compiled ``.mosc`` store, and :func:`run_pipeline` streams
-an in-memory corpus and materializes the selected traces.
+entry points only build plans: :func:`run_pipeline_stream` ships the
+ref of one selected trace per unit, which the worker reloads (corpora
+larger than RAM are categorizable), :func:`run_pipeline_store` ships
+``(store_path, rows)`` slices of a compiled ``.mosc`` store, and
+:func:`run_pipeline` streams an in-memory corpus and materializes the
+selected traces.
 
 The driver alone owns resume, the journal, the result cache, error
 policy, the settle loop and the closing counters, so byte-identity
 across the routes rests on one loop.  Pass ② runs on the resilient
 executor (:func:`~repro.parallel.resilient.resilient_imap`): worker
 crashes rebuild the pool, hung units are quarantined as TIMEOUT,
-transient errors are retried with backoff, and inputs that repeatedly
-kill workers are quarantined as POISON.  With a ``journal_path``, every
-per-trace outcome is appended to a JSONL journal as it settles and
-committed (fsynced) once per unit, so a killed run resumes
-(``resume=True``) exactly where it died, on either route.  See
-docs/ROBUSTNESS.md.
+transient errors (a failed reload among them) are retried with
+backoff, and inputs that repeatedly kill workers are quarantined as
+POISON.  With a ``journal_path``, every per-trace outcome is appended
+to a JSONL journal as it settles and committed (fsynced) once per unit,
+so a killed run resumes (``resume=True``) exactly where it died, on
+either route.  See docs/ROBUSTNESS.md.
 
 A :class:`PipelineContext` threads configuration, error policy, and
 observability (per-stage wall-clock timings plus counters: traces
@@ -34,19 +35,14 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Sequence, Union
+from typing import Any, Callable, Iterator, Sequence
 
-from ..darshan.errors import (
-    TraceFormatError,
-    TraceReadError,
-    TraceUnavailableError,
-)
 from ..darshan.source import InMemorySource, TraceSource
 from ..darshan.trace import Trace
 from ..parallel.executor import ParallelConfig, TaskFailure
 from ..parallel.jobstore import JobStore
 from ..parallel.resilient import resilient_imap
-from ..parallel.retry import FailureKind, RetryPolicy
+from ..parallel.retry import FailureKind
 from .categorizer import categorize_trace
 from .governor import DegradationLevel
 from .preprocess import (
@@ -180,15 +176,16 @@ class _Plan:
     #: Picklable worker: ``(payload, config=...)`` → one result per
     #: member of the unit the payload came from.
     worker: Callable[..., list[CategorizationResult]]
-    #: Packs the members still to run into units, lazily: a stream
-    #: loads each trace only when the executor draws its unit.
+    #: Packs the members still to run into units, lazily, as the
+    #: executor draws them.
     units: Callable[[list[_Member]], Iterator[_Unit]]
     #: Journal ``trace_key`` of one member's failure record.
     failure_key: Callable[[SelectedRef], str]
     #: Per-row content CRCs keying the result cache (store plans only).
     trace_crcs: Sequence[int] | None = None
-    #: Source whose pass-② reads are counted (stream plans only).
-    source: TraceSource | None = None
+    #: Whether pass ② reads each member's payload (stream plans): the
+    #: run then counts ``categorize_bytes_read``.
+    reads_payloads: bool = False
 
 
 def _scan_stage(
@@ -227,87 +224,33 @@ def _count_degradation(
 
 
 # ----------------------------------------------------------------------
-# Stream units.  A selected trace that stays unreadable after the
-# parent-side retry budget travels to the worker as a _LoadFailure
-# sentinel (keeping unit indexes aligned), where it raises a permanent,
-# per-trace error instead of aborting the corpus.
+# Stream units: each ships the ref of one selected trace, and the worker
+# reloads it.  A reload that fails (file mid-rewrite, I/O hiccup) is a
+# transient failure of its unit, retried by the executor like any other.
 
 
-@dataclass(slots=True, frozen=True)
-class _LoadFailure:
-    """A selected trace whose reload failed even with retries."""
-
-    job_id: int
-    error_type: str
-    message: str
-
-
-_Payload = Union[Trace, _LoadFailure]
-
-
-def _categorize_payload(
-    payload: _Payload, config: MosaicConfig
+def _categorize_ref(
+    source: TraceSource, entry: SelectedRef, config: MosaicConfig
 ) -> list[CategorizationResult]:
-    """Worker-side entry of a one-trace unit: categorize the trace, or
-    surface its load error."""
-    if isinstance(payload, _LoadFailure):
-        raise TraceUnavailableError(
-            f"trace {payload.job_id} unreadable after retries: "
-            f"{payload.error_type}: {payload.message}"
-        )
-    return [categorize_trace(payload, config)]
-
-
-def _load_with_retry(
-    source: TraceSource,
-    entry: SelectedRef,
-    policy: RetryPolicy,
-    ctx: PipelineContext,
-) -> _Payload:
-    """Reload one selected trace, retrying transient read failures.
-
-    The scan already decoded this trace once, so a failure here is
-    environmental (file mid-rewrite, I/O hiccup) until proven
-    persistent — exactly the ``TraceFormatError``-on-reread class the
-    retry policy covers.
-    """
-    backoff = policy.backoff
-    attempts = 0
-    while True:
-        attempts += 1
-        try:
-            return load_selected(source, entry)
-        except (TraceFormatError, TraceReadError, OSError) as exc:
-            if attempts >= backoff.attempts:
-                return _LoadFailure(
-                    job_id=entry.job_id,
-                    error_type=type(exc).__name__,
-                    message=str(exc),
-                )
-            ctx.count("n_reload_retries")
-            delay = backoff.backoff_s(attempts - 1, key=entry.job_id)
-            if delay > 0:
-                time.sleep(delay)
+    """Worker-side entry of a one-trace unit: reload, then categorize."""
+    return [categorize_trace(load_selected(source, entry), config)]
 
 
 def _stream_plan(source: TraceSource, ctx: PipelineContext) -> _Plan:
-    """Scan ``source``; one unit per selected trace."""
+    """Scan ``source``; one unit per selected trace, shipped as its ref.
 
-    def units(pending: list[_Member]) -> Iterator[_Unit]:
-        for member in pending:
-            payload = _load_with_retry(
-                source, member[1], ctx.parallel.retry, ctx
-            )
-            yield [member], payload
-
+    The source is bound into the worker function, which reaches each
+    pool worker once (inherited under ``fork``): on a pool the parent
+    decodes nothing in pass ②.
+    """
     return _Plan(
         scan=_scan_stage(
             ctx, lambda: scan_corpus(source, repair=ctx.repair), source
         ),
-        worker=_categorize_payload,
-        units=units,
+        worker=functools.partial(_categorize_ref, source),
+        units=lambda pending: (([member], member[1]) for member in pending),
         failure_key=lambda entry: str(entry.ref.key),
-        source=source,
+        reads_payloads=True,
     )
 
 
@@ -354,9 +297,8 @@ def _run_pipeline_plan(
             ctx.count("n_journal_malformed", state.n_malformed)
 
     cache = ctx.result_cache
-    source = plan.source
-    bytes_before = source.bytes_read if source is not None else 0
     n_failures = 0
+    bytes_read = 0
     slots: list[CategorizationResult | None] = [None] * len(scan.selected)
     inflight = 0
     peak = 0
@@ -440,6 +382,7 @@ def _run_pipeline_plan(
                 else:
                     for (slot, entry), result in zip(members, outcome):
                         slots[slot] = result
+                        bytes_read += entry.ref.size_bytes
                         if jobstore is None and slot not in cache_keys:
                             continue
                         line = result.json_line()
@@ -464,8 +407,8 @@ def _run_pipeline_plan(
     ctx.count("n_selected", scan.n_selected)
     ctx.count("n_failures", n_failures)
     _count_degradation(ctx, results)
-    if source is not None:
-        ctx.count("categorize_bytes_read", source.bytes_read - bytes_before)
+    if plan.reads_payloads:
+        ctx.count("categorize_bytes_read", bytes_read)
     ctx.gauge("peak_inflight_traces", peak)
     ctx.timings["total_s"] = time.perf_counter() - started
     # historical stage names, kept for dashboards and the benchmarks
@@ -490,11 +433,25 @@ def _context(
     parallel: ParallelConfig | None,
     repair: bool,
 ) -> PipelineContext:
-    return context or PipelineContext(
-        config=config,
-        parallel=parallel or _default_parallel(),
-        repair=repair,
-    )
+    """``context``, or one built from the arguments; an argument given
+    with ``context`` must agree with it, or ``ValueError`` is raised."""
+    if context is None:
+        return PipelineContext(
+            config=config,
+            parallel=parallel or _default_parallel(),
+            repair=repair,
+        )
+    for name, given, default in (
+        ("config", config, DEFAULT_CONFIG),
+        ("parallel", parallel, None),
+        ("repair", repair, False),
+    ):
+        if given != default and given != getattr(context, name):
+            raise ValueError(
+                f"{name}={given!r} conflicts with the context's {name}; "
+                "set it on the context instead"
+            )
+    return context
 
 
 def run_pipeline_stream(
@@ -509,11 +466,14 @@ def run_pipeline_stream(
 ) -> PipelineResult:
     """Run MOSAIC end to end over a lazy trace source, out of core.
 
-    Memory model: pass ① holds one trace at a time plus per-application
-    dedup refs; pass ② holds at most
-    :meth:`~repro.parallel.executor.ParallelConfig.resolved_pending`
-    selected traces in flight (1 when serial).  The full corpus is never
-    resident, so corpus size is bounded by disk, not RAM.
+    Memory model: pass ① holds one record batch at a time plus
+    per-application dedup refs; pass ② ships refs, at most
+    :meth:`~repro.parallel.executor.ParallelConfig.resolved_pending` in
+    flight, and each worker reloads its own trace, so the parent holds
+    no trace at all (one, in process, when serial).  The full corpus is
+    never resident, so corpus size is bounded by disk, not RAM.  A
+    selected trace that fails to reload is retried by the executor like
+    any transient failure, then journaled as that trace's failure.
 
     ``journal_path`` checkpoints every per-trace outcome as it completes
     (append-only JSONL); ``resume=True`` reloads an existing journal at
@@ -521,7 +481,9 @@ def run_pipeline_stream(
     contribute their saved results, quarantined (TIMEOUT/POISON) ones
     stay quarantined.  ``context`` may be passed to override error
     policy, inject a worker wrapper, or share one metrics sink across
-    runs; otherwise one is built from the arguments.
+    runs; otherwise one is built from the arguments.  With ``context``,
+    ``config``, ``parallel`` and ``repair`` must be left at their
+    defaults or agree with it (``ValueError`` otherwise).
     """
     ctx = _context(context, config, parallel, repair)
     started = time.perf_counter()

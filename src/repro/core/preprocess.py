@@ -17,7 +17,8 @@ naively, so it is two-pass and streaming:
   state — one small :class:`SelectedRef` per application, never the
   traces themselves;
 * **pass 2** (:func:`load_selected`, driven by the pipeline) reloads
-  only the selected heaviest refs, one at a time.
+  only the selected heaviest refs, each in the worker that categorizes
+  it.
 
 The batch :func:`preprocess_corpus` API is a thin wrapper running both
 passes over an in-memory source.

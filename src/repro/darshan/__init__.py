@@ -10,7 +10,6 @@ from .errors import (
     DarshanError,
     TraceFormatError,
     TraceReadError,
-    TraceUnavailableError,
     TraceValidationError,
     TraceWriteError,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "DarshanError",
     "TraceFormatError",
     "TraceReadError",
-    "TraceUnavailableError",
     "TraceValidationError",
     "TraceWriteError",
     "DecodeLimits",

@@ -46,9 +46,3 @@ class TraceReadError(DarshanError):
     retried with backoff before the trace is given up on.
     """
 
-
-class TraceUnavailableError(DarshanError):
-    """A selected trace stayed unreadable after the retry budget was
-    exhausted — the permanent form of :class:`TraceReadError`, raised so
-    the failure is captured against the right trace instead of aborting
-    the corpus run."""

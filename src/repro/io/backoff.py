@@ -1,7 +1,7 @@
 """The one retry schedule: exponential backoff as a frozen value.
 
-Storage syscalls (:mod:`repro.io.durable`), trace reloads and pool
-re-executions (:mod:`repro.parallel`), and the HTTP client
+Storage syscalls (:mod:`repro.io.durable`), pool re-executions
+(:mod:`repro.parallel`; a failed trace reload is one), and the HTTP client
 (:mod:`repro.service.client`) all sleep ``base_s * 2**n`` before retry
 ``n`` (0-based), optionally capped and optionally jittered; only the
 parameters differ.  Jitter is *deterministic* — a hash of ``(key,

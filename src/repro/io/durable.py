@@ -56,8 +56,14 @@ def _retry(
     path: str,
     fn: Callable[..., Any],
     *args: Any,
+    reset: Callable[[], None] | None = None,
 ) -> Any:
-    """Run one replayable primitive with transient-errno retry."""
+    """Run one replayable primitive with transient-errno retry.
+
+    ``reset``, when given, runs after each transient failure, before the
+    backoff sleep: it undoes what a failed attempt may have left behind
+    so the retry starts clean.
+    """
     for attempt in range(policy.attempts):
         try:
             return fn(*args)
@@ -66,6 +72,8 @@ def _retry(
         except OSError as exc:
             transient = exc.errno in TRANSIENT_ERRNOS
             if transient and attempt + 1 < policy.attempts:
+                if reset is not None:
+                    reset()
                 io.sleep(policy.backoff_s(attempt))
                 continue
             kind = "transient fault persisted" if transient else "storage fault"
@@ -106,8 +114,13 @@ def atomic_write_bytes(
     tmp = _tmp_path(out)
     try:
         fh = _retry(io, policy, "open", tmp, io.open, tmp, "wb")
+
+        def rewind() -> None:
+            fh.seek(0)
+            fh.truncate()
+
         try:
-            _write_all(io, policy, tmp, fh, data)
+            _retry(io, policy, "write", tmp, _write_flush, io, fh, data, reset=rewind)
             if sync:
                 _retry(io, policy, "fsync", tmp, io.fsync, fh)
         finally:
@@ -132,34 +145,10 @@ def atomic_write_bytes(
         raise
 
 
-def _write_all(
-    io: FaultableIO,
-    policy: Backoff,
-    tmp: str,
-    fh: IO[bytes],
-    data: bytes,
-) -> None:
-    """Write + flush the whole payload, truncating before any retry so a
-    partial write is never doubled."""
-    for attempt in range(policy.attempts):
-        try:
-            io.write(fh, data)
-            io.flush(fh)
-            return
-        except OSError as exc:
-            transient = exc.errno in TRANSIENT_ERRNOS
-            if transient and attempt + 1 < policy.attempts:
-                fh.seek(0)
-                fh.truncate()
-                io.sleep(policy.backoff_s(attempt))
-                continue
-            kind = "transient fault persisted" if transient else "storage fault"
-            raise StorageError(
-                f"write failed for {tmp!r} ({kind}): {exc}",
-                op="write",
-                path=tmp,
-                errno_value=exc.errno,
-            ) from exc
+def _write_flush(io: FaultableIO, fh: IO[Any], data: Any) -> None:
+    """The replayable unit of every durable write."""
+    io.write(fh, data)
+    io.flush(fh)
 
 
 def atomic_write_text(
@@ -259,8 +248,7 @@ class DurableAppender:
 
     def _terminate(self) -> None:
         assert self._fh is not None
-        self._io.write(self._fh, "\n")
-        self._io.flush(self._fh)
+        _write_flush(self._io, self._fh, "\n")
 
     @property
     def closed(self) -> bool:
@@ -274,35 +262,24 @@ class DurableAppender:
     def append_line(self, line: str) -> bool:
         """Append one complete line (newline added if missing); True when
         a transient failure made it rewrite the line after a fragment."""
-        fh = self._require_open()
-        io, policy = self._io, self._policy
+        fh, io = self._require_open(), self._io
         data = line if line.endswith("\n") else line + "\n"
-        for attempt in range(policy.attempts):
-            try:
-                io.write(fh, data)
-                io.flush(fh)
-                break
-            except OSError as exc:
-                transient = exc.errno in TRANSIENT_ERRNOS
-                if transient and attempt + 1 < policy.attempts:
-                    # Terminate any torn fragment so the retried line
-                    # starts fresh; the loader discards the fragment.
-                    with contextlib.suppress(OSError):
-                        io.write(fh, "\n")
-                        io.flush(fh)
-                    io.sleep(policy.backoff_s(attempt))
-                    continue
-                kind = (
-                    "transient fault persisted" if transient else "storage fault"
-                )
-                raise StorageError(
-                    f"append failed for {self.path!r} ({kind}): {exc}",
-                    op="append",
-                    path=self.path,
-                    errno_value=exc.errno,
-                ) from exc
+        rewritten = False
+
+        def terminate() -> None:
+            # Terminate any torn fragment so the retried line starts
+            # fresh; the loader discards the fragment.
+            nonlocal rewritten
+            rewritten = True
+            with contextlib.suppress(OSError):
+                self._terminate()
+
+        _retry(
+            io, self._policy, "append", self.path, _write_flush, io, fh, data,
+            reset=terminate,
+        )
         self._since_sync += 1
-        return attempt > 0
+        return rewritten
 
     def checkpoint(self) -> None:
         """fsync everything appended so far — the durability boundary."""

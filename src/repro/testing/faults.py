@@ -44,11 +44,11 @@ FAULT_NONE = "none"
 def item_key(item: Any) -> str:
     """Stable identity of one work item across processes and runs.
 
-    Traces key by job id; scalars key by value; everything else falls
-    back to a repr digest (stable for value-like objects).
+    Traces (``meta.job_id``) and selected refs (``job_id``) key by job
+    id; scalars key by value; everything else falls back to a repr
+    digest (stable for value-like objects).
     """
-    meta = getattr(item, "meta", None)
-    job_id = getattr(meta, "job_id", None)
+    job_id = getattr(getattr(item, "meta", item), "job_id", None)
     if job_id is not None:
         return f"job:{job_id}"
     if isinstance(item, (int, str)):

@@ -52,7 +52,7 @@ import socket
 import struct
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any
 
 __all__ = [

@@ -21,8 +21,6 @@ from repro.core.governor import LADDER, OP_WORKING_SET_BYTES
 from repro.darshan import Violation
 from repro.synth import FleetConfig, flood_trace, generate_fleet
 
-from tests.conftest import make_record, make_trace
-
 
 @pytest.fixture(scope="module")
 def fleet():

@@ -12,11 +12,13 @@ import gc
 import pytest
 
 from repro.core import (
+    DEFAULT_CONFIG,
     PipelineContext,
     run_pipeline,
     run_pipeline_stream,
     scan_corpus,
 )
+from repro.core.governor import ResourceBudget
 from repro.darshan import (
     DirectorySource,
     InMemorySource,
@@ -136,6 +138,28 @@ class TestBoundedMemory:
         assert source.peak_live <= 4
         assert result.metrics["peak_inflight_traces"] <= 1
 
+    def test_pool_workers_reload_what_the_parent_ships(
+        self, corpus_dir, monkeypatch
+    ):
+        serial = run_pipeline_stream(DirectorySource(corpus_dir))
+        decoded = []
+        real = source_module.load_binary
+        monkeypatch.setattr(
+            source_module,
+            "load_binary",
+            lambda path, *a, **k: decoded.append(path) or real(path, *a, **k),
+        )
+        pooled = run_pipeline_stream(
+            DirectorySource(corpus_dir), parallel=ParallelConfig(max_workers=2)
+        )
+        # pass ② ships refs: the forked workers decode, the parent never
+        assert decoded == []
+        assert [r.json_line() for r in pooled.results] == [
+            r.json_line() for r in serial.results
+        ]
+        bytes_read = serial.metrics["categorize_bytes_read"]
+        assert pooled.metrics["categorize_bytes_read"] == bytes_read > 0
+
     def test_two_pass_load_accounting(self, corpus_dir, fleet):
         source = ProbedSource(DirectorySource(corpus_dir))
         result = run_pipeline_stream(source)
@@ -217,6 +241,35 @@ class TestPipelineContext:
         assert [r.job_id for r in batch.results] == [
             r.job_id for r in streamed.results
         ]
+
+    @pytest.mark.parametrize(
+        "argument",
+        [
+            {"config": DEFAULT_CONFIG.with_overrides(budget=ResourceBudget(max_ops=9))},
+            {"parallel": ParallelConfig(max_workers=2)},
+            {"repair": True},
+        ],
+        ids=["config", "parallel", "repair"],
+    )
+    def test_argument_conflicting_with_context_is_refused(
+        self, corpus_dir, argument
+    ):
+        # an argument the context would silently override is an error
+        with pytest.raises(ValueError, match=next(iter(argument))):
+            run_pipeline_stream(
+                DirectorySource(corpus_dir), context=PipelineContext(), **argument
+            )
+
+    def test_arguments_agreeing_with_context_are_accepted(self, corpus_dir):
+        ctx = PipelineContext(parallel=ParallelConfig(max_workers=0), repair=True)
+        result = run_pipeline_stream(
+            DirectorySource(corpus_dir),
+            DEFAULT_CONFIG,
+            ParallelConfig(max_workers=0),
+            repair=True,
+            context=ctx,
+        )
+        assert result.metrics == ctx.counters  # the run used ctx
 
 
 class DelegatingSource(TraceSource):

@@ -5,8 +5,6 @@ from __future__ import annotations
 import json
 import textwrap
 
-import pytest
-
 from repro.lint import lint_paths
 from repro.lint.cache import LintCache
 from repro.lint.engine import LintConfig

@@ -4,6 +4,8 @@ import pickle
 
 import pytest
 
+from repro.core.preprocess import SelectedRef
+from repro.darshan.source import TraceRef
 from repro.testing.faults import (
     FAULT_CRASH,
     FAULT_FLAKY,
@@ -27,6 +29,16 @@ class TestItemKey:
             meta = Meta()
 
         assert item_key(TraceLike()) == "job:42"
+
+    def test_selected_refs_key_by_job_id(self):
+        # stream units ship refs; they key like the trace they name
+        ref = SelectedRef(
+            ref=TraceRef(key="/corpus/job42.mosd", size_bytes=10),
+            job_id=42,
+            app_key=(1, "app"),
+            io_weight=1.0,
+        )
+        assert item_key(ref) == "job:42"
 
     def test_scalars_key_by_value(self):
         assert item_key(7) == "val:7"
