@@ -30,6 +30,8 @@ class FunnelReport:
     corrupted_fraction: float
     unique_fraction: float
     corruption_causes: dict[str, int]
+    #: Invalid traces salvaged by ``repair=True`` (0 without repair).
+    n_repaired: int
 
     def counts(self) -> list[int]:
         return [s.count for s in self.stages]
@@ -59,4 +61,5 @@ def funnel_report(pre: PreprocessResult) -> FunnelReport:
         corruption_causes={
             v.value: n for v, n in pre.corruption_histogram.most_common()
         },
+        n_repaired=pre.n_repaired,
     )

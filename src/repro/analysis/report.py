@@ -2,8 +2,8 @@
 
 ``build_report`` bundles the funnel, Tables II/III, Fig. 4, the Fig. 5
 Jaccard pairs and the §IV-D correlations into one structure with a
-``render()`` method — the library-level counterpart of ``mosaic report``
-and the object examples/notebooks want to work with.
+``render()`` method: the text ``mosaic report`` prints, and the object
+examples/notebooks want to work with.
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ class CorpusReport:
             )
         parts.append(
             f"  corrupted: {self.funnel.corrupted_fraction:.0%}  "
-            f"unique: {self.funnel.unique_fraction:.0%}"
+            f"unique: {self.funnel.unique_fraction:.0%}  "
+            f"repaired: {self.funnel.n_repaired}"
         )
         parts.append("\n== Periodic writes (Table II) ==")
         parts.append(render_shares_table(self.table2))

@@ -52,9 +52,6 @@ class CalibrationOutcome:
     validation: AccuracyReport
     n_month_traces: int
 
-    def best_config(self, base: MosaicConfig = DEFAULT_CONFIG) -> MosaicConfig:
-        return self.best.config(base)
-
 
 def calibrate_and_validate(
     traces: Sequence[Trace],

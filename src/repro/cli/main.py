@@ -742,53 +742,17 @@ def _corpus_source(args: argparse.Namespace) -> TraceSource:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from ..analysis import (
-        funnel_report,
-        jaccard_matrix,
-        metadata_table,
-        paper_correlations,
-        periodicity_table,
-        temporality_table,
-    )
-    from ..viz import render_jaccard, render_shares_table
+    from ..analysis import build_report
 
     journal, _resume = _journal_args(args)
     context = _chaos_context(args)
     if context is not None:
         print(f"chaos mode: seed={args.chaos}, injecting faults...")
     result = _run_pipeline(args, context=context)
-    weights = result.run_weights()
-
-    fun = funnel_report(result.preprocess)
-    print("\n== Pre-processing funnel (Fig. 3) ==")
-    for stage in fun.stages:
-        print(f"  {stage.name:>30}: {stage.count:>8} ({stage.retention:.0%} kept)")
-    print(
-        f"  corrupted: {fun.corrupted_fraction:.0%}  "
-        f"unique: {fun.unique_fraction:.0%}  "
-        f"repaired: {result.preprocess.n_repaired}"
-    )
+    print()
+    print(build_report(result).render())
     _print_stage_metrics(result)
     _print_journal_paths(result, journal)
-
-    print("\n== Periodic writes (Table II) ==")
-    print(render_shares_table(periodicity_table(result.results, weights, "write")))
-
-    print("\n== Temporality (Table III) ==")
-    print(render_shares_table(temporality_table(result.results, weights)))
-
-    print("\n== Metadata categories (Fig. 4) ==")
-    print(render_shares_table(metadata_table(result.results, weights)))
-
-    print("\n== Jaccard pairs (Fig. 5) ==")
-    print(render_jaccard(jaccard_matrix(result.results)))
-
-    corr = paper_correlations(result.results)
-    print("\n== Noteworthy correlations (SIV-D) ==")
-    print(f"  P(write insig | read insig)      = {corr.insig_read_implies_insig_write:.0%}")
-    print(f"  P(write on end | read on start)  = {corr.read_start_implies_write_end:.0%}")
-    print(f"  periodic writers < 25% busy      = {corr.periodic_writes_low_busy:.0%}")
-    print(f"  P(start/end | dense metadata)    = {corr.dense_metadata_reads_start_or_writes_end:.0%}")
     return 0
 
 

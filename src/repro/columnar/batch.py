@@ -24,7 +24,6 @@ import numpy as np
 
 from ..core.governor import (
     OP_WORKING_SET_BYTES,
-    DegradationLevel,
     Governor,
     ResourceBudget,
     subsample_ops,
@@ -39,7 +38,6 @@ from ..core.result import CategorizationResult
 from ..core.temporality import TemporalityDetection, classify_temporality
 from ..core.thresholds import DEFAULT_CONFIG, MosaicConfig
 from ..darshan.trace import OperationArray
-from ..darshan.validate import Violation
 from ..kernels import batched, vectorized
 from .store import CorpusStore, StoreSlice, attach
 
@@ -108,26 +106,6 @@ def plan_slices(
     if current:
         slices.append(StoreSlice(path=store.path, rows=tuple(current)))
     return slices
-
-
-def _flagged_result(
-    store: CorpusStore, row: int, run_time: float, governor: Governor
-) -> CategorizationResult:
-    """Identity-only partial result, mirroring the per-trace path."""
-    r = store.index[row]
-    return CategorizationResult(
-        job_id=int(r["job_id"]),
-        uid=int(r["uid"]),
-        exe=store.string(int(r["exe_off"]), int(r["exe_len"])),
-        nprocs=int(r["nprocs"]),
-        run_time=run_time,
-        categories=frozenset(),
-        degradation=DegradationLevel.FLAGGED,
-        budget_violations=tuple(
-            f"{Violation.RESOURCE_BUDGET.value}: {reason}"
-            for reason in governor.violations
-        ),
-    )
 
 
 def _gather_direction(
@@ -295,8 +273,20 @@ def categorize_slice(
     for i, row in enumerate(rows):
         governor = governors[i]
         run_time = float(run_times[i])
+        r = idx[row]
+        job_id, uid, nprocs = int(r["job_id"]), int(r["uid"]), int(r["nprocs"])
+        exe = store.string(int(r["exe_off"]), int(r["exe_len"]))
         if i not in pos_of:
-            results.append(_flagged_result(store, row, run_time, governor))
+            results.append(
+                CategorizationResult.flagged(
+                    job_id=job_id,
+                    uid=uid,
+                    exe=exe,
+                    nprocs=nprocs,
+                    run_time=run_time,
+                    violations=governor.violations,
+                )
+            )
             continue
         k = pos_of[i]
         temporality: list[TemporalityDetection] = []
@@ -323,13 +313,12 @@ def categorize_slice(
                     )
                 )
         governor.check_deadline("axes")
-        r = idx[row]
         results.append(
             CategorizationResult.build(
-                job_id=int(r["job_id"]),
-                uid=int(r["uid"]),
-                exe=store.string(int(r["exe_off"]), int(r["exe_len"])),
-                nprocs=int(r["nprocs"]),
+                job_id=job_id,
+                uid=uid,
+                exe=exe,
+                nprocs=nprocs,
                 run_time=run_time,
                 temporality=temporality,
                 periodicity=periodicity,

@@ -18,9 +18,8 @@ from __future__ import annotations
 from typing import get_args
 
 from ..darshan.trace import Direction, Trace
-from ..darshan.validate import Violation
 from ..merge.pipeline import preprocess_operations
-from .governor import DegradationLevel, Governor, subsample_ops
+from .governor import Governor, subsample_ops
 from .metadata import MetadataDetection, classify_metadata
 from .periodicity import PeriodicityDetection, detect_periodicity
 from .result import CategorizationResult
@@ -30,25 +29,6 @@ from .thresholds import DEFAULT_CONFIG, MosaicConfig
 __all__ = ["categorize_trace"]
 
 _DIRECTIONS: tuple[Direction, ...] = get_args(Direction)
-
-
-def _flagged_result(
-    trace: Trace, run_time: float, governor: Governor
-) -> CategorizationResult:
-    """Identity-only partial result for a trace beyond every budget rung."""
-    return CategorizationResult(
-        job_id=trace.meta.job_id,
-        uid=trace.meta.uid,
-        exe=trace.meta.exe,
-        nprocs=trace.meta.nprocs,
-        run_time=run_time,
-        categories=frozenset(),
-        degradation=DegradationLevel.FLAGGED,
-        budget_violations=tuple(
-            f"{Violation.RESOURCE_BUDGET.value}: {reason}"
-            for reason in governor.violations
-        ),
-    )
 
 
 def categorize_trace(
@@ -67,7 +47,14 @@ def categorize_trace(
     governor = Governor(config.budget)
     governor.admit(trace)
     if not governor.allows_axes():
-        return _flagged_result(trace, run_time, governor)
+        return CategorizationResult.flagged(
+            job_id=trace.meta.job_id,
+            uid=trace.meta.uid,
+            exe=trace.meta.exe,
+            nprocs=trace.meta.nprocs,
+            run_time=run_time,
+            violations=governor.violations,
+        )
 
     temporality: list[TemporalityDetection] = []
     periodicity: list[PeriodicityDetection] = []

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
 from ..darshan.trace import Direction
+from ..darshan.validate import Violation
 from ..io import atomic_write
 from .categories import Category, parse_categories
 from .governor import DegradationLevel
@@ -116,6 +117,33 @@ class CategorizationResult:
             metadata_n_spikes=metadata.n_spikes,
             degradation=degradation,
             budget_violations=tuple(budget_violations),
+        )
+
+    @classmethod
+    def flagged(
+        cls,
+        *,
+        job_id: int,
+        uid: int,
+        exe: str,
+        nprocs: int,
+        run_time: float,
+        violations: Iterable[str],
+    ) -> "CategorizationResult":
+        """Identity-only partial result for a trace beyond every budget
+        rung (FLAGGED); ``violations`` are the governor's reasons."""
+        return cls(
+            job_id=job_id,
+            uid=uid,
+            exe=exe,
+            nprocs=nprocs,
+            run_time=run_time,
+            categories=frozenset(),
+            degradation=DegradationLevel.FLAGGED,
+            budget_violations=tuple(
+                f"{Violation.RESOURCE_BUDGET.value}: {reason}"
+                for reason in violations
+            ),
         )
 
     # ------------------------------------------------------------------

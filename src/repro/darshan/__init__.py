@@ -21,7 +21,6 @@ from .io_json import dumps, load_json, loads, save_json
 from .io_binary import (
     dumps_binary,
     load_binary,
-    load_binary_meta,
     loads_binary,
     save_binary,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "loads_binary",
     "save_binary",
     "load_binary",
-    "load_binary_meta",
     "TraceRef",
     "RecordBatch",
     "TraceSource",

@@ -57,7 +57,6 @@ __all__ = [
     "MosdSections",
     "save_binary",
     "load_binary",
-    "load_binary_meta",
     "read_payload",
     "dumps_binary",
     "loads_binary",
@@ -522,21 +521,3 @@ def load_binary(
     before the file is read, so an oversized file never reaches memory.
     """
     return loads_binary(read_payload(path, limits), limits)
-
-
-def load_binary_meta(path: str | os.PathLike[str]) -> JobMeta:
-    """Read only the job header of a MOSD file.
-
-    Streaming scans use this to inspect a trace's identity (job id,
-    user, executable, runtime) without paying for its record section —
-    the header is a few dozen bytes regardless of trace size.  Raises
-    :class:`TraceFormatError` on bad magic, unsupported version, or a
-    header truncated before the job strings end.
-    """
-    head_max = _HEADER.size + _JOB.size + 3 * 0xFFFF
-    try:
-        with open(os.fspath(path), "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            return _parse_head(fh.read(head_max), size, DEFAULT_LIMITS)[0]
-    except OSError as exc:
-        raise TraceFormatError(f"cannot read trace file {path!r}: {exc}") from exc

@@ -57,7 +57,6 @@ from .io_binary import (
     MosdColumns,
     _pack_record,
     load_binary,
-    load_binary_meta,
     loads_binary,
     parse_payloads,
     read_payload,
@@ -390,14 +389,6 @@ class TraceSource(ABC):
         for ref in self.refs():
             yield self.load(ref)
 
-    def peek_meta(self, ref: TraceRef) -> JobMeta:
-        """Job header of one trace, as cheaply as the format allows.
-
-        The default decodes the full trace; formats with a separable
-        header (MOSD) override this with a header-only read.
-        """
-        return self.load(ref).meta
-
     def count(self) -> int:
         """Number of refs (enumerates; O(corpus) but loads nothing)."""
         return sum(1 for _ in self.refs())
@@ -492,12 +483,6 @@ class DirectorySource(TraceSource):
             raise TraceFormatError(f"unrecognized trace suffix: {path!r}")
         self._bytes_read += ref.size_bytes
         return trace
-
-    def peek_meta(self, ref: TraceRef) -> JobMeta:
-        path = str(ref.key)
-        if path.endswith(".mosd"):
-            return load_binary_meta(path)
-        return super().peek_meta(ref)
 
     def record_batches(self, *, retain_traces: bool = False) -> Iterator[RecordBatch]:
         """The default batching, but each batch's MOSD files are read

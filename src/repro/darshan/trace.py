@@ -17,7 +17,6 @@ from typing import Iterable, Iterator, Literal
 import numpy as np
 
 from .records import FileRecord, JobMeta
-from .tolerance import close_to
 
 __all__ = ["Direction", "OperationArray", "Trace", "metadata_windows"]
 
@@ -97,27 +96,6 @@ class OperationArray:
             return cls.empty()
         arr = np.asarray(rows, dtype=np.float64)
         return cls(arr[:, 0], arr[:, 1], arr[:, 2])
-
-    def clipped(self, lo: float, hi: float) -> "OperationArray":
-        """Clip operation windows to ``[lo, hi]``, dropping ops fully
-        outside.  Volumes are scaled by the retained fraction of the
-        window (uniform-rate assumption, the same one Darshan forces on
-        its consumers)."""
-        if self.is_empty():
-            return OperationArray.empty()
-        dur = np.maximum(self.ends - self.starts, MIN_OP_DURATION)
-        new_s = np.clip(self.starts, lo, hi)
-        new_e = np.clip(self.ends, lo, hi)
-        keep = new_e > new_s
-        # keep instantaneous ops (at clock resolution) inside the window
-        inside = (self.starts >= lo) & (self.starts <= hi)
-        keep |= inside & close_to(self.ends, self.starts)
-        frac = np.where(
-            self.ends > self.starts, (new_e - new_s) / dur, 1.0
-        )
-        return OperationArray(
-            new_s[keep], new_e[keep], (self.volumes * frac)[keep]
-        )
 
 
 def metadata_windows(

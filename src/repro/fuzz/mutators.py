@@ -347,12 +347,3 @@ def rebuild_case(fmt: str, seed: int, case_index: int) -> FuzzCase:
         pass
     return case
 
-
-def make_json_seed(indent: int | None = None) -> bytes:
-    """A small valid JSON payload (used by tests and minimization)."""
-    rng = np.random.default_rng(0)
-    spec = cohort_by_name(_SEED_COHORTS[0]).build(1, rng)
-    return json.dumps(
-        json.loads(dumps(generate_run(spec, 1, rng, force_nominal=True))),
-        indent=indent,
-    ).encode("utf-8")

@@ -104,8 +104,8 @@ class WholeTraceLoadRule(Rule):
     description = "load_binary/load_text/load_json outside repro.darshan.source"
     severity = Severity.ERROR
     fix_hint = (
-        "iterate a TraceSource (DirectorySource/InMemorySource) or use "
-        "load_binary_meta for header-only access"
+        "iterate a TraceSource (DirectorySource/InMemorySource); its "
+        "record_batches give headers and records without building traces"
     )
 
     _TARGETS = frozenset({"load_binary", "load_text", "load_json"})

@@ -367,10 +367,6 @@ class ProjectIndex:
                 return self.resolve_symbol(target, _hops + 1)
         return None
 
-    # -- queries used by the flow rules ---------------------------------
-    def function_at(self, qualname: str) -> FunctionInfo | None:
-        return self.functions.get(qualname)
-
     def project_hash(self) -> str:
         """Order-independent hash of every indexed file's content."""
         h = hashlib.sha256()

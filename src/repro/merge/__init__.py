@@ -1,25 +1,11 @@
 """Event fusion: concurrent-overlap merging and neighbor merging
 (workflow step ② of the MOSAIC pipeline)."""
 
-from .intervals import (
-    coalesce_groups,
-    coverage_fraction,
-    gaps,
-    overlap_groups,
-    total_span,
-    union_length,
-)
 from .concurrent import ConcurrentMergeResult, merge_concurrent
 from .neighbor import NeighborMergeConfig, NeighborMergeResult, merge_neighbors
 from .pipeline import MergePipelineResult, preprocess_operations, preprocess_trace
 
 __all__ = [
-    "coalesce_groups",
-    "coverage_fraction",
-    "gaps",
-    "overlap_groups",
-    "total_span",
-    "union_length",
     "ConcurrentMergeResult",
     "merge_concurrent",
     "NeighborMergeConfig",

@@ -80,14 +80,6 @@ class JournalState:
     #: continues from, so SSE event ids stay stable across restarts.
     n_settle_events: int = 0
 
-    @property
-    def n_completed(self) -> int:
-        return len(self.completed)
-
-    def is_settled(self, job_id: int) -> bool:
-        """True when a resumed run should skip this trace."""
-        return job_id in self.completed or job_id in self.quarantined
-
     @classmethod
     def load(cls, path: str | os.PathLike[str]) -> "JournalState":
         """Parse a journal, tolerating a torn trailing line.

@@ -221,7 +221,7 @@ class MosaicServer:
         os.makedirs(self.jobs_dir, exist_ok=True)
         #: One catalog, folded only on the single job thread; the lock
         #: keeps ``/metrics`` and ``/catalog`` readers off a half-done fold.
-        self.catalog = ApplicationCatalog(config=config)
+        self.catalog = ApplicationCatalog()
         self._catalog_lock = threading.Lock()
         self._caches: dict[bool, ResultCache] = {}
         self.jobs: dict[str, JobRecord] = {}
@@ -933,6 +933,11 @@ class MosaicServer:
                 writer, 400, "Bad Request", {"error": "body is not JSON"}
             )
             return
+        if not isinstance(payload, dict):
+            await self._send_json(
+                writer, 400, "Bad Request", {"error": "body is not a JSON object"}
+            )
+            return
         store = payload.get("store")
         traces = payload.get("traces")
         if bool(store) == bool(traces):
@@ -941,6 +946,12 @@ class MosaicServer:
                 400,
                 "Bad Request",
                 {"error": "exactly one of 'store' or 'traces' is required"},
+            )
+            return
+        repair = payload.get("repair", False)
+        if not isinstance(repair, bool):
+            await self._send_json(
+                writer, 400, "Bad Request", {"error": "repair must be a boolean"}
             )
             return
         idem_key = payload.get("idempotency_key", "")
@@ -1024,7 +1035,7 @@ class MosaicServer:
             job_id=f"job-{self._seq:06d}",
             kind=kind,
             path=source,
-            repair=bool(payload.get("repair", False)),
+            repair=repair,
             budget=budget,
             idempotency_key=idem_key,
         )

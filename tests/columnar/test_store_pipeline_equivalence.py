@@ -11,6 +11,9 @@ import pytest
 
 from repro.columnar import compile_corpus
 from repro.core import (
+    DEFAULT_CONFIG,
+    DegradationLevel,
+    ResourceBudget,
     run_pipeline_store,
     run_pipeline_stream,
     save_results_jsonl,
@@ -68,6 +71,54 @@ class TestStoreStreamEquivalence:
             ), field
         assert store.preprocess.n_selected == stream.preprocess.n_selected
         assert store.n_failures == stream.n_failures == 0
+
+
+#: Count-based budgets only: a stage deadline is wall clock, measured
+#: per trace on the stream route and per slice on the store route.
+BUDGETS = (
+    {"max_ops": 2},
+    {"max_ops": 4},
+    {"max_ops": 20},
+    {"max_bytes": 768},
+)
+
+
+class TestBudgetedEquivalence:
+    """The degradation ladder gives the same level and violations per
+    trace on both routes, at every rung."""
+
+    @pytest.fixture(scope="class")
+    def budgeted_runs(self, corpus):
+        trace_dir, store_path = corpus
+        runs = []
+        for budget in BUDGETS:
+            config = DEFAULT_CONFIG.with_overrides(
+                budget=ResourceBudget(**budget)
+            )
+            stream = run_pipeline_stream(
+                DirectorySource(trace_dir), config, parallel=SERIAL
+            )
+            store = run_pipeline_store(store_path, config, parallel=SERIAL)
+            runs.append((budget, stream, store))
+        return runs
+
+    def test_results_byte_identical_under_budget(self, budgeted_runs, tmp_path):
+        for budget, stream, store in budgeted_runs:
+            assert _results_bytes(stream.results, tmp_path / "a.jsonl") == (
+                _results_bytes(store.results, tmp_path / "b.jsonl")
+            ), budget
+
+    def test_budgets_reach_every_degraded_rung(self, budgeted_runs):
+        levels = {
+            r.degradation
+            for _budget, stream, _store in budgeted_runs
+            for r in stream.results
+        }
+        assert {
+            DegradationLevel.COARSE,
+            DegradationLevel.MINIMAL,
+            DegradationLevel.FLAGGED,
+        } <= levels
 
 
 class TestStorePathResume:

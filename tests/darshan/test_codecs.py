@@ -169,38 +169,6 @@ class TestBinaryCorruptionPaths:
                 loads_binary(payload[:cut])
 
 
-class TestBinaryMetaPeek:
-    def test_meta_matches_full_load(self, trace, tmp_path):
-        from repro.darshan import load_binary_meta
-
-        path = tmp_path / "t.mosd"
-        save_binary(trace, path)
-        meta = load_binary_meta(path)
-        assert meta == load_binary(path).meta
-
-    def test_meta_peek_bad_magic(self, trace, tmp_path):
-        from repro.darshan import load_binary_meta
-
-        path = tmp_path / "t.mosd"
-        path.write_bytes(b"NOPE" + dumps_binary(trace)[4:])
-        with pytest.raises(TraceFormatError, match="bad magic"):
-            load_binary_meta(path)
-
-    def test_meta_peek_truncated_header(self, trace, tmp_path):
-        from repro.darshan import load_binary_meta
-
-        path = tmp_path / "t.mosd"
-        path.write_bytes(dumps_binary(trace)[:20])
-        with pytest.raises(TraceFormatError):
-            load_binary_meta(path)
-
-    def test_meta_peek_missing_file(self, tmp_path):
-        from repro.darshan import load_binary_meta
-
-        with pytest.raises(TraceFormatError, match="cannot read"):
-            load_binary_meta(tmp_path / "absent.mosd")
-
-
 class TestRecordLayout:
     """``_RECORD`` (the writer's struct) and ``RECORD_DTYPE`` (the
     readers' array view) must describe the same 148 bytes."""

@@ -90,16 +90,6 @@ class TestDirectorySource:
         source.load(ref)
         assert source.bytes_read == 2 * ref.size_bytes
 
-    def test_peek_meta_mosd_reads_header_only(self, tmp_path):
-        trace = _trace(17, uid=321, exe="peeked.exe")
-        save_binary(trace, tmp_path / "t.mosd")
-        source = DirectorySource(tmp_path)
-        (ref,) = source.refs()
-        meta = source.peek_meta(ref)
-        assert (meta.job_id, meta.uid, meta.exe) == (17, 321, "peeked.exe")
-        # header peek never pays for the record section
-        assert source.bytes_read == 0
-
     def test_unreadable_payload_raises_format_error(self, tmp_path):
         (tmp_path / "bad.mosd").write_bytes(b"XXXXgarbage")
         source = DirectorySource(tmp_path)

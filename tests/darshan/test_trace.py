@@ -34,17 +34,6 @@ class TestOperationArray:
         arr = ops((0.0, 1.0, 3.0))
         assert list(arr) == [(0.0, 1.0, 3.0)]
 
-    def test_clipped_scales_volume_pro_rata(self):
-        arr = ops((0.0, 10.0, 100.0))
-        clipped = arr.clipped(5.0, 10.0)
-        assert len(clipped) == 1
-        assert clipped.volumes[0] == pytest.approx(50.0)
-
-    def test_clipped_drops_fully_outside(self):
-        arr = ops((0.0, 1.0, 5.0), (8.0, 9.0, 7.0))
-        clipped = arr.clipped(2.0, 7.0)
-        assert len(clipped) == 0
-
 
 class TestTraceOperations:
     def test_operations_split_by_direction(self):

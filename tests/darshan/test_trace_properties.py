@@ -56,12 +56,6 @@ class TestOperationArrayProperties:
     def test_ends_never_before_starts(self, arr):
         assert np.all(arr.ends >= arr.starts)
 
-    @given(op_arrays())
-    @settings(max_examples=60, deadline=None)
-    def test_clip_never_increases_volume(self, arr):
-        clipped = arr.clipped(100.0, 5000.0)
-        assert clipped.total_volume <= arr.total_volume + 1e-6 * max(arr.total_volume, 1)
-
 
 class TestCodecProperties:
     @given(st.lists(records(), max_size=8))

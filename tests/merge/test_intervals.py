@@ -1,18 +1,14 @@
-"""Unit tests for the vectorized interval algebra."""
+"""Unit tests for the interval-grouping kernels ``merge_concurrent`` runs."""
 
 import numpy as np
-import pytest
 
-from repro.merge import (
-    coalesce_groups,
-    coverage_fraction,
-    gaps,
-    overlap_groups,
-    total_span,
-    union_length,
-)
+from repro.kernels import get_backend
 
 from tests.conftest import ops
+
+
+def overlap_groups(starts, ends):
+    return get_backend().overlap_groups(starts, ends)
 
 
 class TestOverlapGroups:
@@ -39,32 +35,9 @@ class TestOverlapGroups:
 class TestCoalesce:
     def test_merged_span_and_volume(self):
         arr = ops((0.0, 2.0, 10.0), (1.0, 5.0, 20.0))
-        merged = coalesce_groups(arr, np.array([0, 0]))
-        assert merged.starts[0] == 0.0
-        assert merged.ends[0] == 5.0
-        assert merged.volumes[0] == 30.0
-
-    def test_group_length_mismatch_rejected(self):
-        arr = ops((0.0, 1.0, 1.0))
-        with pytest.raises(ValueError):
-            coalesce_groups(arr, np.array([0, 0]))
-
-
-class TestMeasures:
-    def test_union_length_ignores_overlap(self):
-        arr = ops((0.0, 4.0, 1.0), (2.0, 6.0, 1.0))
-        assert union_length(arr) == pytest.approx(6.0)
-
-    def test_coverage_fraction(self):
-        arr = ops((0.0, 25.0, 1.0))
-        assert coverage_fraction(arr, 100.0) == pytest.approx(0.25)
-        assert coverage_fraction(arr, 0.0) == 0.0
-
-    def test_gaps(self):
-        arr = ops((0.0, 1.0, 1.0), (3.0, 4.0, 1.0), (10.0, 11.0, 1.0))
-        assert gaps(arr).tolist() == [2.0, 6.0]
-
-    def test_total_span(self):
-        arr = ops((5.0, 6.0, 1.0), (20.0, 30.0, 1.0))
-        assert total_span(arr) == pytest.approx(25.0)
-        assert total_span(ops()) == 0.0
+        starts, ends, volumes = get_backend().coalesce_groups(
+            arr.starts, arr.ends, arr.volumes, np.array([0, 0])
+        )
+        assert starts[0] == 0.0
+        assert ends[0] == 5.0
+        assert volumes[0] == 30.0

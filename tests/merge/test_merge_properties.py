@@ -6,7 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.darshan.trace import OperationArray
-from repro.merge import merge_concurrent, merge_neighbors, union_length
+from repro.merge import merge_concurrent, merge_neighbors
+
+
+def union_length(arr: OperationArray) -> float:
+    """Length of the union of the windows, by a sweep over sorted starts."""
+    total, cur_s, cur_e = 0.0, None, None
+    for s, e in zip(arr.starts.tolist(), arr.ends.tolist()):
+        if cur_e is None or s > cur_e:
+            if cur_e is not None:
+                total += cur_e - cur_s
+            cur_s, cur_e = s, e
+        else:
+            cur_e = max(cur_e, e)
+    if cur_e is not None:
+        total += cur_e - cur_s
+    return total
 
 
 @st.composite

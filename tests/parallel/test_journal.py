@@ -57,8 +57,8 @@ class TestRoundTrip:
         path = _write_run(str(tmp_path / "run.jsonl"))
         state = JournalState.load(path)
         # EXCEPTION failures are not settled: resume re-attempts them
-        assert not state.is_settled(12)
-        assert state.is_settled(10) and state.is_settled(11)
+        settled = set(state.completed) | set(state.quarantined)
+        assert settled == {10, 11}
         assert [f["job_id"] for f in state.transient_failures] == [12]
 
     def test_append_mode_extends_existing_journal(self, tmp_path):

@@ -185,6 +185,25 @@ class TestValidation:
         )
         assert status == 400
 
+    def test_submit_rejects_body_that_is_not_an_object(self, service):
+        _server, endpoint = service
+        for body in (b"[]", b"1", b'"x"', b"null"):
+            status, data = _request(endpoint, "POST", "/jobs", raw_body=body)
+            assert status == 400, body
+            assert "JSON object" in json.loads(data)["error"]
+
+    def test_submit_rejects_non_boolean_repair(self, service, corpus):
+        _server, endpoint = service
+        for repair in ("false", 0, None):
+            status, data = _request(
+                endpoint,
+                "POST",
+                "/jobs",
+                {"store": corpus["store"], "repair": repair},
+            )
+            assert status == 400, repair
+            assert "repair" in json.loads(data)["error"]
+
     def test_oversized_body_413(self, service):
         _server, endpoint = service
         status, _ = _request(

@@ -18,7 +18,7 @@ from repro.darshan.statistics import TraceSummary
 from repro.darshan.tolerance import TIME_TOLERANCE_S, close_to
 from repro.darshan.trace import OperationArray
 from repro.interference.profiles import IOProfile
-from repro.merge.intervals import coverage_fraction, overlap_groups
+from repro.kernels import get_backend
 from repro.segment.op_segments import segment_operations
 from repro.viz.timeline import render_ops_lane
 
@@ -113,10 +113,6 @@ class TestInstantaneousWindows:
         assert np.all(np.isfinite(rates))
         assert rates[0] == 1.0
 
-    def test_coverage_fraction_zero_runtime(self):
-        ops = OperationArray.from_tuples([(0.0, 1.0, 10.0)])
-        assert coverage_fraction(ops, 0.0) == 0.0
-
     def test_demand_series_rejects_nonpositive_bins(self):
         profile = IOProfile(name="j", run_time=100.0)
         with pytest.raises(ValueError):
@@ -136,17 +132,11 @@ class TestToleranceComparison:
     def test_overlap_groups_subresolution_gap_merges(self):
         starts = np.array([0.0, 1.0 + TIME_TOLERANCE_S / 10])
         ends = np.array([1.0, 2.0])
-        groups = overlap_groups(starts, ends)
+        groups = get_backend().overlap_groups(starts, ends)
         assert list(groups) == [0, 0]
 
     def test_overlap_groups_real_gap_splits(self):
         starts = np.array([0.0, 1.5])
         ends = np.array([1.0, 2.0])
-        groups = overlap_groups(starts, ends)
+        groups = get_backend().overlap_groups(starts, ends)
         assert list(groups) == [0, 1]
-
-    def test_clipped_keeps_instantaneous_ops_at_resolution(self):
-        ops = OperationArray.from_tuples([(5.0, 5.0, 10.0)])
-        clipped = ops.clipped(0.0, 10.0)
-        assert len(clipped) == 1
-        assert clipped.volumes[0] == 10.0
