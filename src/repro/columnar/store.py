@@ -32,7 +32,7 @@ import mmap
 import os
 import zlib
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -54,6 +54,9 @@ from .format import (
     unpack_header,
     violations_from_mask,
 )
+
+if TYPE_CHECKING:
+    from ..core.preprocess import SelectionPlan
 
 __all__ = ["CorpusStore", "StoreSlice", "attach", "detach_all"]
 
@@ -137,6 +140,10 @@ class CorpusStore:
         self.version: int = header["version"]
         self.flags: int = header["flags"]
         self.n_unreadable: int = header["n_unreadable"]
+        #: Pass ① of this attachment, kept by ``run_pipeline_store``: a
+        #: compiled store is immutable, and a recompiled one is a new
+        #: attachment (see :func:`attach`).
+        self.scan_memo: SelectionPlan | None = None
 
     # -- construction helpers ------------------------------------------
     def _validate_geometry(self, header: dict, size: int) -> None:
@@ -530,7 +537,8 @@ def attach(
 
 
 def detach_all() -> None:
-    """Close and drop every cached attachment (tests / shutdown)."""
+    """Close and drop every cached attachment, and with each its
+    memoized scan (tests / shutdown)."""
     for _pid, _ident, _verified, store in _ATTACHED.values():
         store.close()
     _ATTACHED.clear()

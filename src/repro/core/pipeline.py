@@ -30,9 +30,11 @@ rebuilds) through the run; both surface on :class:`PipelineResult`.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import os
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
@@ -53,6 +55,7 @@ from .preprocess import (
     scan_corpus,
 )
 from .result import CategorizationResult
+from .stream import ResultLine
 from .thresholds import DEFAULT_CONFIG, MosaicConfig
 
 __all__ = [
@@ -138,8 +141,9 @@ class PipelineResult:
     """Everything produced by one corpus run."""
 
     preprocess: PreprocessResult
-    #: One result per selected (unique-application) trace.
-    results: list[CategorizationResult]
+    #: One result per selected (unique-application) trace; a result-cache
+    #: hit is the :class:`~repro.core.stream.ResultLine` of its saved line.
+    results: list[CategorizationResult | ResultLine]
     #: Failures captured during categorization (never aborts the corpus).
     n_failures: int
     #: Wall-clock seconds spent per stage.
@@ -209,7 +213,7 @@ def _scan_stage(
 
 
 def _count_degradation(
-    ctx: PipelineContext, results: list[CategorizationResult]
+    ctx: PipelineContext, results: list[CategorizationResult | ResultLine]
 ) -> None:
     """Surface the degradation ladder in the run metrics: one counter
     per non-FULL rung (``n_degraded_<level>``) plus the total, so a
@@ -269,7 +273,8 @@ def _run_pipeline_plan(
 
     Members already settled in a resumed journal keep their saved
     outcome; with a result cache and per-row CRCs, members whose
-    content was categorized before are served their saved line (and
+    content was categorized before are served their saved line as a
+    :class:`~repro.core.stream.ResultLine`, never rehydrated (and
     still journaled, so resume and byte-identity hold regardless of
     cache state).  A result is encoded once, as it settles; the
     journal, the cache and ``results.jsonl`` all write that line
@@ -299,7 +304,9 @@ def _run_pipeline_plan(
     cache = ctx.result_cache
     n_failures = 0
     bytes_read = 0
-    slots: list[CategorizationResult | None] = [None] * len(scan.selected)
+    slots: list[CategorizationResult | ResultLine | None] = [None] * len(
+        scan.selected
+    )
     inflight = 0
     peak = 0
     try:
@@ -333,9 +340,7 @@ def _run_pipeline_plan(
                         uncached.append((slot, entry))
                         continue
                     ctx.count("n_cache_hits")
-                    slots[slot] = CategorizationResult.from_json_line(  # mosaic: disable=MOS016 (rehydration of an already-governed result)
-                        saved
-                    )
+                    slots[slot] = ResultLine(saved)  # mosaic: disable=MOS016 (the line of an already-governed result)
                     if jobstore is not None:
                         jobstore.settle_result(entry.job_id, saved)
                 # group commit: one fsync for the whole cache-served block
@@ -506,7 +511,9 @@ def run_pipeline_store(
 
     The store-backed fast path: pass ① replays the eviction funnel from
     the trace index without decoding anything
-    (:func:`repro.columnar.scan.scan_store`), and pass ② ships tiny
+    (:func:`repro.columnar.scan.scan_store`), once per attachment of the
+    store in this process (a compiled store is immutable; each run gets
+    its own copy of the plan's mutable containers), and pass ② ships tiny
     ``(store_path, rows)`` descriptors to the pool instead of pickled
     traces — each worker reattaches the store read-only via mmap and
     categorizes whole slices through the segmented batch kernels
@@ -532,8 +539,9 @@ def run_pipeline_store(
     ctx = _context(context, config, parallel, repair)
     started = time.perf_counter()
     # Attached via the per-process cache: repeat runs and resumed
-    # runs reuse one verified read-only mapping instead of paying
-    # open + CRC sweep per invocation; workers reattach the same way.
+    # runs reuse one verified read-only mapping, and its memoized
+    # pass ①, instead of paying open + CRC sweep + scan per
+    # invocation; workers reattach the same way.
     store = attach(store_path, verify=True)
 
     def units(pending: list[_Member]) -> Iterator[_Unit]:
@@ -548,8 +556,19 @@ def run_pipeline_store(
         for task in slices:
             yield [by_row[row] for row in task.rows], task
 
+    def scan() -> SelectionPlan:
+        # pass ① once per attachment; a repair mismatch still raises
+        memo = store.scan_memo
+        if memo is None or ctx.repair != store.compiled_with_repair:
+            memo = store.scan_memo = scan_store(store, repair=ctx.repair)
+        return dataclasses.replace(
+            memo,
+            runs_per_app=dict(memo.runs_per_app),
+            corruption_histogram=Counter(memo.corruption_histogram),
+        )
+
     plan = _Plan(
-        scan=_scan_stage(ctx, lambda: scan_store(store, repair=ctx.repair)),
+        scan=_scan_stage(ctx, scan),
         worker=categorize_slice,
         units=units,
         failure_key=lambda entry: f"{store.path}#{int(entry.ref.key)}",

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from ..darshan.trace import Direction
 from ..darshan.validate import Violation
@@ -20,6 +20,9 @@ from .governor import DegradationLevel
 from .metadata import MetadataDetection
 from .periodicity import PeriodicGroup, PeriodicityDetection
 from .temporality import TemporalityDetection
+
+if TYPE_CHECKING:
+    from .stream import ResultLine
 
 __all__ = [
     "ENCODING_VERSION",
@@ -237,7 +240,8 @@ class CategorizationResult:
 
 
 def save_results_jsonl(
-    results: Iterable[CategorizationResult], path: str | os.PathLike[str]
+    results: Iterable[CategorizationResult | ResultLine],
+    path: str | os.PathLike[str],
 ) -> int:
     """Atomically write results as JSON-lines; returns the number
     written.  A crash mid-save leaves the previous file (or nothing),

@@ -11,25 +11,71 @@ incrementally.
 
 A scheduler queries :meth:`ApplicationCatalog.lookup` at submission time
 and receives the latest known categories (or nothing for first-time
-applications).
+applications).  The catalog folds full results and result-cache hits
+alike: a hit is a :class:`ResultLine`, read from its saved line without
+rehydration, and :func:`result_weight` weighs both kinds the same way.
 """
 
 from __future__ import annotations
 
+import functools
+import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
+from .categories import parse_categories
 from .governor import DegradationLevel
 from .result import CategorizationResult
 
-__all__ = ["AppEntry", "ApplicationCatalog"]
+__all__ = ["AppEntry", "ApplicationCatalog", "ResultLine", "result_weight"]
+
+
+class ResultLine:
+    """A result known by its verified ``results.jsonl`` line: what a
+    cache hit is on the serve path.
+
+    Holds the line plus exactly what a catalog fold and the run's
+    counters read, taken from one ``json.loads``; :meth:`result`
+    rehydrates the full :class:`CategorizationResult` on demand.
+    """
+
+    __slots__ = ("_line", "uid", "exe", "categories", "degradation", "weight")
+
+    def __init__(self, line: str) -> None:
+        d = json.loads(line)
+        meta = d.get("metadata", {})
+        self._line = line
+        self.uid = int(d["uid"])
+        self.exe = str(d["exe"])
+        self.categories = _categories(tuple(d.get("categories", ())))
+        self.degradation = DegradationLevel(d.get("degradation", "full"))
+        self.weight = _weight(
+            int(meta.get("total_requests", 0)), d.get("chunk_volumes", {}).values()
+        )
+
+    @property
+    def app_key(self) -> tuple[int, str]:
+        return (self.uid, self.exe)
+
+    def json_line(self) -> str:
+        return self._line
+
+    def to_dict(self) -> dict[str, Any]:
+        return dict(json.loads(self._line))
+
+    def result(self) -> CategorizationResult:
+        return CategorizationResult.from_json_line(self._line)
+
+
+#: Each distinct category list of the hit lines, parsed once.
+_categories = functools.lru_cache(maxsize=256)(parse_categories)
 
 
 @dataclass(slots=True)
 class AppEntry:
     """Catalog state for one (user, executable) application."""
 
-    result: CategorizationResult
+    result: CategorizationResult | ResultLine
     #: io_weight of the trace behind `result` (keep-heaviest criterion).
     weight: float
     #: Valid runs observed so far.
@@ -66,7 +112,9 @@ class ApplicationCatalog:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def fold(self, result: CategorizationResult, weight: float) -> AppEntry:
+    def fold(
+        self, result: CategorizationResult | ResultLine, weight: float
+    ) -> AppEntry:
         """Count one valid run of weight ``weight`` and fold its result.
 
         The heaviest run seen so far stays the application's reference
@@ -101,8 +149,12 @@ class ApplicationCatalog:
 
     def results(self) -> list[CategorizationResult]:
         """Current reference results, one per application — directly
-        consumable by :mod:`repro.analysis`."""
-        return [e.result for e in self.entries()]
+        consumable by :mod:`repro.analysis` (a folded
+        :class:`ResultLine` is rehydrated here)."""
+        return [
+            e.result.result() if isinstance(e.result, ResultLine) else e.result
+            for e in self.entries()
+        ]
 
     def run_weights(self) -> list[int]:
         """Valid-run counts aligned with :meth:`results`."""
@@ -115,3 +167,27 @@ class ApplicationCatalog:
             "n_ingested": self.n_ingested,
             "n_degraded": self.n_degraded,
         }
+
+
+def _weight(
+    metadata_total: int, chunk_volumes: Iterable[list[float] | None]
+) -> float:
+    total = float(metadata_total)
+    for vols in chunk_volumes:
+        if vols:
+            total += float(sum(map(float, vols)))
+    return total
+
+
+def result_weight(result: CategorizationResult | ResultLine) -> float:
+    """Catalog keep-heaviest weight of one result of either kind.
+
+    Approximates :meth:`~repro.darshan.trace.Trace.io_weight`
+    (``total_bytes + total_metadata_ops``) from what the result retains:
+    significant directions' chunk volumes plus metadata requests.  A
+    :class:`ResultLine` took the same sum over its line when it was
+    built, the floats added in the same order.
+    """
+    if isinstance(result, ResultLine):
+        return result.weight
+    return _weight(result.metadata_total, result.chunk_volumes.values())

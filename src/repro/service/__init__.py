@@ -22,7 +22,8 @@ from .client import (
     MosaicClientError,
     idempotency_key_for,
 )
-from .server import JobRecord, MosaicServer, result_weight
+from ..core.stream import result_weight
+from .server import JobRecord, MosaicServer
 
 __all__ = [
     "AdmissionControl",

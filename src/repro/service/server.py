@@ -84,7 +84,7 @@ from ..core.pipeline import (
     run_pipeline_stream,
 )
 from ..core.result import CategorizationResult, save_results_jsonl
-from ..core.stream import ApplicationCatalog
+from ..core.stream import ApplicationCatalog, ResultLine, result_weight
 from ..core.thresholds import DEFAULT_CONFIG, MosaicConfig
 from ..darshan.errors import TraceFormatError
 from ..darshan.source import DirectorySource
@@ -94,12 +94,7 @@ from ..parallel.jobstore import replay_settles
 from .admission import AdmissionControl, AdmissionLimits
 from .cache import ResultCache
 
-__all__ = ["JobRecord", "MosaicServer", "result_weight"]
-
-#: Largest request body accepted by the default limits (submissions are
-#: tiny JSON documents).  Kept as a module constant for callers that
-#: sized payloads against the pre-admission-control server.
-MAX_BODY_BYTES = AdmissionLimits().max_body_bytes
+__all__ = ["JobRecord", "MosaicServer"]
 
 #: Job states.  queued/running are non-terminal; the rest are terminal.
 _TERMINAL = frozenset({"done", "failed", "storage-failed"})
@@ -121,22 +116,9 @@ _REJECT_SEND_TIMEOUT_S = 5.0
 _MAX_DISCARD_BYTES = 8 << 20
 
 
-def result_weight(result: Any) -> float:
-    """Catalog keep-heaviest weight of one categorization result.
-
-    Approximates :meth:`~repro.darshan.trace.Trace.io_weight`
-    (``total_bytes + total_metadata_ops``) from what the result retains:
-    significant directions' chunk volumes plus metadata requests.
-    """
-    total = float(result.metadata_total)
-    for vols in result.chunk_volumes.values():
-        if vols:
-            total += float(sum(vols))
-    return total
-
-
 class _Reject(Exception):
-    """A request refused at the front door (status + payload)."""
+    """A refused request (status + error message): raised by any handler
+    before its response starts, sent by :meth:`MosaicServer._send_reject`."""
 
     def __init__(
         self, status: int, reason: str, message: str, *, retry_after: bool = False
@@ -391,7 +373,9 @@ class MosaicServer:
                 )
         return result
 
-    def _fold_into_catalog(self, results: list[CategorizationResult]) -> None:
+    def _fold_into_catalog(
+        self, results: list[CategorizationResult | ResultLine]
+    ) -> None:
         """Fold one finished job's results into the catalog (job thread)."""
         with self._catalog_lock:
             for r in results:
@@ -777,12 +761,10 @@ class MosaicServer:
         try:
             try:
                 request = await self._read_request(reader)
+                if request is not None:
+                    await self._route(request, writer)
             except _Reject as reject:
                 await self._send_reject(writer, reject)
-                return
-            if request is None:
-                return
-            await self._route(request, writer)
         except (
             asyncio.TimeoutError,
             asyncio.IncompleteReadError,
@@ -890,24 +872,21 @@ class MosaicServer:
                     rest[: -len("/events")], request.headers, writer
                 )
             else:
-                job = self.jobs.get(rest)
-                if job is None:
-                    await self._send_json(
-                        writer, 404, "Not Found", {"error": f"no job {rest!r}"}
-                    )
-                elif job.status == "storage-failed":
+                job = self._job(rest)
+                if job.status == "storage-failed":
                     await self._send_json(
                         writer, 507, "Insufficient Storage", job.to_dict()
                     )
                 else:
                     await self._send_json(writer, 200, "OK", job.to_dict())
         else:
-            await self._send_json(
-                writer,
-                404,
-                "Not Found",
-                {"error": f"no route {method} {path}"},
-            )
+            raise _Reject(404, "Not Found", f"no route {method} {path}")
+
+    def _job(self, job_id: str) -> JobRecord:
+        job = self.jobs.get(job_id)
+        if job is None:
+            raise _Reject(404, "Not Found", f"no job {job_id!r}")
+        return job
 
     def _catalog_payload(self) -> dict[str, Any]:
         with self._catalog_lock:
@@ -926,43 +905,32 @@ class MosaicServer:
     async def _handle_submit(
         self, body: bytes, writer: asyncio.StreamWriter
     ) -> None:
+        """``POST /jobs``; a refused submission raises :class:`_Reject`."""
         try:
             payload = json.loads(body.decode("utf-8")) if body else {}
         except (json.JSONDecodeError, UnicodeDecodeError):
-            await self._send_json(
-                writer, 400, "Bad Request", {"error": "body is not JSON"}
-            )
-            return
+            raise _Reject(400, "Bad Request", "body is not JSON") from None
         if not isinstance(payload, dict):
-            await self._send_json(
-                writer, 400, "Bad Request", {"error": "body is not a JSON object"}
-            )
-            return
+            raise _Reject(400, "Bad Request", "body is not a JSON object")
         store = payload.get("store")
         traces = payload.get("traces")
-        if bool(store) == bool(traces):
-            await self._send_json(
-                writer,
-                400,
-                "Bad Request",
-                {"error": "exactly one of 'store' or 'traces' is required"},
+        for name, value in (("store", store), ("traces", traces)):
+            if value is not None and not (isinstance(value, str) and value):
+                raise _Reject(
+                    400, "Bad Request", f"{name!r} must be a non-empty string path"
+                )
+        if (store is None) == (traces is None):
+            raise _Reject(
+                400, "Bad Request", "exactly one of 'store' or 'traces' is required"
             )
-            return
         repair = payload.get("repair", False)
         if not isinstance(repair, bool):
-            await self._send_json(
-                writer, 400, "Bad Request", {"error": "repair must be a boolean"}
-            )
-            return
+            raise _Reject(400, "Bad Request", "repair must be a boolean")
         idem_key = payload.get("idempotency_key", "")
         if not isinstance(idem_key, str) or len(idem_key) > 200:
-            await self._send_json(
-                writer,
-                400,
-                "Bad Request",
-                {"error": "idempotency_key must be a string of <= 200 chars"},
+            raise _Reject(
+                400, "Bad Request", "idempotency_key must be a string of <= 200 chars"
             )
-            return
         if idem_key:
             # a resubmission of work this server already holds is served
             # from the existing job — never shed, never duplicated
@@ -985,51 +953,36 @@ class MosaicServer:
                 return
         if self.draining:
             self.admission.shed_draining += 1
-            await self._send_json(
-                writer,
+            raise _Reject(
                 503,
                 "Service Unavailable",
-                {"error": "server is draining; resubmit after restart"},
+                "server is draining; resubmit after restart",
                 retry_after=True,
             )
-            return
         assert self._loop is not None
         kind = "store" if store else "traces"
-        source = str(store or traces)
+        source: str = store or traces
         probe = os.path.isfile if kind == "store" else os.path.isdir
         exists = await self._loop.run_in_executor(None, probe, source)
         if not exists:
-            await self._send_json(
-                writer,
-                400,
-                "Bad Request",
-                {"error": f"no {kind} at {source!r} on the server"},
-            )
-            return
+            raise _Reject(400, "Bad Request", f"no {kind} at {source!r} on the server")
         budget = payload.get("budget")
         if budget is not None:
             try:
                 ResourceBudget(**budget)
             except (TypeError, ValueError) as exc:
-                await self._send_json(
-                    writer, 400, "Bad Request", {"error": f"bad budget: {exc}"}
-                )
-                return
+                raise _Reject(400, "Bad Request", f"bad budget: {exc}") from None
         # admit-check and job insertion with no await in between, so
         # concurrent submissions cannot all observe the pre-burst depth
         if not self.admission.admit_job(self.queue_depth()):
-            await self._send_json(
-                writer,
+            raise _Reject(
                 429,
                 "Too Many Requests",
-                {
-                    "error": "job queue is full "
-                    f"({self.admission.limits.max_queue_depth} pending); "
-                    "retry shortly",
-                },
+                "job queue is full "
+                f"({self.admission.limits.max_queue_depth} pending); "
+                "retry shortly",
                 retry_after=True,
             )
-            return
         self._seq += 1
         job = JobRecord(
             job_id=f"job-{self._seq:06d}",
@@ -1049,12 +1002,7 @@ class MosaicServer:
         self, job_id: str, writer: asyncio.StreamWriter
     ) -> None:
         assert self._loop is not None
-        job = self.jobs.get(job_id)
-        if job is None:
-            await self._send_json(
-                writer, 404, "Not Found", {"error": f"no job {job_id!r}"}
-            )
-            return
+        job = self._job(job_id)
         if job.status in ("queued", "running"):
             await self._send_json(writer, 202, "Accepted", job.to_dict())
             return
@@ -1073,13 +1021,9 @@ class MosaicServer:
             None, self._read_results, results_path
         )
         if data is None:
-            await self._send_json(
-                writer,
-                500,
-                "Internal Server Error",
-                {"error": f"results for {job_id!r} are missing on disk"},
+            raise _Reject(
+                500, "Internal Server Error", f"results for {job_id!r} are missing on disk"
             )
-            return
         # Chunked JSONL: clients see lines as they are flushed.
         writer.write(
             b"HTTP/1.1 200 OK\r\n"
@@ -1148,12 +1092,7 @@ class MosaicServer:
         writer: asyncio.StreamWriter,
     ) -> None:
         assert self._loop is not None
-        job = self.jobs.get(job_id)
-        if job is None:
-            await self._send_json(
-                writer, 404, "Not Found", {"error": f"no job {job_id!r}"}
-            )
-            return
+        job = self._job(job_id)
         after: int | None = None
         raw_last = headers.get("last-event-id")
         if raw_last is not None:

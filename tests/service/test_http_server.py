@@ -21,7 +21,8 @@ import pytest
 from repro.cli.main import main as cli_main
 from repro.columnar import compile_corpus
 from repro.core import run_pipeline_store, save_results_jsonl
-from repro.darshan import DirectorySource, save_binary
+from repro.core.result import CategorizationResult
+from repro.darshan import DirectorySource, InMemorySource, save_binary
 from repro.io import scoped_io
 from repro.parallel import ParallelConfig
 from repro.parallel.journal import JournalWriter
@@ -166,6 +167,20 @@ class TestValidation:
         assert status == 400
         assert "no store" in json.loads(data)["error"]
 
+    def test_submit_rejects_non_string_source(self, service):
+        # a non-string source is refused at the door, never coerced to a
+        # path under the server's working directory and queued
+        _server, endpoint = service
+        _status, data = _request(endpoint, "GET", "/jobs")
+        n_jobs = len(json.loads(data)["jobs"])
+        for name in ("store", "traces"):
+            for value in (5, True, [], {}):
+                status, data = _request(endpoint, "POST", "/jobs", {name: value})
+                assert status == 400, (name, value)
+                assert "non-empty string" in json.loads(data)["error"]
+        _status, data = _request(endpoint, "GET", "/jobs")
+        assert len(json.loads(data)["jobs"]) == n_jobs
+
     def test_submit_rejects_bad_budget(self, service, corpus):
         _server, endpoint = service
         for budget in ({"max_ops": -1}, {"bogus_knob": 3}):
@@ -289,6 +304,77 @@ class TestServiceFlow:
         status, data = _request(endpoint, "GET", f"/jobs/{job_id}/results")
         assert status == 200
         assert data == corpus["batch_bytes"]
+
+
+# -- warm folds ----------------------------------------------------------
+def _run_jobs_into(endpoint, reference, jobs):
+    """Run ``(store, idempotency_key)`` jobs in order, folding each one's
+    served results, fully rehydrated, into ``reference``'s catalog."""
+    for store, key in jobs:
+        job_id = _submit(endpoint, {"store": str(store), "idempotency_key": key})
+        job = _wait_terminal(endpoint, job_id)
+        assert job["status"] == "done", job
+        _status, data = _request(endpoint, "GET", f"/jobs/{job_id}/results")
+        reference._fold_into_catalog([
+            CategorizationResult.from_json_line(line)
+            for line in data.decode().splitlines()
+        ])
+        yield job
+
+
+def _assert_catalog_matches(endpoint, reference):
+    _status, data = _request(endpoint, "GET", "/catalog")
+    assert json.loads(data) == reference._catalog_payload()
+    _status, data = _request(endpoint, "GET", "/metrics")
+    assert json.loads(data)["catalog"] == reference.metrics()["catalog"]
+
+
+class TestWarmFolds:
+    def test_catalog_of_hits_equals_catalog_of_rehydrated_results(
+        self, tmp_path
+    ):
+        """Cold, warm and deduplicated jobs over two stores that share
+        applications, then warm jobs on a restarted server (whose catalog
+        starts empty, so hit records become the references): each
+        server's ``/catalog`` body and ``/metrics`` catalog block equal
+        those of a catalog folded from fully rehydrated results of the
+        same jobs, in the same order."""
+        fleet = generate_fleet(FleetConfig(n_apps=24, mean_runs=2.0, seed=31))
+        full, half = tmp_path / "all.mosc", tmp_path / "half.mosc"
+        compile_corpus(InMemorySource(fleet.traces), full)
+        compile_corpus(InMemorySource(fleet.traces[: len(fleet.traces) // 2]), half)
+
+        server = MosaicServer(tmp_path / "data", port=0)
+        reference = MosaicServer(tmp_path / "reference", port=0)
+        thread, endpoint = _start(server)
+        try:
+            jobs = [(full, "k0"), (half, "k1"), (full, "k2"), (half, "k3")]
+            done = list(_run_jobs_into(endpoint, reference, jobs))
+            for job in done[2:]:
+                assert job["metrics"]["n_cache_hits"] == job["n_results"]
+            # a deduplicated resubmission runs nothing and folds nothing
+            status, data = _request(
+                endpoint, "POST", "/jobs", {"store": str(full), "idempotency_key": "k0"}
+            )
+            assert status == 200 and json.loads(data)["deduplicated"]
+            _assert_catalog_matches(endpoint, reference)
+        finally:
+            _shutdown(server, thread)
+        runs = {app["n_runs"] for app in reference._catalog_payload()["apps"]}
+        assert runs == {2, 4}
+
+        # the previous incarnation's endpoint file names this very pid
+        os.remove(tmp_path / "data" / "server.json")
+        restarted = MosaicServer(tmp_path / "data", port=0)
+        reference = MosaicServer(tmp_path / "reference-restarted", port=0)
+        thread, endpoint = _start(restarted)
+        try:
+            jobs = [(half, "k4"), (full, "k5")]
+            for job in _run_jobs_into(endpoint, reference, jobs):
+                assert job["metrics"]["n_cache_hits"] == job["n_results"]
+            _assert_catalog_matches(endpoint, reference)
+        finally:
+            _shutdown(restarted, thread)
 
 
 # -- live SSE ----------------------------------------------------------
