@@ -3,7 +3,7 @@
 The paper's funnel over 2019 Blue Waters data: 462,502 input traces →
 32% corrupted/evicted → 8% of the valid traces are unique executions →
 24,606 retained for categorization.  This module turns a
-:class:`~repro.core.preprocess.PreprocessResult` into the same staged
+:class:`~repro.core.preprocess.SelectionPlan` into the same staged
 view, with the corruption-cause histogram as supplementary detail.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.preprocess import PreprocessResult
+from ..core.preprocess import SelectionPlan
 
 __all__ = ["FunnelStage", "FunnelReport", "funnel_report", "PAPER_FUNNEL"]
 
@@ -46,8 +46,8 @@ PAPER_FUNNEL = {
 }
 
 
-def funnel_report(pre: PreprocessResult) -> FunnelReport:
-    """Build the Fig. 3 funnel from a pre-processing result."""
+def funnel_report(pre: SelectionPlan) -> FunnelReport:
+    """Build the Fig. 3 funnel from a pass-① plan."""
     stages = []
     prev = None
     for name, count in pre.funnel():

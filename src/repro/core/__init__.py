@@ -29,7 +29,6 @@ from .periodicity import (
 )
 from .metadata import MetadataDetection, classify_metadata
 from .preprocess import (
-    PreprocessResult,
     SelectedRef,
     SelectionPlan,
     load_selected,
@@ -71,7 +70,6 @@ __all__ = [
     "period_magnitude",
     "MetadataDetection",
     "classify_metadata",
-    "PreprocessResult",
     "SelectedRef",
     "SelectionPlan",
     "preprocess_corpus",

@@ -47,13 +47,7 @@ from ..parallel.resilient import resilient_imap
 from ..parallel.retry import FailureKind
 from .categorizer import categorize_trace
 from .governor import DegradationLevel
-from .preprocess import (
-    PreprocessResult,
-    SelectedRef,
-    SelectionPlan,
-    load_selected,
-    scan_corpus,
-)
+from .preprocess import SelectedRef, SelectionPlan, load_selected, scan_corpus
 from .result import CategorizationResult
 from .stream import ResultLine
 from .thresholds import DEFAULT_CONFIG, MosaicConfig
@@ -140,7 +134,8 @@ class PipelineContext:
 class PipelineResult:
     """Everything produced by one corpus run."""
 
-    preprocess: PreprocessResult
+    #: Pass ① outcome: the funnel counters and the selected refs.
+    preprocess: SelectionPlan
     #: One result per selected (unique-application) trace; a result-cache
     #: hit is the :class:`~repro.core.stream.ResultLine` of its saved line.
     results: list[CategorizationResult | ResultLine]
@@ -304,22 +299,20 @@ def _run_pipeline_plan(
     cache = ctx.result_cache
     n_failures = 0
     bytes_read = 0
-    slots: list[CategorizationResult | ResultLine | None] = [None] * len(
-        scan.selected
-    )
+    slots: list[CategorizationResult | ResultLine | None] = [None] * len(scan.refs)
     inflight = 0
     peak = 0
     try:
         with ctx.stage("categorize"):
             pending: list[_Member] = []
-            for slot, entry in enumerate(scan.selected):
+            for slot, entry in enumerate(scan.refs):
                 if entry.job_id in resumed:
                     slots[slot] = resumed[entry.job_id]
                 elif entry.job_id in quarantined:
                     n_failures += 1
                 else:
                     pending.append((slot, entry))
-            ctx.count("n_resumed", len(scan.selected) - len(pending))
+            ctx.count("n_resumed", len(scan.refs) - len(pending))
 
             # -- content-addressed result cache: the key mixes the row's
             # CRC chain with its job id (plus the config/repair
@@ -420,7 +413,7 @@ def _run_pipeline_plan(
     ctx.timings.setdefault("preprocess_s", ctx.timings.get("scan_s", 0.0))
 
     return PipelineResult(
-        preprocess=scan.to_result(None),
+        preprocess=scan,
         results=results,
         n_failures=n_failures,
         timings=dict(ctx.timings),
@@ -563,8 +556,10 @@ def run_pipeline_store(
             memo = store.scan_memo = scan_store(store, repair=ctx.repair)
         return dataclasses.replace(
             memo,
+            refs=list(memo.refs),
             runs_per_app=dict(memo.runs_per_app),
             corruption_histogram=Counter(memo.corruption_histogram),
+            selected=[],
         )
 
     plan = _Plan(
@@ -601,7 +596,5 @@ def run_pipeline(
     started = time.perf_counter()
     plan = _stream_plan(source, ctx)
     result = _run_pipeline_plan(plan, ctx, started, None, False)
-    result.preprocess = plan.scan.to_result(
-        [load_selected(source, entry) for entry in plan.scan.selected]
-    )
+    plan.scan.selected = [load_selected(source, entry) for entry in plan.scan.refs]
     return result

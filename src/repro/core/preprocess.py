@@ -15,7 +15,8 @@ naively, so it is two-pass and streaming:
   :class:`~repro.darshan.source.TraceSource` in bounded record batches,
   validating each batch as one array and folding it into bounded dedup
   state — one small :class:`SelectedRef` per application, never the
-  traces themselves;
+  traces themselves — and returns a :class:`SelectionPlan`, the one
+  record of this stage;
 * **pass 2** (:func:`load_selected`, driven by the pipeline) reloads
   only the selected heaviest refs, each in the worker that categorizes
   it.
@@ -47,7 +48,6 @@ from ..darshan.validate import (
 )
 
 __all__ = [
-    "PreprocessResult",
     "SelectedRef",
     "SelectionPlan",
     "preprocess_corpus",
@@ -62,10 +62,11 @@ class SelectedRef:
 
     Carries everything pass 2 needs to reload and trust the trace —
     the source ref, identity, the keep-heaviest weight it won with, and
-    whether repair must be re-applied after reloading.
+    whether repair must be re-applied after reloading.  Equality
+    ignores :attr:`ref`, the trace's locator in one source.
     """
 
-    ref: TraceRef
+    ref: TraceRef = field(compare=False)
     job_id: int
     app_key: tuple[int, str]
     io_weight: float
@@ -74,58 +75,21 @@ class SelectedRef:
 
 @dataclass(slots=True)
 class SelectionPlan:
-    """Bounded-memory outcome of scan pass ① over a lazy source.
+    """Outcome of workflow step ① over a corpus: the Fig. 3 funnel
+    counters plus the heaviest run of each application.
 
-    Holds per-application refs and funnel counters only; no ``Trace``
-    survives the scan.
+    The one pass-① record on every route.  The scans
+    (:func:`scan_corpus`, :func:`repro.columnar.scan.scan_store`) fill
+    :attr:`refs` and leave :attr:`selected` empty, so no ``Trace``
+    survives them; the batch APIs (:func:`preprocess_corpus`,
+    :func:`repro.core.pipeline.run_pipeline`) also materialize the
+    winners on :attr:`selected`.  Equality compares the selection
+    decisions and counters, not where a source keeps its traces, so
+    plans of one corpus compare equal whichever route built them.
     """
 
     #: Winning refs, one per application, sorted by job id.
-    selected: list[SelectedRef]
-    #: Number of valid runs per application key, for all-runs statistics.
-    runs_per_app: dict[tuple[int, str], int]
-    n_input: int
-    n_corrupted: int
-    corruption_histogram: Counter = field(default_factory=Counter)
-    n_repaired: int = 0
-    #: Refs whose payload could not even be decoded (counted in
-    #: :attr:`n_corrupted` under ``Violation.UNREADABLE``).
-    n_unreadable: int = 0
-
-    @property
-    def n_valid(self) -> int:
-        return self.n_input - self.n_corrupted
-
-    @property
-    def n_selected(self) -> int:
-        return len(self.selected)
-
-    def to_result(self, selected_traces: list[Trace] | None = None) -> "PreprocessResult":
-        """Convert to the reporting-layer :class:`PreprocessResult`.
-
-        Pass the materialized traces for the batch API; leave ``None``
-        for the streaming pipeline, where ``selected`` stays empty and
-        only the count is carried.
-        """
-        return PreprocessResult(
-            selected=selected_traces if selected_traces is not None else [],
-            runs_per_app=self.runs_per_app,
-            n_input=self.n_input,
-            n_corrupted=self.n_corrupted,
-            corruption_histogram=self.corruption_histogram,
-            n_repaired=self.n_repaired,
-            n_selected_streamed=None if selected_traces is not None else self.n_selected,
-        )
-
-
-@dataclass(slots=True)
-class PreprocessResult:
-    """Outcome of workflow step ① over a corpus."""
-
-    #: Traces selected for categorization (heaviest per application).
-    #: Empty in streaming mode, where materializing them would defeat
-    #: the bounded-memory design — :attr:`n_selected` stays correct.
-    selected: list[Trace]
+    refs: list[SelectedRef]
     #: Number of valid runs per application key, for all-runs statistics.
     runs_per_app: dict[tuple[int, str], int]
     n_input: int
@@ -134,8 +98,11 @@ class PreprocessResult:
     corruption_histogram: Counter = field(default_factory=Counter)
     #: Traces recovered by repair heuristics (0 unless ``repair=True``).
     n_repaired: int = 0
-    #: Selected-trace count when ``selected`` was not materialized.
-    n_selected_streamed: int | None = None
+    #: Refs whose payload could not even be decoded (counted in
+    #: :attr:`n_corrupted` under ``Violation.UNREADABLE``).
+    n_unreadable: int = 0
+    #: The winners as traces, in :attr:`refs` order; batch APIs only.
+    selected: list[Trace] = field(default_factory=list, compare=False)
 
     @property
     def n_valid(self) -> int:
@@ -143,9 +110,7 @@ class PreprocessResult:
 
     @property
     def n_selected(self) -> int:
-        if self.n_selected_streamed is not None:
-            return self.n_selected_streamed
-        return len(self.selected)
+        return len(self.refs)
 
     @property
     def corrupted_fraction(self) -> float:
@@ -259,9 +224,8 @@ def scan_corpus(source: TraceSource, *, repair: bool = False) -> SelectionPlan:
                     repaired=repaired,
                 )
 
-    selected = sorted(best.values(), key=lambda e: e.job_id)
     return SelectionPlan(
-        selected=selected,
+        refs=sorted(best.values(), key=lambda e: e.job_id),
         runs_per_app=runs_per_app,
         n_input=n_input,
         n_corrupted=n_corrupted,
@@ -297,7 +261,7 @@ def load_selected(source: TraceSource, entry: SelectedRef) -> Trace:
 
 def preprocess_corpus(
     traces: list[Trace], *, repair: bool = False
-) -> PreprocessResult:
+) -> SelectionPlan:
     """Validate every trace and keep the heaviest run per application.
 
     Batch wrapper over the streaming two-pass implementation: scan an
@@ -307,5 +271,5 @@ def preprocess_corpus(
     """
     source = InMemorySource(traces)
     plan = scan_corpus(source, repair=repair)
-    selected = [load_selected(source, entry) for entry in plan.selected]
-    return plan.to_result(selected)
+    plan.selected = [load_selected(source, entry) for entry in plan.refs]
+    return plan

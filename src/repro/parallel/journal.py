@@ -37,6 +37,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
@@ -215,37 +216,53 @@ def _lock_holder(lock_path: str) -> int | None:
         return None
 
 
+#: Absolute paths of the lock sidecars this process holds, and their
+#: guard.  A sidecar naming our own pid is live only if it is listed: a
+#: restarted server may reuse the killed one's pid (a container's PID 1,
+#: an in-process restart) and must still break the leftover lock.
+_HELD_LOCKS: set[str] = set()
+_HELD_LOCKS_GUARD = threading.Lock()
+
+
 def acquire_journal_lock(path: str | os.PathLike[str]) -> str:
     """Take the ``<path>.lock`` sidecar exclusively; return its path.
 
     The sidecar is created with ``O_CREAT | O_EXCL`` (through the VFS
     seam, so chaos can script the create) and records the owner's pid.
-    An existing sidecar naming a live process raises
-    :class:`JournalLockHeld`; one naming a dead pid — the ``kill -9``
-    leftover — is broken and re-acquired.
+    An existing sidecar this process holds, or one naming another live
+    process, raises :class:`JournalLockHeld`; one naming a dead pid —
+    the ``kill -9`` leftover — or our own pid without our hold is
+    broken and re-acquired.
     """
     lock_path = os.fspath(path) + ".lock"
+    held = os.path.abspath(lock_path)
     io = get_io()
     for _attempt in range(8):
         try:
-            fh = io.open_exclusive(lock_path)
+            with _HELD_LOCKS_GUARD:
+                fh = io.open_exclusive(lock_path)
+                _HELD_LOCKS.add(held)  # mosaic: disable=MOS002 (one entry per held lock; release discards it)
         except FileExistsError:
-            holder = _lock_holder(lock_path)
-            if holder is not None and _pid_alive(holder):
-                raise JournalLockHeld(
-                    f"journal {os.fspath(path)!r} is locked by live "
-                    f"process {holder} (lock sidecar {lock_path!r}); "
-                    "two writers would interleave appends and corrupt "
-                    "resume state",
-                    op="lock",
-                    path=lock_path,
-                ) from None
-            # Stale: the recorded owner is gone.  Break the sidecar and
-            # race for the create again — losing the race means someone
-            # live took it in the meantime.
-            with contextlib.suppress(OSError):
-                os.unlink(lock_path)
-            continue
+            with _HELD_LOCKS_GUARD:
+                ours = held in _HELD_LOCKS
+                holder = os.getpid() if ours else _lock_holder(lock_path)
+                if not ours and (
+                    holder is None or holder == os.getpid() or not _pid_alive(holder)
+                ):
+                    # Stale: the recorded owner is gone.  Break the
+                    # sidecar and race for the create again — losing the
+                    # race means someone live took it in the meantime.
+                    with contextlib.suppress(OSError):
+                        os.unlink(lock_path)
+                    continue
+            raise JournalLockHeld(
+                f"journal {os.fspath(path)!r} is locked by live "
+                f"process {holder} (lock sidecar {lock_path!r}); "
+                "two writers would interleave appends and corrupt "
+                "resume state",
+                op="lock",
+                path=lock_path,
+            ) from None
         except OSError as exc:
             raise StorageError(
                 f"could not create journal lock {lock_path!r}: {exc}",
@@ -281,8 +298,10 @@ def acquire_journal_lock(path: str | os.PathLike[str]) -> str:
 
 def release_journal_lock(lock_path: str) -> None:
     """Remove a lock sidecar (best-effort; absence is success)."""
-    with contextlib.suppress(OSError):
-        os.unlink(lock_path)
+    with _HELD_LOCKS_GUARD:
+        _HELD_LOCKS.discard(os.path.abspath(lock_path))
+        with contextlib.suppress(OSError):
+            os.unlink(lock_path)
 
 
 class JournalWriter:

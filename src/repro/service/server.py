@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import contextlib
 import functools
 import json
 import os
@@ -1186,6 +1187,15 @@ class MosaicServer:
             json.dumps({"host": host, "port": port, "pid": os.getpid()}) + "\n",
         )
 
+    def _remove_endpoint_file(self, port: int) -> None:
+        """Withdraw the endpoint while it still names this incarnation."""
+        path = os.path.join(self.data_dir, "server.json")
+        with contextlib.suppress(OSError, ValueError, AttributeError):
+            with open(path, encoding="utf-8") as fh:
+                endpoint = json.load(fh)
+            if (endpoint.get("pid"), endpoint.get("port")) == (os.getpid(), port):
+                os.remove(path)
+
     def request_stop(self) -> None:
         """Immediate stop (second SIGTERM, SIGINT, tests)."""
         if self._stop is not None:
@@ -1291,6 +1301,7 @@ class MosaicServer:
         # normal process exit the interpreter still joins the executor
         # thread; an escalated drain bypasses that via serve_forever.)
         self._job_executor.shutdown(wait=False, cancel_futures=True)
+        self._remove_endpoint_file(port)
 
     def serve_forever(self) -> None:
         """Blocking entry point used by ``mosaic serve``.

@@ -131,4 +131,4 @@ class TestScanOutsideTheRecordLayout:
         pre = preprocess_corpus([narrow, wide])
         assert [t.meta.job_id for t in pre.selected] == [1]
         plan = scan_corpus(InMemorySource([narrow, wide]))
-        assert plan.selected[0].io_weight == wide.io_weight()
+        assert plan.refs[0].io_weight == wide.io_weight()

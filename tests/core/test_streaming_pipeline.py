@@ -419,9 +419,9 @@ class TestScanFastPath:
         assert list(on_disk.runs_per_app.items()) == list(in_memory.runs_per_app.items())
         # ref keys differ (paths vs positions); everything else matches
         assert [
-            (s.job_id, s.app_key, s.io_weight, s.repaired) for s in on_disk.selected
+            (s.job_id, s.app_key, s.io_weight, s.repaired) for s in on_disk.refs
         ] == [
-            (s.job_id, s.app_key, s.io_weight, s.repaired) for s in in_memory.selected
+            (s.job_id, s.app_key, s.io_weight, s.repaired) for s in in_memory.refs
         ]
 
     @pytest.mark.parametrize("repair", [False, True])

@@ -65,7 +65,7 @@ def planned_slices(store_path):
     chaos fault can target one slice by its stable item key."""
     store = attach(store_path)
     plan = scan_store(store)
-    rows = [int(entry.ref.key) for entry in plan.selected]
+    rows = [int(entry.ref.key) for entry in plan.refs]
     slices = plan_slices(
         store, rows, budget=DEFAULT_CONFIG.budget, target_ops=SLICE_OPS
     )

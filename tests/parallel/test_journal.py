@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from repro.io import StorageError
+from repro.parallel.jobstore import JobStore
 from repro.parallel.journal import (
     JOURNAL_VERSION,
     JournalLockHeld,
@@ -189,6 +190,24 @@ class TestJournalLock:
             journal.write_header(n_selected=0)
             with open(path + ".lock", "rb") as fh:
                 assert int(fh.read()) == os.getpid()
+
+    def test_leftover_lock_naming_our_pid_does_not_block_resume(self, tmp_path):
+        # A server restarted under the killed one's pid (a container's
+        # PID 1, an in-process restart) finds its own pid in the
+        # leftover sidecar; only a lock this process holds is live.
+        path = str(tmp_path / "run.jsonl")
+        _write_run(path, n_selected=3)
+        with open(path + ".lock", "wb") as fh:
+            fh.write(str(os.getpid()).encode())
+        store = JobStore(path, resume=True)
+        state = store.open(n_selected=3)
+        try:
+            assert sorted(state.completed) == [10]
+            with pytest.raises(JournalLockHeld):
+                JournalWriter(path, append=True)
+        finally:
+            store.close()
+        assert not os.path.exists(path + ".lock")
 
     def test_garbled_lock_sidecar_counts_as_stale(self, tmp_path):
         # The previous owner died between the exclusive create and the

@@ -363,8 +363,6 @@ class TestWarmFolds:
         runs = {app["n_runs"] for app in reference._catalog_payload()["apps"]}
         assert runs == {2, 4}
 
-        # the previous incarnation's endpoint file names this very pid
-        os.remove(tmp_path / "data" / "server.json")
         restarted = MosaicServer(tmp_path / "data", port=0)
         reference = MosaicServer(tmp_path / "reference-restarted", port=0)
         thread, endpoint = _start(restarted)
@@ -628,3 +626,21 @@ class TestRegistryReplay:
         assert server.jobs == {}
         assert server._resumed_at_start == []
         server._registry.close()
+
+
+# -- lifecycle ---------------------------------------------------------
+class TestEndpointFile:
+    def test_clean_stop_removes_server_json(self, tmp_path):
+        server = MosaicServer(tmp_path / "data", port=0)
+        thread, _endpoint = _start(server)
+        _shutdown(server, thread)
+        assert not (tmp_path / "data" / "server.json").exists()
+
+    def test_stop_keeps_another_incarnations_server_json(self, tmp_path):
+        server = MosaicServer(tmp_path / "data", port=0)
+        thread, endpoint = _start(server)
+        path = tmp_path / "data" / "server.json"
+        other = json.dumps({**endpoint, "port": endpoint["port"] + 1}) + "\n"
+        path.write_text(other)
+        _shutdown(server, thread)
+        assert path.read_text() == other
