@@ -216,7 +216,7 @@ def compile_corpus(
                         trace = outcome.trace
                         repaired = True
                         report = validate_trace(trace)
-                slabs.add_trace(batch.refs[i].key, trace, report, repaired)
+                slabs.add_trace(batch.keys[i], trace, report, repaired)
             lo = i + 1
     return slabs.publish(
         out_path,
@@ -329,7 +329,7 @@ class _Slabs:
         n_read, n_write = per_trace
         n_ops = n_read + n_write
 
-        keys = [batch.refs[i].key for i in row_list]
+        keys = [batch.keys[i] for i in row_list]
         meta_ops, total_bytes = (
             _int64_totals(src, counts, fields, keys, label)
             for label, fields in _TOTALS

@@ -27,11 +27,14 @@ passes over an in-memory source.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
+from ..darshan.repair import repair_trace
 from ..darshan.source import (
     InMemorySource,
     RecordBatch,
@@ -143,6 +146,8 @@ def scan_corpus(source: TraceSource, *, repair: bool = False) -> SelectionPlan:
     trace is the one with the largest
     :meth:`~repro.darshan.trace.Trace.io_weight` (bytes moved plus
     metadata operations); ties break on job id, then on the first seen.
+    A batch's valid runs are ranked by that rule with one sort, and only
+    each application's best run is weighed against the runs before it.
 
     Unreadable payloads (``TraceFormatError`` from the source) are
     counted as corrupted under :attr:`Violation.UNREADABLE` rather than
@@ -156,96 +161,158 @@ def scan_corpus(source: TraceSource, *, repair: bool = False) -> SelectionPlan:
     rebuilt without a second read.  The paper evicts outright; the
     REPAIR experiment quantifies the difference.
     """
-    from ..darshan.repair import repair_trace
-
-    corruption: Counter = Counter()
-    n_input = 0
-    n_corrupted = 0
-    n_repaired = 0
-    n_unreadable = 0
-    best: dict[tuple[int, str], SelectedRef] = {}
-    runs_per_app: dict[tuple[int, str], int] = {}
-
+    fold = _Fold()
     for batch in source.record_batches(retain_traces=repair):
-        n_input += len(batch)
+        fold.add(batch, repair)
+    return SelectionPlan(
+        refs=sorted(fold.best.values(), key=lambda e: e.job_id),
+        runs_per_app=fold.runs_per_app,
+        n_input=fold.n_input,
+        n_corrupted=fold.n_corrupted,
+        corruption_histogram=fold.corruption,
+        n_repaired=fold.n_repaired,
+        n_unreadable=fold.n_unreadable,
+    )
+
+
+class _Fold:
+    """The state :func:`scan_corpus` folds its batches into."""
+
+    def __init__(self) -> None:
+        self.corruption: Counter = Counter()
+        self.n_input = 0
+        self.n_corrupted = 0
+        self.n_repaired = 0
+        self.n_unreadable = 0
+        self.best: dict[tuple[int, str], SelectedRef] = {}
+        self.runs_per_app: dict[tuple[int, str], int] = {}
+
+    def add(self, batch: RecordBatch, repair: bool) -> None:
+        """Count one batch's corrupted runs and fold in its valid ones."""
+        n = len(batch)
+        self.n_input += n
+        unreadable = batch.unreadable
         flags = violation_matrix(
             batch.records, batch.run_time, batch.nprocs, batch.counts
         )
-        weights = _io_weights(batch)
-        # each flagged trace's violations, in column order
-        flagged: dict[int, list[Violation]] = {}
-        for row, column in zip(*(a.tolist() for a in np.nonzero(flags))):
-            flagged.setdefault(row, []).append(VIOLATION_COLUMNS[column])
-        rows = zip(batch.refs, batch.unreadable.tolist(), batch.job_id, weights)
-        for i, (ref, unreadable, job_id, weight) in enumerate(rows):
-            if unreadable:
-                n_corrupted += 1
-                n_unreadable += 1
-                corruption[Violation.UNREADABLE] += 1
-                continue
-            repaired = False
-            violations = flagged.get(i)
-            if i in batch.scalar or (violations and repair):
-                trace = batch.trace(i)
-                report = validate_trace(trace)
-                if not report.valid and repair:
-                    outcome = repair_trace(trace)
-                    if outcome.repaired:
-                        trace = outcome.trace
-                        report = validate_trace(trace)
-                        n_repaired += 1
-                        repaired = True
-                if not report.valid:
-                    n_corrupted += 1
-                    for violation in report.categories():
-                        corruption[violation] += 1
-                    continue
-                job_id, key = trace.meta.job_id, trace.meta.app_key
-                weight = trace.io_weight()
-            elif violations:
-                n_corrupted += 1
-                for violation in violations:
-                    corruption[violation] += 1
-                continue
-            else:
-                key = batch.app_key(i)
-            runs_per_app[key] = runs_per_app.get(key, 0) + 1
-            current = best.get(key)
-            if (
-                current is None
-                or weight > current.io_weight
-                or (weight == current.io_weight and job_id < current.job_id)
-            ):
-                best[key] = SelectedRef(
-                    ref=ref,
-                    job_id=job_id,
-                    app_key=key,
-                    io_weight=weight,
-                    repaired=repaired,
-                )
+        flagged = flags.any(axis=1) & ~unreadable
+        # rows validated (and repaired) as traces, as validate_trace does
+        by_trace = np.zeros(n, dtype=bool)
+        by_trace[list(batch.scalar)] = True
+        if repair:
+            by_trace |= flagged
+        evicted = flagged & ~by_trace
+        valid = ~(unreadable | flagged | by_trace)
 
-    return SelectionPlan(
-        refs=sorted(best.values(), key=lambda e: e.job_id),
-        runs_per_app=runs_per_app,
-        n_input=n_input,
-        n_corrupted=n_corrupted,
-        corruption_histogram=corruption,
-        n_repaired=n_repaired,
-        n_unreadable=n_unreadable,
-    )
+        # corruption counts, added in the order each cause first occurs
+        # (row, then the cause's place in the row), as a per-row loop would
+        events: list[tuple[int, int, Violation, int]] = []
+        n_unreadable = int(np.count_nonzero(unreadable))
+        if n_unreadable:
+            events.append((int(np.argmax(unreadable)), 0, Violation.UNREADABLE, n_unreadable))
+        hits = flags & evicted[:, None]
+        for column in np.flatnonzero(hits.any(axis=0)).tolist():
+            first = int(np.argmax(hits[:, column]))
+            total = int(np.count_nonzero(hits[:, column]))
+            events.append((first, column, VIOLATION_COLUMNS[column], total))
+        self.n_unreadable += n_unreadable
+        self.n_corrupted += n_unreadable + int(np.count_nonzero(evicted))
+
+        weights = _io_weights(batch)
+        job_ids = batch.job_id
+        keys = list(zip(batch.uid, batch.exe))
+        repaired: set[int] = set()
+        for i in np.flatnonzero(by_trace).tolist():
+            trace = batch.trace(i)
+            report = validate_trace(trace)
+            if not report.valid and repair:
+                outcome = repair_trace(trace)
+                if outcome.repaired:
+                    trace = outcome.trace
+                    report = validate_trace(trace)
+                    self.n_repaired += 1
+                    repaired.add(i)
+            if not report.valid:
+                self.n_corrupted += 1
+                for rank, violation in enumerate(report.categories()):
+                    events.append((i, rank, violation, 1))
+                continue
+            if job_ids is batch.job_id:
+                job_ids = list(job_ids)
+            valid[i] = True
+            job_ids[i], keys[i] = trace.meta.job_id, trace.meta.app_key
+            weights[i] = trace.io_weight()
+        for _, _, violation, count in sorted(events, key=lambda e: e[:2]):
+            self.corruption[violation] += count
+        self._keep_heaviest(batch, valid, keys, job_ids, weights, repaired)
+
+    def _keep_heaviest(
+        self,
+        batch: RecordBatch,
+        valid: np.ndarray,
+        keys: list[tuple[int, str]],
+        job_ids: list[int],
+        weights: np.ndarray,
+        repaired: set[int],
+    ) -> None:
+        """Fold the valid rows of ``batch`` into :attr:`best` and
+        :attr:`runs_per_app`.
+
+        One sort ranks each application's rows by weight (heaviest
+        first), then job id, then position, and only each application's
+        first-ranked row is weighed against the runs before the batch.
+        A NaN weight never wins against a run seen before it, and once
+        it is the first run seen of its application nothing replaces it:
+        it is the application's best run only when it is its first.
+        """
+        mask = valid.tolist()
+        rows = np.flatnonzero(valid)
+        run_keys = list(compress(keys, mask))
+        apps = dict.fromkeys(run_keys)  # first-seen order
+        ids = dict(zip(apps, range(len(apps))))
+        app = np.fromiter(map(ids.__getitem__, run_keys), np.int64, len(run_keys))
+        job = np.array(list(compress(job_ids, mask)))
+        weight = weights[rows]
+        order = np.lexsort((rows, job, -weight, app))
+        ranked = app[order]
+        leads = np.flatnonzero(np.diff(ranked, prepend=-1))
+        wins = rows[order[leads]]
+        firsts = wins
+        if np.isnan(weight).any():
+            firsts = rows[np.unique(app, return_index=True)[1]]
+        runs = np.diff(leads, append=len(ranked)).tolist()
+        w = weights.tolist()
+        for key, row, first, count in zip(apps, wins.tolist(), firsts.tolist(), runs):
+            self.runs_per_app[key] = self.runs_per_app.get(key, 0) + count
+            current = self.best.get(key)
+            if current is None:
+                if math.isnan(w[first]):
+                    row = first
+            elif not (
+                w[row] > current.io_weight
+                or (w[row] == current.io_weight and job_ids[row] < current.job_id)
+            ):
+                continue
+            self.best[key] = SelectedRef(
+                ref=batch.ref(row),
+                job_id=job_ids[row],
+                app_key=key,
+                io_weight=w[row],
+                repaired=row in repaired,
+            )
 
 
 #: ``io_weight``'s two integer sums, as record field groups.
 _WEIGHT_TERMS = (("bytes_read", "bytes_written"), ("opens", "closes", "seeks"))
 
 
-def _io_weights(batch: RecordBatch) -> list[float]:
+def _io_weights(batch: RecordBatch) -> np.ndarray:
     """``Trace.io_weight()`` of every trace whose records ``batch``
     holds: ``float(total bytes) + float(total metadata ops)``, each
     total an exact integer (:func:`~repro.darshan.source.segment_sums`).
     """
     totals = [segment_sums(batch.records, batch.counts, f) for f in _WEIGHT_TERMS]
-    return [float(b) + float(m) for b, m in zip(*totals)]
+    return totals[0].astype(np.float64) + totals[1].astype(np.float64)
 
 
 def load_selected(source: TraceSource, entry: SelectedRef) -> Trace:
@@ -253,8 +320,6 @@ def load_selected(source: TraceSource, entry: SelectedRef) -> Trace:
     selected its repaired form."""
     trace = source.load(entry.ref)
     if entry.repaired:
-        from ..darshan.repair import repair_trace
-
         trace = repair_trace(trace).trace
     return trace
 

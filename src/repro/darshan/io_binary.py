@@ -30,20 +30,26 @@ One list of checks has two implementations.
 :func:`parse_binary` runs it on one payload and hands back the record
 section as a read-only structured-array view; :func:`loads_binary`
 builds its ``FileRecord`` objects from that view.
-:func:`parse_payloads` runs it on a whole scan batch at once: the size
-checks are array predicates over every payload's gathered header, and
-only the UTF-8 decodes and the name count run per payload.  The scan
-and the store compiler read the columns it returns, string tables
-included, without building a ``JobMeta`` or a ``FileRecord``.  Files
-are read through :func:`read_payload`, which refuses an oversized file
-before reading it.
+:func:`parse_buffer` runs it on a whole scan batch at once, in place in
+the one buffer the batch's files were read into, from each payload's
+offset and length: the size checks are array predicates over every
+payload's gathered header, the strings are checked as byte ranges (all
+ASCII needs no decode), and only the name count and the ``exe`` decode
+run per payload.  The scan and the store compiler read the columns it
+returns without building a ``JobMeta`` or a ``FileRecord``; the other
+strings are decoded when read.  :func:`parse_payloads` joins separate
+payloads into one buffer for it.  Files are read through
+:func:`read_into`, one loop for a single file (:func:`read_payload`,
+which refuses an oversized file before reading it) and for a scan
+batch.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from typing import Any, NamedTuple, Sequence
+from itertools import repeat
+from typing import Any, NamedTuple, Sequence, cast
 
 import numpy as np
 
@@ -62,7 +68,10 @@ __all__ = [
     "loads_binary",
     "parse_binary",
     "MosdColumns",
+    "Utf8Slices",
+    "parse_buffer",
     "parse_payloads",
+    "read_into",
 ]
 
 MAGIC = b"MOSD"
@@ -296,16 +305,37 @@ _HEAD_DTYPE = np.dtype(
 )
 _COUNTS_DTYPE = np.dtype([("n_records", "<u4"), ("n_table", "<u4")])
 _MAGIC_U32 = int.from_bytes(MAGIC, "little")
-#: Zero bytes after the last payload: refused rows gather their header
-#: at offset 0, which must lie inside the buffer even when every
-#: payload is shorter than a header.
+#: Zero bytes after a buffer shorter than one header: refused rows
+#: gather their header at offset 0, which must lie inside the buffer.
 _PAD = bytes(_HEAD.size)
+#: One record as an opaque item, for moving records without their fields.
+_RECORD_BYTES = np.dtype((np.void, RECORD_DTYPE.itemsize))
 #: Bytes asked of each read past a file's ``fstat`` size.
 _READ_CHUNK = 64 * 1024
 
 
+class Utf8Slices(Sequence[str]):
+    """Checked UTF-8 strings kept as byte ranges of one buffer, each
+    decoded when it is read.  An empty range reads as ``""``."""
+
+    __slots__ = ("_data", "_lo", "_hi")
+
+    def __init__(self, data: Any, lo: np.ndarray, hi: np.ndarray):
+        self._data = data
+        self._lo = lo
+        self._hi = hi
+
+    def __len__(self) -> int:
+        return len(self._lo)
+
+    def __getitem__(self, i: Any) -> Any:
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return str(memoryview(self._data)[self._lo[i] : self._hi[i]], "utf-8")
+
+
 class MosdColumns(NamedTuple):
-    """Many MOSD payloads checked at once (:func:`parse_payloads`).
+    """Many MOSD payloads checked at once (:func:`parse_buffer`).
 
     Every column has one entry per payload.  A refused row (``ok``
     false) holds zeros and empty strings and owns no records.
@@ -318,105 +348,167 @@ class MosdColumns(NamedTuple):
     start: np.ndarray
     end: np.ndarray
     exe: list[str]
-    machine: list[str]
-    partition: list[str]
-    #: Each row's decoded string table (record names joined by ``"\x00"``).
-    tables: list[str]
+    machine: Sequence[str]
+    partition: Sequence[str]
+    #: Each row's string table (record names joined by ``"\x00"``).
+    tables: Sequence[str]
     #: Records per row.
     counts: np.ndarray
     #: Every accepted row's record section, back to back.
     records: np.ndarray
+    #: The buffer the payloads were parsed from, and each payload's
+    #: offset and length in it.
+    data: Any
+    offsets: np.ndarray
+    sizes: np.ndarray
+
+    def payload(self, i: int) -> bytes:
+        """Row ``i``'s payload bytes."""
+        at = int(self.offsets[i])
+        return bytes(memoryview(self.data)[at : at + int(self.sizes[i])])
 
 
 def _gather(u8: np.ndarray, at: np.ndarray, dtype: np.dtype[Any]) -> np.ndarray:
-    """One ``dtype`` item read at each byte offset ``at`` of ``u8``."""
-    rows = u8[at[:, None] + np.arange(dtype.itemsize)]
-    return rows.view(dtype)[:, 0]
+    """One ``dtype`` item read at each byte offset ``at`` of ``u8``,
+    copied out: ``u8`` is viewed as one opaque item starting at every
+    byte, and those items are indexed."""
+    anywhere = np.ndarray(
+        (len(u8) - dtype.itemsize + 1,),
+        dtype=np.dtype((np.void, dtype.itemsize)),
+        buffer=u8,
+        strides=(1,),
+    )
+    return anywhere[at].view(dtype)
 
 
-def parse_payloads(
-    payloads: Sequence[bytes], limits: DecodeLimits = DEFAULT_LIMITS
+def _high_bytes(u8: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Whether each byte range ``bounds[k] : bounds[k + 1]``, ``k``
+    even, of ``u8`` holds a byte of 0x80 or more.  The bounds must not
+    decrease."""
+    ored = np.zeros(len(bounds), dtype=np.uint8)
+    # reduceat folds each bound up to the next one, the last up to the
+    # end of the buffer; a bound at the very end starts an empty range
+    inside = int(np.searchsorted(bounds, len(u8)))
+    if inside:
+        ored[:inside] = np.bitwise_or.reduceat(u8, bounds[:inside])
+    return (ored[0::2] >= 0x80) & (bounds[1::2] > bounds[0::2])
+
+
+def _record_rows(
+    data: Any, u8: np.ndarray, at: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """The record sections starting at byte offsets ``at`` of ``u8``,
+    holding ``counts`` records each, as one ``RECORD_DTYPE`` array: a
+    read-only view of ``data`` for one section, one copy otherwise."""
+    if len(at) == 1:
+        rows = np.frombuffer(data, RECORD_DTYPE, count=int(counts[0]), offset=int(at[0]))
+        rows.flags.writeable = False
+        return rows
+    total = int(counts.sum())
+    if not total:
+        return np.empty(0, dtype=RECORD_DTYPE)
+    size = RECORD_DTYPE.itemsize
+    first = np.cumsum(counts) - counts
+    offsets = np.arange(total, dtype=np.int64) * size
+    offsets += np.repeat(at - first * size, counts)
+    return _gather(u8, offsets, RECORD_DTYPE)
+
+
+def parse_buffer(
+    data: Any,
+    offsets: np.ndarray,
+    sizes: np.ndarray,
+    limits: DecodeLimits = DEFAULT_LIMITS,
 ) -> MosdColumns:
-    """:func:`parse_binary` over many payloads, as array predicates.
+    """:func:`parse_binary` over many payloads held in one buffer, as
+    array predicates.
 
-    Accepts exactly the payloads :func:`parse_binary` accepts, with the
-    same header, strings and records.  The fixed-size heads and count
-    blocks are gathered from the joined payloads and every size check
-    runs once over all rows, in :func:`parse_binary`'s order; only the
-    UTF-8 decodes and the string table's name count run per row, and
-    only on rows that passed every size check.  A row's offsets come
-    from its own length and header, so a refused row never moves a
-    neighbour's.  A batch of one payload (a trace over the scan's batch
-    budget) is read in place: neither its bytes nor its records are
-    copied.
+    Payload ``i`` is ``data[offsets[i] : offsets[i] + sizes[i]]``; the
+    payloads must lie in offset order without overlapping, and ``data``
+    must be ``bytes`` or a ``bytearray``.  Accepts exactly the payloads
+    :func:`parse_binary` accepts, with the same header, strings and
+    records.  The fixed-size heads and count blocks are gathered from
+    ``data`` in place and every size check runs once over all rows, in
+    :func:`parse_binary`'s order.  The strings are checked as byte
+    ranges: a row whose job strings and string table are all ASCII is
+    valid UTF-8 without decoding, and only a row with a byte of 0x80 or
+    more decodes its strings here.  The string table's names are
+    counted in place (``bytes.count``).  Only ``exe`` is decoded for
+    every accepted row; ``machine``, ``partition`` and the tables are
+    decoded on access (:class:`Utf8Slices`).  A row's offsets come from
+    its own length and header, so a refused row never moves a
+    neighbour's.  The accepted rows' record sections are copied once
+    into :attr:`MosdColumns.records`, or viewed in place when there is
+    one.
     """
-    n = len(payloads)
-    sizes = np.fromiter(map(len, payloads), dtype=np.int64, count=n)
-    starts = np.cumsum(sizes) - sizes
-    joined = payloads[0] if n == 1 else b"".join(payloads)
-    if len(joined) < _HEAD.size:
-        joined = bytes(joined) + _PAD
-    u8 = np.frombuffer(joined, dtype=np.uint8)
+    n = len(sizes)
+    u8 = np.frombuffer(data, dtype=np.uint8)
+    if len(u8) < _HEAD.size:
+        data = bytes(data) + _PAD
+        u8 = np.frombuffer(data, dtype=np.uint8)
+    starts = np.asarray(offsets, dtype=np.int64)
+    sizes = np.asarray(sizes, dtype=np.int64)
 
     ok = sizes <= limits.max_payload_bytes
     ok &= sizes >= _HEAD.size
     head = _gather(u8, np.where(ok, starts, 0), _HEAD_DTYPE)
     ok &= (head["magic"] == _MAGIC_U32) & (head["version"] == VERSION)
-    n_exe = head["n_exe"].astype(np.int64)
-    machine_at = _HEAD.size + n_exe
+    machine_at = _HEAD.size + head["n_exe"].astype(np.int64)
     partition_at = machine_at + head["n_machine"]
     counts_at = partition_at + head["n_partition"]
-    n_strings = counts_at - _HEAD.size
-    ok &= n_strings <= np.minimum(limits.max_string_bytes, sizes - _HEAD.size)
+    ok &= counts_at - _HEAD.size <= np.minimum(
+        limits.max_string_bytes, sizes - _HEAD.size
+    )
     table_at = counts_at + _COUNTS.size
     ok &= table_at <= sizes
     counts = _gather(u8, np.where(ok, starts + counts_at, 0), _COUNTS_DTYPE)
     n_records = counts["n_records"].astype(np.int64)
     n_table = counts["n_table"].astype(np.int64)
-    remaining = sizes - table_at
     ok &= n_records <= limits.max_records
-    ok &= n_table <= np.minimum(limits.max_string_bytes, remaining)
+    ok &= n_table <= np.minimum(limits.max_string_bytes, sizes - table_at)
     records_at = table_at + n_table
     ok &= records_at + n_records * _RECORD.size <= sizes
     ok &= records_at + n_records * _RECORD.size == sizes  # trailing bytes
 
-    exe = [""] * n
-    machine = [""] * n
-    partition = [""] * n
-    tables = [""] * n
-    sections: list[memoryview] = []
-    survivors = np.flatnonzero(ok)
-    rows = zip(
-        survivors.tolist(),
-        machine_at[survivors].tolist(),
-        partition_at[survivors].tolist(),
-        counts_at[survivors].tolist(),
-        table_at[survivors].tolist(),
-        records_at[survivors].tolist(),
-        n_records[survivors].tolist(),
+    # each row's string bounds in ``data``, one row of ``bounds`` per
+    # bound: job strings from the head's end to the counts block, with
+    # machine and partition inside, then the string table
+    bounds = starts + np.stack(
+        [np.full(n, _HEAD.size), machine_at, partition_at, counts_at, table_at, records_at]
     )
-    for i, mach_at, part_at, cnt_at, tab_at, rec_at, n_rec in rows:
-        payload = payloads[i]
-        view = memoryview(payload)  # slices without copying
-        try:
-            exe_i = str(view[_HEAD.size : mach_at], "utf-8")
-            machine_i = str(view[mach_at:part_at], "utf-8")
-            partition_i = str(view[part_at:cnt_at], "utf-8")
-            table_i = str(view[tab_at:rec_at], "utf-8")
+    rows = np.flatnonzero(ok)
+    strings = bounds[[0, 3, 4, 5]][:, rows].T.ravel()  # per row: job, table
+    high = _high_bytes(u8, strings).reshape(-1, 2).any(axis=1)
+    view = memoryview(data)
+    for i in rows[high].tolist():
+        try:  # as in parse_binary: each string must decode on its own
+            for k in (0, 1, 2, 4):
+                str(view[bounds[k, i] : bounds[k + 1, i]], "utf-8")
         except UnicodeDecodeError:
             ok[i] = False
-            continue
-        # as in parse_binary: NUL bytes count the names of a valid table
-        if rec_at > tab_at and payload.count(b"\0", tab_at, rec_at) + 1 != n_rec:
-            ok[i] = False
-            continue
-        exe[i], machine[i], partition[i] = exe_i, machine_i, partition_i
-        tables[i] = table_i
-        sections.append(view[rec_at:])
+    # as in parse_binary: NUL bytes count the names of a valid table
+    named = rows[n_table[rows] > 0]
+    nuls = np.fromiter(
+        map(data.count, repeat(0), bounds[4, named].tolist(), bounds[5, named].tolist()),
+        dtype=np.int64,
+        count=len(named),
+    )
+    ok[named[nuls + 1 != n_records[named]]] = False
+
+    every = bool(ok.all())
 
     def column(values: np.ndarray) -> np.ndarray:
-        return np.where(ok, values, 0)
+        return values if every else np.where(ok, values, 0)
 
+    rows = np.flatnonzero(ok)
+    at = column(bounds)
+    # every accepted row's exe, decoded in one pass over its slices
+    names = map(view.__getitem__, map(slice, at[0, rows].tolist(), at[1, rows].tolist()))
+    exe = list(map(str, names, repeat("utf-8")))
+    if not every:
+        decoded, exe = exe, [""] * n
+        for i, name in zip(rows.tolist(), decoded):
+            exe[i] = name
     return MosdColumns(
         ok=ok,
         job_id=column(head["job_id"]),
@@ -425,16 +517,26 @@ def parse_payloads(
         start=column(head["start"]),
         end=column(head["end"]),
         exe=exe,
-        machine=machine,
-        partition=partition,
-        tables=tables,
+        machine=Utf8Slices(data, at[1], at[2]),
+        partition=Utf8Slices(data, at[2], at[3]),
+        tables=Utf8Slices(data, at[4], at[5]),
         counts=column(n_records),
-        # one accepted row is viewed in place, several are copied once
-        records=np.frombuffer(
-            sections[0] if len(sections) == 1 else b"".join(sections),
-            dtype=RECORD_DTYPE,
-        ),
+        records=_record_rows(data, u8, at[5, rows], n_records[rows]),
+        data=data,
+        offsets=starts,
+        sizes=sizes,
     )
+
+
+def parse_payloads(
+    payloads: Sequence[bytes], limits: DecodeLimits = DEFAULT_LIMITS
+) -> MosdColumns:
+    """:func:`parse_buffer` over separate payloads, joined into one
+    buffer.  A single payload is parsed in place: neither its bytes nor
+    its records are copied."""
+    sizes = np.fromiter(map(len, payloads), dtype=np.int64, count=len(payloads))
+    data = payloads[0] if len(payloads) == 1 else b"".join(payloads)
+    return parse_buffer(data, np.cumsum(sizes) - sizes, sizes, limits)
 
 
 def loads_binary(payload: bytes, limits: DecodeLimits = DEFAULT_LIMITS) -> Trace:
@@ -465,14 +567,12 @@ def _oversized(path: str | os.PathLike[str], size: int, cap: int) -> TraceFormat
 
 def read_payload(
     path: str | os.PathLike[str], limits: DecodeLimits = DEFAULT_LIMITS
-) -> bytes:
+) -> bytearray:
     """Read a MOSD file's bytes, refusing an oversized file unread.
 
-    Open, ``os.fstat``, read, close: the file that is measured is the
-    file that is read.  The first read asks for the measured size and
-    one byte more; when it returns anything else the file is read on
-    (:func:`_read_on`), and it is refused as soon as it has yielded
-    more than ``limits.max_payload_bytes``.
+    Open, ``os.fstat``, read (:func:`read_into`), close: the file that
+    is measured is the file that is read.  It is refused as soon as it
+    has yielded more than ``limits.max_payload_bytes``.
     """
     cap = limits.max_payload_bytes
     try:
@@ -481,35 +581,49 @@ def read_payload(
             size = os.fstat(fd).st_size
             if size > cap:
                 raise _oversized(path, size, cap)
-            payload = os.read(fd, min(size, cap) + 1)
-            if len(payload) != size:
-                payload = _read_on(fd, payload, size, cap)
+            view, n = read_into(fd, memoryview(bytearray(size + 1)), 0, size, cap)
         finally:
             os.close(fd)
     except OSError as exc:
         raise TraceFormatError(f"cannot read trace file {path!r}: {exc}") from exc
-    if len(payload) > cap:
-        raise _oversized(path, len(payload), cap)
-    return payload
+    if n > cap:
+        raise _oversized(path, n, cap)
+    buf = cast(bytearray, view.obj)
+    view.release()
+    del buf[n:]
+    return buf
 
 
-def _read_on(fd: int, head: bytes, size: int, cap: int) -> bytes:
-    """Continue a read whose first ``os.read`` returned ``head``.
+def read_into(
+    fd: int, view: memoryview, at: int, size: int, cap: int, total: int = 0
+) -> tuple[memoryview, int]:
+    """Read the open file ``fd`` into the ``bytearray`` that ``view``
+    shows, from offset ``at``, after the ``total`` bytes already read
+    there; return the view and the number of bytes read in all.  When
+    the buffer is full, the bytes land in a larger copy of it, and the
+    view returned shows that copy.
 
-    After a short read (network and parallel filesystems return them)
-    this reads until ``size`` bytes are in; when the file holds more
-    than ``fstat`` reported (a pipe, a procfs-style file reports 0) it
-    reads to end of file.  Either way it stops one byte past ``cap``.
+    ``size`` is the file's ``fstat`` size, or -1 when it was not
+    measured.  A measured file is read until ``size`` bytes are in,
+    asking for one byte more the first time: when that read returns
+    anything else the file is read on, after a short read (network and
+    parallel filesystems return them) until ``size`` bytes are in, when
+    the file holds more than ``fstat`` reported (a pipe, a procfs-style
+    file reports 0) to end of file.  A file not measured is read to end
+    of file.  Either way the read stops one byte past ``cap``.
     """
-    chunks = [head]
-    total = len(head)
-    while total != size and total <= cap:
-        chunk = os.read(fd, min(max(size - total, _READ_CHUNK), cap + 1 - total))
-        if not chunk:
-            break
-        chunks.append(chunk)
-        total += len(chunk)
-    return b"".join(chunks)
+    want = min(size, cap) + 1 - total if size >= 0 else _READ_CHUNK
+    while True:
+        start = at + total
+        if len(view) <= start:
+            grown = bytearray(max(start + want, 2 * len(view)))
+            grown[:start] = view[:start]
+            view = memoryview(grown)
+        got = os.readv(fd, [view[start : start + want]])
+        total += got
+        if not got or total == size or total > cap:
+            return view, total
+        want = min(max(size - total, _READ_CHUNK), cap + 1 - total)
 
 
 def load_binary(

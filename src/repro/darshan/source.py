@@ -14,9 +14,9 @@ job-header columns, file names and records, the records concatenated
 into one :data:`~repro.darshan.io_binary.RECORD_DTYPE` array, bounded
 in bytes, so that validation, dedup and compilation run over whole
 arrays.  The default fills batches through :meth:`~TraceSource.load`;
-:class:`DirectorySource` reads a batch's MOSD files back to back and
-parses them as one column set
-(:func:`~repro.darshan.io_binary.parse_payloads`).
+:class:`DirectorySource` reads a batch's MOSD files into one buffer and
+parses them there as one column set
+(:func:`~repro.darshan.io_binary.parse_buffer`).
 
 Three implementations cover the repo's workloads:
 
@@ -38,6 +38,7 @@ import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from itertools import groupby
+from operator import attrgetter
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -47,6 +48,7 @@ from typing import (
     NamedTuple,
     Sequence,
     TypeVar,
+    cast,
 )
 
 import numpy as np
@@ -58,13 +60,16 @@ from .io_binary import (
     _pack_record,
     load_binary,
     loads_binary,
+    parse_buffer,
     parse_payloads,
-    read_payload,
+    read_into,
 )
 from .io_json import load_json
 from .io_text import load_text
+from .limits import DEFAULT_LIMITS
 from .records import JobMeta
 from .trace import Trace
+from .validate import record_columns
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..synth.fleet import FleetConfig, FleetResult
@@ -176,13 +181,16 @@ def _trace_entry(ref: TraceRef, trace: Trace, retain: bool) -> _Entry:
 class RecordBatch:
     """Consecutive refs of a source, their headers and records as columns.
 
-    Per-ref columns are aligned with :attr:`refs`; ref ``i`` owns the
+    Per-ref columns are aligned with :attr:`keys`; ref ``i`` owns the
     next ``counts[i]`` rows of :attr:`records`, named by
     :meth:`file_names`.  An unreadable ref has ``unreadable[i]`` set, no
     records, job id and uid 0, start and end time 0 and empty strings.
     """
 
-    refs: list[TraceRef]
+    #: Each ref's :attr:`TraceRef.key` and :attr:`TraceRef.size_bytes`;
+    #: :meth:`ref` builds the ref itself.
+    keys: list[Any]
+    sizes: list[int]
     unreadable: np.ndarray
     job_id: list[int]
     uid: list[int]
@@ -191,8 +199,8 @@ class RecordBatch:
     run_time: np.ndarray
     start_time: np.ndarray
     end_time: np.ndarray
-    machine: list[str]
-    partition: list[str]
+    machine: Sequence[str]
+    partition: Sequence[str]
     counts: np.ndarray
     #: Every readable ref's records, back to back (``RECORD_DTYPE``).
     records: np.ndarray
@@ -200,7 +208,7 @@ class RecordBatch:
     #: header columns: they carry no records and no header columns
     #: beyond job id, uid and exe here, and must be handled as traces.
     scalar: frozenset[int] = frozenset()
-    _held: list[Trace | bytes | None] = field(default_factory=list)
+    _held: list[Trace | None] = field(default_factory=list)
     #: Job headers, or the parsed MOSD columns to build them from.
     _headers: list[JobMeta | None] | MosdColumns = field(default_factory=list)
     #: Each ref's file names, or its MOSD string table to split.
@@ -230,7 +238,8 @@ class RecordBatch:
                 start_time[i], end_time[i] = meta.start_time, meta.end_time
                 machine[i], partition[i] = meta.machine, meta.partition
         return cls(
-            refs=list(refs),
+            keys=[ref.key for ref in refs],
+            sizes=[ref.size_bytes for ref in refs],
             unreadable=np.array([m is None for m in metas], dtype=bool),
             job_id=job_id,
             uid=uid,
@@ -254,15 +263,15 @@ class RecordBatch:
         )
 
     @classmethod
-    def of_payloads(
-        cls, refs: list[TraceRef], payloads: Sequence[bytes], retain: bool
+    def of_columns(
+        cls, keys: list[Any], sizes: list[int], cols: MosdColumns
     ) -> "RecordBatch":
-        """One MOSD payload per ref, parsed as one column set
-        (:func:`~repro.darshan.io_binary.parse_payloads`).  ``retain``
-        keeps the payloads for :meth:`trace`."""
-        cols = parse_payloads(payloads)
+        """One ref per row of parsed MOSD columns.  The batch keeps the
+        buffer they were parsed from, so :meth:`trace` can rebuild any
+        readable ref without reading it again."""
         return cls(
-            refs=refs,
+            keys=keys,
+            sizes=sizes,
             unreadable=~cols.ok,
             job_id=cols.job_id.tolist(),
             uid=cols.uid.tolist(),
@@ -275,13 +284,21 @@ class RecordBatch:
             partition=cols.partition,
             counts=cols.counts,
             records=cols.records,
-            _held=list(payloads) if retain else [None] * len(refs),
             _headers=cols,
             _names=cols.tables,
         )
 
+    @property
+    def refs(self) -> list[TraceRef]:
+        """Every ref of the batch, in order."""
+        return [TraceRef(key, size) for key, size in zip(self.keys, self.sizes)]
+
+    def ref(self, i: int) -> TraceRef:
+        """Ref ``i`` of the batch."""
+        return TraceRef(self.keys[i], self.sizes[i])
+
     def __len__(self) -> int:
-        return len(self.refs)
+        return len(self.keys)
 
     @property
     def metas(self) -> list[JobMeta | None]:
@@ -317,42 +334,45 @@ class RecordBatch:
 
     def trace(self, i: int) -> Trace:
         """Rebuild ref ``i`` as a ``Trace`` from what the batch kept."""
+        cols = self._headers
+        if isinstance(cols, MosdColumns):
+            return loads_binary(cols.payload(i))
         held = self._held[i]
-        if isinstance(held, Trace):
-            return held
-        if isinstance(held, bytes):
-            return loads_binary(held)
-        raise ValueError(f"batch kept no payload for ref {i}")
+        if held is None:
+            raise ValueError(f"batch kept no trace for ref {i}")
+        return held
 
 
 def segment_sums(
     records: np.ndarray, counts: np.ndarray, fields: Sequence[str]
-) -> list[int]:
+) -> np.ndarray:
     """Each trace's exact sum of ``fields`` over its records.
 
     Trace ``t`` owns the next ``counts[t]`` of ``records``.  The sums
-    run in int64 when no trace's sum can reach 2**63 in magnitude (the
-    running sum may wrap; each trace's difference is still exact), in
-    Python ints otherwise.
+    run in int64, and come back as an int64 array, when no trace's sum
+    can reach 2**63 in magnitude (the running sum may wrap; each trace's
+    difference is still exact); otherwise they run in Python ints and
+    come back as an object array of them.
     """
     ends = np.cumsum(counts)
     starts = ends - counts
+    block = record_columns(records, fields)
     largest = sum(
-        max(int(records[f].max(initial=0)), -int(records[f].min(initial=0)))
-        for f in fields
+        max(hi, -lo)
+        for hi, lo in zip(
+            block.max(axis=1, initial=0).tolist(), block.min(axis=1, initial=0).tolist()
+        )
     )
     if largest * int(counts.max(initial=0)) < 2**63:
-        per_record = np.zeros(len(records), dtype=np.int64)
-        for f in fields:
-            per_record += records[f]
         cum = np.zeros(len(records) + 1, dtype=np.int64)
-        np.cumsum(per_record, out=cum[1:])
-        return (cum[ends] - cum[starts]).tolist()
-    columns = [records[f].tolist() for f in fields]
-    return [
+        np.cumsum(block.sum(axis=0), out=cum[1:])
+        return cum[ends] - cum[starts]
+    columns = block.tolist()
+    sums = [
         sum(sum(column[s:e]) for column in columns)
         for s, e in zip(starts.tolist(), ends.tolist())
     ]
+    return np.array(sums, dtype=object)
 
 
 def batch_payloads(payloads: Sequence[bytes]) -> RecordBatch:
@@ -361,8 +381,8 @@ def batch_payloads(payloads: Sequence[bytes]) -> RecordBatch:
     The same columnar parse :class:`DirectorySource` runs over the files
     of a batch; refs are the payloads' positions.
     """
-    refs = [TraceRef(key=i) for i in range(len(payloads))]
-    return RecordBatch.of_payloads(refs, payloads, True)
+    cols = parse_payloads(payloads)
+    return RecordBatch.of_columns(list(range(len(payloads))), cols.sizes.tolist(), cols)
 
 
 class TraceSource(ABC):
@@ -422,6 +442,38 @@ class TraceSource(ABC):
         return 0
 
 
+class _MosdBatch:
+    """One batch of MOSD files as :meth:`DirectorySource.record_batches`
+    reads them: their bytes back to back in one buffer."""
+
+    __slots__ = ("view", "used", "charged", "rows")
+
+    def __init__(self, capacity: int):
+        # the one byte more a read asks for sees whether a file goes on
+        self.view = memoryview(bytearray(capacity + 1))
+        self.used = 0
+        self.charged = 0
+        #: Each file's path, ref size and length read, in buffer order.
+        self.rows: list[tuple[str, int, int]] = []
+
+    def split(self, at: int, n: int, size: int) -> "_MosdBatch":
+        """A new batch holding the ``n`` bytes read at ``at`` of a file
+        of ``size`` bytes, which is not added here."""
+        batch = _MosdBatch(max(BATCH_BYTES, size))
+        batch.view[:n] = self.view[at : at + n]
+        return batch
+
+    def parse(self) -> tuple[list[str], list[int], MosdColumns]:
+        """The batch's paths, ref sizes and parsed columns."""
+        buf = cast(bytearray, self.view.obj)
+        self.view.release()
+        del buf[self.used :]
+        keys, sizes, lengths = zip(*self.rows)
+        counts = np.array(lengths)
+        offsets = np.cumsum(counts) - counts
+        return list(keys), list(sizes), parse_buffer(buf, offsets, counts)
+
+
 class DirectorySource(TraceSource):
     """All trace files under one directory, decoded lazily per ref.
 
@@ -439,24 +491,22 @@ class DirectorySource(TraceSource):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DirectorySource({self.path!r})"
 
-    @staticmethod
-    def _is_trace_name(name: str) -> bool:
-        if name in _NON_TRACE_NAMES:
-            return False
-        return name.endswith(TRACE_SUFFIXES)
-
     def _listing(self) -> list[os.DirEntry[str]]:
         """The directory's trace files, in name order."""
         try:
             with os.scandir(self.path) as it:
                 entries = [
-                    e for e in it if e.is_file() and self._is_trace_name(e.name)
+                    e
+                    for e in it
+                    if e.name.endswith(TRACE_SUFFIXES)
+                    and e.name not in _NON_TRACE_NAMES
+                    and e.is_file()
                 ]
         except OSError as exc:
             raise TraceFormatError(
                 f"cannot list trace directory {self.path!r}: {exc}"
             ) from exc
-        entries.sort(key=lambda e: e.name)
+        entries.sort(key=attrgetter("name"))
         return entries
 
     @staticmethod
@@ -484,45 +534,95 @@ class DirectorySource(TraceSource):
         self._bytes_read += ref.size_bytes
         return trace
 
+    def count(self) -> int:
+        """Number of trace files, from the listing alone (no stat)."""
+        return len(self._listing())
+
     def record_batches(self, *, retain_traces: bool = False) -> Iterator[RecordBatch]:
         """The default batching, but each batch's MOSD files are read
-        back to back and parsed as one column set
-        (:func:`~repro.darshan.io_binary.parse_payloads`).
+        into one buffer and parsed there as one column set
+        (:func:`~repro.darshan.io_binary.parse_buffer`).
 
         A batch holds MOSD files only or other formats only, which go
-        through :meth:`load`.  A MOSD ref's ``size_bytes`` is the length
-        of the file it read, so the scan stats no readable entry
-        separately; the file is charged its payload bytes, and at least
-        the per-ref charge, against the batch budget.
+        through :meth:`load`.  A MOSD batch can always rebuild its
+        traces, whatever ``retain_traces`` says: it keeps its buffer.
         """
         runs = groupby(self._listing(), key=lambda e: e.name.endswith(".mosd"))
         for is_mosd, dir_entries in runs:
-            if not is_mosd:
-                entries = (
-                    self._batch_entry(self._ref(e), retain_traces) for e in dir_entries
-                )
-                for group in _budgeted(entries, lambda e: e.cost):
-                    yield RecordBatch.of(group)
+            if is_mosd:
+                yield from self._mosd_batches(dir_entries)
                 continue
-            files = map(self._read, dir_entries)
-            for group in _budgeted(files, lambda f: max(len(f[1]), _REF_BYTES)):
-                refs, payloads = zip(*group)
-                batch = RecordBatch.of_payloads(list(refs), payloads, retain_traces)
-                self._bytes_read += sum(
-                    len(payload)
-                    for payload, bad in zip(payloads, batch.unreadable.tolist())
-                    if not bad
-                )
-                yield batch
+            entries = (
+                self._batch_entry(self._ref(e), retain_traces) for e in dir_entries
+            )
+            for group in _budgeted(entries, lambda e: e.cost):
+                yield RecordBatch.of(group)
 
-    def _read(self, entry: os.DirEntry[str]) -> tuple[TraceRef, bytes]:
-        """A MOSD file's ref and bytes; an unreadable file reads as no
-        bytes, which the parser refuses."""
-        try:
-            payload = read_payload(entry.path)
-        except TraceFormatError:
-            return self._ref(entry), b""
-        return TraceRef(key=entry.path, size_bytes=len(payload)), payload
+    def _mosd_batches(self, entries: Iterable[os.DirEntry[str]]) -> Iterator[RecordBatch]:
+        """MOSD files in batches, each batch read into one buffer.
+
+        Per file: open, read at the buffer's next offset as many bytes
+        as the batch budget has left and one more, read on to end of
+        file (:func:`~repro.darshan.io_binary.read_into`), close.  Only
+        a file longer than the budget left is measured (``fstat``): one
+        over the decode limit is refused without reading on, any other
+        starts a new batch, in a buffer the size of the budget or of the
+        file, whichever is larger.  A file that ends within the budget
+        left joins the batch if its charge, at least the per-ref charge,
+        fits.  A file that cannot be opened or read, or is over the
+        decode limit, holds no bytes, which the parser refuses.  A ref's
+        ``size_bytes`` is the number of bytes read, or else the file's
+        measured size (its ``stat`` size when it could not be opened or
+        read).
+        """
+        cap = DEFAULT_LIMITS.max_payload_bytes
+        readv = os.readv
+        batch = _MosdBatch(BATCH_BYTES)
+        for entry in entries:
+            at, size, n = batch.used, 0, 0
+            full: _MosdBatch | None = None
+            try:
+                fd = os.open(entry.path, os.O_RDONLY)
+            except OSError:  # gone since the listing, or not ours to read
+                fd, size = -1, self._ref(entry).size_bytes
+            if fd >= 0:
+                try:
+                    view = batch.view
+                    end = at + max(BATCH_BYTES - batch.charged, 0) + 1
+                    n = readv(fd, [view[at:end]])
+                    if at + n < end:  # within the budget left: read on to end of file
+                        more = readv(fd, [view[at + n : end]])
+                        if more:
+                            batch.view, n = read_into(fd, view, at, -1, cap, n + more)
+                    else:  # longer than the budget left: measured before reading on
+                        size = os.fstat(fd).st_size
+                        if size > cap:
+                            n = 0
+                        else:
+                            full = batch if batch.rows else None
+                            batch, at = batch.split(at, n, size), 0
+                            batch.view, n = read_into(fd, batch.view, at, size, cap, n)
+                except OSError:
+                    n, size = 0, self._ref(entry).size_bytes
+                finally:
+                    os.close(fd)
+                if n > cap:
+                    n, size = 0, n
+            charge = n if n > _REF_BYTES else _REF_BYTES
+            if full is None and batch.rows and batch.charged + charge > BATCH_BYTES:
+                full, batch = batch, batch.split(at, n, n)
+            batch.rows.append((entry.path, n or size, n))
+            batch.used += n
+            batch.charged += charge
+            if full is not None:
+                yield self._parsed(full)
+        if batch.rows:
+            yield self._parsed(batch)
+
+    def _parsed(self, batch: _MosdBatch) -> RecordBatch:
+        keys, sizes, cols = batch.parse()
+        self._bytes_read += int(cols.sizes[cols.ok].sum())
+        return RecordBatch.of_columns(keys, sizes, cols)
 
     @property
     def bytes_read(self) -> int:

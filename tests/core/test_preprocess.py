@@ -132,3 +132,77 @@ class TestScanOutsideTheRecordLayout:
         assert [t.meta.job_id for t in pre.selected] == [1]
         plan = scan_corpus(InMemorySource([narrow, wide]))
         assert plan.refs[0].io_weight == wide.io_weight()
+
+
+def _sequential_plan(traces):
+    """Pass ① as one loop over traces: the rule ``scan_corpus`` folds
+    per batch, applied run by run."""
+    from collections import Counter
+
+    from repro.darshan.validate import validate_trace
+
+    best, runs, corruption = {}, {}, Counter()
+    for position, trace in enumerate(traces):
+        report = validate_trace(trace)
+        if not report.valid:
+            corruption.update(report.categories())
+            continue
+        key, job_id, weight = trace.meta.app_key, trace.meta.job_id, trace.io_weight()
+        runs[key] = runs.get(key, 0) + 1
+        current = best.get(key)
+        if (
+            current is None
+            or weight > current[2]
+            or (weight == current[2] and job_id < current[1])
+        ):
+            best[key] = (position, job_id, weight)
+    refs = sorted(best.items(), key=lambda item: item[1][1])
+    return [(key, *entry) for key, entry in refs], list(runs.items()), corruption
+
+
+def _nan_seeks(job_id, uid, exe):
+    trace = run(job_id, uid, exe, 100)
+    trace.records[0].seeks = float("nan")  # weighs NaN, still valid
+    return trace
+
+
+class TestBatchFold:
+    """``scan_corpus`` ranks each batch's runs with one sort; the plan
+    must be the one a run-by-run loop gives, across batch boundaries."""
+
+    @pytest.mark.parametrize("budget", [300, 1500, 1 << 20])
+    def test_matches_a_run_by_run_loop(self, budget, monkeypatch):
+        import random
+
+        import repro.darshan.source as source_module
+
+        rng = random.Random(budget)
+        traces = []
+        for job_id in range(1, 400):
+            uid = rng.randrange(3)
+            exe = rng.choice(["a", "b", "c", "é"])
+            kind = rng.random()
+            if kind < 0.1:
+                traces.append(corrupted(job_id))
+            elif kind < 0.15:
+                traces.append(_nan_seeks(job_id, uid, exe))
+            elif kind < 0.2:  # beyond int64: handled as a trace
+                traces.append(run(2**70 + job_id, uid, exe, rng.choice([100, 200])))
+            else:  # few distinct weights and repeated job ids: ties
+                traces.append(run(job_id % 50, uid, exe, rng.choice([100, 200, 300])))
+        monkeypatch.setattr(source_module, "BATCH_BYTES", budget)
+        plan = scan_corpus(InMemorySource(traces))
+        refs, runs, corruption = _sequential_plan(traces)
+        got = [(e.app_key, e.ref.key, e.job_id, e.io_weight) for e in plan.refs]
+        assert [(k, p, j) for k, p, j, _ in got] == [(k, p, j) for k, p, j, _ in refs]
+        assert [w for *_, w in got] == pytest.approx([w for *_, w in refs], nan_ok=True)
+        assert list(plan.runs_per_app.items()) == runs
+        assert plan.corruption_histogram == corruption
+
+    @pytest.mark.parametrize("first_nan", [False, True])
+    def test_nan_weight_holds_only_as_an_application_first_run(self, first_nan):
+        heavy = run(5, 1, "a", 10_000)
+        nan = _nan_seeks(3, 1, "a")
+        traces = [nan, heavy] if first_nan else [heavy, nan]
+        (entry,) = scan_corpus(InMemorySource(traces)).refs
+        assert entry.job_id == (3 if first_nan else 5)

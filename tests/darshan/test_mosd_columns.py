@@ -14,7 +14,8 @@ import tracemalloc
 
 import pytest
 
-from repro.darshan import DirectorySource, TraceFormatError, dumps_binary
+import repro.darshan.source as source_module
+from repro.darshan import DirectorySource, TraceFormatError, dumps_binary, load_binary
 from repro.darshan.io_binary import (
     _COUNTS,
     _HEAD,
@@ -164,10 +165,12 @@ def test_oversized_file_is_refused_unread(fleet_payloads, tmp_path):
 
 
 def _short_reads(monkeypatch, most: int = 5) -> None:
-    """Make every ``os.read`` return at most ``most`` bytes, as a network
-    or parallel filesystem may."""
-    real = os.read
-    monkeypatch.setattr(os, "read", lambda fd, n: real(fd, min(n, most)))
+    """Make every ``os.readv`` (what the readers read through) return at
+    most ``most`` bytes, as a network or parallel filesystem may."""
+    real = os.readv
+    monkeypatch.setattr(
+        os, "readv", lambda fd, buffers: real(fd, [memoryview(buffers[0])[:most]])
+    )
 
 
 def test_short_reads_are_continued(fleet_payloads, tmp_path, monkeypatch):
@@ -196,6 +199,9 @@ def test_scan_batches_are_unchanged_by_short_reads(fleet_payloads, tmp_path, mon
     _short_reads(monkeypatch, most=97)
     assert scanned() == whole
     assert not any(whole[1])
+    # across batch boundaries too, where a file is read on in a new buffer
+    monkeypatch.setattr(source_module, "BATCH_BYTES", 4_000)
+    assert scanned() == whole
 
 
 def _feed(path, data: bytes) -> None:
@@ -262,3 +268,142 @@ def test_scan_of_one_large_trace_holds_it_once(fleet_payloads, large_payload, tm
 
     # the bytes read, plus the string table decoded once for its UTF-8 check
     assert _peak_bytes(scan) < 1.5 * len(large_payload)
+
+
+def _utf8_payloads() -> list[bytes]:
+    """Valid multi-byte strings in every string field, and each field
+    broken in turn, among ASCII neighbours."""
+    records = [make_record(1, 0, read=(1.0, 2.0, 10)), make_record(2, 0)]
+    records[0].file_name, records[1].file_name = "données.h5", "日誌.log"
+    trace = make_trace(records, exe="café.exe")
+    trace.meta.machine, trace.meta.partition = "bluewaters-é", "normal-ü"
+    payload = dumps_binary(trace)
+    fields = [b"caf\xc3\xa9", b"bluewaters-\xc3\xa9", b"normal-\xc3\xbc", b"donn\xc3\xa9"]
+    broken = []
+    for field in fields:  # a lone continuation byte, then a cut sequence
+        at = payload.index(field) + len(field) - 2
+        broken.append(payload[:at] + b"\x80" + payload[at + 1 :])
+        broken.append(payload[: at + 1] + b"A" + payload[at + 2 :])
+    ascii_ = dumps_binary(make_trace([make_record(1, 0)]))
+    out = []
+    for variant in [payload, *broken]:
+        out += [ascii_, variant]
+    return out + [ascii_]
+
+
+def test_multibyte_and_broken_strings_match_parse_binary():
+    payloads = _utf8_payloads()
+    n_ok = _assert_rows_match(payloads, DecodeLimits())
+    assert n_ok == len(payloads) - 8  # only the broken variants refused
+    cols = parse_payloads(payloads)
+    assert (cols.exe[1], cols.machine[1], cols.partition[1]) == (
+        "café.exe", "bluewaters-é", "normal-ü"
+    )
+    assert cols.tables[1].split("\x00") == ["données.h5", "日誌.log"]
+
+
+def _write(tmp_path, payloads) -> list:
+    paths = []
+    for i, payload in enumerate(payloads):
+        path = tmp_path / f"t{i:03d}.mosd"
+        path.write_bytes(payload)
+        paths.append(path)
+    return paths
+
+
+def _rows(batches) -> list[tuple]:
+    """Every ref of some batches, with everything the batch says of it."""
+    rows = []
+    for batch in batches:
+        ends = batch.counts.cumsum()
+        for i, ref in enumerate(batch.refs):
+            records = batch.records[ends[i] - batch.counts[i] : ends[i]]
+            rows.append(
+                (ref, bool(batch.unreadable[i]), repr(batch.metas[i]),
+                 batch.file_names(i), records.tobytes())
+            )
+    return rows
+
+
+def test_batches_held_at_once_keep_their_own_bytes(fleet_traces, fleet_payloads, tmp_path, monkeypatch):
+    paths = _write(tmp_path, fleet_payloads)
+    monkeypatch.setattr(source_module, "BATCH_BYTES", 20_000)
+    batches = list(DirectorySource(tmp_path).record_batches(retain_traces=True))
+    assert len(batches) > 3
+    # every batch read after the first still reads as its files do
+    rows = _rows(batches)
+    assert [row[0].key for row in rows] == [str(p) for p in paths]
+    for (ref, bad, meta, names, records), trace in zip(rows, fleet_traces):
+        assert not bad and meta == repr(trace.meta)
+        assert names == [r.file_name for r in trace.records]
+        assert records == parse_binary(dumps_binary(trace)).records.tobytes()
+    traces = [b.trace(i) for b in batches for i in range(len(b))]
+    assert traces == [load_binary(p) for p in paths]
+
+
+def _edit_after(monkeypatch, call: str, target, edit) -> None:
+    """Apply ``edit`` to ``target`` right after ``os.<call>`` has run on
+    it (``os.open``) or on its descriptor (``os.fstat``)."""
+    real = getattr(os, call)
+    opened = {}
+
+    def patched(arg, *args, **kwargs):
+        result = real(arg, *args, **kwargs)
+        if call == "open" and str(arg) == str(target):
+            edit(target)
+        if call == "fstat" and opened.get(arg) == str(target):
+            edit(target)
+        return result
+
+    if call == "fstat":
+        real_open = os.open
+
+        def open_(path, *args, **kwargs):
+            fd = real_open(path, *args, **kwargs)
+            opened[fd] = str(path)
+            return fd
+
+        monkeypatch.setattr(os, "open", open_)
+    monkeypatch.setattr(os, call, patched)
+
+
+@pytest.mark.parametrize("change", ["truncated", "grown"])
+@pytest.mark.parametrize("when", ["open", "fstat"])
+def test_a_file_changed_before_its_read_is_read_as_it_is_then(
+    fleet_payloads, tmp_path, monkeypatch, change, when
+):
+    """``open``: a file within the budget left, read without an fstat;
+    ``fstat``: one past it, measured before it is read on."""
+    payloads = fleet_payloads[:5]
+    paths = _write(tmp_path, payloads)
+    if when == "fstat":
+        monkeypatch.setattr(source_module, "BATCH_BYTES", len(payloads[0]) + 10)
+    before = _rows(DirectorySource(tmp_path).record_batches())
+    target = paths[2]
+    now = payloads[2][: len(payloads[2]) // 2] if change == "truncated" else payloads[2] + payloads[3]
+
+    def edit(path):
+        with open(path, "r+b") as fh:
+            fh.write(now)
+            fh.truncate(len(now))
+
+    _edit_after(monkeypatch, when, target, edit)
+    after = _rows(DirectorySource(tmp_path).record_batches())
+    assert after[:2] + after[3:] == before[:2] + before[3:]
+    ref, bad, *_ = after[2]
+    assert bad and ref.size_bytes == len(now)
+
+
+def test_a_file_deleted_mid_batch_is_an_unreadable_row(fleet_payloads, tmp_path, monkeypatch):
+    paths = _write(tmp_path, fleet_payloads[:6])
+    source = DirectorySource(tmp_path)
+    before = _rows(source.record_batches())
+    _edit_after(monkeypatch, "open", paths[1], lambda _: paths[3].unlink())
+    batches = list(source.record_batches())
+    assert len(batches) == 1
+    after = _rows(batches)
+    ref, bad, meta, names, records = after[3]
+    assert (ref.key, ref.size_bytes, bad, meta, names, records) == (
+        str(paths[3]), 0, True, "None", [], b""
+    )
+    assert after[:3] + after[4:] == before[:3] + before[4:]

@@ -71,6 +71,23 @@ class TestDirectorySource:
         (tmp_path / "manifest.json").write_text("{}")
         assert DirectorySource(tmp_path).count() == 1
 
+    def test_count_is_the_listing_without_a_stat(self, tmp_path, monkeypatch):
+        save_binary(_trace(1), tmp_path / "a.mosd")
+        save_json(_trace(2), tmp_path / "b.json")
+        save_text(_trace(3), tmp_path / "c.darshan.txt")
+        (tmp_path / "d.mosd").write_bytes(b"MOSD")
+        (tmp_path / "manifest.json").write_text("{}")
+        (tmp_path / "notes.txt").write_text("not a trace")
+        (tmp_path / "sub.mosd").mkdir()
+        source = DirectorySource(tmp_path)
+        n_refs = len(list(source.refs()))
+
+        def no_stat(entry):
+            raise AssertionError(f"count() stat {entry.path}")
+
+        monkeypatch.setattr(DirectorySource, "_ref", staticmethod(no_stat))
+        assert source.count() == n_refs == 4
+
     def test_refs_are_reiterable_and_deterministic(self, tmp_path):
         for i in range(5):
             save_binary(_trace(i + 1), tmp_path / f"j{i}.mosd")
