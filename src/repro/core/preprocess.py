@@ -312,7 +312,7 @@ def _io_weights(batch: RecordBatch) -> np.ndarray:
     total an exact integer (:func:`~repro.darshan.source.segment_sums`).
     """
     totals = [segment_sums(batch.records, batch.counts, f) for f in _WEIGHT_TERMS]
-    return totals[0].astype(np.float64) + totals[1].astype(np.float64)
+    return np.array(totals[0], dtype=np.float64) + np.array(totals[1], dtype=np.float64)
 
 
 def load_selected(source: TraceSource, entry: SelectedRef) -> Trace:

@@ -41,7 +41,8 @@ strings are decoded when read.  :func:`parse_payloads` joins separate
 payloads into one buffer for it.  Files are read through
 :func:`read_into`, one loop for a single file (:func:`read_payload`,
 which refuses an oversized file before reading it) and for a scan
-batch.
+batch (whose reader makes each file's first read and end-of-file probe
+itself, and calls it to read on).
 """
 
 from __future__ import annotations
@@ -595,35 +596,39 @@ def read_payload(
 
 
 def read_into(
-    fd: int, view: memoryview, at: int, size: int, cap: int, total: int = 0
+    fd: int, view: memoryview, at: int, size: int, stop: int, total: int = 0
 ) -> tuple[memoryview, int]:
     """Read the open file ``fd`` into the ``bytearray`` that ``view``
     shows, from offset ``at``, after the ``total`` bytes already read
     there; return the view and the number of bytes read in all.  When
-    the buffer is full, the bytes land in a larger copy of it, and the
-    view returned shows that copy.
+    the buffer is full, the bytes land in a larger copy of it, never
+    longer than one byte past ``stop`` bytes from ``at``, and the view
+    returned shows that copy.
 
-    ``size`` is the file's ``fstat`` size, or -1 when it was not
-    measured.  A measured file is read until ``size`` bytes are in,
-    asking for one byte more the first time: when that read returns
-    anything else the file is read on, after a short read (network and
-    parallel filesystems return them) until ``size`` bytes are in, when
-    the file holds more than ``fstat`` reported (a pipe, a procfs-style
-    file reports 0) to end of file.  A file not measured is read to end
-    of file.  Either way the read stops one byte past ``cap``.
+    The read stops at end of file, or as soon as more than ``stop``
+    bytes are in; each read asks for what the buffer has room for, up
+    to one byte past ``stop``.  ``size`` is the file's ``fstat`` size,
+    or -1 when it was not measured.  A measured file also stops once
+    ``size`` bytes are in: the read that brings them in asked for more,
+    so the file ended there.  After a short read (network and parallel
+    filesystems return them) the file is read on; a file that holds
+    more than ``fstat`` reported, or that reports less than was already
+    read (a pipe or a procfs-style file reports 0), is read to end of
+    file.
     """
-    want = min(size, cap) + 1 - total if size >= 0 else _READ_CHUNK
     while True:
         start = at + total
-        if len(view) <= start:
-            grown = bytearray(max(start + want, 2 * len(view)))
+        if len(view) <= start:  # room for the measured file, or twice as much
+            grown = bytearray(
+                min(max(at + size + 1, start + _READ_CHUNK, 2 * len(view)), at + stop + 1)
+            )
             grown[:start] = view[:start]
             view = memoryview(grown)
+        want = min(len(view) - start, stop + 1 - total)
         got = os.readv(fd, [view[start : start + want]])
         total += got
-        if not got or total == size or total > cap:
+        if not got or total == size or total > stop:
             return view, total
-        want = min(max(size - total, _READ_CHUNK), cap + 1 - total)
 
 
 def load_binary(

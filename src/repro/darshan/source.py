@@ -69,7 +69,6 @@ from .io_text import load_text
 from .limits import DEFAULT_LIMITS
 from .records import JobMeta
 from .trace import Trace
-from .validate import record_columns
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..synth.fleet import FleetConfig, FleetResult
@@ -93,6 +92,13 @@ _NON_TRACE_NAMES = frozenset({"manifest.json"})
 
 #: Default byte budget of one :meth:`TraceSource.record_batches` batch.
 BATCH_BYTES = 1024 * 1024
+
+#: Bytes the buffer of the first batch of a run of MOSD files starts
+#: with; it grows as files are read into it, up to the batch budget.
+#: Later batches start at the budget.  A corpus smaller than the budget
+#: is then not read into a buffer of the whole budget, which costs more
+#: to zero and page in than its files cost to read.
+_FIRST_BUFFER = 64 * 1024
 
 #: Bytes charged per ref on top of its records, so that batches of
 #: record-less or unreadable traces stay bounded too.
@@ -140,7 +146,7 @@ class _Entry(NamedTuple):
     #: The ref's records (empty when unreadable or ``scalar``).
     records: np.ndarray
     #: What :meth:`RecordBatch.trace` rebuilds the trace from, if kept.
-    held: Trace | bytes | None
+    held: Trace | None
     #: Bytes charged against the batch budget.
     cost: int
     #: True when the trace's values do not fit ``RECORD_DTYPE`` or the
@@ -345,34 +351,32 @@ class RecordBatch:
 
 def segment_sums(
     records: np.ndarray, counts: np.ndarray, fields: Sequence[str]
-) -> np.ndarray:
+) -> list[int]:
     """Each trace's exact sum of ``fields`` over its records.
 
     Trace ``t`` owns the next ``counts[t]`` of ``records``.  The sums
-    run in int64, and come back as an int64 array, when no trace's sum
-    can reach 2**63 in magnitude (the running sum may wrap; each trace's
-    difference is still exact); otherwise they run in Python ints and
-    come back as an object array of them.
+    run in int64 when no trace's sum can reach 2**63 in magnitude (the
+    running sum may wrap; each trace's difference is still exact), in
+    Python ints otherwise.
     """
     ends = np.cumsum(counts)
     starts = ends - counts
-    block = record_columns(records, fields)
     largest = sum(
-        max(hi, -lo)
-        for hi, lo in zip(
-            block.max(axis=1, initial=0).tolist(), block.min(axis=1, initial=0).tolist()
-        )
+        max(int(records[f].max(initial=0)), -int(records[f].min(initial=0)))
+        for f in fields
     )
     if largest * int(counts.max(initial=0)) < 2**63:
+        per_record = np.zeros(len(records), dtype=np.int64)
+        for f in fields:
+            per_record += records[f]
         cum = np.zeros(len(records) + 1, dtype=np.int64)
-        np.cumsum(block.sum(axis=0), out=cum[1:])
-        return cum[ends] - cum[starts]
-    columns = block.tolist()
-    sums = [
+        np.cumsum(per_record, out=cum[1:])
+        return (cum[ends] - cum[starts]).tolist()
+    columns = [records[f].tolist() for f in fields]
+    return [
         sum(sum(column[s:e]) for column in columns)
         for s, e in zip(starts.tolist(), ends.tolist())
     ]
-    return np.array(sums, dtype=object)
 
 
 def batch_payloads(payloads: Sequence[bytes]) -> RecordBatch:
@@ -458,7 +462,8 @@ class _MosdBatch:
 
     def split(self, at: int, n: int, size: int) -> "_MosdBatch":
         """A new batch holding the ``n`` bytes read at ``at`` of a file
-        of ``size`` bytes, which is not added here."""
+        of ``size`` bytes, which is not added here, in a buffer the size
+        of the budget or of the file, whichever is larger."""
         batch = _MosdBatch(max(BATCH_BYTES, size))
         batch.view[:n] = self.view[at : at + n]
         return batch
@@ -561,10 +566,10 @@ class DirectorySource(TraceSource):
     def _mosd_batches(self, entries: Iterable[os.DirEntry[str]]) -> Iterator[RecordBatch]:
         """MOSD files in batches, each batch read into one buffer.
 
-        Per file: open, read at the buffer's next offset as many bytes
-        as the batch budget has left and one more, read on to end of
-        file (:func:`~repro.darshan.io_binary.read_into`), close.  Only
-        a file longer than the budget left is measured (``fstat``): one
+        Per file: open, read at the buffer's next offset to end of file
+        or to one byte past the batch budget left
+        (:func:`~repro.darshan.io_binary.read_into`), close.  Only a
+        file longer than the budget left is measured (``fstat``): one
         over the decode limit is refused without reading on, any other
         starts a new batch, in a buffer the size of the budget or of the
         file, whichever is larger.  A file that ends within the budget
@@ -577,7 +582,7 @@ class DirectorySource(TraceSource):
         """
         cap = DEFAULT_LIMITS.max_payload_bytes
         readv = os.readv
-        batch = _MosdBatch(BATCH_BYTES)
+        batch = _MosdBatch(_FIRST_BUFFER)
         for entry in entries:
             at, size, n = batch.used, 0, 0
             full: _MosdBatch | None = None
@@ -587,14 +592,20 @@ class DirectorySource(TraceSource):
                 fd, size = -1, self._ref(entry).size_bytes
             if fd >= 0:
                 try:
+                    left = max(BATCH_BYTES - batch.charged, 0)
                     view = batch.view
-                    end = at + max(BATCH_BYTES - batch.charged, 0) + 1
-                    n = readv(fd, [view[at:end]])
-                    if at + n < end:  # within the budget left: read on to end of file
-                        more = readv(fd, [view[at + n : end]])
-                        if more:
-                            batch.view, n = read_into(fd, view, at, -1, cap, n + more)
-                    else:  # longer than the budget left: measured before reading on
+                    end = at + left + 1
+                    if end > len(view):  # the batch's first buffer, still growing
+                        batch.view, n = read_into(fd, view, at, -1, left)
+                    else:
+                        # read_into's first read and end-of-file probe,
+                        # inline: a call per file costs ~5% of a scan pass
+                        n = readv(fd, [view[at:end]])
+                        if at + n < end:
+                            more = readv(fd, [view[at + n : end]])
+                            if more:
+                                batch.view, n = read_into(fd, view, at, -1, left, n + more)
+                    if n > left:  # longer than the budget left: measured before reading on
                         size = os.fstat(fd).st_size
                         if size > cap:
                             n = 0

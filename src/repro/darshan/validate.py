@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +30,6 @@ __all__ = [
     "validate_trace",
     "is_valid",
     "violation_matrix",
-    "record_columns",
 ]
 
 #: Slack (seconds) allowed past the nominal job end: Darshan flushes its
@@ -196,75 +194,51 @@ def _py_max(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(b > a, b, a)
 
 
-def record_columns(records: np.ndarray, names: Sequence[str]) -> np.ndarray:
-    """Fields ``names`` of ``records`` copied out as the rows of one
-    C-contiguous ``(len(names), len(records))`` array.
-
-    When the fields share a type and lie evenly spaced (as runs of
-    ``RECORD_DTYPE`` do) the copy is one transposing pass over the
-    records; operations on the rows then run over contiguous memory.
-    """
-    layout = records.dtype.fields
-    if layout is None:
-        raise TypeError(f"records of dtype {records.dtype} have no fields")
-    fields = [layout[name] for name in names]
-    kind, first = fields[0][:2]
-    step = kind.itemsize
-    if all(f[0] == kind and f[1] == first + k * step for k, f in enumerate(fields)):
-        return np.ascontiguousarray(
-            np.lib.stride_tricks.as_strided(
-                records[names[0]],
-                shape=(len(names), len(records)),
-                strides=(step, records.strides[0]),
-                writeable=False,
-            )
-        )
-    return np.stack([records[name] for name in names])
-
-
-#: The metadata window, then the read and write windows, each as its
-#: (start, end) fields.
-_WINDOWS = (
-    "open_start", "close_end", "read_start", "read_end", "write_start", "write_end",
-)
-
-
 def _record_flags(records: np.ndarray, hi: np.ndarray) -> dict[Violation, np.ndarray]:
     """Per-record flags of :func:`_check_record`, one array per category.
 
-    ``hi`` is each record's ``run_time + END_SLACK``.  The read and
-    write windows are checked side by side, as the two rows of one
-    array.  The ``continue`` branches of the window checks become
-    masks: a window that raises ``BYTES_WITHOUT_WINDOW`` or a half-open
-    ``TIMESTAMP_BEFORE_START`` is not checked further.
+    ``hi`` is each record's ``run_time + END_SLACK``.  The ``continue``
+    branches of the window checks become masks: a window that raises
+    ``BYTES_WITHOUT_WINDOW`` or a half-open ``TIMESTAMP_BEFORE_START``
+    is not checked further.
     """
-    counters = record_columns(records, _COUNTERS)
-    windows = record_columns(records, _WINDOWS)
-    open_start, close_end = windows[0], windows[1]
-    lo_ts, hi_ts = windows[2::2], windows[3::2]
-    present = (lo_ts >= 0.0) | (hi_ts >= 0.0)
-    bytes_without = (counters[-2:] > 0) & ~present
-    negative_ts = present & ((lo_ts < 0.0) | (hi_ts < 0.0))
-    whole = present & ~negative_ts
-    inverted = (whole & (hi_ts < lo_ts)).any(axis=0)
-    after_end = (whole & ((lo_ts > hi) | (hi_ts > hi))).any(axis=0)
+    negative = np.zeros(len(records), dtype=bool)
+    for label in _COUNTERS:
+        negative |= records[label] < 0
+    bytes_without = np.zeros(len(records), dtype=bool)
+    half_open = np.zeros(len(records), dtype=bool)
+    inverted = np.zeros(len(records), dtype=bool)
+    after_end = np.zeros(len(records), dtype=bool)
+    for lo_f, hi_f, n_f in (
+        ("read_start", "read_end", "bytes_read"),
+        ("write_start", "write_end", "bytes_written"),
+    ):
+        lo_ts, hi_ts = records[lo_f], records[hi_f]
+        present = (lo_ts >= 0.0) | (hi_ts >= 0.0)
+        bytes_without |= (records[n_f] > 0) & ~present
+        negative_ts = present & ((lo_ts < 0.0) | (hi_ts < 0.0))
+        half_open |= negative_ts
+        whole = present & ~negative_ts
+        inverted |= whole & (hi_ts < lo_ts)
+        after_end |= whole & ((lo_ts > hi) | (hi_ts > hi))
 
+    open_start, close_end = records["open_start"], records["close_end"]
     has_open = open_start >= 0.0
     has_close = close_end >= 0.0
     meta_window = has_open | has_close
     both = has_open & has_close
     inverted |= both & (close_end < open_start)
-    last_activity = _py_max(hi_ts[0], hi_ts[1])
+    last_activity = _py_max(records["read_end"], records["write_end"])
     dealloc = both & (last_activity >= 0.0) & (close_end + 1e-9 < last_activity)
     after_end |= meta_window & (_py_max(open_start, close_end) > hi)
     return {
-        Violation.NEGATIVE_COUNTER: (counters < 0).any(axis=0),
-        Violation.BYTES_WITHOUT_WINDOW: bytes_without.any(axis=0),
-        Violation.TIMESTAMP_BEFORE_START: negative_ts.any(axis=0),
+        Violation.NEGATIVE_COUNTER: negative,
+        Violation.BYTES_WITHOUT_WINDOW: bytes_without,
+        Violation.TIMESTAMP_BEFORE_START: half_open,
         Violation.INVERTED_WINDOW: inverted,
         Violation.TIMESTAMP_AFTER_END: after_end,
         Violation.DEALLOC_BEFORE_END: dealloc,
-        Violation.OPENS_WITHOUT_CLOSE_WINDOW: ~meta_window & (counters[0] > 0),
+        Violation.OPENS_WITHOUT_CLOSE_WINDOW: ~meta_window & (records["opens"] > 0),
     }
 
 
@@ -294,13 +268,12 @@ def violation_matrix(
     flags = _record_flags(records, (run_time + END_SLACK)[owner])
     # record checks run only under `if run_time > 0.0` (False for NaN)
     checked = (run_time > 0.0)[owner]
-    # each record's flags as one bit per column, OR-ed over each trace
-    bits = np.zeros(len(records), dtype=np.uint8)
-    for k, flag in enumerate(flags.values()):
-        bits |= (flag & checked).view(np.uint8) << k
-    nonempty = counts > 0
-    per_trace = np.zeros(len(counts), dtype=np.uint8)
-    per_trace[nonempty] = np.bitwise_or.reduceat(bits, (np.cumsum(counts) - counts)[nonempty])
-    for k, violation in enumerate(flags):
-        out[:, _COL[violation]] = (per_trace >> k) & 1
+    columns = [_COL[v] for v in flags]
+    hits = np.stack(list(flags.values()), axis=1) & checked[:, None]
+    # per-trace "any" through a cumulative count, so that traces with
+    # no records get an empty (all False) window
+    cum = np.zeros((len(hits) + 1, len(columns)), dtype=np.int64)
+    np.cumsum(hits, axis=0, out=cum[1:])
+    ends = np.cumsum(counts)
+    out[:, columns] = (cum[ends] - cum[ends - counts]) > 0
     return out

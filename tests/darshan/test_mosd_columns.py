@@ -394,6 +394,30 @@ def test_a_file_changed_before_its_read_is_read_as_it_is_then(
     assert bad and ref.size_bytes == len(now)
 
 
+@pytest.mark.parametrize("room", [0, 10])
+def test_a_file_reporting_size_0_is_read_to_its_end(fleet_payloads, tmp_path, monkeypatch, room):
+    """A regular file whose ``fstat`` reports 0 bytes (a stale size, a
+    procfs-style file) past the budget left, with ``room`` bytes of the
+    budget left, is still read whole."""
+    payloads = fleet_payloads[:5]
+    paths = _write(tmp_path, payloads)
+    monkeypatch.setattr(source_module, "BATCH_BYTES", len(payloads[0]) + room)
+    before = _rows(DirectorySource(tmp_path).record_batches())
+    real = os.fstat
+
+    def fstat(fd):
+        st = real(fd)
+        return os.stat_result((*st[:6], 0, *st[7:10]))
+
+    monkeypatch.setattr(os, "fstat", fstat)
+    assert read_payload(paths[1]) == payloads[1]
+    after = _rows(DirectorySource(tmp_path).record_batches())
+    assert after == before
+    for (ref, bad, _, _, records), payload in zip(after, payloads):
+        assert not bad and ref.size_bytes == len(payload)
+        assert records == parse_binary(payload).records.tobytes()
+
+
 def test_a_file_deleted_mid_batch_is_an_unreadable_row(fleet_payloads, tmp_path, monkeypatch):
     paths = _write(tmp_path, fleet_payloads[:6])
     source = DirectorySource(tmp_path)
