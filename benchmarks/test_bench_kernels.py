@@ -103,7 +103,9 @@ def _ops_arrays(rng: np.random.Generator, n: int):
 
 def _bench_neighbor(backend, rng, n):
     starts, ends, volumes = _ops_arrays(rng, n)
-    return lambda: backend.neighbor_pass(starts, ends, volumes, 0.5, 0.01)
+    offsets = np.array([0, n])
+    abs_gaps = np.array([0.5])
+    return lambda: backend.neighbor_pass(starts, ends, volumes, offsets, abs_gaps, 0.01)
 
 
 def _bench_concurrent(backend, rng, n):
@@ -112,7 +114,7 @@ def _bench_concurrent(backend, rng, n):
     volumes = rng.lognormal(10.0, 2.0, n)
 
     def run():
-        groups = backend.overlap_groups(starts, ends)
+        groups = backend.overlap_groups(starts, ends, np.array([0, n]))
         return backend.coalesce_groups(starts, ends, volumes, groups)
 
     return run

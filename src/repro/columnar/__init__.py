@@ -14,8 +14,8 @@ hot path with a compiled artifact (``.mosc``):
 * :func:`scan_store` — pass ① replayed from the index alone, funnel-
   identical to the streaming scan (:mod:`repro.columnar.scan`).
 * :func:`categorize_slice` — workers receive ``(store_path, rows)``
-  descriptors, reattach via :func:`attach`, and categorize whole slices
-  through the segmented kernels of :mod:`repro.kernels.batched`
+  descriptors, reattach via :func:`attach`, and hand whole slices to
+  the one categorizer, :func:`repro.core.categorizer.categorize_batch`
   (:mod:`repro.columnar.batch`).
 * :func:`verify_store` / :func:`salvage_store` — ``mosaic verify
   [--repair]``: per-section and per-trace CRC audit with row-level

@@ -89,13 +89,14 @@ _RECORD_INTS = (
 
 
 class StoreOverflowError(OverflowError):
-    """A trace holds a value outside the store's int64 columns.
+    """A trace holds a value the store's int64 columns cannot hold
+    exactly: one outside int64, or a fractional counter.
 
     ``key`` is the trace's ref key (the file path of a directory
     source), ``field`` the column that cannot hold ``value``.
     """
 
-    def __init__(self, key: Any, field: str, value: int) -> None:
+    def __init__(self, key: Any, field: str, value: float) -> None:
         super().__init__(
             f"trace {key!r}: {field}={value} does not fit the store's "
             f"int64 {field} column"
@@ -181,7 +182,8 @@ def compile_corpus(
     so the store-backed funnel's input accounting stays honest.
 
     Raises :class:`StoreOverflowError` when a trace's total bytes or
-    metadata operations (or any integer it stores) exceed int64.
+    metadata operations (or any integer it stores) exceed int64, or a
+    counter it stores is fractional.
     """
     from ..darshan.repair import repair_trace
 
@@ -245,9 +247,9 @@ def _int64_totals(
 
 
 def _misfit(key: Any, trace: Trace) -> StoreOverflowError | None:
-    """The first integer of ``trace``, in the order the store is built,
-    that its int64 columns cannot hold, as an error; ``None`` when every
-    one fits."""
+    """The first value of ``trace``'s int64 columns, in the order the
+    store is built, that they cannot hold exactly (outside int64, or not
+    integral), as an error; ``None`` when every one fits."""
     meta = trace.meta
     values = [(name, getattr(rec, name)) for rec in trace.records for name in _RECORD_INTS]
     values += [
@@ -258,7 +260,8 @@ def _misfit(key: Any, trace: Trace) -> StoreOverflowError | None:
         ("total_bytes", trace.total_bytes),
     ]
     for name, value in values:
-        if isinstance(value, int) and not _INT64_MIN <= value <= _INT64_MAX:
+        # NaN fails the range test, so int() never sees it
+        if not (_INT64_MIN <= value <= _INT64_MAX and value == int(value)):
             return StoreOverflowError(key, name, value)
     return None
 
@@ -365,30 +368,31 @@ class _Slabs:
     def add_trace(
         self, key: Any, trace: Trace, report: ValidationReport, repaired: bool
     ) -> None:
-        """One trace, compiled from its records one at a time."""
+        """One trace, compiled from its records one at a time.
+
+        Refuses a trace with a value its int64 columns would not hold
+        exactly, which NumPy would wrap or truncate silently.
+        """
+        error = _misfit(key, trace)
+        if error is not None:
+            raise error
         records: list[np.ndarray] = []
         starts: list[np.ndarray] = []
         ends: list[np.ndarray] = []
         volumes: list[np.ndarray] = []
-        try:
-            row = _compile_trace(
-                trace,
-                report,
-                repaired,
-                self.heap,
-                records,
-                starts,
-                ends,
-                volumes,
-                rec_off=self.n_records,
-                ops_off=self.n_ops,
-            )
-            index = np.array([row], dtype=TRACE_DTYPE)
-        except OverflowError as exc:
-            error = _misfit(key, trace)
-            if error is None:
-                raise
-            raise error from exc
+        row = _compile_trace(
+            trace,
+            report,
+            repaired,
+            self.heap,
+            records,
+            starts,
+            ends,
+            volumes,
+            rec_off=self.n_records,
+            ops_off=self.n_ops,
+        )
+        index = np.array([row], dtype=TRACE_DTYPE)
         meta = trace.meta
         names = "".join([r.file_name for r in trace.records])
         self._append(

@@ -16,7 +16,6 @@ from .governor import (
     DegradationLevel,
     Governor,
     ResourceBudget,
-    estimate_trace_cost,
     subsample_ops,
 )
 from .thresholds import DEFAULT_CONFIG, MosaicConfig
@@ -60,7 +59,6 @@ __all__ = [
     "DegradationLevel",
     "Governor",
     "ResourceBudget",
-    "estimate_trace_cost",
     "subsample_ops",
     "TemporalityDetection",
     "classify_temporality",

@@ -41,14 +41,13 @@ from enum import Enum
 
 import numpy as np
 
-from ..darshan.trace import OperationArray, Trace
+from ..darshan.trace import OperationArray
 
 __all__ = [
     "DegradationLevel",
     "ResourceBudget",
     "Governor",
     "subsample_ops",
-    "estimate_trace_cost",
 ]
 
 #: Estimated per-operation working set across the kernel pipeline
@@ -162,22 +161,6 @@ class ResourceBudget:
         return DegradationLevel.FLAGGED
 
 
-def estimate_trace_cost(trace: Trace) -> tuple[int, int]:
-    """Cheap pre-flight cost estimate: (operation count, working-set bytes).
-
-    One pass over the record list, no array materialization — this is
-    what the governor charges against the budget *before* the kernels
-    allocate anything.
-    """
-    n_ops = 0
-    for rec in trace.records:
-        if rec.has_read:
-            n_ops += 1
-        if rec.has_write:
-            n_ops += 1
-    return n_ops, n_ops * OP_WORKING_SET_BYTES
-
-
 def subsample_ops(ops: OperationArray, target: int) -> OperationArray:
     """Deterministic stride subsample of an operation array.
 
@@ -204,7 +187,7 @@ def subsample_ops(ops: OperationArray, target: int) -> OperationArray:
 class Governor:
     """Walks one trace down the degradation ladder.
 
-    Created per ``categorize_trace`` call; tracks the current level, the
+    Created per trace by the categorizer; tracks the current level, the
     reasons for every escalation (surfaced as ``budget_violations`` on
     the result), and a monotonic-clock stage deadline.
     """
@@ -218,24 +201,16 @@ class Governor:
         self._stage_started = time.monotonic()
 
     # -- admission ------------------------------------------------------
-    def admit(self, trace: Trace) -> DegradationLevel:
-        """Assess the trace's estimated cost and set the starting level."""
-        if self.budget.unlimited:
-            return self.level
-        n_ops, est_bytes = estimate_trace_cost(trace)
-        return self.admit_cost(n_ops, est_bytes)
+    def admit_cost(self, n_ops: int) -> DegradationLevel:
+        """Set the starting level from the trace's raw operation count.
 
-    def admit_cost(self, n_ops: int, est_bytes: int) -> DegradationLevel:
-        """Admit from a precomputed cost estimate.
-
-        The store-backed batch path (:mod:`repro.columnar.batch`) reads
-        the estimate from the trace index without materializing a
-        ``Trace``; sharing this method keeps its escalation messages —
-        and therefore journaled results — byte-identical to
-        :meth:`admit`.
+        ``n_ops`` sums both directions; the working set is estimated at
+        :data:`OP_WORKING_SET_BYTES` per operation.  Both come from
+        counts alone, charged before the kernels allocate anything.
         """
         if self.budget.unlimited:
             return self.level
+        est_bytes = n_ops * OP_WORKING_SET_BYTES
         level = self.budget.assess(n_ops, est_bytes)
         if level is not DegradationLevel.FULL:
             ratio = self.budget.overrun_ratio(n_ops, est_bytes)

@@ -20,6 +20,7 @@ high-density).
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +33,17 @@ from .thresholds import MosaicConfig
 __all__ = [
     "MetadataDetection",
     "classify_metadata",
+    "classify_metadata_batch",
     "detect_from_rate",
     "insignificant_metadata",
     "metadata_rate",
+    "trace_metadata_events",
 ]
+
+#: ``gather(rows)``: the record columns ``(t0, t1, opens, n_open,
+#: n_close, offsets)`` of batch rows ``rows``, ``rows[j]``'s records
+#: being ``offsets[j]:offsets[j+1]``.
+MetadataGather = Callable[[list[int]], tuple[np.ndarray, ...]]
 
 
 @dataclass(slots=True, frozen=True)
@@ -67,12 +75,7 @@ def insignificant_metadata(total: int) -> MetadataDetection:
 def detect_from_rate(
     total: int, rate: np.ndarray, config: MosaicConfig
 ) -> MetadataDetection:
-    """Apply the spike/density rules to a per-second request rate.
-
-    Shared by the per-trace path and the store-backed batch path (which
-    bins many traces in one segmented dispatch and hands each trace's
-    rate slice here), so the two stay byte-identical.
-    """
+    """Apply the spike/density rules to one trace's per-second request rate."""
     peak = float(rate.max()) if len(rate) else 0.0
     mean = float(rate.mean()) if len(rate) else 0.0
     n_spikes = int(np.count_nonzero(rate >= config.spike_rate))
@@ -94,28 +97,66 @@ def detect_from_rate(
     )
 
 
-def metadata_rate(trace: Trace, bin_width: float) -> np.ndarray:
-    """Metadata requests per second of ``trace``, per ``bin_width`` bin.
+def trace_metadata_events(trace: Trace) -> tuple[np.ndarray, ...]:
+    """``trace``'s record columns as a one-row :data:`MetadataGather` result."""
+    return (*trace.metadata_columns(), np.array([0, len(trace.records)]))
 
-    The trace's records are one segment of the closed-form binning
-    kernel; the bins cover ``max(run_time, bin_width)``.
-    """
-    values, _ = batched.bin_events_segmented(
-        *trace.metadata_columns(),
-        np.array([0, len(trace.records)]),
-        np.array([max(trace.meta.run_time, bin_width)]),
-        bin_width,
+
+def _rates(
+    events: tuple[np.ndarray, ...], run_times: Sequence[float], bin_width: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Requests per second in each row's ``bin_width`` bins, which cover
+    ``max(run_time, bin_width)``: ``(values, bin_offsets)``."""
+    *columns, offsets = events
+    values, bin_offsets = batched.bin_events_segmented(
+        *columns, offsets, np.maximum(run_times, bin_width), bin_width
     )
-    # Normalize to requests per second regardless of bin width.
     values /= bin_width
-    return values
+    return values, bin_offsets
+
+
+def metadata_rate(trace: Trace, bin_width: float) -> np.ndarray:
+    """Metadata requests per second of ``trace``, per ``bin_width`` bin."""
+    return _rates(trace_metadata_events(trace), [trace.meta.run_time], bin_width)[0]
+
+
+def classify_metadata_batch(
+    totals: list[int],
+    nprocs: list[int],
+    run_times: list[float],
+    gather: MetadataGather,
+    config: MosaicConfig,
+) -> list[MetadataDetection]:
+    """Classify the metadata-server impact of a batch of traces.
+
+    A trace with fewer metadata requests than ranks is insignificant
+    unbinned.  The others' records are gathered once, if any, and binned
+    in one closed-form dispatch.
+    """
+    binned = [
+        i
+        for i, total in enumerate(totals)
+        if total >= config.metadata_min_ops_per_rank * max(nprocs[i], 1)
+    ]
+    rates: dict[int, np.ndarray] = {}
+    if binned:
+        values, edges = _rates(
+            gather(binned), [run_times[i] for i in binned], config.metadata_bin_seconds
+        )
+        rates = {i: values[edges[j] : edges[j + 1]] for j, i in enumerate(binned)}
+    return [
+        detect_from_rate(total, rates[i], config) if i in rates
+        else insignificant_metadata(total)
+        for i, total in enumerate(totals)
+    ]
 
 
 def classify_metadata(trace: Trace, config: MosaicConfig) -> MetadataDetection:
     """Classify the metadata-server impact of ``trace``."""
-    total = trace.total_metadata_ops
-    threshold = config.metadata_min_ops_per_rank * max(trace.meta.nprocs, 1)
-    if total < threshold:
-        return insignificant_metadata(total)
-    rate = metadata_rate(trace, config.metadata_bin_seconds)
-    return detect_from_rate(total, rate, config)
+    return classify_metadata_batch(
+        [trace.total_metadata_ops],
+        [trace.meta.nprocs],
+        [trace.meta.run_time],
+        lambda _rows: trace_metadata_events(trace),
+        config,
+    )[0]

@@ -21,20 +21,25 @@ from . import batched, vectorized
 
 __all__ = ["KernelBackend", "RUNTIME", "get_backend"]
 
-#: ``(starts, ends, volumes, abs_gap, op_fraction) -> (s, e, v, changed)``
+#: ``(starts, ends, volumes, offsets, abs_gaps, op_fraction)
+#: -> (s, e, v, offsets, changed)``
 NeighborPass = Callable[
-    [np.ndarray, np.ndarray, np.ndarray, float, float],
-    tuple[np.ndarray, np.ndarray, np.ndarray, bool],
+    [np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, float],
+    tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool],
 ]
 
 
 @dataclass(slots=True, frozen=True)
 class KernelBackend:
-    """One implementation of every hot per-trace kernel."""
+    """One implementation of every hot per-trace kernel.
+
+    The merge kernels take segment ``offsets`` (``offsets[k]:offsets[k+1]``
+    is one trace), so one call merges a whole batch of traces.
+    """
 
     name: str
     neighbor_pass: NeighborPass
-    overlap_groups: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    overlap_groups: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     coalesce_groups: Callable[
         [np.ndarray, np.ndarray, np.ndarray, np.ndarray],
         tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -53,13 +58,13 @@ class KernelBackend:
     ]
 
 
-#: The runtime kernels: merge and segmentation are single-segment calls
-#: of the segmented kernels the store route batches across traces, so
-#: both routes run the same code.
+#: The runtime kernels: the merge kernels are the segmented kernels the
+#: categorizer batches across traces, and segmentation is a
+#: single-segment call of its segmented kernel.
 RUNTIME = KernelBackend(
     name="runtime",
-    neighbor_pass=batched.neighbor_pass,
-    overlap_groups=batched.overlap_groups,
+    neighbor_pass=batched.neighbor_pass_segmented,
+    overlap_groups=batched.overlap_groups_segmented,
     coalesce_groups=vectorized.coalesce_groups,
     segment=batched.segment,
     shift_step=vectorized.shift_step,

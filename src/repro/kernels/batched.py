@@ -3,11 +3,11 @@
 Every kernel here processes the flat operation table of many traces in
 one NumPy dispatch, with an ``offsets`` array marking trace boundaries
 (``offsets[k]:offsets[k+1]`` is trace ``k``'s slab — the zero-copy
-layout of :mod:`repro.columnar`).  The store route batches a whole slice
-per call; the per-trace route calls the same kernels with one segment
-through the wrappers at the bottom of this module, which the runtime
-:class:`~repro.kernels.backend.KernelBackend` binds.  Both routes
-therefore merge and segment through the same code.
+layout of :mod:`repro.columnar`).  The runtime
+:class:`~repro.kernels.backend.KernelBackend` binds the merge kernels
+as they are, so the categorizer merges a whole batch (a store slice, or
+the one trace of ``categorize_trace``) per call; segmentation runs per
+trace through the single-segment wrapper at the bottom of this module.
 
 Segment boundaries are hard walls: no merge, overlap group, or running
 maximum ever crosses one.  The differential oracle
@@ -41,8 +41,6 @@ from ..darshan.tolerance import TIME_TOLERANCE_S
 from . import vectorized
 
 __all__ = [
-    "neighbor_pass",
-    "overlap_groups",
     "segment",
     "neighbor_pass_segmented",
     "overlap_groups_segmented",
@@ -93,6 +91,8 @@ def group_offsets(groups: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     Group ids are contiguous and every segment starts a new group, so a
     segment's output count is ``last_group - first_group + 1``.
     """
+    if len(offsets) == 2 and len(groups):  # one segment, the per-trace call
+        return np.array([0, groups[-1] - groups[0] + 1], dtype=np.int64)
     o0 = offsets[:-1]
     o1 = offsets[1:]
     nonempty = o1 > o0
@@ -485,37 +485,8 @@ def bin_events_segmented(
 
 
 # ----------------------------------------------------------------------
-# single-segment calls: the per-trace kernels of the runtime bundle
-
-def _single_offsets(n: int) -> np.ndarray:
-    return np.array([0, n], dtype=np.int64)
-
-
-def neighbor_pass(
-    starts: np.ndarray,
-    ends: np.ndarray,
-    volumes: np.ndarray,
-    abs_gap: float,
-    op_fraction: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """Single-segment wrapper of :func:`neighbor_pass_segmented`."""
-    out_s, out_e, out_v, _, changed = neighbor_pass_segmented(
-        starts,
-        ends,
-        volumes,
-        _single_offsets(len(starts)),
-        np.array([abs_gap], dtype=np.float64),
-        op_fraction,
-    )
-    return out_s, out_e, out_v, changed
-
-
-def overlap_groups(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Single-segment wrapper of :func:`overlap_groups_segmented`."""
-    return overlap_groups_segmented(
-        starts, ends, _single_offsets(len(starts))
-    )
-
+# single-segment call: the per-trace segmentation kernel of the runtime
+# bundle
 
 def segment(
     starts: np.ndarray,
@@ -528,6 +499,6 @@ def segment(
         starts,
         ends,
         volumes,
-        _single_offsets(len(starts)),
+        np.array([0, len(starts)], dtype=np.int64),
         np.array([run_time], dtype=np.float64),
     )

@@ -18,10 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..darshan.trace import OperationArray
 from ..kernels import get_backend
+from ..kernels.batched import group_offsets
 
-__all__ = ["ConcurrentMergeResult", "merge_concurrent"]
+__all__ = ["ConcurrentMergeResult", "fuse_segments", "merge_concurrent"]
 
 
 @dataclass(slots=True, frozen=True)
@@ -40,6 +43,21 @@ class ConcurrentMergeResult:
         return self.n_input / self.n_output if self.n_output else 1.0
 
 
+def fuse_segments(
+    starts: np.ndarray,
+    ends: np.ndarray,
+    volumes: np.ndarray,
+    offsets: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Fuse the overlapping operations of every segment
+    ``offsets[k]:offsets[k+1]`` in one dispatch: the fused columns and
+    their offsets."""
+    kernels = get_backend()
+    groups = kernels.overlap_groups(starts, ends, offsets)
+    fused = kernels.coalesce_groups(starts, ends, volumes, groups)
+    return (*fused, group_offsets(groups, offsets))
+
+
 def merge_concurrent(ops: OperationArray) -> ConcurrentMergeResult:
     """Fuse transitively-overlapping operations.
 
@@ -50,10 +68,8 @@ def merge_concurrent(ops: OperationArray) -> ConcurrentMergeResult:
     n = len(ops)
     if n <= 1:
         return ConcurrentMergeResult(ops=ops, n_input=n, n_output=n, n_fused=0)
-    kernels = get_backend()
-    groups = kernels.overlap_groups(ops.starts, ops.ends)
-    starts, ends, volumes = kernels.coalesce_groups(
-        ops.starts, ops.ends, ops.volumes, groups
+    starts, ends, volumes, _ = fuse_segments(
+        ops.starts, ops.ends, ops.volumes, np.array([0, n])
     )
     merged = OperationArray(starts, ends, volumes)
     return ConcurrentMergeResult(

@@ -24,6 +24,7 @@ shrinks gaps and grows the durations the rule tests against.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,12 @@ import numpy as np
 from ..darshan.trace import OperationArray
 from ..kernels import get_backend
 
-__all__ = ["NeighborMergeConfig", "NeighborMergeResult", "merge_neighbors"]
+__all__ = [
+    "NeighborMergeConfig",
+    "NeighborMergeResult",
+    "merge_neighbor_segments",
+    "merge_neighbors",
+]
 
 
 @dataclass(slots=True, frozen=True)
@@ -66,6 +72,32 @@ class NeighborMergeResult:
         return self.n_input - self.n_output
 
 
+def merge_neighbor_segments(
+    starts: np.ndarray,
+    ends: np.ndarray,
+    volumes: np.ndarray,
+    offsets: np.ndarray,
+    run_times: Sequence[float],
+    config: NeighborMergeConfig | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """Neighbor-merge every segment ``offsets[k]:offsets[k+1]`` to its
+    fixpoint, one dispatch per pass; ``run_times[k]`` anchors segment
+    ``k``'s absolute gap threshold.  Returns the merged columns, their
+    offsets and the number of passes."""
+    cfg = config or NeighborMergeConfig()
+    kernel = get_backend().neighbor_pass
+    abs_gaps = cfg.runtime_fraction * np.maximum(run_times, 0.0)
+    passes = 0
+    for _ in range(cfg.max_passes):
+        starts, ends, volumes, offsets, changed = kernel(
+            starts, ends, volumes, offsets, abs_gaps, cfg.op_fraction
+        )
+        passes += 1
+        if not changed or len(starts) == 1:
+            break
+    return starts, ends, volumes, offsets, passes
+
+
 def merge_neighbors(
     ops: OperationArray,
     run_time: float,
@@ -77,25 +109,13 @@ def merge_neighbors(
     input is tolerated and simply fuses.  ``run_time`` anchors the
     absolute gap threshold.
     """
-    cfg = config or NeighborMergeConfig()
-    kernel = get_backend().neighbor_pass
     n_input = len(ops)
     if n_input <= 1:
         return NeighborMergeResult(ops=ops, n_input=n_input, n_output=n_input, n_passes=0)
-
-    abs_gap = cfg.runtime_fraction * max(run_time, 0.0)
-    starts, ends, volumes = ops.starts, ops.ends, ops.volumes
-    passes = 0
-    for _ in range(cfg.max_passes):
-        starts, ends, volumes, changed = kernel(
-            starts, ends, volumes, abs_gap, cfg.op_fraction
-        )
-        passes += 1
-        if not changed or len(starts) == 1:
-            break
-    merged = OperationArray(
-        np.asarray(starts), np.asarray(ends), np.asarray(volumes)
+    starts, ends, volumes, _, passes = merge_neighbor_segments(
+        ops.starts, ops.ends, ops.volumes, np.array([0, n_input]), [run_time], config
     )
+    merged = OperationArray(starts, ends, volumes)
     return NeighborMergeResult(
         ops=merged, n_input=n_input, n_output=len(merged), n_passes=passes
     )

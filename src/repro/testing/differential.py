@@ -281,8 +281,9 @@ def _check_concurrent(
 ) -> str | None:
     arr = adversarial_ops(rng, profile)
     runtime = get_backend()
-    g_ref = REFERENCE.overlap_groups(arr.starts, arr.ends)
-    g_got = runtime.overlap_groups(arr.starts, arr.ends)
+    one = np.array([0, len(arr)])
+    g_ref = REFERENCE.overlap_groups(arr.starts, arr.ends, one)
+    g_got = runtime.overlap_groups(arr.starts, arr.ends, one)
     if not np.array_equal(g_ref, g_got):
         return "group labels differ"
     if len(arr) == 0:
@@ -493,7 +494,9 @@ def _check_concurrent_segmented(
     groups = overlap_groups_segmented(s, e, offsets)
     for k, arr in enumerate(arrays):
         lo, hi = int(offsets[k]), int(offsets[k + 1])
-        g_ref = REFERENCE.overlap_groups(arr.starts, arr.ends)
+        g_ref = REFERENCE.overlap_groups(
+            arr.starts, arr.ends, np.array([0, len(arr)])
+        )
         g_seg = groups[lo:hi]
         if len(g_seg) and not np.array_equal(g_seg - g_seg[0], g_ref):
             return f"trace {k}/{len(arrays)}: group labels differ"
@@ -506,7 +509,9 @@ def _check_concurrent_segmented(
             if goff[k + 1] != goff[k]:
                 return f"trace {k}: empty trace produced groups"
             continue
-        g_ref = REFERENCE.overlap_groups(arr.starts, arr.ends)
+        g_ref = REFERENCE.overlap_groups(
+            arr.starts, arr.ends, np.array([0, len(arr)])
+        )
         r = REFERENCE.coalesce_groups(arr.starts, arr.ends, arr.volumes, g_ref)
         message = _compare_ops(
             OperationArray(*(np.asarray(x, dtype=np.float64) for x in r)),

@@ -44,64 +44,77 @@ def neighbor_pass(
     starts: np.ndarray,
     ends: np.ndarray,
     volumes: np.ndarray,
-    abs_gap: float,
+    offsets: np.ndarray,
+    abs_gaps: np.ndarray,
     op_fraction: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """One greedy left-to-right neighbor-merge scan (§III-B2b).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
+    """One greedy left-to-right neighbor-merge scan of each segment (§III-B2b).
 
-    A gap is negligible when it is at most ``abs_gap`` (0.1% of the
+    Segment ``k`` (``offsets[k]:offsets[k+1]``) is scanned on its own.
+    A gap is negligible when it is at most ``abs_gaps[k]`` (0.1% of the
     runtime) or at most ``op_fraction`` (1%) of the duration of *either*
     nearby operation — the growing current operation or the incoming
     one.  The paper says "the nearby merged operation" without picking a
     side; testing only the left operation would let a long checkpoint
     trailing a short op never absorb it.
     """
-    out_s: list[float] = [float(starts[0])]
-    out_e: list[float] = [float(ends[0])]
-    out_v: list[float] = [float(volumes[0])]
+    out_s: list[float] = []
+    out_e: list[float] = []
+    out_v: list[float] = []
+    out_offsets = [0]
     changed = False
-    for i in range(1, len(starts)):
-        gap = float(starts[i]) - out_e[-1]
-        cur_duration = out_e[-1] - out_s[-1]
-        next_duration = float(ends[i]) - float(starts[i])
-        if (
-            gap <= abs_gap
-            or gap <= op_fraction * cur_duration
-            or gap <= op_fraction * next_duration
-        ):
-            out_e[-1] = max(out_e[-1], float(ends[i]))
-            out_v[-1] += float(volumes[i])
-            changed = True
-        else:
+    for k in range(len(offsets) - 1):
+        lo, hi = int(offsets[k]), int(offsets[k + 1])
+        abs_gap = float(abs_gaps[k])
+        for i in range(lo, hi):
+            if i > lo:
+                gap = float(starts[i]) - out_e[-1]
+                cur_duration = out_e[-1] - out_s[-1]
+                next_duration = float(ends[i]) - float(starts[i])
+                if (
+                    gap <= abs_gap
+                    or gap <= op_fraction * cur_duration
+                    or gap <= op_fraction * next_duration
+                ):
+                    out_e[-1] = max(out_e[-1], float(ends[i]))
+                    out_v[-1] += float(volumes[i])
+                    changed = True
+                    continue
             out_s.append(float(starts[i]))
             out_e.append(float(ends[i]))
             out_v.append(float(volumes[i]))
+        out_offsets.append(len(out_s))
     return (
-        np.asarray(out_s),
-        np.asarray(out_e),
-        np.asarray(out_v),
+        np.asarray(out_s, dtype=np.float64),
+        np.asarray(out_e, dtype=np.float64),
+        np.asarray(out_v, dtype=np.float64),
+        np.asarray(out_offsets, dtype=np.int64),
         changed,
     )
 
 
-def overlap_groups(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+def overlap_groups(
+    starts: np.ndarray, ends: np.ndarray, offsets: np.ndarray
+) -> np.ndarray:
     """Transitive-overlap group ids for sorted intervals (§III-B2a).
 
-    Touching is judged at clock resolution
+    Each segment ``offsets[k]:offsets[k+1]`` starts a new group; ids are
+    global and contiguous.  Touching is judged at clock resolution
     (:data:`~repro.darshan.tolerance.TIME_TOLERANCE_S`).
     """
-    n = len(starts)
-    out = np.empty(n, dtype=np.int64)
-    if n == 0:
-        return out
-    group = 0
-    running_end = float(ends[0])
-    out[0] = 0
-    for i in range(1, n):
-        if float(starts[i]) > running_end + TIME_TOLERANCE_S:
-            group += 1
-        running_end = max(running_end, float(ends[i]))
-        out[i] = group
+    out = np.empty(len(starts), dtype=np.int64)
+    group = -1
+    for k in range(len(offsets) - 1):
+        lo, hi = int(offsets[k]), int(offsets[k + 1])
+        for i in range(lo, hi):
+            if i == lo:
+                group += 1
+                running_end = float(ends[i])
+            else:
+                if float(starts[i]) > running_end + TIME_TOLERANCE_S:
+                    group += 1
+                running_end = max(running_end, float(ends[i]))
+            out[i] = group
     return out
 
 

@@ -22,6 +22,7 @@ from repro.darshan import (
     InMemorySource,
     JobMeta,
     Trace,
+    is_valid,
     save_binary,
     save_json,
     save_text,
@@ -109,7 +110,8 @@ def test_in_memory_source_as_salvage_uses_it(fleet, tmp_path):
     # values the MOSD record layout cannot hold: compiled per trace,
     # between rows compiled from the batch arrays
     traces[3] = _with_record(traces[3], 0, rank=2**40)
-    traces[9] = _with_record(traces[9], 0, bytes_read=1.5)
+    # an integral float: exact in int64 (a fractional one is refused)
+    traces[9] = _with_record(traces[9], 0, bytes_read=2.0)
     traces[12] = _with_record(traces[12], 0, file_name="nul\x00é")
     for kwargs in ({}, {"mark_repaired": True, "extra_unreadable": 5}):
         _assert_same_store(lambda: InMemorySource(traces), tmp_path, **kwargs)
@@ -234,3 +236,22 @@ def test_in_memory_overflow_names_the_ref(tmp_path, trace, repair, field):
     with pytest.raises(StoreOverflowError) as info:
         compile_corpus(InMemorySource([trace]), tmp_path / "out.mosc", repair=repair)
     assert (info.value.key, info.value.field) == (0, field)
+
+
+def test_fractional_counter_is_a_typed_error(fleet, tmp_path):
+    """A fractional counter, which the stream route sums exactly, is
+    refused instead of truncated into the store's int64 columns."""
+    k = next(i for i, t in enumerate(fleet) if is_valid(t))
+    record = fleet[k].records[0]
+    traces = list(fleet)
+    traces[k] = _with_record(
+        fleet[k], 0, opens=record.opens + 0.5, seeks=record.seeks + 0.25
+    )
+    # the stream route counts the fraction
+    [result] = run_pipeline_stream(InMemorySource([traces[k]])).results
+    assert result.metadata_total == fleet[k].total_metadata_ops + 0.75
+    with pytest.raises(StoreOverflowError) as info:
+        compile_corpus(InMemorySource(traces), tmp_path / "out.mosc")
+    assert (info.value.key, info.value.field) == (k, "opens")
+    assert info.value.value == record.opens + 0.5
+    assert not (tmp_path / "out.mosc").exists()

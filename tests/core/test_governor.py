@@ -12,7 +12,6 @@ from repro.core import (
     Governor,
     ResourceBudget,
     categorize_trace,
-    estimate_trace_cost,
     load_results_jsonl,
     save_results_jsonl,
     subsample_ops,
@@ -34,9 +33,14 @@ def valid_trace(fleet):
     return next(t for t in fleet.traces if t.meta.job_id in fleet.truth)
 
 
+def _n_ops(trace):
+    """The raw operation count the governor admits ``trace`` by."""
+    return len(trace.operations("read")) + len(trace.operations("write"))
+
+
 def _config_for_level(trace, level):
     """A config whose budget lands ``trace`` exactly on ``level``."""
-    n_ops, _ = estimate_trace_cost(trace)
+    n_ops = _n_ops(trace)
     if level is DegradationLevel.FULL:
         return DEFAULT_CONFIG.with_overrides(budget=ResourceBudget(max_ops=n_ops))
     if level is DegradationLevel.COARSE:
@@ -155,7 +159,7 @@ class TestGovernedCategorization:
         flooded = flood_trace(valid_trace, rng, factor=8)
         full = categorize_trace(valid_trace, DEFAULT_CONFIG)
         assert categorize_trace(flooded, DEFAULT_CONFIG).categories == full.categories
-        n_ops, _ = estimate_trace_cost(valid_trace)
+        n_ops = _n_ops(valid_trace)
         governed = categorize_trace(
             flooded,
             DEFAULT_CONFIG.with_overrides(budget=ResourceBudget(max_ops=n_ops)),

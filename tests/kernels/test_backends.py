@@ -6,8 +6,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core import categorize_trace
 from repro.kernels import KernelBackend, get_backend
 from repro.kernels.backend import RUNTIME
+from repro.synth import FleetConfig, generate_fleet
 from repro.testing import reference as ref
 from repro.testing.reference import REFERENCE, reference_kernels
 
@@ -72,3 +74,31 @@ def test_backend_dataclass_shape():
             if f.name == "name":
                 continue
             assert callable(getattr(backend, f.name))
+
+
+def test_categorizer_merges_on_the_swapped_bundle(monkeypatch):
+    """Inside ``reference_kernels()`` the categorizer's merge calls the
+    oracle's merge kernels, so the pipeline equivalence suite really
+    compares two merge implementations."""
+    calls = {"overlap_groups": 0, "neighbor_pass": 0}
+
+    def counted(name):
+        kernel = getattr(REFERENCE, name)
+
+        def call(*args):
+            calls[name] += 1
+            return kernel(*args)
+
+        return call
+
+    monkeypatch.setattr(
+        ref, "REFERENCE", dataclasses.replace(REFERENCE, **{n: counted(n) for n in calls})
+    )
+    traces = generate_fleet(FleetConfig(n_apps=20, mean_runs=1.0, seed=5)).traces[:10]
+    for trace in traces:
+        categorize_trace(trace)
+    assert calls == {"overlap_groups": 0, "neighbor_pass": 0}
+    with reference_kernels():
+        for trace in traces:
+            categorize_trace(trace)
+    assert calls["overlap_groups"] > 0 and calls["neighbor_pass"] > 0

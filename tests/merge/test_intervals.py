@@ -8,7 +8,7 @@ from tests.conftest import ops
 
 
 def overlap_groups(starts, ends):
-    return get_backend().overlap_groups(starts, ends)
+    return get_backend().overlap_groups(starts, ends, np.array([0, len(starts)]))
 
 
 class TestOverlapGroups:

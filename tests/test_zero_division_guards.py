@@ -132,11 +132,11 @@ class TestToleranceComparison:
     def test_overlap_groups_subresolution_gap_merges(self):
         starts = np.array([0.0, 1.0 + TIME_TOLERANCE_S / 10])
         ends = np.array([1.0, 2.0])
-        groups = get_backend().overlap_groups(starts, ends)
+        groups = get_backend().overlap_groups(starts, ends, np.array([0, 2]))
         assert list(groups) == [0, 0]
 
     def test_overlap_groups_real_gap_splits(self):
         starts = np.array([0.0, 1.5])
         ends = np.array([1.0, 2.0])
-        groups = get_backend().overlap_groups(starts, ends)
+        groups = get_backend().overlap_groups(starts, ends, np.array([0, 2]))
         assert list(groups) == [0, 1]
