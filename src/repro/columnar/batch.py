@@ -26,7 +26,7 @@ from ..core.result import CategorizationResult
 from ..core.thresholds import DEFAULT_CONFIG, MosaicConfig
 from .store import CorpusStore, StoreSlice, attach
 
-# Bound by perfbench/tracer.py's per-layer spans (ROADMAP item 4 retires
+# Bound by perfbench/tracer.py's per-layer spans (ROADMAP item 1 retires
 # that tracer); this module no longer calls them.
 from ..core.metadata import detect_from_rate  # noqa: F401
 from ..core.periodicity import detect_periodicity  # noqa: F401

@@ -10,14 +10,16 @@ index alone), the record slab from the batch's record columns, the
 per-trace totals from segmented sums, the flat operation table
 (``Trace.operations`` per direction) from masks and one stable sort, and
 each trace's CRC from one chain over the bytes it owns.  Every string is
-interned in a deduplicated heap.  A ref whose values do not fit the
-batch columns, and with ``repair`` every flagged ref, is compiled from
-its ``Trace`` instead, in ref order.  Metadata event streams are *not*
-materialized (they can dwarf the corpus itself); the reader
-reconstructs them from the records section bit-for-bit.  Payloads the
-source cannot decode at all are *counted* (``n_unreadable`` in the
-header) so the store-backed funnel matches the streaming scan's input
-accounting exactly.
+interned in a deduplicated heap.  Each batch is validated, and with
+``repair`` repaired, by :func:`~repro.darshan.source.check_batch`, the
+per-batch step the streaming scan also applies; each ref repair
+recovers is stored, in ref order, from its row of the batch of repaired
+traces.  Metadata event streams are *not* materialized (they can dwarf
+the corpus itself); the reader reconstructs them from the records
+section bit-for-bit.  Payloads the source cannot decode at all, and
+traces holding a value their columns cannot hold exactly, are *counted*
+(``n_unreadable`` in the header) so the store-backed funnel matches the
+streaming scan's input accounting exactly.
 
 The write is single-pass over the source but buffered in memory; the
 compiled form is a few dozen bytes per record, so a corpus that fits the
@@ -37,14 +39,9 @@ from typing import Any
 
 import numpy as np
 
-from ..darshan.source import RecordBatch, TraceSource, segment_sums
-from ..darshan.trace import MIN_OP_DURATION, Trace
-from ..darshan.validate import (
-    VIOLATION_COLUMNS,
-    ValidationReport,
-    validate_trace,
-    violation_matrix,
-)
+from ..darshan.source import CheckedBatch, RecordBatch, TraceSource, check_batch, segment_sums
+from ..darshan.trace import MIN_OP_DURATION
+from ..darshan.validate import VIOLATION_COLUMNS
 from ..io import atomic_write_bytes
 from .format import (
     ALIGN,
@@ -57,6 +54,10 @@ from .format import (
     pack_header,
     violation_bit,
 )
+
+# Bound by perfbench/tracer.py's per-layer spans (ROADMAP item 1 retires
+# that tracer); the compiler itself no longer calls it.
+from ..darshan.validate import validate_trace  # noqa: F401
 
 __all__ = ["CompileReport", "StoreOverflowError", "compile_corpus"]
 
@@ -81,16 +82,10 @@ _TOTALS = (
 #: The sections :class:`_Slabs` grows row by row, in layout order.
 _SLAB_SECTIONS = ("index", "records", "ops_starts", "ops_ends", "ops_volumes")
 
-#: Integer ``FileRecord`` fields the store keeps as int64.
-_RECORD_INTS = (
-    "file_id", "rank", "opens", "closes", "seeks", "stats", "reads",
-    "writes", "bytes_read", "bytes_written",
-)
-
 
 class StoreOverflowError(OverflowError):
-    """A trace holds a value the store's int64 columns cannot hold
-    exactly: one outside int64, or a fractional counter.
+    """A trace's total bytes or metadata operations lie outside the
+    store's int64 columns, though each of its values fits.
 
     ``key`` is the trace's ref key (the file path of a directory
     source), ``field`` the column that cannot hold ``value``.
@@ -182,44 +177,16 @@ def compile_corpus(
     so the store-backed funnel's input accounting stays honest.
 
     Raises :class:`StoreOverflowError` when a trace's total bytes or
-    metadata operations (or any integer it stores) exceed int64, or a
-    counter it stores is fractional.
+    metadata operations exceed int64.  A trace holding a value its
+    columns cannot hold exactly is unreadable, as the scan counts it.
     """
-    from ..darshan.repair import repair_trace
-
     t0 = time.perf_counter()
     slabs = _Slabs()
     n_unreadable = extra_unreadable
     for batch in source.record_batches(retain_traces=repair):
         n_unreadable += int(np.count_nonzero(batch.unreadable))
-        flags = violation_matrix(
-            batch.records, batch.run_time, batch.nprocs, batch.counts
-        )
-        masks = flags @ _BITS
-        # refs compiled from their Trace, as scan_corpus handles them
-        by_trace = set(batch.scalar)
-        if repair:
-            flagged = flags.any(axis=1) & ~batch.unreadable
-            by_trace.update(np.flatnonzero(flagged).tolist())
-        first = np.cumsum(batch.counts) - batch.counts
-        lo = 0
-        for i in [*sorted(by_trace), len(batch)]:
-            if lo < i:
-                slabs.add_rows(batch, lo, i, int(first[lo]), masks)
-            if i < len(batch):
-                trace = batch.trace(i)
-                report = validate_trace(trace)
-                repaired = False
-                if repair and not report.valid:
-                    # repair only invalid traces, then revalidate so the
-                    # stored bitmask is the post-repair one
-                    outcome = repair_trace(trace)
-                    if outcome.repaired:
-                        trace = outcome.trace
-                        repaired = True
-                        report = validate_trace(trace)
-                slabs.add_trace(batch.keys[i], trace, report, repaired)
-            lo = i + 1
+        # bound to no name: the next batch is checked once this one is freed
+        slabs.add_batch(check_batch(batch, repair=repair))
     return slabs.publish(
         out_path,
         repaired=repair or mark_repaired,
@@ -246,29 +213,9 @@ def _int64_totals(
         raise StoreOverflowError(key, label, total) from None
 
 
-def _misfit(key: Any, trace: Trace) -> StoreOverflowError | None:
-    """The first value of ``trace``'s int64 columns, in the order the
-    store is built, that they cannot hold exactly (outside int64, or not
-    integral), as an error; ``None`` when every one fits."""
-    meta = trace.meta
-    values = [(name, getattr(rec, name)) for rec in trace.records for name in _RECORD_INTS]
-    values += [
-        ("job_id", meta.job_id),
-        ("uid", meta.uid),
-        ("nprocs", meta.nprocs),
-        ("total_meta_ops", trace.total_metadata_ops),
-        ("total_bytes", trace.total_bytes),
-    ]
-    for name, value in values:
-        # NaN fails the range test, so int() never sees it
-        if not (_INT64_MIN <= value <= _INT64_MAX and value == int(value)):
-            return StoreOverflowError(key, name, value)
-    return None
-
-
 class _Slabs:
-    """The store's sections as they grow, one run of batch rows or one
-    trace at a time, in ref order."""
+    """The store's sections as they grow, one run of batch rows at a
+    time, in ref order."""
 
     def __init__(self) -> None:
         self.heap = _Heap()
@@ -277,16 +224,34 @@ class _Slabs:
         self.n_records = 0
         self.n_ops = 0
 
+    def add_batch(self, checked: CheckedBatch) -> None:
+        """Every readable ref of a checked batch, in ref order; each
+        repaired ref from its row of the repaired batch."""
+        batch, fixed, lo = checked.batch, checked.fixed, 0
+        for j, i in enumerate([*checked.repaired, len(batch)]):
+            self.add_rows(batch, lo, i, checked.flags)
+            if fixed is not None and i < len(batch):
+                self.add_rows(fixed.batch, j, j + 1, fixed.flags, repaired=True)
+            lo = i + 1
+
     def add_rows(
-        self, batch: RecordBatch, lo: int, hi: int, first: int, masks: np.ndarray
+        self,
+        batch: RecordBatch,
+        lo: int,
+        hi: int,
+        flags: np.ndarray,
+        *,
+        repaired: bool = False,
     ) -> None:
-        """Every readable ref of ``batch[lo:hi]``, from the batch arrays;
-        ``first`` is the position of ref ``lo``'s first record."""
+        """Every readable ref of ``batch[lo:hi]``, from the batch arrays
+        and the batch's violation matrix ``flags``; ``repaired`` is the
+        rows' repair bit."""
         rows = lo + np.flatnonzero(~batch.unreadable[lo:hi])
         if not len(rows):
             return
         row_list = rows.tolist()
         counts = batch.counts[rows]
+        first = int(batch.counts[:lo].sum())
         src = batch.records[first : first + int(counts.sum())]
 
         # heap strings in compile order: each trace's file names, then
@@ -347,7 +312,8 @@ class _Slabs:
         index["io_weight"] = total_bytes.astype(float) + meta_ops.astype(float)
         index["total_meta_ops"] = meta_ops
         index["total_bytes"] = total_bytes
-        index["violations"] = masks[rows]
+        index["violations"] = flags[rows] @ _BITS
+        index["repaired"] = repaired
         for k, field in enumerate(("exe", "machine", "partition")):
             index[f"{field}_off"] = job_loc[:, k, 0]
             index[f"{field}_len"] = job_loc[:, k, 1]
@@ -363,45 +329,6 @@ class _Slabs:
             np.concatenate(ends)[order],
             np.concatenate(volumes)[order],
             texts,
-        )
-
-    def add_trace(
-        self, key: Any, trace: Trace, report: ValidationReport, repaired: bool
-    ) -> None:
-        """One trace, compiled from its records one at a time.
-
-        Refuses a trace with a value its int64 columns would not hold
-        exactly, which NumPy would wrap or truncate silently.
-        """
-        error = _misfit(key, trace)
-        if error is not None:
-            raise error
-        records: list[np.ndarray] = []
-        starts: list[np.ndarray] = []
-        ends: list[np.ndarray] = []
-        volumes: list[np.ndarray] = []
-        row = _compile_trace(
-            trace,
-            report,
-            repaired,
-            self.heap,
-            records,
-            starts,
-            ends,
-            volumes,
-            rec_off=self.n_records,
-            ops_off=self.n_ops,
-        )
-        index = np.array([row], dtype=TRACE_DTYPE)
-        meta = trace.meta
-        names = "".join([r.file_name for r in trace.records])
-        self._append(
-            index,
-            records[0],
-            np.concatenate(starts),
-            np.concatenate(ends),
-            np.concatenate(volumes),
-            [meta.exe + meta.machine + meta.partition + names],
         )
 
     def _append(
@@ -503,86 +430,4 @@ def write_store(
         n_ops=n_ops,
         n_bytes=n_bytes,
         elapsed_s=time.perf_counter() - t0,
-    )
-
-
-def _compile_trace(
-    trace: Trace,
-    report: ValidationReport,
-    repaired: bool,
-    heap: _Heap,
-    record_chunks: list[np.ndarray],
-    ops_starts: list[np.ndarray],
-    ops_ends: list[np.ndarray],
-    ops_volumes: list[np.ndarray],
-    *,
-    rec_off: int,
-    ops_off: int,
-) -> tuple:
-    """Append one trace's slabs; returns its index row tuple."""
-    mask = 0
-    for violation in report.categories():
-        mask |= violation_bit(violation)
-
-    recs = np.zeros(len(trace.records), dtype=RECORD_DTYPE)
-    for i, r in enumerate(trace.records):
-        name_off, name_len = heap.intern(r.file_name)
-        recs[i] = (
-            r.file_id,
-            r.rank,
-            r.opens,
-            r.closes,
-            r.seeks,
-            r.stats,
-            r.reads,
-            r.writes,
-            r.bytes_read,
-            r.bytes_written,
-            r.open_start,
-            r.close_end,
-            r.read_start,
-            r.read_end,
-            r.write_start,
-            r.write_end,
-            r.read_time,
-            r.write_time,
-            r.meta_time,
-            name_off,
-            name_len,
-        )
-    record_chunks.append(recs)
-
-    read_ops = trace.operations("read")
-    write_ops = trace.operations("write")
-    for ops in (read_ops, write_ops):
-        ops_starts.append(ops.starts)
-        ops_ends.append(ops.ends)
-        ops_volumes.append(ops.volumes)
-
-    exe_off, exe_len = heap.intern(trace.meta.exe)
-    machine_off, machine_len = heap.intern(trace.meta.machine)
-    partition_off, partition_len = heap.intern(trace.meta.partition)
-
-    return (
-        trace.meta.job_id,
-        trace.meta.uid,
-        trace.meta.nprocs,
-        trace.meta.start_time,
-        trace.meta.end_time,
-        trace.io_weight(),
-        trace.total_metadata_ops,
-        trace.total_bytes,
-        mask,
-        1 if repaired else 0,
-        exe_off,
-        exe_len,
-        machine_off,
-        machine_len,
-        partition_off,
-        partition_len,
-        rec_off,
-        len(trace.records),
-        ops_off,
-        len(read_ops),
-        len(write_ops),
     )

@@ -35,7 +35,7 @@ from .result import CategorizationResult
 from .temporality import TemporalityDetection, classify_temporality
 from .thresholds import DEFAULT_CONFIG, MosaicConfig
 
-# Bound by perfbench/tracer.py's per-layer spans (ROADMAP item 4 retires
+# Bound by perfbench/tracer.py's per-layer spans (ROADMAP item 1 retires
 # that tracer); the categorizer itself no longer calls them.
 from ..merge.pipeline import preprocess_operations  # noqa: F401
 from .metadata import classify_metadata  # noqa: F401

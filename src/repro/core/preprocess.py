@@ -27,7 +27,6 @@ passes over an in-memory source.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress
@@ -36,19 +35,20 @@ import numpy as np
 
 from ..darshan.repair import repair_trace
 from ..darshan.source import (
+    CheckedBatch,
     InMemorySource,
     RecordBatch,
     TraceRef,
     TraceSource,
+    check_batch,
     segment_sums,
 )
 from ..darshan.trace import Trace
-from ..darshan.validate import (
-    VIOLATION_COLUMNS,
-    Violation,
-    validate_trace,
-    violation_matrix,
-)
+from ..darshan.validate import VIOLATION_COLUMNS, Violation
+
+# Bound by perfbench/tracer.py's per-layer spans (ROADMAP item 1 retires
+# that tracer); pass ① itself no longer calls it.
+from ..darshan.validate import validate_trace  # noqa: F401
 
 __all__ = [
     "SelectedRef",
@@ -137,8 +137,10 @@ class SelectionPlan:
 def scan_corpus(source: TraceSource, *, repair: bool = False) -> SelectionPlan:
     """Pass ①: validate every trace and pick the heaviest run per app.
 
-    Folds over the source's :meth:`~TraceSource.record_batches` in ref
-    order; state is bounded by the number of *applications* (one
+    Folds over the source's record batches in ref order, as
+    :func:`~repro.darshan.source.check_batch` (the step
+    :func:`~repro.columnar.compile_corpus` also applies) validates
+    them; state is bounded by the number of *applications* (one
     :class:`SelectedRef` each) plus one batch, not by the number of
     traces.  Each batch is validated as one array
     (:func:`~repro.darshan.validate.violation_matrix`, which flags what
@@ -149,7 +151,8 @@ def scan_corpus(source: TraceSource, *, repair: bool = False) -> SelectionPlan:
     A batch's valid runs are ranked by that rule with one sort, and only
     each application's best run is weighed against the runs before it.
 
-    Unreadable payloads (``TraceFormatError`` from the source) are
+    Unreadable payloads (``TraceFormatError`` from the source, or a
+    counter, id or rank count its int64 column cannot hold exactly) are
     counted as corrupted under :attr:`Violation.UNREADABLE` rather than
     aborting the scan — at corpus scale truncated files are data, not
     exceptions.
@@ -158,12 +161,14 @@ def scan_corpus(source: TraceSource, *, repair: bool = False) -> SelectionPlan:
     are first passed through the conservative repair heuristics
     (:mod:`repro.darshan.repair`) and only counted as corrupted when
     repair fails.  The batch keeps what it read, so a repaired trace is
-    rebuilt without a second read.  The paper evicts outright; the
-    REPAIR experiment quantifies the difference.
+    rebuilt without a second read; it is weighed from its repaired rows.
+    The paper evicts outright; the REPAIR experiment quantifies the
+    difference.
     """
     fold = _Fold()
     for batch in source.record_batches(retain_traces=repair):
-        fold.add(batch, repair)
+        # bound to no name: the next batch is checked once this one is freed
+        fold.add(check_batch(batch, repair=repair))
     return SelectionPlan(
         refs=sorted(fold.best.values(), key=lambda e: e.job_id),
         runs_per_app=fold.runs_per_app,
@@ -187,84 +192,45 @@ class _Fold:
         self.best: dict[tuple[int, str], SelectedRef] = {}
         self.runs_per_app: dict[tuple[int, str], int] = {}
 
-    def add(self, batch: RecordBatch, repair: bool) -> None:
+    def add(self, checked: CheckedBatch) -> None:
         """Count one batch's corrupted runs and fold in its valid ones."""
-        n = len(batch)
-        self.n_input += n
+        batch, flags, repaired = checked.batch, checked.flags, checked.repaired
+        self.n_input += len(batch)
         unreadable = batch.unreadable
-        flags = violation_matrix(
-            batch.records, batch.run_time, batch.nprocs, batch.counts
-        )
-        flagged = flags.any(axis=1) & ~unreadable
-        # rows validated (and repaired) as traces, as validate_trace does
-        by_trace = np.zeros(n, dtype=bool)
-        by_trace[list(batch.scalar)] = True
-        if repair:
-            by_trace |= flagged
-        evicted = flagged & ~by_trace
-        valid = ~(unreadable | flagged | by_trace)
+        evicted = flags.any(axis=1) & ~unreadable
+        evicted[repaired] = False
+        valid = ~(unreadable | evicted)
 
         # corruption counts, added in the order each cause first occurs
-        # (row, then the cause's place in the row), as a per-row loop would
-        events: list[tuple[int, int, Violation, int]] = []
-        n_unreadable = int(np.count_nonzero(unreadable))
-        if n_unreadable:
-            events.append((int(np.argmax(unreadable)), 0, Violation.UNREADABLE, n_unreadable))
+        # (row, then the cause's column), as a per-row loop would
         hits = flags & evicted[:, None]
-        for column in np.flatnonzero(hits.any(axis=0)).tolist():
-            first = int(np.argmax(hits[:, column]))
-            total = int(np.count_nonzero(hits[:, column]))
-            events.append((first, column, VIOLATION_COLUMNS[column], total))
+        # a column violation_matrix never sets
+        hits[:, VIOLATION_COLUMNS.index(Violation.UNREADABLE)] = unreadable
+        columns = np.flatnonzero(hits.any(axis=0))
+        firsts = hits[:, columns].argmax(axis=0)
+        totals = np.count_nonzero(hits[:, columns], axis=0)
+        for k in np.lexsort((columns, firsts)).tolist():
+            self.corruption[VIOLATION_COLUMNS[columns[k]]] += int(totals[k])
+        n_unreadable = int(np.count_nonzero(unreadable))
         self.n_unreadable += n_unreadable
         self.n_corrupted += n_unreadable + int(np.count_nonzero(evicted))
+        self.n_repaired += len(repaired)
 
         weights = _io_weights(batch)
         job_ids = batch.job_id
         keys = list(zip(batch.uid, batch.exe))
-        repaired: set[int] = set()
-        for i in np.flatnonzero(by_trace).tolist():
-            trace = batch.trace(i)
-            report = validate_trace(trace)
-            if not report.valid and repair:
-                outcome = repair_trace(trace)
-                if outcome.repaired:
-                    trace = outcome.trace
-                    report = validate_trace(trace)
-                    self.n_repaired += 1
-                    repaired.add(i)
-            if not report.valid:
-                self.n_corrupted += 1
-                for rank, violation in enumerate(report.categories()):
-                    events.append((i, rank, violation, 1))
-                continue
-            if job_ids is batch.job_id:
-                job_ids = list(job_ids)
-            valid[i] = True
-            job_ids[i], keys[i] = trace.meta.job_id, trace.meta.app_key
-            weights[i] = trace.io_weight()
-        for _, _, violation, count in sorted(events, key=lambda e: e[:2]):
-            self.corruption[violation] += count
-        self._keep_heaviest(batch, valid, keys, job_ids, weights, repaired)
+        if checked.fixed is not None:
+            # repaired runs weigh, and are keyed, as their repaired rows
+            fixed = checked.fixed.batch
+            weights[repaired] = _io_weights(fixed)
+            job_ids = list(job_ids)
+            for i, job_id, key in zip(repaired, fixed.job_id, zip(fixed.uid, fixed.exe)):
+                job_ids[i], keys[i] = job_id, key
 
-    def _keep_heaviest(
-        self,
-        batch: RecordBatch,
-        valid: np.ndarray,
-        keys: list[tuple[int, str]],
-        job_ids: list[int],
-        weights: np.ndarray,
-        repaired: set[int],
-    ) -> None:
-        """Fold the valid rows of ``batch`` into :attr:`best` and
-        :attr:`runs_per_app`.
-
-        One sort ranks each application's rows by weight (heaviest
-        first), then job id, then position, and only each application's
-        first-ranked row is weighed against the runs before the batch.
-        A NaN weight never wins against a run seen before it, and once
-        it is the first run seen of its application nothing replaces it:
-        it is the application's best run only when it is its first.
-        """
+        # one sort ranks each application's valid rows by weight
+        # (heaviest first), then job id, then position; only each
+        # application's first-ranked row is weighed against the runs
+        # before the batch
         mask = valid.tolist()
         rows = np.flatnonzero(valid)
         run_keys = list(compress(keys, mask))
@@ -272,23 +238,16 @@ class _Fold:
         ids = dict(zip(apps, range(len(apps))))
         app = np.fromiter(map(ids.__getitem__, run_keys), np.int64, len(run_keys))
         job = np.array(list(compress(job_ids, mask)))
-        weight = weights[rows]
-        order = np.lexsort((rows, job, -weight, app))
+        order = np.lexsort((rows, job, -weights[rows], app))
         ranked = app[order]
         leads = np.flatnonzero(np.diff(ranked, prepend=-1))
         wins = rows[order[leads]]
-        firsts = wins
-        if np.isnan(weight).any():
-            firsts = rows[np.unique(app, return_index=True)[1]]
         runs = np.diff(leads, append=len(ranked)).tolist()
         w = weights.tolist()
-        for key, row, first, count in zip(apps, wins.tolist(), firsts.tolist(), runs):
+        for key, row, count in zip(apps, wins.tolist(), runs):
             self.runs_per_app[key] = self.runs_per_app.get(key, 0) + count
             current = self.best.get(key)
-            if current is None:
-                if math.isnan(w[first]):
-                    row = first
-            elif not (
+            if current is not None and not (
                 w[row] > current.io_weight
                 or (w[row] == current.io_weight and job_ids[row] < current.job_id)
             ):

@@ -121,16 +121,19 @@ def _pack_job(meta: JobMeta) -> bytes:
     partition = meta.partition.encode("utf-8")
     if max(len(exe), len(machine), len(partition)) > 0xFFFF:
         raise TraceWriteError("job string field too long")
-    head = _JOB.pack(
-        meta.job_id,
-        meta.uid,
-        meta.nprocs,
-        meta.start_time,
-        meta.end_time,
-        len(exe),
-        len(machine),
-        len(partition),
-    )
+    try:
+        head = _JOB.pack(
+            meta.job_id,
+            meta.uid,
+            meta.nprocs,
+            meta.start_time,
+            meta.end_time,
+            len(exe),
+            len(machine),
+            len(partition),
+        )
+    except struct.error as exc:
+        raise TraceWriteError(f"job header value out of range: {exc}") from exc
     return head + exe + machine + partition
 
 

@@ -10,9 +10,10 @@ Decoding is hardened against hostile documents (docs/ROBUSTNESS.md):
 nesting depth is bounded by a pre-parse scan (depth bombs never reach
 the recursive parser), record counts are capped, oversized payloads and
 gzip decompression bombs are refused before materializing, and every
-malformed-structure failure mode (wrong types, non-finite job times)
-raises :class:`~repro.darshan.errors.TraceFormatError` instead of
-leaking ``RecursionError``/``AttributeError`` out of the decode layer.
+malformed-structure failure mode (wrong types, non-finite job times, a
+counter or id its int64 column cannot hold exactly) raises
+:class:`~repro.darshan.errors.TraceFormatError` instead of leaking
+``RecursionError``/``AttributeError`` out of the decode layer.
 """
 
 from __future__ import annotations

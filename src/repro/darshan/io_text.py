@@ -27,8 +27,10 @@ reads); structurally broken lines raise
 Decoding is hardened (docs/ROBUSTNESS.md): payload size, single-line
 length, and the decoded record count are all capped by
 :class:`~repro.darshan.limits.DecodeLimits`, non-UTF-8 files and
-non-finite header times are refused, and overflowing counter values
-raise :class:`TraceFormatError` rather than ``OverflowError``.
+non-finite header times are refused, and a counter, id or rank count
+that its int64 column cannot hold exactly (a fraction, NaN, an infinity,
+a value past int64; :func:`~repro.darshan.records.exact_int`) raises
+:class:`TraceFormatError` rather than being rounded.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import os
 from . import counters as C
 from .errors import TraceFormatError
 from .limits import DEFAULT_LIMITS, DecodeLimits
-from .records import FileRecord, JobMeta
+from .records import FileRecord, JobMeta, exact_int
 from .trace import Trace
 
 __all__ = ["dumps_text", "loads_text", "save_text", "load_text"]
@@ -128,9 +130,9 @@ def loads_text(payload: str, limits: DecodeLimits = DEFAULT_LIMITS) -> Trace:
         if module != "POSIX":
             continue  # other modules are legal, just not modelled
         try:
-            rank = int(rank_s)
-            rec_id = int(rec_id_s)
-        except ValueError as exc:
+            rank = exact_int(rank_s, 32)
+            rec_id = exact_int(rec_id_s)
+        except TraceFormatError as exc:
             raise TraceFormatError(f"line {lineno}: bad rank/record id") from exc
         key = (rec_id, rank)
         if key not in records:
@@ -146,12 +148,11 @@ def loads_text(payload: str, limits: DecodeLimits = DEFAULT_LIMITS) -> Trace:
             rec.file_name = file_name
         try:
             if counter in _INT_FIELDS:
-                setattr(rec, _INT_FIELDS[counter], int(float(value)))
+                setattr(rec, _INT_FIELDS[counter], exact_int(value))
             elif counter in _FLOAT_FIELDS:
                 setattr(rec, _FLOAT_FIELDS[counter], float(value))
             # unknown counters: skipped (real logs carry many more)
-        except (ValueError, OverflowError) as exc:
-            # int(float("inf")) overflows rather than raising ValueError
+        except (TraceFormatError, ValueError) as exc:
             raise TraceFormatError(
                 f"line {lineno}: bad value for {counter}: {value!r}"
             ) from exc
@@ -161,14 +162,14 @@ def loads_text(payload: str, limits: DecodeLimits = DEFAULT_LIMITS) -> Trace:
         raise TraceFormatError(f"missing header fields: {missing}")
     try:
         meta = JobMeta(
-            job_id=int(header["jobid"]),
-            uid=int(header["uid"]),
+            job_id=exact_int(header["jobid"]),
+            uid=exact_int(header["uid"]),
             exe=header["exe"],
-            nprocs=int(header["nprocs"]),
+            nprocs=exact_int(header["nprocs"]),
             start_time=float(header["start_time"]),
             end_time=float(header["end_time"]),
         )
-    except (ValueError, OverflowError) as exc:
+    except (TraceFormatError, ValueError) as exc:
         raise TraceFormatError(f"bad header value: {exc}") from exc
     for label, value in (("start_time", meta.start_time), ("end_time", meta.end_time)):
         if not math.isfinite(value):

@@ -14,8 +14,30 @@ from dataclasses import dataclass, asdict
 from typing import Any
 
 from . import counters as C
+from .errors import TraceFormatError
 
-__all__ = ["JobMeta", "FileRecord"]
+__all__ = ["JobMeta", "FileRecord", "exact_int"]
+
+
+def exact_int(value: Any, bits: int = 64) -> int:
+    """``value`` as the integer a signed ``bits``-bit column holds.
+
+    The one numeric rule for a trace's counters, ids and rank count,
+    whatever format it came from: an integral value, an integral float
+    included, or a numeric string of one, reads as that integer.  A
+    fractional value, NaN, an infinity, a non-number or a value outside
+    the column raises :class:`~repro.darshan.errors.TraceFormatError`,
+    so the trace is unreadable rather than rounded or truncated.
+    """
+    try:
+        if isinstance(value, str):  # digits read exactly, "1e3" or "nan" as floats
+            value = int(value) if value.strip().lstrip("+-").isdigit() else float(value)
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise TraceFormatError(f"not an integer: {value!r}") from None
+    if n != value or not -(1 << (bits - 1)) <= n < 1 << (bits - 1):
+        raise TraceFormatError(f"{value!r} is not an int{bits} integer")
+    return n
 
 
 @dataclass(slots=True)
@@ -57,10 +79,10 @@ class JobMeta:
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "JobMeta":
         return cls(
-            job_id=int(d["job_id"]),
-            uid=int(d["uid"]),
+            job_id=exact_int(d["job_id"]),
+            uid=exact_int(d["uid"]),
             exe=str(d["exe"]),
-            nprocs=int(d["nprocs"]),
+            nprocs=exact_int(d["nprocs"]),
             start_time=float(d["start_time"]),
             end_time=float(d["end_time"]),
             machine=str(d.get("machine", "bluewaters-syn")),
@@ -173,17 +195,17 @@ class FileRecord:
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "FileRecord":
         return cls(
-            file_id=int(d["file_id"]),
+            file_id=exact_int(d["file_id"]),
             file_name=str(d.get("file_name", "")),
-            rank=int(d["rank"]),
-            opens=int(d.get(C.POSIX_OPENS, 0)),
-            closes=int(d.get(C.POSIX_CLOSES, 0)),
-            seeks=int(d.get(C.POSIX_SEEKS, 0)),
-            stats=int(d.get(C.POSIX_STATS, 0)),
-            reads=int(d.get(C.POSIX_READS, 0)),
-            writes=int(d.get(C.POSIX_WRITES, 0)),
-            bytes_read=int(d.get(C.POSIX_BYTES_READ, 0)),
-            bytes_written=int(d.get(C.POSIX_BYTES_WRITTEN, 0)),
+            rank=exact_int(d["rank"], 32),
+            opens=exact_int(d.get(C.POSIX_OPENS, 0)),
+            closes=exact_int(d.get(C.POSIX_CLOSES, 0)),
+            seeks=exact_int(d.get(C.POSIX_SEEKS, 0)),
+            stats=exact_int(d.get(C.POSIX_STATS, 0)),
+            reads=exact_int(d.get(C.POSIX_READS, 0)),
+            writes=exact_int(d.get(C.POSIX_WRITES, 0)),
+            bytes_read=exact_int(d.get(C.POSIX_BYTES_READ, 0)),
+            bytes_written=exact_int(d.get(C.POSIX_BYTES_WRITTEN, 0)),
             open_start=float(d.get(C.POSIX_F_OPEN_START_TIMESTAMP, C.NO_TIMESTAMP)),
             close_end=float(d.get(C.POSIX_F_CLOSE_END_TIMESTAMP, C.NO_TIMESTAMP)),
             read_start=float(d.get(C.POSIX_F_READ_START_TIMESTAMP, C.NO_TIMESTAMP)),

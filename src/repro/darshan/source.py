@@ -16,7 +16,9 @@ in bytes, so that validation, dedup and compilation run over whole
 arrays.  The default fills batches through :meth:`~TraceSource.load`;
 :class:`DirectorySource` reads a batch's MOSD files into one buffer and
 parses them there as one column set
-(:func:`~repro.darshan.io_binary.parse_buffer`).
+(:func:`~repro.darshan.io_binary.parse_buffer`).  :func:`check_batch`
+validates (and with ``repair`` repairs) a batch: the one per-batch step
+of pass ① that the scan and the compiler both apply.
 
 Three implementations cover the repo's workloads:
 
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import groupby
 from operator import attrgetter
 from typing import (
@@ -67,8 +69,10 @@ from .io_binary import (
 from .io_json import load_json
 from .io_text import load_text
 from .limits import DEFAULT_LIMITS
-from .records import JobMeta
+from .records import FileRecord, JobMeta, exact_int
+from .repair import repair_trace
 from .trace import Trace
+from .validate import violation_matrix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..synth.fleet import FleetConfig, FleetResult
@@ -76,6 +80,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "TraceRef",
     "RecordBatch",
+    "CheckedBatch",
+    "check_batch",
     "TraceSource",
     "batch_payloads",
     "DirectorySource",
@@ -143,44 +149,64 @@ class _Entry(NamedTuple):
     ref: TraceRef
     #: Job header; ``None`` when the payload could not be decoded.
     meta: JobMeta | None
-    #: The ref's records (empty when unreadable or ``scalar``).
+    #: The ref's records (empty when unreadable).
     records: np.ndarray
     #: What :meth:`RecordBatch.trace` rebuilds the trace from, if kept.
     held: Trace | None
     #: Bytes charged against the batch budget.
     cost: int
-    #: True when the trace's values do not fit ``RECORD_DTYPE`` or the
-    #: header columns (an integer beyond int64, a fractional counter);
-    #: ``held`` is then the trace itself.
-    scalar: bool
     #: The file name of each of ``records``.
     names: list[str]
 
 
 _NO_RECORDS = np.empty(0, dtype=RECORD_DTYPE)
 
+#: The header columns of an unreadable ref.
+_NO_META = JobMeta(0, 0, "", 1, 0.0, 0.0, machine="", partition="")
+
+#: Each integer field of ``RECORD_DTYPE`` and its width in bits.
+_INT_COLUMNS = tuple(
+    (name, RECORD_DTYPE[name].itemsize * 8)
+    for name in RECORD_DTYPE.names
+    if RECORD_DTYPE[name].kind == "i"
+)
+
 
 def _unreadable_entry(ref: TraceRef) -> _Entry:
-    return _Entry(ref, None, _NO_RECORDS, None, _REF_BYTES, False, [])
+    return _Entry(ref, None, _NO_RECORDS, None, _REF_BYTES, [])
+
+
+def _record_row(rec: FileRecord) -> bytes:
+    """``rec`` as one ``RECORD_DTYPE`` row, each integer field read by
+    :func:`~repro.darshan.records.exact_int`."""
+    try:
+        return _pack_record(rec)
+    except TraceWriteError:  # an integral float, or a value no column holds
+        exact = {name: exact_int(getattr(rec, name), bits) for name, bits in _INT_COLUMNS}
+        return _pack_record(replace(rec, **exact))
 
 
 def _trace_entry(ref: TraceRef, trace: Trace, retain: bool) -> _Entry:
-    """Lay a decoded trace out as ``RECORD_DTYPE`` rows."""
+    """Lay a decoded trace out as ``RECORD_DTYPE`` rows.
+
+    A trace holding a counter, id or rank count that its column cannot
+    hold exactly (:func:`~repro.darshan.records.exact_int`), or a time
+    that is not a number, is unreadable, as its file would be.
+    """
     meta = trace.meta
     try:
-        # packing through the MOSD struct refuses what the layout cannot
-        # hold exactly, where a NumPy cast would truncate a float counter
-        packed = b"".join([_pack_record(rec) for rec in trace.records])
-        np.array([meta.job_id, meta.uid, meta.nprocs], dtype=np.int64)
+        packed = b"".join([_record_row(rec) for rec in trace.records])
+        job_id, uid, nprocs = map(exact_int, (meta.job_id, meta.uid, meta.nprocs))
         float(meta.start_time)
         float(meta.end_time)
         float(meta.run_time)
-    except (TraceWriteError, OverflowError, TypeError, ValueError):
-        return _Entry(ref, meta, _NO_RECORDS, trace, _REF_BYTES, True, [])
+    except (TraceFormatError, TraceWriteError, OverflowError, TypeError, ValueError):
+        return _unreadable_entry(ref)
+    meta = replace(meta, job_id=job_id, uid=uid, nprocs=nprocs)
     records = np.frombuffer(packed, dtype=RECORD_DTYPE)
     held = trace if retain else None
     names = [rec.file_name for rec in trace.records]
-    return _Entry(ref, meta, records, held, _REF_BYTES + records.nbytes, False, names)
+    return _Entry(ref, meta, records, held, _REF_BYTES + records.nbytes, names)
 
 
 @dataclass(slots=True)
@@ -191,6 +217,8 @@ class RecordBatch:
     next ``counts[i]`` rows of :attr:`records`, named by
     :meth:`file_names`.  An unreadable ref has ``unreadable[i]`` set, no
     records, job id and uid 0, start and end time 0 and empty strings.
+    Every readable ref's values are held exactly: one that a column
+    cannot hold makes its ref unreadable.
     """
 
     #: Each ref's :attr:`TraceRef.key` and :attr:`TraceRef.size_bytes`;
@@ -210,10 +238,6 @@ class RecordBatch:
     counts: np.ndarray
     #: Every readable ref's records, back to back (``RECORD_DTYPE``).
     records: np.ndarray
-    #: Positions of refs whose values do not fit ``RECORD_DTYPE`` or the
-    #: header columns: they carry no records and no header columns
-    #: beyond job id, uid and exe here, and must be handled as traces.
-    scalar: frozenset[int] = frozenset()
     _held: list[Trace | None] = field(default_factory=list)
     #: Job headers, or the parsed MOSD columns to build them from.
     _headers: list[JobMeta | None] | MosdColumns = field(default_factory=list)
@@ -223,46 +247,27 @@ class RecordBatch:
     @classmethod
     def of(cls, entries: Sequence[_Entry]) -> "RecordBatch":
         """Assemble a batch from one or more decoded entries, in order."""
-        refs, metas, records, held, _, scalar, names = zip(*entries)
-        n = len(entries)
-        nprocs = [1] * n
-        run_time = [1.0] * n
-        start_time = [0.0] * n
-        end_time = [0.0] * n
-        job_id = [0] * n
-        uid = [0] * n
-        exe = [""] * n
-        machine = [""] * n
-        partition = [""] * n
-        for i, meta in enumerate(metas):
-            if meta is None:
-                continue
-            job_id[i], uid[i], exe[i] = meta.job_id, meta.uid, meta.exe
-            if not scalar[i]:
-                nprocs[i] = meta.nprocs
-                run_time[i] = meta.end_time - meta.start_time
-                start_time[i], end_time[i] = meta.start_time, meta.end_time
-                machine[i], partition[i] = meta.machine, meta.partition
+        refs, metas, records, held, _, names = zip(*entries)
+        header = [_NO_META if m is None else m for m in metas]
         return cls(
             keys=[ref.key for ref in refs],
             sizes=[ref.size_bytes for ref in refs],
             unreadable=np.array([m is None for m in metas], dtype=bool),
-            job_id=job_id,
-            uid=uid,
-            exe=exe,
-            nprocs=np.array(nprocs, dtype=np.int64),
-            run_time=np.array(run_time, dtype=np.float64),
-            start_time=np.array(start_time, dtype=np.float64),
-            end_time=np.array(end_time, dtype=np.float64),
-            machine=machine,
-            partition=partition,
+            job_id=[m.job_id for m in header],
+            uid=[m.uid for m in header],
+            exe=[m.exe for m in header],
+            nprocs=np.array([m.nprocs for m in header], dtype=np.int64),
+            run_time=np.array([1.0 if m is None else m.run_time for m in metas], float),
+            start_time=np.array([m.start_time for m in header], dtype=np.float64),
+            end_time=np.array([m.end_time for m in header], dtype=np.float64),
+            machine=[m.machine for m in header],
+            partition=[m.partition for m in header],
             counts=np.array([len(r) for r in records], dtype=np.int64),
             # joining the raw sections skips concatenate's per-array
             # structured-dtype promotion
             records=np.frombuffer(
                 b"".join([r.data for r in records]), dtype=RECORD_DTYPE
             ),
-            scalar=frozenset(i for i, s in enumerate(scalar) if s),
             _held=list(held),
             _headers=list(metas),
             _names=list(names),
@@ -333,11 +338,6 @@ class RecordBatch:
             return names.split("\x00") if names else [""] * int(self.counts[i])
         return names
 
-    def app_key(self, i: int) -> tuple[int, str]:
-        """Ref ``i``'s :attr:`JobMeta.app_key
-        <repro.darshan.records.JobMeta.app_key>`, read from the columns."""
-        return (self.uid[i], self.exe[i])
-
     def trace(self, i: int) -> Trace:
         """Rebuild ref ``i`` as a ``Trace`` from what the batch kept."""
         cols = self._headers
@@ -387,6 +387,49 @@ def batch_payloads(payloads: Sequence[bytes]) -> RecordBatch:
     """
     cols = parse_payloads(payloads)
     return RecordBatch.of_columns(list(range(len(payloads))), cols.sizes.tolist(), cols)
+
+
+def _flags(batch: RecordBatch) -> np.ndarray:
+    return violation_matrix(batch.records, batch.run_time, batch.nprocs, batch.counts)
+
+
+@dataclass(slots=True)
+class CheckedBatch:
+    """One record batch as pass ① reads it: validated and, with
+    ``repair``, with the refs repair recovered laid out again."""
+
+    batch: RecordBatch
+    #: :func:`~repro.darshan.validate.violation_matrix` of :attr:`batch`.
+    flags: np.ndarray
+    #: Positions in :attr:`batch` of the refs repair recovered, ascending.
+    repaired: list[int] = field(default_factory=list)
+    #: Those refs' repaired traces, in the same order, as one more
+    #: checked batch; ``None`` when nothing was repaired.
+    fixed: "CheckedBatch | None" = None
+
+
+def check_batch(batch: RecordBatch, *, repair: bool = False) -> CheckedBatch:
+    """Pass ①'s one per-batch step, which the streaming scan and the
+    store compiler apply to each batch of
+    ``source.record_batches(retain_traces=repair)``: ``batch`` with its
+    violation matrix.  With ``repair``, each readable ref it flags is
+    rebuilt from what the batch kept and repaired
+    (:func:`~repro.darshan.repair.repair_trace`); the traces recovered
+    are laid out through the same rows as any decoded trace, as one
+    more batch validated by one more matrix.
+    """
+    checked = CheckedBatch(batch, _flags(batch))
+    if repair:
+        entries = []
+        for i in np.flatnonzero(checked.flags.any(axis=1) & ~batch.unreadable).tolist():
+            outcome = repair_trace(batch.trace(i))
+            if outcome.repaired:
+                checked.repaired.append(i)
+                entries.append(_trace_entry(batch.ref(i), outcome.trace, False))
+        if entries:
+            fixed = RecordBatch.of(entries)
+            checked.fixed = CheckedBatch(fixed, _flags(fixed))
+    return checked
 
 
 class TraceSource(ABC):

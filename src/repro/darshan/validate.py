@@ -6,8 +6,9 @@ resources are deallocated before the end of the application's execution.
 This module defines the corruption taxonomy the validator detects and two
 checkers over it: :func:`validate_trace`, the scalar, detail-producing
 one for a ``Trace``, and :func:`violation_matrix`, which flags the same
-categories for a whole batch of record arrays at once (the streaming
-scan's path; ``validate_trace`` is its oracle).
+categories for a whole batch of record arrays at once (pass ①'s only
+validator on every route; ``validate_trace`` is its oracle, and
+:func:`~repro.darshan.repair.repair_trace` uses it).
 
 Every check is pure structural invariant checking — a *valid* trace may
 still be I/O-insignificant; that is a categorization outcome, not a
@@ -52,9 +53,11 @@ class Violation(str, Enum):
     NEGATIVE_COUNTER = "negative_counter"
     BYTES_WITHOUT_WINDOW = "bytes_without_window"
     OPENS_WITHOUT_CLOSE_WINDOW = "opens_without_close_window"
-    #: The trace file could not be decoded at all (bad magic, truncation,
-    #: malformed JSON).  Only streaming scans over on-disk sources report
-    #: this class: an in-memory ``Trace`` has by definition been decoded.
+    #: The trace could not be decoded at all (bad magic, truncation,
+    #: malformed JSON), or holds a counter, id or rank count its column
+    #: cannot hold exactly (a fraction, NaN, a value past int64;
+    #: :func:`~repro.darshan.records.exact_int`), from any source, an
+    #: in-memory ``Trace`` included.  Only the scans report this class.
     UNREADABLE = "unreadable"
     #: The trace decoded but exceeded the per-trace resource budget so
     #: far that no categorization axis could run (the FLAGGED rung of

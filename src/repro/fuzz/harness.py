@@ -5,8 +5,11 @@ reader must either return a :class:`~repro.darshan.trace.Trace` or raise
 :class:`~repro.darshan.errors.TraceFormatError`.  Any other exception is
 a **crash** finding; exceeding the per-case wall-clock deadline is a
 **hang** finding; a ``tracemalloc`` peak beyond the allocation budget is
-an **over-budget** finding.  The harness never dies on a finding — it
-records the reproducer and keeps fuzzing.
+an **over-budget** finding.  A JSON or text reader that returns a trace
+holding a value MOSD cannot encode (a fractional or out-of-range
+counter, id or rank count) is a **mismatch** finding, as are MOSD
+payloads the two binary readers decode differently.  The harness never
+dies on a finding — it records the reproducer and keeps fuzzing.
 
 Deadlines use ``signal.setitimer`` (real interruption) when running on
 the main thread; elsewhere they degrade to after-the-fact wall-clock
@@ -18,18 +21,20 @@ from __future__ import annotations
 
 import functools
 import signal
+import struct
 import threading
 import time
 import tracemalloc
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from ..darshan.errors import TraceFormatError
+from ..darshan.errors import TraceFormatError, TraceWriteError
 from ..darshan.io_binary import _pack_record, loads_binary, parse_binary
 from ..darshan.source import RecordBatch, batch_payloads
 from ..darshan.validate import VIOLATION_COLUMNS, validate_trace, violation_matrix
 from ..darshan.io_json import loads
 from ..darshan.io_text import loads_text
+from ..darshan.trace import Trace
 from .mutators import FuzzCase, generate_cases, seed_payloads
 
 __all__ = [
@@ -54,17 +59,33 @@ DEFAULT_DEADLINE_S = 5.0
 DEFAULT_ALLOC_BUDGET = 64 * MB
 
 
+class ReaderMismatch(Exception):
+    """The two MOSD readers decoded one payload differently, or a JSON or
+    text reader returned a value no scan column holds."""
+
+
+#: The job header's integers as MOSD packs them.
+_JOB_INTS = struct.Struct("<qqq")
+
+
+def _check_columns(trace: Trace) -> None:
+    """MOSD can encode every record and job header integer of ``trace``:
+    what a reader returns must fit the scan's columns."""
+    try:
+        for rec in trace.records:
+            _pack_record(rec)
+        _JOB_INTS.pack(trace.meta.job_id, trace.meta.uid, trace.meta.nprocs)
+    except (TraceWriteError, struct.error) as exc:
+        raise ReaderMismatch(f"the reader returned a value no column holds: {exc}") from exc
+
+
 def _entry_text(data: bytes) -> None:
     # mirror load_text: undecodable bytes are a format error, not a crash
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise TraceFormatError(f"cannot decode trace: {exc}") from exc
-    loads_text(text)
-
-
-class ReaderMismatch(Exception):
-    """The two MOSD readers decoded one payload differently."""
+    _check_columns(loads_text(text))
 
 
 def _row(batch: RecordBatch, i: int) -> tuple[object, ...]:
@@ -144,7 +165,7 @@ def _entry_binary(data: bytes) -> None:
 
 
 def _entry_json(data: bytes) -> None:
-    loads(data)
+    _check_columns(loads(data))
 
 
 #: format name → payload-level reader entry point.

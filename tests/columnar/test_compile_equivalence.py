@@ -107,14 +107,15 @@ def test_mixed_formats_switch_batch_kind(fleet, tmp_path):
 
 def test_in_memory_source_as_salvage_uses_it(fleet, tmp_path):
     traces = list(fleet)
-    # values the MOSD record layout cannot hold: compiled per trace,
-    # between rows compiled from the batch arrays
+    # a rank its int32 column cannot hold: unreadable, between rows
+    # compiled from the batch arrays
     traces[3] = _with_record(traces[3], 0, rank=2**40)
-    # an integral float: exact in int64 (a fractional one is refused)
+    # an integral float: read as its integer (a fractional one is not)
     traces[9] = _with_record(traces[9], 0, bytes_read=2.0)
     traces[12] = _with_record(traces[12], 0, file_name="nul\x00é")
-    for kwargs in ({}, {"mark_repaired": True, "extra_unreadable": 5}):
-        _assert_same_store(lambda: InMemorySource(traces), tmp_path, **kwargs)
+    for kwargs, unreadable in (({}, 1), ({"mark_repaired": True, "extra_unreadable": 5}, 6)):
+        _, report = _assert_same_store(lambda: InMemorySource(traces), tmp_path, **kwargs)
+        assert (report.n_traces, report.n_unreadable) == (len(traces) - 1, unreadable)
 
 
 def test_empty_directory(tmp_path):
@@ -223,13 +224,19 @@ def _invalid_overflowing_trace():
     return dataclasses.replace(trace, meta=dataclasses.replace(trace.meta, nprocs=0))
 
 
+def _metadata_overflowing_trace():
+    trace = _overflowing_trace()
+    records = [dataclasses.replace(r, bytes_read=1, seeks=2**62) for r in trace.records]
+    return dataclasses.replace(trace, records=records)
+
+
 @pytest.mark.parametrize(
     "trace, repair, field",
     [
         (_overflowing_trace(), False, "total_bytes"),
-        # compiled per trace: flagged under repair, or beyond int64
+        # flagged under repair and left unrepaired
         (_invalid_overflowing_trace(), True, "total_bytes"),
-        (_with_record(_overflowing_trace(), 2, reads=2**64), False, "reads"),
+        (_metadata_overflowing_trace(), False, "total_meta_ops"),
     ],
 )
 def test_in_memory_overflow_names_the_ref(tmp_path, trace, repair, field):
@@ -238,20 +245,16 @@ def test_in_memory_overflow_names_the_ref(tmp_path, trace, repair, field):
     assert (info.value.key, info.value.field) == (0, field)
 
 
-def test_fractional_counter_is_a_typed_error(fleet, tmp_path):
-    """A fractional counter, which the stream route sums exactly, is
-    refused instead of truncated into the store's int64 columns."""
+def test_fractional_counter_is_unreadable_on_both_routes(fleet, tmp_path):
+    """A fractional counter is neither summed by the stream route nor
+    truncated into the store's int64 columns: the trace is unreadable."""
     k = next(i for i, t in enumerate(fleet) if is_valid(t))
     record = fleet[k].records[0]
     traces = list(fleet)
     traces[k] = _with_record(
         fleet[k], 0, opens=record.opens + 0.5, seeks=record.seeks + 0.25
     )
-    # the stream route counts the fraction
-    [result] = run_pipeline_stream(InMemorySource([traces[k]])).results
-    assert result.metadata_total == fleet[k].total_metadata_ops + 0.75
-    with pytest.raises(StoreOverflowError) as info:
-        compile_corpus(InMemorySource(traces), tmp_path / "out.mosc")
-    assert (info.value.key, info.value.field) == (k, "opens")
-    assert info.value.value == record.opens + 0.5
-    assert not (tmp_path / "out.mosc").exists()
+    stream = run_pipeline_stream(InMemorySource([traces[k]]))
+    assert (stream.results, stream.preprocess.n_unreadable) == ([], 1)
+    _, report = _assert_same_store(lambda: InMemorySource(traces), tmp_path)
+    assert (report.n_traces, report.n_unreadable) == (len(fleet) - 1, 1)

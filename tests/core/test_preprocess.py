@@ -89,29 +89,41 @@ class TestFunnel:
 
 
 class TestScanOutsideTheRecordLayout:
-    """Values the MOSD record layout cannot hold take the scalar route,
-    and weights whose int64 sum would wrap are summed exactly."""
+    """A value its int64 column cannot hold exactly makes the trace
+    unreadable, and weights whose int64 sum would wrap are summed
+    exactly."""
 
-    def test_counter_beyond_int64_is_weighed_exactly(self):
+    def test_counter_beyond_int64_is_unreadable(self):
         big = run(1, 1, "a", 2**70)
         small = run(2, 1, "a", 100)
         pre = preprocess_corpus([small, big])
-        assert pre.n_corrupted == 0
-        assert [t.meta.job_id for t in pre.selected] == [1]
+        assert pre.corruption_histogram == {Violation.UNREADABLE: 1}
+        assert (pre.n_unreadable, pre.n_corrupted) == (1, 1)
+        assert [t.meta.job_id for t in pre.selected] == [2]
 
-    def test_nprocs_beyond_int64_is_valid(self):
+    def test_nprocs_beyond_int64_is_unreadable(self):
         trace = run(1, 1, "a", 100)
         trace.meta.nprocs = 2**70
-        assert preprocess_corpus([trace]).n_corrupted == 0
+        pre = preprocess_corpus([trace, run(2, 1, "a", 1)])
+        assert pre.corruption_histogram == {Violation.UNREADABLE: 1}
+        assert [t.meta.job_id for t in pre.selected] == [2]
 
     def test_fractional_counter_is_not_truncated(self):
-        # 0.5 opens without an open/close window is a violation; a
-        # truncating cast to 0 would hide it
+        # 0.5 opens without an open/close window: a truncating cast to
+        # 0 would make the trace valid, rounding up would flag it
         trace = run(1, 1, "a", 100)
         trace.records[0].open_start = trace.records[0].close_end = -1.0
         trace.records[0].opens = 0.5
         pre = preprocess_corpus([trace])
-        assert pre.corruption_histogram == {Violation.OPENS_WITHOUT_CLOSE_WINDOW: 1}
+        assert pre.corruption_histogram == {Violation.UNREADABLE: 1}
+
+    def test_integral_float_counter_reads_as_its_integer(self):
+        ints = [run(1, 1, "a", 100), run(2, 1, "a", 300)]
+        floats = [run(1, 1, "a", 100), run(2, 1, "a", 300.0)]
+        floats[0].meta.nprocs = 8.0
+        assert scan_corpus(InMemorySource(floats)) == scan_corpus(InMemorySource(ints))
+        (entry,) = scan_corpus(InMemorySource(floats)).refs
+        assert (entry.job_id, entry.io_weight) == (2, 302.0)
 
     def test_total_past_int64_does_not_wrap(self):
         def heavy(job_id, per_record):
@@ -140,9 +152,13 @@ def _sequential_plan(traces):
     from collections import Counter
 
     from repro.darshan.validate import validate_trace
+    from repro.testing.columnar import fits_columns
 
     best, runs, corruption = {}, {}, Counter()
     for position, trace in enumerate(traces):
+        if not fits_columns(trace):
+            corruption[Violation.UNREADABLE] += 1
+            continue
         report = validate_trace(trace)
         if not report.valid:
             corruption.update(report.categories())
@@ -162,7 +178,7 @@ def _sequential_plan(traces):
 
 def _nan_seeks(job_id, uid, exe):
     trace = run(job_id, uid, exe, 100)
-    trace.records[0].seeks = float("nan")  # weighs NaN, still valid
+    trace.records[0].seeks = float("nan")  # no int64 column holds it
     return trace
 
 
@@ -184,9 +200,9 @@ class TestBatchFold:
             kind = rng.random()
             if kind < 0.1:
                 traces.append(corrupted(job_id))
-            elif kind < 0.15:
+            elif kind < 0.15:  # unreadable
                 traces.append(_nan_seeks(job_id, uid, exe))
-            elif kind < 0.2:  # beyond int64: handled as a trace
+            elif kind < 0.2:  # a job id beyond int64: unreadable
                 traces.append(run(2**70 + job_id, uid, exe, rng.choice([100, 200])))
             else:  # few distinct weights and repeated job ids: ties
                 traces.append(run(job_id % 50, uid, exe, rng.choice([100, 200, 300])))
@@ -194,15 +210,19 @@ class TestBatchFold:
         plan = scan_corpus(InMemorySource(traces))
         refs, runs, corruption = _sequential_plan(traces)
         got = [(e.app_key, e.ref.key, e.job_id, e.io_weight) for e in plan.refs]
-        assert [(k, p, j) for k, p, j, _ in got] == [(k, p, j) for k, p, j, _ in refs]
-        assert [w for *_, w in got] == pytest.approx([w for *_, w in refs], nan_ok=True)
+        assert got == refs
         assert list(plan.runs_per_app.items()) == runs
         assert plan.corruption_histogram == corruption
+        assert plan.n_unreadable == corruption[Violation.UNREADABLE] > 0
 
     @pytest.mark.parametrize("first_nan", [False, True])
-    def test_nan_weight_holds_only_as_an_application_first_run(self, first_nan):
+    def test_nan_counter_never_weighs_a_run(self, first_nan):
+        # the NaN run is unreadable, before or after the heavy one
         heavy = run(5, 1, "a", 10_000)
         nan = _nan_seeks(3, 1, "a")
         traces = [nan, heavy] if first_nan else [heavy, nan]
-        (entry,) = scan_corpus(InMemorySource(traces)).refs
-        assert entry.job_id == (3 if first_nan else 5)
+        plan = scan_corpus(InMemorySource(traces))
+        (entry,) = plan.refs
+        assert (entry.job_id, entry.io_weight) == (5, heavy.io_weight())
+        assert plan.corruption_histogram == {Violation.UNREADABLE: 1}
+        assert plan.runs_per_app == {(1, "a"): 1}

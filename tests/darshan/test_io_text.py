@@ -77,6 +77,27 @@ class TestTextCodec:
         with pytest.raises(TraceFormatError):
             loads_text(text)
 
+    def test_counter_past_2_53_roundtrips_exactly(self, trace):
+        # a float parse would read 2**53 + 1 as 2**53
+        trace.records[0].bytes_read = 2**53 + 1
+        trace.meta.job_id = 2**63 - 1
+        again = loads_text(dumps_text(trace))
+        assert again.records[0].bytes_read == 2**53 + 1
+        assert again.meta.job_id == 2**63 - 1
+
+    @pytest.mark.parametrize("value", ["1.5", "nan", "inf", str(2**63)])
+    def test_counter_no_int64_column_holds_rejected(self, trace, value):
+        text = dumps_text(trace)
+        text += f"POSIX\t0\t101\tPOSIX_OPENS\t{value}\tf.dat\n"
+        with pytest.raises(TraceFormatError, match="POSIX_OPENS"):
+            loads_text(text)
+
+    def test_integral_float_counter_reads_as_its_integer(self, trace):
+        text = dumps_text(trace).replace("POSIX_OPENS\t2\t", "POSIX_OPENS\t2.0\t")
+        assert "POSIX_OPENS\t2.0\t" in text
+        opens = loads_text(text).records[0].opens
+        assert (type(opens), opens) == (int, 2)
+
     def test_empty_trace(self):
         trace = make_trace([])
         assert loads_text(dumps_text(trace)).records == []

@@ -204,6 +204,40 @@ class TestReaderCrossCheck:
             assert outcome == "parsed"
 
 
+class TestReadersFitTheColumns:
+    """A JSON or text reader that returns a value MOSD cannot encode is a
+    mismatch finding, so a reader that rounds or truncates shows up."""
+
+    @pytest.mark.parametrize("fmt, reader", [("json", "loads"), ("text", "loads_text")])
+    @pytest.mark.parametrize("value", [1.5, float("nan"), 2**64])
+    def test_a_misfit_trace_is_a_mismatch(self, monkeypatch, fmt, reader, value):
+        import repro.fuzz.harness as harness
+
+        read = getattr(harness, reader)
+
+        def lenient(payload):
+            trace = read(payload)
+            trace.records[0].opens = value
+            return trace
+
+        monkeypatch.setattr(harness, reader, lenient)
+        payload = next(p for p in seed_payloads(fmt, 0) if read(p.decode()).records)
+        outcome, etype, msg = _run_guarded(FORMATS[fmt], payload, 5.0, 0)
+        assert (outcome, etype) == ("mismatch", "ReaderMismatch")
+        assert "no column holds" in msg
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_the_readers_refuse_what_no_column_holds(self, fmt):
+        outcomes = []
+        for payload in seed_payloads(fmt, 0):
+            for value in (b"1.5", b"NaN", str(2**64).encode()):
+                bad = payload.replace(b"POSIX_OPENS\t1\t", b"POSIX_OPENS\t" + value + b"\t")
+                bad = bad.replace(b'"POSIX_OPENS": 1,', b'"POSIX_OPENS": ' + value + b",")
+                if bad != payload:
+                    outcomes.append(_run_guarded(FORMATS[fmt], bad, 5.0, 0)[0])
+        assert outcomes and set(outcomes) == {"rejected"}
+
+
 class TestCommittedCorpus:
     def test_corpus_is_nonempty_per_format(self):
         by_fmt = {}
