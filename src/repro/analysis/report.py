@@ -52,6 +52,9 @@ class CorpusReport:
             f"unique: {self.funnel.unique_fraction:.0%}  "
             f"repaired: {self.funnel.n_repaired}"
         )
+        if self.funnel.corruption_causes:
+            causes = self.funnel.corruption_causes.items()
+            parts.append("  causes: " + ", ".join(f"{k}={n}" for k, n in causes))
         parts.append("\n== Periodic writes (Table II) ==")
         parts.append(render_shares_table(self.table2))
         parts.append("\n== Temporality (Table III) ==")

@@ -41,7 +41,6 @@ import numpy as np
 
 from ..darshan.source import CheckedBatch, RecordBatch, TraceSource, check_batch, segment_sums
 from ..darshan.trace import MIN_OP_DURATION
-from ..darshan.validate import VIOLATION_COLUMNS
 from ..io import atomic_write_bytes
 from .format import (
     ALIGN,
@@ -51,8 +50,8 @@ from .format import (
     SECTION_NAMES,
     TRACE_CRC_DTYPE,
     TRACE_DTYPE,
+    VIOLATION_BITS,
     pack_header,
-    violation_bit,
 )
 
 # Bound by perfbench/tracer.py's per-layer spans (ROADMAP item 1 retires
@@ -63,9 +62,6 @@ __all__ = ["CompileReport", "StoreOverflowError", "compile_corpus"]
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
-
-#: Bit of each :data:`~repro.darshan.validate.VIOLATION_COLUMNS` column.
-_BITS = np.array([violation_bit(v) for v in VIOLATION_COLUMNS], dtype=np.int64)
 
 #: Record fields of one operation direction: start, end, bytes.
 _DIRECTIONS = (
@@ -312,7 +308,7 @@ class _Slabs:
         index["io_weight"] = total_bytes.astype(float) + meta_ops.astype(float)
         index["total_meta_ops"] = meta_ops
         index["total_bytes"] = total_bytes
-        index["violations"] = flags[rows] @ _BITS
+        index["violations"] = flags[rows] @ VIOLATION_BITS
         index["repaired"] = repaired
         for k, field in enumerate(("exe", "machine", "partition")):
             index[f"{field}_off"] = job_loc[:, k, 0]

@@ -48,7 +48,7 @@ import zlib
 
 import numpy as np
 
-from ..darshan.validate import Violation
+from ..darshan.validate import VIOLATION_COLUMNS, Violation
 
 __all__ = [
     "MAGIC",
@@ -62,6 +62,7 @@ __all__ = [
     "FLAG_REPAIRED",
     "header_size",
     "section_names",
+    "VIOLATION_BITS",
     "violation_bit",
     "violations_from_mask",
     "pack_header",
@@ -176,21 +177,22 @@ RECORD_DTYPE = np.dtype(
     ]
 )
 
-#: Stable bit position per validation category (bitmask in the index).
-_VIOLATION_ORDER: tuple[Violation, ...] = tuple(Violation)
-_VIOLATION_BIT = {v: i for i, v in enumerate(_VIOLATION_ORDER)}
+#: The index's bitmask bit of each
+#: :data:`~repro.darshan.validate.VIOLATION_COLUMNS` column, a stable
+#: position per category: a violation matrix ``m`` is stored as the
+#: masks ``m @ VIOLATION_BITS`` and read as ``(masks[:, None] &
+#: VIOLATION_BITS) != 0``.
+VIOLATION_BITS = np.left_shift(1, np.arange(len(VIOLATION_COLUMNS), dtype=np.int64))
 
 
 def violation_bit(violation: Violation) -> int:
     """Bit assigned to one :class:`Violation` category."""
-    return 1 << _VIOLATION_BIT[violation]
+    return int(VIOLATION_BITS[VIOLATION_COLUMNS.index(violation)])
 
 
 def violations_from_mask(mask: int) -> set[Violation]:
     """Decode a violation bitmask back into categories."""
-    return {
-        v for v, i in _VIOLATION_BIT.items() if mask & (1 << i)
-    }
+    return {v for v, bit in zip(VIOLATION_COLUMNS, VIOLATION_BITS.tolist()) if mask & bit}
 
 
 def pack_header(

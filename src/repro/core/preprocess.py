@@ -28,8 +28,8 @@ passes over an in-memory source.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from itertools import compress
 
 import numpy as np
 
@@ -148,8 +148,10 @@ def scan_corpus(source: TraceSource, *, repair: bool = False) -> SelectionPlan:
     trace is the one with the largest
     :meth:`~repro.darshan.trace.Trace.io_weight` (bytes moved plus
     metadata operations); ties break on job id, then on the first seen.
-    A batch's valid runs are ranked by that rule with one sort, and only
-    each application's best run is weighed against the runs before it.
+    Selection and counting are :class:`_Fold`'s, the fold
+    :func:`~repro.columnar.scan.scan_store` feeds a store's index to,
+    so both routes rank, count and list corruption causes (in
+    ``VIOLATION_COLUMNS`` order) alike.
 
     Unreadable payloads (``TraceFormatError`` from the source, or a
     counter, id or rank count its int64 column cannot hold exactly) are
@@ -161,104 +163,113 @@ def scan_corpus(source: TraceSource, *, repair: bool = False) -> SelectionPlan:
     are first passed through the conservative repair heuristics
     (:mod:`repro.darshan.repair`) and only counted as corrupted when
     repair fails.  The batch keeps what it read, so a repaired trace is
-    rebuilt without a second read; it is weighed from its repaired rows.
+    rebuilt without a second read; it is weighed, keyed and validated
+    as its repaired row.
     The paper evicts outright; the REPAIR experiment quantifies the
     difference.
     """
     fold = _Fold()
     for batch in source.record_batches(retain_traces=repair):
         # bound to no name: the next batch is checked once this one is freed
-        fold.add(check_batch(batch, repair=repair))
-    return SelectionPlan(
-        refs=sorted(fold.best.values(), key=lambda e: e.job_id),
-        runs_per_app=fold.runs_per_app,
-        n_input=fold.n_input,
-        n_corrupted=fold.n_corrupted,
-        corruption_histogram=fold.corruption,
-        n_repaired=fold.n_repaired,
-        n_unreadable=fold.n_unreadable,
-    )
+        _fold_batch(fold, check_batch(batch, repair=repair))
+    return fold.plan()
+
+
+#: The ``VIOLATION_COLUMNS`` column of an unreadable ref.
+_UNREADABLE = VIOLATION_COLUMNS.index(Violation.UNREADABLE)
 
 
 class _Fold:
-    """The state :func:`scan_corpus` folds its batches into."""
+    """Pass ①'s one selection and count, on every route: the funnel
+    counters, per-cause counts and keep-heaviest winners of the rows
+    added, plus ``n_unreadable`` refs that never became rows."""
 
-    def __init__(self) -> None:
-        self.corruption: Counter = Counter()
-        self.n_input = 0
-        self.n_corrupted = 0
+    def __init__(self, n_unreadable: int = 0) -> None:
+        self.causes = np.zeros(len(VIOLATION_COLUMNS), dtype=np.int64)
+        self.causes[_UNREADABLE] = n_unreadable
+        self.n_input = self.n_corrupted = n_unreadable
         self.n_repaired = 0
-        self.n_unreadable = 0
         self.best: dict[tuple[int, str], SelectedRef] = {}
         self.runs_per_app: dict[tuple[int, str], int] = {}
 
-    def add(self, checked: CheckedBatch) -> None:
-        """Count one batch's corrupted runs and fold in its valid ones."""
-        batch, flags, repaired = checked.batch, checked.flags, checked.repaired
-        self.n_input += len(batch)
-        unreadable = batch.unreadable
-        evicted = flags.any(axis=1) & ~unreadable
-        evicted[repaired] = False
-        valid = ~(unreadable | evicted)
+    def add(
+        self,
+        hits: np.ndarray,
+        repaired: np.ndarray | Sequence[int],
+        weights: np.ndarray,
+        job_ids: np.ndarray,
+        apps: np.ndarray,
+        app_key: Callable[[int], tuple[int, str]],
+        ref: Callable[[int], TraceRef],
+    ) -> None:
+        """Count one run of rows and fold in its valid ones.
 
-        # corruption counts, added in the order each cause first occurs
-        # (row, then the cause's column), as a per-row loop would
-        hits = flags & evicted[:, None]
-        # a column violation_matrix never sets
-        hits[:, VIOLATION_COLUMNS.index(Violation.UNREADABLE)] = unreadable
-        columns = np.flatnonzero(hits.any(axis=0))
-        firsts = hits[:, columns].argmax(axis=0)
-        totals = np.count_nonzero(hits[:, columns], axis=0)
-        for k in np.lexsort((columns, firsts)).tolist():
-            self.corruption[VIOLATION_COLUMNS[columns[k]]] += int(totals[k])
-        n_unreadable = int(np.count_nonzero(unreadable))
-        self.n_unreadable += n_unreadable
-        self.n_corrupted += n_unreadable + int(np.count_nonzero(evicted))
+        ``hits`` is the rows' cause matrix over ``VIOLATION_COLUMNS``
+        (a row with no hit is valid), ``repaired`` the positions repair
+        recovered; rows of one application share an int64 code in
+        ``apps``, named by ``app_key(row)``.  One sort ranks each
+        application's valid rows (heaviest, then lowest job id, then
+        first seen); applications enter in first-seen order, and only
+        each one's best row is weighed against earlier calls' rows.
+        """
+        self.n_input += len(hits)
+        self.causes += np.count_nonzero(hits, axis=0)
+        rows = np.flatnonzero(~hits.any(axis=1))
+        self.n_corrupted += len(hits) - len(rows)
         self.n_repaired += len(repaired)
+        is_repaired = np.zeros(len(hits), dtype=bool)
+        is_repaired[repaired] = True
 
-        weights = _io_weights(batch)
-        job_ids = batch.job_id
-        keys = list(zip(batch.uid, batch.exe))
-        if checked.fixed is not None:
-            # repaired runs weigh, and are keyed, as their repaired rows
-            fixed = checked.fixed.batch
-            weights[repaired] = _io_weights(fixed)
-            job_ids = list(job_ids)
-            for i, job_id, key in zip(repaired, fixed.job_id, zip(fixed.uid, fixed.exe)):
-                job_ids[i], keys[i] = job_id, key
-
-        # one sort ranks each application's valid rows by weight
-        # (heaviest first), then job id, then position; only each
-        # application's first-ranked row is weighed against the runs
-        # before the batch
-        mask = valid.tolist()
-        rows = np.flatnonzero(valid)
-        run_keys = list(compress(keys, mask))
-        apps = dict.fromkeys(run_keys)  # first-seen order
-        ids = dict(zip(apps, range(len(apps))))
-        app = np.fromiter(map(ids.__getitem__, run_keys), np.int64, len(run_keys))
-        job = np.array(list(compress(job_ids, mask)))
-        order = np.lexsort((rows, job, -weights[rows], app))
+        app = apps[rows]
+        order = np.lexsort((rows, job_ids[rows], -weights[rows], app))
         ranked = app[order]
-        leads = np.flatnonzero(np.diff(ranked, prepend=-1))
+        leads = np.flatnonzero(np.diff(ranked, prepend=ranked[:1] - 1))
         wins = rows[order[leads]]
         runs = np.diff(leads, append=len(ranked)).tolist()
-        w = weights.tolist()
-        for key, row, count in zip(apps, wins.tolist(), runs):
-            self.runs_per_app[key] = self.runs_per_app.get(key, 0) + count
+        first_seen = np.minimum.reduceat(rows[order], leads) if len(leads) else leads
+        w, job = weights[wins].tolist(), job_ids[wins].tolist()
+        fixed, win_rows = is_repaired[wins].tolist(), wins.tolist()
+        for g in np.argsort(first_seen, kind="stable").tolist():
+            key = app_key(win_rows[g])
+            self.runs_per_app[key] = self.runs_per_app.get(key, 0) + runs[g]
             current = self.best.get(key)
-            if current is not None and not (
-                w[row] > current.io_weight
-                or (w[row] == current.io_weight and job_ids[row] < current.job_id)
+            if current is None or w[g] > current.io_weight or (
+                w[g] == current.io_weight and job[g] < current.job_id
             ):
-                continue
-            self.best[key] = SelectedRef(
-                ref=batch.ref(row),
-                job_id=job_ids[row],
-                app_key=key,
-                io_weight=w[row],
-                repaired=row in repaired,
-            )
+                self.best[key] = SelectedRef(ref(win_rows[g]), job[g], key, w[g], fixed[g])
+
+    def plan(self) -> SelectionPlan:
+        """The plan of every row added, causes in ``VIOLATION_COLUMNS``
+        order."""
+        counts = self.causes.tolist()
+        return SelectionPlan(
+            refs=sorted(self.best.values(), key=lambda e: e.job_id),
+            runs_per_app=self.runs_per_app,
+            n_input=self.n_input,
+            n_corrupted=self.n_corrupted,
+            corruption_histogram=Counter({v: n for v, n in zip(VIOLATION_COLUMNS, counts) if n}),
+            n_repaired=self.n_repaired,
+            n_unreadable=counts[_UNREADABLE],
+        )
+
+
+def _fold_batch(fold: _Fold, checked: CheckedBatch) -> None:
+    """Add a checked batch to ``fold``, each ref repair recovered as its
+    repaired row: causes (the flags ``compile_corpus`` stores), weight,
+    job id and key."""
+    batch, hits, weights = checked.batch, checked.flags, _io_weights(checked.batch)
+    job_ids = np.array(batch.job_id, dtype=np.int64)
+    keys = list(zip(batch.uid, batch.exe))
+    if checked.fixed is not None:
+        fixed, rows = checked.fixed, checked.repaired
+        hits = hits.copy()
+        hits[rows], weights[rows] = fixed.flags, _io_weights(fixed.batch)
+        job_ids[rows] = fixed.batch.job_id
+        for i, key in zip(rows, zip(fixed.batch.uid, fixed.batch.exe)):
+            keys[i] = key
+    codes = dict(zip(dict.fromkeys(keys), range(len(keys))))
+    apps = np.fromiter(map(codes.__getitem__, keys), np.int64, len(keys))
+    fold.add(hits, checked.repaired, weights, job_ids, apps, keys.__getitem__, batch.ref)
 
 
 #: ``io_weight``'s two integer sums, as record field groups.

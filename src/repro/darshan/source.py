@@ -72,7 +72,7 @@ from .limits import DEFAULT_LIMITS
 from .records import FileRecord, JobMeta, exact_int
 from .repair import repair_trace
 from .trace import Trace
-from .validate import violation_matrix
+from .validate import VIOLATION_COLUMNS, Violation, violation_matrix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..synth.fleet import FleetConfig, FleetResult
@@ -172,6 +172,10 @@ _INT_COLUMNS = tuple(
 )
 
 
+#: The job header's integer fields and their width in bits.
+_HEADER_INTS = (("job_id", 64), ("uid", 64), ("nprocs", 64))
+
+
 def _unreadable_entry(ref: TraceRef) -> _Entry:
     return _Entry(ref, None, _NO_RECORDS, None, _REF_BYTES, [])
 
@@ -182,8 +186,27 @@ def _record_row(rec: FileRecord) -> bytes:
     try:
         return _pack_record(rec)
     except TraceWriteError:  # an integral float, or a value no column holds
-        exact = {name: exact_int(getattr(rec, name), bits) for name, bits in _INT_COLUMNS}
-        return _pack_record(replace(rec, **exact))
+        return _pack_record(_exact(rec, _INT_COLUMNS))
+
+
+def _exact(obj: Any, fields: Iterable[tuple[str, int]]) -> Any:
+    """``obj`` (a record or header) with each of ``fields`` read by
+    :func:`~repro.darshan.records.exact_int` at its width."""
+    values = {name: exact_int(getattr(obj, name), bits) for name, bits in fields}
+    same = all(type(getattr(obj, name)) is int for name in values)
+    return obj if same else replace(obj, **values)
+
+
+def _exact_trace(trace: Trace) -> Trace:
+    """``trace`` with its integers as a scan batch holds them; ``trace``
+    itself when each already is."""
+    meta, records = _exact(trace.meta, _HEADER_INTS), trace.records
+    try:
+        for rec in records:
+            _pack_record(rec)
+    except TraceWriteError:  # an integral float, or a value no column holds
+        records = [_exact(rec, _INT_COLUMNS) for rec in records]
+    return trace if meta is trace.meta and records is trace.records else Trace(meta, records)
 
 
 def _trace_entry(ref: TraceRef, trace: Trace, retain: bool) -> _Entry:
@@ -193,16 +216,14 @@ def _trace_entry(ref: TraceRef, trace: Trace, retain: bool) -> _Entry:
     hold exactly (:func:`~repro.darshan.records.exact_int`), or a time
     that is not a number, is unreadable, as its file would be.
     """
-    meta = trace.meta
     try:
         packed = b"".join([_record_row(rec) for rec in trace.records])
-        job_id, uid, nprocs = map(exact_int, (meta.job_id, meta.uid, meta.nprocs))
+        meta = _exact(trace.meta, _HEADER_INTS)
         float(meta.start_time)
         float(meta.end_time)
         float(meta.run_time)
     except (TraceFormatError, TraceWriteError, OverflowError, TypeError, ValueError):
         return _unreadable_entry(ref)
-    meta = replace(meta, job_id=job_id, uid=uid, nprocs=nprocs)
     records = np.frombuffer(packed, dtype=RECORD_DTYPE)
     held = trace if retain else None
     names = [rec.file_name for rec in trace.records]
@@ -390,7 +411,9 @@ def batch_payloads(payloads: Sequence[bytes]) -> RecordBatch:
 
 
 def _flags(batch: RecordBatch) -> np.ndarray:
-    return violation_matrix(batch.records, batch.run_time, batch.nprocs, batch.counts)
+    flags = violation_matrix(batch.records, batch.run_time, batch.nprocs, batch.counts)
+    flags[:, VIOLATION_COLUMNS.index(Violation.UNREADABLE)] = batch.unreadable
+    return flags
 
 
 @dataclass(slots=True)
@@ -399,7 +422,8 @@ class CheckedBatch:
     ``repair``, with the refs repair recovered laid out again."""
 
     batch: RecordBatch
-    #: :func:`~repro.darshan.validate.violation_matrix` of :attr:`batch`.
+    #: :func:`~repro.darshan.validate.violation_matrix` of :attr:`batch`,
+    #: each unreadable ref flagged ``UNREADABLE`` (which it never sets).
     flags: np.ndarray
     #: Positions in :attr:`batch` of the refs repair recovered, ascending.
     repaired: list[int] = field(default_factory=list)
@@ -703,7 +727,9 @@ class InMemorySource(TraceSource):
             yield TraceRef(key=i)
 
     def load(self, ref: TraceRef) -> Trace:
-        return self._traces[ref.key]
+        """The trace at ``ref.key`` with the integers pass ① validated
+        and weighed: an integral float reads as its int."""
+        return _exact_trace(self._traces[ref.key])
 
     def count(self) -> int:
         return len(self._traces)

@@ -28,6 +28,13 @@ class TestCorpusReport:
         ):
             assert needle in text
 
+    def test_funnel_lists_causes_in_report_order(self, report):
+        causes = report.funnel.corruption_causes
+        assert causes
+        line = "  causes: " + ", ".join(f"{k}={n}" for k, n in causes.items())
+        funnel = report.render().split("\n\n")[0]
+        assert funnel.splitlines()[-1] == line
+
     def test_run_health_counters(self, report, small_pipeline):
         assert report.run_health["n_failures"] == small_pipeline.n_failures
         assert report.run_health["n_degraded"] == (

@@ -6,8 +6,9 @@ float(total_meta_ops)`` over the index's int64 totals.  That must be the
 ``io_weight`` column ``compile_corpus`` wrote, bit for bit, on repaired
 rows and on totals no float64 holds exactly.  And the
 :class:`~repro.core.preprocess.SelectionPlan` of one corpus compares
-equal whichever route built it: the stream scan serial and on two
-workers, the store scan and the batch API, with and without repair.
+equal whichever route built it, corruption causes listed in one order:
+the stream scan serial and on two workers, the store scan and the batch
+API, with and without repair, on an empty corpus and on one junk file.
 """
 
 import os
@@ -111,6 +112,10 @@ def test_every_route_returns_an_equal_plan(corpus, stores, repair):
     batch = preprocess_corpus(traces, repair=repair)
     plans = [serial.preprocess, two.preprocess, store.preprocess, batch]
     assert all(plan == plans[0] for plan in plans)
+    # one fold lists the causes in one order on every route
+    causes = [list(plan.corruption_histogram.items()) for plan in plans]
+    assert all(c == causes[0] for c in causes)
+    assert len(causes[0]) >= (1 if repair else 2)
     assert (plans[0].n_repaired > 0) == repair
 
     # equality ignores where each route keeps a trace; every ref names
@@ -133,3 +138,34 @@ def test_every_route_returns_an_equal_plan(corpus, stores, repair):
     assert (1, "lost") not in winners
     job_907 = [e.app_key for e in batch.refs if e.job_id == 907]
     assert job_907 == [(1, "dup"), (2, "other")]
+
+
+@pytest.mark.parametrize("repair", [False, True])
+@pytest.mark.parametrize("files", [{}, {"junk.mosd": b"not a trace"}], ids=["empty", "junk"])
+def test_a_corpus_with_nothing_valid_has_one_plan(tmp_path, files, repair):
+    trace_dir = tmp_path / "traces"
+    trace_dir.mkdir()
+    for name, payload in files.items():
+        (trace_dir / name).write_bytes(payload)
+    store_path = tmp_path / "corpus.mosc"
+    compile_corpus(DirectorySource(trace_dir), store_path, repair=repair)
+    try:
+        plans = [
+            run_pipeline_stream(DirectorySource(trace_dir), repair=repair).preprocess,
+            run_pipeline_stream(
+                DirectorySource(trace_dir), ParallelConfig(max_workers=2), repair=repair
+            ).preprocess,
+            run_pipeline_store(store_path, repair=repair).preprocess,
+        ]
+    finally:
+        detach_all()
+    if not files:
+        plans.append(preprocess_corpus([], repair=repair))
+    assert all(plan == plans[0] for plan in plans)
+    causes = [list(plan.corruption_histogram.items()) for plan in plans]
+    assert all(c == causes[0] for c in causes)
+    assert (plans[0].n_input, plans[0].n_unreadable, plans[0].n_selected) == (
+        len(files),
+        len(files),
+        0,
+    )

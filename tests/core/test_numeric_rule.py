@@ -106,3 +106,23 @@ def test_it_is_unreadable_on_both_routes(fleet, tmp_path, fmt, misfit):
         store.results, tmp_path / "b.jsonl"
     )
     assert len(stream.results) == plan.n_selected > 0
+
+
+def test_an_integral_float_reaches_every_route_as_its_int(tmp_path):
+    fleet = list(generate_fleet(FleetConfig(n_apps=20, mean_runs=1.0, seed=5)).traces)
+    k = scan_corpus(InMemorySource(fleet)).refs[0].ref.key
+    records = [dataclasses.replace(r, opens=float(r.opens)) for r in fleet[k].records]
+    fleet[k] = _with_meta(dataclasses.replace(fleet[k], records=records), nprocs=128.0)
+    compile_corpus(InMemorySource(fleet), tmp_path / "corpus.mosc")
+
+    runs = [
+        run_pipeline_stream(InMemorySource(fleet), parallel=SERIAL),
+        run_pipeline_stream(InMemorySource(fleet), parallel=ParallelConfig(max_workers=2)),
+        run_pipeline_store(tmp_path / "corpus.mosc", parallel=SERIAL),
+    ]
+    lines = [
+        next(r.json_line() for r in run.results if r.job_id == fleet[k].meta.job_id)
+        for run in runs
+    ]
+    assert lines[0] == lines[1] == lines[2]
+    assert '"nprocs": 128,' in lines[0]
