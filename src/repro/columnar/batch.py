@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.categorizer import categorize_batch
+from ..core.categorizer import MAX_SLICE_TRACES, categorize_batch
 from ..core.governor import OP_WORKING_SET_BYTES, ResourceBudget
 from ..core.result import CategorizationResult
 from ..core.thresholds import DEFAULT_CONFIG, MosaicConfig
@@ -38,9 +38,6 @@ __all__ = ["categorize_slice", "plan_slices", "DEFAULT_SLICE_OPS"]
 #: it: large enough to amortize dispatch, small enough to keep worker
 #: result latency (and journal granularity) reasonable.
 DEFAULT_SLICE_OPS = 262_144
-
-#: Hard cap on traces per slice regardless of how tiny they are.
-MAX_SLICE_TRACES = 1024
 
 
 def plan_slices(

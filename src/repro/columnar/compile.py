@@ -8,7 +8,9 @@ its arrays: the violation bitmask from
 not evicted — the store-backed scan replays the eviction funnel from the
 index alone), the record slab from the batch's record columns, the
 per-trace totals from segmented sums, the flat operation table
-(``Trace.operations`` per direction) from masks and one stable sort, and
+(``Trace.operations`` per direction) from
+:func:`~repro.darshan.trace.record_operations`, which the streaming
+route's pass ② shares, and
 each trace's CRC from one chain over the bytes it owns.  Every string is
 interned in a deduplicated heap.  Each batch is validated, and with
 ``repair`` repaired, by :func:`~repro.darshan.source.check_batch`, the
@@ -35,12 +37,12 @@ import time
 import zlib
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
 from ..darshan.source import CheckedBatch, RecordBatch, TraceSource, check_batch, segment_sums
-from ..darshan.trace import MIN_OP_DURATION
+from ..darshan.trace import record_operations
 from ..io import atomic_write_bytes
 from .format import (
     ALIGN,
@@ -62,12 +64,6 @@ __all__ = ["CompileReport", "StoreOverflowError", "compile_corpus"]
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
-
-#: Record fields of one operation direction: start, end, bytes.
-_DIRECTIONS = (
-    ("read_start", "read_end", "bytes_read"),
-    ("write_start", "write_end", "bytes_written"),
-)
 
 #: The index's integer totals, as sums of record fields.
 _TOTALS = (
@@ -192,21 +188,25 @@ def compile_corpus(
 
 
 def _int64_totals(
-    src: np.ndarray, counts: np.ndarray, fields: tuple[str, ...], keys: list[Any], label: str
+    src: np.ndarray,
+    counts: np.ndarray,
+    fields: tuple[str, ...],
+    key: Callable[[int], Any],
+    label: str,
 ) -> np.ndarray:
     """Each trace's exact sum of ``fields`` as an int64 column; a sum
     outside int64 raises :class:`StoreOverflowError` naming its trace's
-    ``keys`` entry and ``label``."""
+    ``key(trace)`` and ``label``."""
     totals = segment_sums(src, counts, fields)
     try:
         return np.array(totals, dtype=np.int64)
     except OverflowError:
-        key, total = next(
-            (key, total)
-            for key, total in zip(keys, totals)
+        at, total = next(
+            (at, total)
+            for at, total in enumerate(totals)
             if not _INT64_MIN <= total <= _INT64_MAX
         )
-        raise StoreOverflowError(key, label, total) from None
+        raise StoreOverflowError(key(at), label, total) from None
 
 
 class _Slabs:
@@ -272,30 +272,11 @@ class _Slabs:
         records["name_off"] = located[is_name, 0]
         records["name_len"] = located[is_name, 1]
 
-        # Trace.operations: one op per record with bytes and a start,
-        # ending at Python's max(end, start + MIN_OP_DURATION); each
-        # trace's reads, then its writes, stably sorted by start
-        owner = np.repeat(np.arange(len(rows)), counts)
-        starts, ends, volumes, groups, per_trace = [], [], [], [], []
-        for direction, (start_f, end_f, bytes_f) in enumerate(_DIRECTIONS):
-            take = np.flatnonzero((src[bytes_f] > 0) & (src[start_f] >= 0.0))
-            start = src[start_f][take]
-            end = src[end_f][take]
-            floor = start + MIN_OP_DURATION
-            starts.append(start)
-            ends.append(np.where(floor > end, floor, end))
-            volumes.append(src[bytes_f][take].astype(np.float64))
-            groups.append(owner[take] * 2 + direction)
-            per_trace.append(np.bincount(owner[take], minlength=len(rows)))
-        by_start = np.argsort(np.concatenate(starts), kind="stable")
-        group = np.concatenate(groups)[by_start]
-        order = by_start[np.argsort(group, kind="stable")]
-        n_read, n_write = per_trace
+        starts, ends, volumes, n_read, n_write = record_operations(src, counts)
         n_ops = n_read + n_write
 
-        keys = [batch.keys[i] for i in row_list]
         meta_ops, total_bytes = (
-            _int64_totals(src, counts, fields, keys, label)
+            _int64_totals(src, counts, fields, lambda at: batch.key(row_list[at]), label)
             for label, fields in _TOTALS
         )
 
@@ -318,14 +299,7 @@ class _Slabs:
         index["ops_off"] = self.n_ops + np.cumsum(n_ops) - n_ops
         index["n_read_ops"] = n_read
         index["n_write_ops"] = n_write
-        self._append(
-            index,
-            records,
-            np.concatenate(starts)[order],
-            np.concatenate(ends)[order],
-            np.concatenate(volumes)[order],
-            texts,
-        )
+        self._append(index, records, starts, ends, volumes, texts)
 
     def _append(
         self,

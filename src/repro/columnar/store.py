@@ -39,7 +39,7 @@ import numpy as np
 from ..darshan.errors import TraceFormatError
 from ..darshan.limits import DEFAULT_LIMITS, DecodeLimits, check_declared_size
 from ..darshan.records import FileRecord, JobMeta
-from ..darshan.trace import OperationArray, Trace, metadata_windows
+from ..darshan.trace import OperationArray, Trace, record_metadata_events
 from ..darshan.validate import Violation
 from .format import (
     ALIGN,
@@ -360,30 +360,9 @@ class CorpusStore:
         """
         self.guard()
         rows = np.asarray(rows, dtype=np.int64)
-        lo = self.index["rec_off"][rows].astype(np.int64)
-        n = self.index["n_records"][rows].astype(np.int64)
-        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(n, out=offsets[1:])
-        take = np.arange(int(offsets[-1]), dtype=np.int64)
-        take += np.repeat(lo - offsets[:-1], n)
-        rec = self.records
-
-        def column(name: str, dtype: type) -> np.ndarray:
-            return rec[name][take].astype(dtype)
-
-        opens = column("opens", np.int64)
-        t0, t1 = metadata_windows(
-            column("open_start", np.float64),
-            column("close_end", np.float64),
-            column("read_start", np.float64),
-        )
-        return (
-            t0,
-            t1,
-            opens,
-            opens + column("seeks", np.int64),
-            column("closes", np.int64),
-            offsets,
+        index = self.index
+        return record_metadata_events(
+            self.records, index["rec_off"][rows], index["n_records"][rows]
         )
 
     # -- full decode ----------------------------------------------------

@@ -10,22 +10,31 @@ dispatch, then classifies temporality and periodicity trace by trace.
 No merge or bin crosses a trace, so a batch of N traces gives the
 results of N batches of one.
 
-``categorize_trace`` is the batch of one trace: the unit the streaming
-pipeline distributes, and the single-application entry point the paper
-envisions for feeding a job scheduler.  The store route
-(:func:`repro.columnar.batch.categorize_slice`) passes a whole slice.
-The default budget is unlimited, so no trace is governed.
+``categorize_trace`` is the batch of one trace: the single-application
+entry point the paper envisions for feeding a job scheduler.
+:func:`categorize_records` passes the rows of record batches, each
+trace's operations derived from its records as the store compiler
+derives them: the unit the streaming pipeline distributes.  The store
+route (:func:`repro.columnar.batch.categorize_slice`) passes a whole
+slice.  The default budget is unlimited, so no trace is governed.
 """
 
 from __future__ import annotations
 
 from itertools import count
 from operator import sub
-from typing import Any, get_args
+from typing import Any, Sequence, get_args
 
 import numpy as np
 
-from ..darshan.trace import Direction, OperationArray, Trace
+from ..darshan.source import RecordBatch, segment_sums
+from ..darshan.trace import (
+    Direction,
+    OperationArray,
+    Trace,
+    record_metadata_events,
+    record_operations,
+)
 from ..merge.concurrent import fuse_segments
 from ..merge.neighbor import merge_neighbor_segments
 from .governor import Governor, subsample_ops
@@ -40,10 +49,24 @@ from .thresholds import DEFAULT_CONFIG, MosaicConfig
 from ..merge.pipeline import preprocess_operations  # noqa: F401
 from .metadata import classify_metadata  # noqa: F401
 
-__all__ = ["OpSlabs", "categorize_batch", "categorize_trace"]
+__all__ = [
+    "MAX_SLICE_TRACES",
+    "OpSlabs",
+    "categorize_batch",
+    "categorize_records",
+    "categorize_trace",
+]
 
 _DIRECTIONS: tuple[Direction, ...] = get_args(Direction)
 _EMPTY = np.empty(0, dtype=np.float64)
+
+#: Most traces one unit of work carries to :func:`categorize_batch`: a
+#: store slice or a unit of the streaming route's pass ②.
+MAX_SLICE_TRACES = 1024
+
+#: The record fields a trace's metadata requests are the sum of
+#: (:attr:`~repro.darshan.trace.Trace.total_metadata_ops`).
+_META_FIELDS = ("opens", "closes", "seeks")
 
 #: One direction's raw operations of a batch: ``(starts, ends, volumes,
 #: lo, hi)``, row ``i``'s operations, sorted by start, being
@@ -203,3 +226,44 @@ def categorize_trace(
         lambda _rows: trace_metadata_events(trace),
         config,
     )[0]
+
+
+def categorize_records(
+    batches: Sequence[RecordBatch], config: MosaicConfig = DEFAULT_CONFIG
+) -> list[CategorizationResult]:
+    """Categorize every row of ``batches``, in order, with one
+    :func:`categorize_batch` call over their record columns.
+
+    Each row's operations come from
+    :func:`~repro.darshan.trace.record_operations`, its metadata total
+    from exact segmented sums and its metadata records from
+    :func:`~repro.darshan.trace.record_metadata_events`, so a row gives
+    what :func:`categorize_trace` gives for its trace.  Every row must
+    be readable.
+    """
+    identity: list[tuple[int, int, str, int]] = []
+    run_times: list[float] = []
+    for batch in batches:
+        identity += zip(batch.job_id, batch.uid, batch.exe, batch.nprocs.tolist())
+        run_times += batch.run_time.tolist()
+    if len(batches) == 1:
+        records, counts = batches[0].records, batches[0].counts
+    else:
+        records = np.concatenate([batch.records for batch in batches])
+        counts = np.concatenate([batch.counts for batch in batches])
+    starts, ends, volumes, n_read, n_write = record_operations(records, counts)
+    read_lo = np.cumsum(n_read + n_write) - (n_read + n_write)
+    write_lo = read_lo + n_read
+    bounds = [b.tolist() for b in (read_lo, write_lo, write_lo + n_write)]
+    first = np.cumsum(counts) - counts
+    return categorize_batch(
+        identity,
+        run_times,
+        (
+            (starts, ends, volumes, bounds[0], bounds[1]),
+            (starts, ends, volumes, bounds[1], bounds[2]),
+        ),
+        segment_sums(records, counts, _META_FIELDS),
+        lambda rows: record_metadata_events(records, first[rows], counts[rows]),
+        config,
+    )

@@ -4,9 +4,9 @@
 Every run goes through one driver, :func:`_run_pipeline_plan`, over a
 *plan*: the scan result of pass ① plus the work units of pass ②.  The
 entry points only build plans: :func:`run_pipeline_stream` ships the
-ref of one selected trace per unit, which the worker reloads (corpora
-larger than RAM are categorizable), :func:`run_pipeline_store` ships
-``(store_path, rows)`` slices of a compiled ``.mosc`` store, and
+refs of a unit of selected traces, which the worker reads in one batch
+(corpora larger than RAM are categorizable), :func:`run_pipeline_store`
+ships ``(store_path, rows)`` slices of a compiled ``.mosc`` store, and
 :func:`run_pipeline` streams an in-memory corpus and materializes the
 selected traces.
 
@@ -17,7 +17,9 @@ executor (:func:`~repro.parallel.resilient.resilient_imap`): worker
 crashes rebuild the pool, hung units are quarantined as TIMEOUT,
 transient errors (a failed reload among them) are retried with
 backoff, and inputs that repeatedly kill workers are quarantined as
-POISON.  With a ``journal_path``, every per-trace outcome is appended
+POISON.  A unit of several traces that fails is split, and its traces
+run again one per unit, so a failure is only ever settled against one
+trace.  With a ``journal_path``, every per-trace outcome is appended
 to a JSONL journal as it settles and committed (fsynced) once per unit,
 so a killed run resumes (``resume=True``) exactly where it died, on
 either route.  See docs/ROBUSTNESS.md.
@@ -39,18 +41,28 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
-from ..darshan.source import InMemorySource, TraceSource
+from ..darshan.source import InMemorySource, TraceSource, budgeted
 from ..darshan.trace import Trace
 from ..parallel.executor import ParallelConfig, TaskFailure
 from ..parallel.jobstore import JobStore
 from ..parallel.resilient import resilient_imap
 from ..parallel.retry import FailureKind
-from .categorizer import categorize_trace
+from .categorizer import MAX_SLICE_TRACES, categorize_records
 from .governor import DegradationLevel
-from .preprocess import SelectedRef, SelectionPlan, load_selected, scan_corpus
+from .preprocess import (
+    SelectedRef,
+    SelectionPlan,
+    load_selected,
+    read_selected,
+    scan_corpus,
+)
 from .result import CategorizationResult
 from .stream import ResultLine
 from .thresholds import DEFAULT_CONFIG, MosaicConfig
+
+# Bound by perfbench/tracer.py's per-layer spans (ROADMAP item 1 retires
+# that tracer); pass ② itself no longer calls it.
+from .categorizer import categorize_trace  # noqa: F401
 
 __all__ = [
     "PipelineContext",
@@ -87,7 +99,8 @@ class PipelineContext:
     timings: dict[str, float] = field(default_factory=dict)
     #: Monotonic counters: traces_scanned, bytes_read, n_unreadable,
     #: peak_inflight_traces, dedup_state_size, failures, n_retries,
-    #: n_pool_rebuilds, n_timeouts, n_poisoned, n_quarantined, ...
+    #: n_pool_rebuilds, n_timeouts, n_poisoned, n_quarantined,
+    #: n_split_units, ...
     counters: dict[str, int] = field(default_factory=dict)
     #: Optional content-addressed result cache (duck-typed to keep core
     #: independent of :mod:`repro.service`; see
@@ -223,31 +236,40 @@ def _count_degradation(
 
 
 # ----------------------------------------------------------------------
-# Stream units: each ships the ref of one selected trace, and the worker
-# reloads it.  A reload that fails (file mid-rewrite, I/O hiccup) is a
-# transient failure of its unit, retried by the executor like any other.
+# Stream units: each ships the refs of consecutive selected traces, at
+# most BATCH_BYTES of them by size and MAX_SLICE_TRACES in number, and
+# the worker reads them in one batch.  A read that fails (file
+# mid-rewrite, I/O hiccup) is a transient failure of its unit, retried
+# by the executor like any other.
 
 
-def _categorize_ref(
-    source: TraceSource, entry: SelectedRef, config: MosaicConfig
+def _categorize_refs(
+    source: TraceSource, entries: list[SelectedRef], config: MosaicConfig
 ) -> list[CategorizationResult]:
-    """Worker-side entry of a one-trace unit: reload, then categorize."""
-    return [categorize_trace(load_selected(source, entry), config)]
+    """Worker-side entry of a stream unit: read its traces as record
+    batches, then categorize them in one call."""
+    return categorize_records(read_selected(source, entries), config)
+
+
+def _stream_units(pending: list[_Member]) -> Iterator[_Unit]:
+    """``pending`` in units, in order, packed by the members' sizes."""
+    for members in budgeted(pending, lambda m: m[1].ref.size_bytes, MAX_SLICE_TRACES):
+        yield members, [entry for _slot, entry in members]
 
 
 def _stream_plan(source: TraceSource, ctx: PipelineContext) -> _Plan:
-    """Scan ``source``; one unit per selected trace, shipped as its ref.
+    """Scan ``source``; units of selected traces, shipped as their refs.
 
     The source is bound into the worker function, which reaches each
     pool worker once (inherited under ``fork``): on a pool the parent
-    decodes nothing in pass ②.
+    reads nothing in pass ②.
     """
     return _Plan(
         scan=_scan_stage(
             ctx, lambda: scan_corpus(source, repair=ctx.repair), source
         ),
-        worker=functools.partial(_categorize_ref, source),
-        units=lambda pending: (([member], member[1]) for member in pending),
+        worker=functools.partial(_categorize_refs, source),
+        units=_stream_units,
         failure_key=lambda entry: str(entry.ref.key),
         reads_payloads=True,
     )
@@ -274,12 +296,15 @@ def _run_pipeline_plan(
     cache state).  A result is encoded once, as it settles; the
     journal, the cache and ``results.jsonl`` all write that line
     (:meth:`CategorizationResult.json_line`).  The rest ship in units
-    through :func:`~repro.parallel.resilient.resilient_imap`; each
-    outcome settles every member of its unit — a failed unit journals
-    one failure per member.  Journal records stay per trace however the
+    through :func:`~repro.parallel.resilient.resilient_imap`; a
+    result settles every member of its unit.  A failure settles only a
+    unit of one: a unit of several that exhausts its retries, crashes
+    or times out is split, and its members run again, one per unit,
+    through one more executor pass, so each failure record names the
+    one trace that failed.  Journal records stay per trace however the
     work ships, so a journal started on one route resumes on another.
     Persistence is group-committed: one journal commit (and one cache
-    commit) after the cache-served block and after each unit.
+    commit) after the cache-served block and after each settled unit.
     """
     scan = plan.scan
     jobstore: JobStore | None = None
@@ -342,29 +367,38 @@ def _run_pipeline_plan(
                     ctx.count("n_journal_commits")
                 pending = uncached
 
-            shipped: list[list[_Member]] = []
-
-            def feed() -> Iterator[Any]:
-                nonlocal inflight, peak
-                for members, payload in plan.units(pending):
-                    shipped.append(members)
-                    inflight += len(members)
-                    peak = max(peak, inflight)
-                    yield payload
-
             fn: Callable[[Any], Any] = functools.partial(
                 plan.worker, config=ctx.config
             )
             if ctx.wrap_worker is not None:
                 fn = ctx.wrap_worker(fn)
 
-            for index, outcome in resilient_imap(
-                fn, feed(), ctx.parallel, on_count=ctx.count
-            ):
-                members = shipped[index]
-                inflight -= len(members)
-                if isinstance(outcome, TaskFailure):
-                    for _slot, entry in members:
+            def execute(units: Iterator[_Unit]) -> list[_Member]:
+                """Run ``units`` and settle their outcomes; returns the
+                members of each failed unit of several, unsettled."""
+                nonlocal n_failures, bytes_read, inflight, peak
+                shipped: list[list[_Member]] = []
+                split: list[_Member] = []
+
+                def feed() -> Iterator[Any]:
+                    nonlocal inflight, peak
+                    for members, payload in units:
+                        shipped.append(members)
+                        inflight += len(members)
+                        peak = max(peak, inflight)
+                        yield payload
+
+                for index, outcome in resilient_imap(
+                    fn, feed(), ctx.parallel, on_count=ctx.count
+                ):
+                    members = shipped[index]
+                    inflight -= len(members)
+                    if isinstance(outcome, TaskFailure) and len(members) > 1:
+                        ctx.count("n_split_units")
+                        split += members
+                        continue
+                    if isinstance(outcome, TaskFailure):
+                        [(_slot, entry)] = members
                         n_failures += 1
                         if outcome.kind in (FailureKind.TIMEOUT, FailureKind.POISON):
                             ctx.count("n_quarantined")
@@ -377,22 +411,30 @@ def _run_pipeline_plan(
                                 trace_key=plan.failure_key(entry),
                                 attempts=outcome.attempts,
                             )
-                else:
-                    for (slot, entry), result in zip(members, outcome):
-                        slots[slot] = result
-                        bytes_read += entry.ref.size_bytes
-                        if jobstore is None and slot not in cache_keys:
-                            continue
-                        line = result.json_line()
-                        if jobstore is not None:
-                            jobstore.settle_result(entry.job_id, line)
-                        if cache is not None and slot in cache_keys:
-                            cache.put(cache_keys[slot], line)
-                # group commit: one fsync per unit, whatever its outcome
-                if cache is not None:
-                    cache.commit()
-                if jobstore is not None and jobstore.commit():
-                    ctx.count("n_journal_commits")
+                    else:
+                        for (slot, entry), result in zip(members, outcome):
+                            slots[slot] = result
+                            bytes_read += entry.ref.size_bytes
+                            if jobstore is None and slot not in cache_keys:
+                                continue
+                            line = result.json_line()
+                            if jobstore is not None:
+                                jobstore.settle_result(entry.job_id, line)
+                            if cache is not None and slot in cache_keys:
+                                cache.put(cache_keys[slot], line)
+                    # group commit: one fsync per settled unit
+                    if cache is not None:
+                        cache.commit()
+                    if jobstore is not None and jobstore.commit():
+                        ctx.count("n_journal_commits")
+                return split
+
+            # a failed unit of several traces settles nothing: its
+            # members run again, one per unit, and settle their own
+            # outcomes
+            split = execute(plan.units(pending))
+            if split:
+                execute(unit for member in split for unit in plan.units([member]))
     finally:
         try:
             if cache is not None:

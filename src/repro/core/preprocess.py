@@ -17,9 +17,9 @@ naively, so it is two-pass and streaming:
   state — one small :class:`SelectedRef` per application, never the
   traces themselves — and returns a :class:`SelectionPlan`, the one
   record of this stage;
-* **pass 2** (:func:`load_selected`, driven by the pipeline) reloads
-  only the selected heaviest refs, each in the worker that categorizes
-  it.
+* **pass 2** (:func:`read_selected`, driven by the pipeline) reads
+  only the selected heaviest refs, a unit of them at a time, in the
+  worker that categorizes them, through the source's batch reader.
 
 The batch :func:`preprocess_corpus` API is a thin wrapper running both
 passes over an in-memory source.
@@ -30,9 +30,12 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 
+from ..darshan.errors import TraceFormatError
 from ..darshan.repair import repair_trace
 from ..darshan.source import (
     CheckedBatch,
@@ -56,6 +59,7 @@ __all__ = [
     "preprocess_corpus",
     "scan_corpus",
     "load_selected",
+    "read_selected",
 ]
 
 
@@ -292,6 +296,33 @@ def load_selected(source: TraceSource, entry: SelectedRef) -> Trace:
     if entry.repaired:
         trace = repair_trace(trace).trace
     return trace
+
+
+def read_selected(
+    source: TraceSource, entries: Sequence[SelectedRef]
+) -> list[RecordBatch]:
+    """Pass ②: read selected traces, in order, as record batches.
+
+    A run of ``entries`` selected as read goes through the source's
+    batch reader (:meth:`~repro.darshan.source.TraceSource.read_batches`);
+    one selected in its repaired form is reloaded and repaired
+    (:func:`load_selected`), then laid out as a row.  A trace that does
+    not read raises its own load error, or ``TraceFormatError`` when it
+    loads on its own but not as a row.
+    """
+    batches: list[RecordBatch] = []
+    for repaired, run in groupby(entries, key=attrgetter("repaired")):
+        members = list(run)
+        if repaired:
+            pairs = [(entry.ref, load_selected(source, entry)) for entry in members]
+            batches.append(RecordBatch.of_traces(pairs))
+        else:
+            batches += source.read_batches([entry.ref for entry in members])
+    unreadable = np.concatenate([batch.unreadable for batch in batches])
+    for at in np.flatnonzero(unreadable).tolist():
+        load_selected(source, entries[at])
+        raise TraceFormatError(f"trace {entries[at].ref.key!r} does not read as a row")
+    return batches
 
 
 def preprocess_corpus(

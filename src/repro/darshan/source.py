@@ -13,9 +13,10 @@ The scan pass and the store compiler read a source through
 job-header columns, file names and records, the records concatenated
 into one :data:`~repro.darshan.io_binary.RECORD_DTYPE` array, bounded
 in bytes, so that validation, dedup and compilation run over whole
-arrays.  The default fills batches through :meth:`~TraceSource.load`;
-:class:`DirectorySource` reads a batch's MOSD files into one buffer and
-parses them there as one column set
+arrays.  Pass ② reads the refs pass ① selected the same way
+(:meth:`TraceSource.read_batches`).  The default fills batches through
+:meth:`~TraceSource.load`; :class:`DirectorySource` reads a batch's
+MOSD files into one buffer and parses them there as one column set
 (:func:`~repro.darshan.io_binary.parse_buffer`).  :func:`check_batch`
 validates (and with ``repair`` repairs) a batch: the one per-batch step
 of pass ① that the scan and the compiler both apply.
@@ -40,7 +41,7 @@ import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
 from itertools import groupby
-from operator import attrgetter
+from operator import methodcaller
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -84,6 +85,7 @@ __all__ = [
     "check_batch",
     "TraceSource",
     "batch_payloads",
+    "budgeted",
     "DirectorySource",
     "InMemorySource",
     "SyntheticSource",
@@ -127,14 +129,17 @@ class TraceRef:
     size_bytes: int = 0
 
 
-def _budgeted(items: Iterable[_T], cost: Callable[[_T], int]) -> Iterator[list[_T]]:
-    """Consecutive ``items`` in groups costing at most :data:`BATCH_BYTES`,
-    except that an item costing more than that is a group on its own."""
+def budgeted(
+    items: Iterable[_T], cost: Callable[[_T], int], max_items: int | None = None
+) -> Iterator[list[_T]]:
+    """Consecutive ``items`` in groups costing at most :data:`BATCH_BYTES`
+    and, with ``max_items``, holding at most that many, except that an
+    item costing more than the budget is a group on its own."""
     group: list[_T] = []
     used = 0
     for item in items:
         charge = cost(item)
-        if group and used + charge > BATCH_BYTES:
+        if group and (used + charge > BATCH_BYTES or len(group) == max_items):
             yield group
             group, used = [], 0
         group.append(item)
@@ -242,8 +247,9 @@ class RecordBatch:
     cannot hold makes its ref unreadable.
     """
 
-    #: Each ref's :attr:`TraceRef.key` and :attr:`TraceRef.size_bytes`;
-    #: :meth:`ref` builds the ref itself.
+    #: Each ref's :attr:`TraceRef.key`, relative to :attr:`root` when
+    #: that is set, and :attr:`TraceRef.size_bytes`; :meth:`ref` builds
+    #: the ref itself.
     keys: list[Any]
     sizes: list[int]
     unreadable: np.ndarray
@@ -264,6 +270,9 @@ class RecordBatch:
     _headers: list[JobMeta | None] | MosdColumns = field(default_factory=list)
     #: Each ref's file names, or its MOSD string table to split.
     _names: Sequence[list[str] | str] = field(default_factory=list)
+    #: The directory :attr:`keys` are file names in; ``""`` when they
+    #: are whole keys.
+    root: str = ""
 
     @classmethod
     def of(cls, entries: Sequence[_Entry]) -> "RecordBatch":
@@ -295,12 +304,19 @@ class RecordBatch:
         )
 
     @classmethod
+    def of_traces(cls, pairs: Sequence[tuple[TraceRef, Trace]]) -> "RecordBatch":
+        """One ref per ``(ref, trace)`` pair, each trace laid out as a
+        decoded trace is; no trace is retained."""
+        return cls.of([_trace_entry(ref, trace, False) for ref, trace in pairs])
+
+    @classmethod
     def of_columns(
-        cls, keys: list[Any], sizes: list[int], cols: MosdColumns
+        cls, keys: list[Any], sizes: list[int], cols: MosdColumns, root: str = ""
     ) -> "RecordBatch":
-        """One ref per row of parsed MOSD columns.  The batch keeps the
-        buffer they were parsed from, so :meth:`trace` can rebuild any
-        readable ref without reading it again."""
+        """One ref per row of parsed MOSD columns, ``keys`` relative to
+        ``root``.  The batch keeps the buffer they were parsed from, so
+        :meth:`trace` can rebuild any readable ref without reading it
+        again."""
         return cls(
             keys=keys,
             sizes=sizes,
@@ -318,16 +334,22 @@ class RecordBatch:
             records=cols.records,
             _headers=cols,
             _names=cols.tables,
+            root=root,
         )
 
     @property
     def refs(self) -> list[TraceRef]:
         """Every ref of the batch, in order."""
-        return [TraceRef(key, size) for key, size in zip(self.keys, self.sizes)]
+        return [self.ref(i) for i in range(len(self.keys))]
+
+    def key(self, i: int) -> Any:
+        """The :attr:`TraceRef.key` of ref ``i``."""
+        key = self.keys[i]
+        return os.path.join(self.root, key) if self.root else key
 
     def ref(self, i: int) -> TraceRef:
         """Ref ``i`` of the batch."""
-        return TraceRef(self.keys[i], self.sizes[i])
+        return TraceRef(self.key(i), self.sizes[i])
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -444,14 +466,14 @@ def check_batch(batch: RecordBatch, *, repair: bool = False) -> CheckedBatch:
     """
     checked = CheckedBatch(batch, _flags(batch))
     if repair:
-        entries = []
+        pairs = []
         for i in np.flatnonzero(checked.flags.any(axis=1) & ~batch.unreadable).tolist():
             outcome = repair_trace(batch.trace(i))
             if outcome.repaired:
                 checked.repaired.append(i)
-                entries.append(_trace_entry(batch.ref(i), outcome.trace, False))
-        if entries:
-            fixed = RecordBatch.of(entries)
+                pairs.append((batch.ref(i), outcome.trace))
+        if pairs:
+            fixed = RecordBatch.of_traces(pairs)
             checked.fixed = CheckedBatch(fixed, _flags(fixed))
     return checked
 
@@ -495,8 +517,19 @@ class TraceSource(ABC):
         Decode failures mark the ref unreadable; any other error
         propagates.
         """
-        entries = (self._batch_entry(ref, retain_traces) for ref in self.refs())
-        for group in _budgeted(entries, lambda e: e.cost):
+        return self._entry_batches(self.refs(), retain_traces)
+
+    def read_batches(self, refs: Sequence[TraceRef]) -> Iterator[RecordBatch]:
+        """``refs``, in order, in record batches, each ref read as
+        :meth:`record_batches` reads it: pass ②'s read of the traces
+        pass ① selected.  No batch retains traces."""
+        return self._entry_batches(refs, False)
+
+    def _entry_batches(
+        self, refs: Iterable[TraceRef], retain: bool
+    ) -> Iterator[RecordBatch]:
+        entries = (self._batch_entry(ref, retain) for ref in refs)
+        for group in budgeted(entries, lambda e: e.cost):
             yield RecordBatch.of(group)
 
     def _batch_entry(self, ref: TraceRef, retain: bool) -> _Entry:
@@ -517,14 +550,13 @@ class _MosdBatch:
     """One batch of MOSD files as :meth:`DirectorySource.record_batches`
     reads them: their bytes back to back in one buffer."""
 
-    __slots__ = ("view", "used", "charged", "rows")
+    __slots__ = ("view", "used", "rows")
 
     def __init__(self, capacity: int):
         # the one byte more a read asks for sees whether a file goes on
         self.view = memoryview(bytearray(capacity + 1))
         self.used = 0
-        self.charged = 0
-        #: Each file's path, ref size and length read, in buffer order.
+        #: Each file's name, ref size and length read, in buffer order.
         self.rows: list[tuple[str, int, int]] = []
 
     def split(self, at: int, n: int, size: int) -> "_MosdBatch":
@@ -536,7 +568,7 @@ class _MosdBatch:
         return batch
 
     def parse(self) -> tuple[list[str], list[int], MosdColumns]:
-        """The batch's paths, ref sizes and parsed columns."""
+        """The batch's file names, ref sizes and parsed columns."""
         buf = cast(bytearray, self.view.obj)
         self.view.release()
         del buf[self.used :]
@@ -563,12 +595,12 @@ class DirectorySource(TraceSource):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DirectorySource({self.path!r})"
 
-    def _listing(self) -> list[os.DirEntry[str]]:
-        """The directory's trace files, in name order."""
+    def _listing(self) -> list[str]:
+        """The directory's trace file names, in name order."""
         try:
             with os.scandir(self.path) as it:
-                entries = [
-                    e
+                names = [
+                    e.name
                     for e in it
                     if e.name.endswith(TRACE_SUFFIXES)
                     and e.name not in _NON_TRACE_NAMES
@@ -578,20 +610,20 @@ class DirectorySource(TraceSource):
             raise TraceFormatError(
                 f"cannot list trace directory {self.path!r}: {exc}"
             ) from exc
-        entries.sort(key=attrgetter("name"))
-        return entries
+        names.sort()
+        return names
 
-    @staticmethod
-    def _ref(entry: os.DirEntry[str]) -> TraceRef:
+    def _ref(self, name: str) -> TraceRef:
+        path = os.path.join(self.path, name)
         try:
-            size = entry.stat().st_size
+            size = os.stat(path).st_size
         except OSError:  # gone since the listing: its load fails instead
             size = 0
-        return TraceRef(key=entry.path, size_bytes=size)
+        return TraceRef(key=path, size_bytes=size)
 
     def refs(self) -> Iterator[TraceRef]:
-        for entry in self._listing():
-            yield self._ref(entry)
+        for name in self._listing():
+            yield self._ref(name)
 
     def load(self, ref: TraceRef) -> Trace:
         path = str(ref.key)
@@ -619,88 +651,109 @@ class DirectorySource(TraceSource):
         through :meth:`load`.  A MOSD batch can always rebuild its
         traces, whatever ``retain_traces`` says: it keeps its buffer.
         """
-        runs = groupby(self._listing(), key=lambda e: e.name.endswith(".mosd"))
-        for is_mosd, dir_entries in runs:
-            if is_mosd:
-                yield from self._mosd_batches(dir_entries)
-                continue
-            entries = (
-                self._batch_entry(self._ref(e), retain_traces) for e in dir_entries
-            )
-            for group in _budgeted(entries, lambda e: e.cost):
-                yield RecordBatch.of(group)
+        yield from self._named_batches(self._listing(), retain_traces)
 
-    def _mosd_batches(self, entries: Iterable[os.DirEntry[str]]) -> Iterator[RecordBatch]:
+    def read_batches(self, refs: Sequence[TraceRef]) -> Iterator[RecordBatch]:
+        """``refs``, each a file of this directory, through the reader
+        of :meth:`record_batches`."""
+        names = [os.path.basename(str(ref.key)) for ref in refs]
+        yield from self._named_batches(names, False)
+
+    def _named_batches(self, names: Iterable[str], retain: bool) -> Iterator[RecordBatch]:
+        for is_mosd, run in groupby(names, key=methodcaller("endswith", ".mosd")):
+            if is_mosd:
+                yield from self._mosd_batches(run)
+            else:
+                yield from self._entry_batches(map(self._ref, run), retain)
+
+    def _mosd_batches(self, names: Iterable[str]) -> Iterator[RecordBatch]:
         """MOSD files in batches, each batch read into one buffer.
 
-        Per file: open, read at the buffer's next offset to end of file
-        or to one byte past the batch budget left
-        (:func:`~repro.darshan.io_binary.read_into`), close.  Only a
-        file longer than the budget left is measured (``fstat``): one
-        over the decode limit is refused without reading on, any other
-        starts a new batch, in a buffer the size of the budget or of the
-        file, whichever is larger.  A file that ends within the budget
-        left joins the batch if its charge, at least the per-ref charge,
-        fits.  A file that cannot be opened or read, or is over the
-        decode limit, holds no bytes, which the parser refuses.  A ref's
-        ``size_bytes`` is the number of bytes read, or else the file's
-        measured size (its ``stat`` size when it could not be opened or
-        read).
+        Per file: open (by name, relative to the directory), read at the
+        buffer's next offset to end of file or to one byte past the
+        batch budget left (:func:`~repro.darshan.io_binary.read_into`),
+        close.  Only a file longer than the budget left is measured
+        (``fstat``): one over the decode limit is refused without
+        reading on, any other starts a new batch, in a buffer the size
+        of the budget or of the file, whichever is larger.  A file that
+        ends within the budget left joins the batch if its charge, at
+        least the per-ref charge, fits.  A file that cannot be opened or
+        read, or is over the decode limit, holds no bytes, which the
+        parser refuses.  A ref's ``size_bytes`` is the number of bytes
+        read, or else the file's measured size (its ``stat`` size when
+        it could not be opened or read).
         """
-        cap = DEFAULT_LIMITS.max_payload_bytes
-        readv = os.readv
+        cap, budget, ref_bytes = DEFAULT_LIMITS.max_payload_bytes, BATCH_BYTES, _REF_BYTES
+        open_, readv, close, rdonly = os.open, os.readv, os.close, os.O_RDONLY
+        try:
+            dir_fd = open_(self.path, rdonly | getattr(os, "O_DIRECTORY", 0))
+        except OSError as exc:
+            raise TraceFormatError(
+                f"cannot open trace directory {self.path!r}: {exc}"
+            ) from exc
+        # the batch being filled: its view, bytes used and bytes charged
+        # are locals, the view and bytes used written back before the
+        # batch is split or parsed
         batch = _MosdBatch(_FIRST_BUFFER)
-        for entry in entries:
-            at, size, n = batch.used, 0, 0
-            full: _MosdBatch | None = None
-            try:
-                fd = os.open(entry.path, os.O_RDONLY)
-            except OSError:  # gone since the listing, or not ours to read
-                fd, size = -1, self._ref(entry).size_bytes
-            if fd >= 0:
+        view, used, charged, rows = batch.view, 0, 0, batch.rows
+        try:
+            for name in names:
+                n = size = 0
+                full: _MosdBatch | None = None
+                left = budget - charged if charged < budget else 0
+                end = used + left + 1
                 try:
-                    left = max(BATCH_BYTES - batch.charged, 0)
-                    view = batch.view
-                    end = at + left + 1
-                    if end > len(view):  # the batch's first buffer, still growing
-                        batch.view, n = read_into(fd, view, at, -1, left)
-                    else:
-                        # read_into's first read and end-of-file probe,
-                        # inline: a call per file costs ~5% of a scan pass
-                        n = readv(fd, [view[at:end]])
-                        if at + n < end:
-                            more = readv(fd, [view[at + n : end]])
-                            if more:
-                                batch.view, n = read_into(fd, view, at, -1, left, n + more)
-                    if n > left:  # longer than the budget left: measured before reading on
-                        size = os.fstat(fd).st_size
-                        if size > cap:
-                            n = 0
+                    fd = open_(name, rdonly, dir_fd=dir_fd)
+                except OSError:  # gone since the listing, or not ours to read
+                    fd, size = -1, self._ref(name).size_bytes
+                if fd >= 0:
+                    try:
+                        if end > len(view):  # the batch's first buffer, still growing
+                            view, n = read_into(fd, view, used, -1, left)
                         else:
-                            full = batch if batch.rows else None
-                            batch, at = batch.split(at, n, size), 0
-                            batch.view, n = read_into(fd, batch.view, at, size, cap, n)
-                except OSError:
-                    n, size = 0, self._ref(entry).size_bytes
-                finally:
-                    os.close(fd)
-                if n > cap:
-                    n, size = 0, n
-            charge = n if n > _REF_BYTES else _REF_BYTES
-            if full is None and batch.rows and batch.charged + charge > BATCH_BYTES:
-                full, batch = batch, batch.split(at, n, n)
-            batch.rows.append((entry.path, n or size, n))
-            batch.used += n
-            batch.charged += charge
-            if full is not None:
-                yield self._parsed(full)
-        if batch.rows:
-            yield self._parsed(batch)
+                            # read_into's first read and end-of-file probe,
+                            # inline: a call per file costs ~5% of a scan pass
+                            n = readv(fd, [view[used:end]])
+                            if used + n < end:
+                                more = readv(fd, [view[used + n : end]])
+                                if more:
+                                    view, n = read_into(fd, view, used, -1, left, n + more)
+                        if n > left:  # longer than the budget left: measured before reading on
+                            size = os.fstat(fd).st_size
+                            if size > cap:
+                                n = 0
+                            else:
+                                batch.view, batch.used = view, used
+                                full = batch if rows else None
+                                batch = batch.split(used, n, size)
+                                view, used, charged, rows = batch.view, 0, 0, batch.rows
+                                view, n = read_into(fd, view, 0, size, cap, n)
+                    except OSError:
+                        n, size = 0, self._ref(name).size_bytes
+                    finally:
+                        close(fd)
+                    if n > cap:
+                        n, size = 0, n
+                charge = n if n > ref_bytes else ref_bytes
+                if full is None and rows and charged + charge > budget:
+                    batch.view, batch.used = view, used
+                    full, batch = batch, batch.split(used, n, n)
+                    view, used, charged, rows = batch.view, 0, 0, batch.rows
+                rows.append((name, n or size, n))
+                used += n
+                charged += charge
+                if full is not None:
+                    yield self._parsed(full)
+            if rows:
+                batch.view, batch.used = view, used
+                yield self._parsed(batch)
+        finally:
+            close(dir_fd)
 
     def _parsed(self, batch: _MosdBatch) -> RecordBatch:
-        keys, sizes, cols = batch.parse()
+        names, sizes, cols = batch.parse()
         self._bytes_read += int(cols.sizes[cols.ok].sum())
-        return RecordBatch.of_columns(keys, sizes, cols)
+        return RecordBatch.of_columns(names, sizes, cols, root=self.path)
 
     @property
     def bytes_read(self) -> int:

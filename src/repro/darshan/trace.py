@@ -18,7 +18,14 @@ import numpy as np
 
 from .records import FileRecord, JobMeta
 
-__all__ = ["Direction", "OperationArray", "Trace", "metadata_windows"]
+__all__ = [
+    "Direction",
+    "OperationArray",
+    "Trace",
+    "metadata_windows",
+    "record_metadata_events",
+    "record_operations",
+]
 
 Direction = Literal["read", "write"]
 
@@ -117,6 +124,84 @@ def metadata_windows(
     # `if t1 < t0: swap`, element-wise (NaN comparisons stay put)
     swap = t1 < t0
     return np.where(swap, t1, t0), np.where(swap, t0, t1)
+
+
+#: Record fields of one operation direction: start, end, bytes.
+_DIRECTIONS = (
+    ("read_start", "read_end", "bytes_read"),
+    ("write_start", "write_end", "bytes_written"),
+)
+
+
+def record_operations(
+    records: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:meth:`Trace.operations` of many traces, from their record columns.
+
+    Trace ``t`` owns the next ``counts[t]`` of ``records``.  Returns
+    ``(starts, ends, volumes, n_read, n_write)``: one operation per
+    record with bytes and a start, ending at Python's ``max(end, start +
+    MIN_OP_DURATION)``; each trace's reads, then its writes, stably
+    sorted by start; ``n_read[t]`` and ``n_write[t]`` operations each.
+    """
+    owner = np.repeat(np.arange(len(counts)), counts)
+    starts, ends, volumes, groups, per_trace = [], [], [], [], []
+    for direction, (start_f, end_f, bytes_f) in enumerate(_DIRECTIONS):
+        take = np.flatnonzero((records[bytes_f] > 0) & (records[start_f] >= 0.0))
+        start = records[start_f][take]
+        end = records[end_f][take]
+        floor = start + MIN_OP_DURATION
+        starts.append(start)
+        ends.append(np.where(floor > end, floor, end))
+        volumes.append(records[bytes_f][take].astype(np.float64))
+        groups.append(owner[take] * 2 + direction)
+        per_trace.append(np.bincount(owner[take], minlength=len(counts)))
+    by_start = np.argsort(np.concatenate(starts), kind="stable")
+    order = by_start[np.argsort(np.concatenate(groups)[by_start], kind="stable")]
+    n_read, n_write = per_trace
+    return (
+        np.concatenate(starts)[order],
+        np.concatenate(ends)[order],
+        np.concatenate(volumes)[order],
+        n_read,
+        n_write,
+    )
+
+
+def record_metadata_events(
+    records: np.ndarray, first: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """:meth:`Trace.metadata_columns` of many traces, from their record
+    columns, plus offsets.
+
+    Trace ``j`` owns ``records[first[j] : first[j] + counts[j]]``.
+    Returns ``(t0, t1, opens, n_open, n_close, offsets)``, trace ``j``'s
+    rows being ``offsets[j]:offsets[j+1]``.
+    """
+    first = np.asarray(first, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    take = np.arange(int(offsets[-1]), dtype=np.int64)
+    take += np.repeat(first - offsets[:-1], counts)
+
+    def column(name: str, dtype: type) -> np.ndarray:
+        return records[name][take].astype(dtype)
+
+    opens = column("opens", np.int64)
+    t0, t1 = metadata_windows(
+        column("open_start", np.float64),
+        column("close_end", np.float64),
+        column("read_start", np.float64),
+    )
+    return (
+        t0,
+        t1,
+        opens,
+        opens + column("seeks", np.int64),
+        column("closes", np.int64),
+        offsets,
+    )
 
 
 @dataclass(slots=True)

@@ -16,7 +16,7 @@ from .differential import (
     run_all,
     run_differential,
 )
-from .faults import ChaosInjector, item_key
+from .faults import ChaosInjector, item_key, member_keys
 from .netchaos import (
     ConnectionScript,
     NetChaosProxy,
@@ -37,6 +37,7 @@ __all__ = [
     "NetChaosProxy",
     "NetChaosSchedule",
     "item_key",
+    "member_keys",
     "DifferentialReport",
     "Divergence",
     "FAULT_POWER_CUT",

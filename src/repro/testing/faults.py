@@ -6,10 +6,14 @@ seeded schedule* so the claim is testable — in unit tests, in CI, and
 end-to-end from the CLI (``mosaic report --chaos SEED``).
 
 A :class:`ChaosInjector` wraps the worker function shipped to the
-process pool.  For each item it derives a stable key
-(:func:`item_key` — ``trace.meta.job_id`` for traces), decides the
-item's fate either from explicit key sets (tests) or from a seeded hash
-of the key (fleet-scale chaos), and then:
+process pool.  For each item it derives a stable key per trace the item
+carries (:func:`member_keys` — ``trace.meta.job_id`` for traces, each
+ref of a stream unit, each row of a store slice), decides each key's
+fate either from explicit key sets (tests) or from a seeded hash of the
+key (fleet-scale chaos), and gives the item the gravest of its members'
+fates, so a unit holding a targeted trace fails.  The pipeline then
+runs a failed unit's traces one per unit, and only the targeted one
+meets its fault again:
 
 * **crash** — ``os._exit(...)``: the worker dies exactly like an OOM
   kill or segfault, without unwinding or pickling anything back;
@@ -33,7 +37,14 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
-__all__ = ["ChaosInjector", "item_key", "FAULT_CRASH", "FAULT_HANG", "FAULT_FLAKY"]
+__all__ = [
+    "ChaosInjector",
+    "item_key",
+    "member_keys",
+    "FAULT_CRASH",
+    "FAULT_HANG",
+    "FAULT_FLAKY",
+]
 
 FAULT_CRASH = "crash"
 FAULT_HANG = "hang"
@@ -45,15 +56,29 @@ def item_key(item: Any) -> str:
     """Stable identity of one work item across processes and runs.
 
     Traces (``meta.job_id``) and selected refs (``job_id``) key by job
-    id; scalars key by value; everything else falls back to a repr
-    digest (stable for value-like objects).
+    id; scalars key by value; a unit of work keys by its members
+    (:func:`member_keys`), joined by ``+``; everything else falls back
+    to a repr digest (stable for value-like objects).
     """
+    return "+".join(member_keys(item))
+
+
+def member_keys(item: Any) -> list[str]:
+    """The key of each trace one work item carries: a store slice (a
+    ``rows`` tuple) keys each row as ``row:N``, a list (a stream unit's
+    selected refs) each of its entries, and any other item is one
+    member."""
+    rows = getattr(item, "rows", None)
+    if isinstance(rows, tuple):
+        return [f"row:{row}" for row in rows]
+    if isinstance(item, list):
+        return [item_key(member) for member in item]
     job_id = getattr(getattr(item, "meta", item), "job_id", None)
     if job_id is not None:
-        return f"job:{job_id}"
+        return [f"job:{job_id}"]
     if isinstance(item, (int, str)):
-        return f"val:{item}"
-    return "repr:" + hashlib.sha256(repr(item).encode()).hexdigest()[:16]
+        return [f"val:{item}"]
+    return ["repr:" + hashlib.sha256(repr(item).encode()).hexdigest()[:16]]
 
 
 def _roll(seed: int, key: str) -> float:
@@ -121,19 +146,19 @@ class ChaosInjector:
         return os.path.join(self.state_dir, f"flaky-{digest}")
 
     def __call__(self, item: Any) -> Any:
-        key = item_key(item)
-        fault = self.fault_for(key)
-        if fault == FAULT_CRASH:
+        fates = {key: self.fault_for(key) for key in member_keys(item)}
+        if FAULT_CRASH in fates.values():
             # Simulate an OOM kill/segfault: no unwinding, no goodbye.
             os._exit(self.exit_code)
-        elif fault == FAULT_HANG:
+        if FAULT_HANG in fates.values():
             time.sleep(self.hang_seconds)
-        elif fault == FAULT_FLAKY:
-            if not self.state_dir:
-                raise OSError(f"injected transient fault for {key}")
-            marker = self._flaky_marker(key)
-            if not os.path.exists(marker):
-                with open(marker, "w", encoding="utf-8") as fh:
-                    fh.write(key + "\n")
-                raise OSError(f"injected transient fault for {key}")
+        flaky = [key for key, fate in fates.items() if fate == FAULT_FLAKY]
+        if flaky and not self.state_dir:
+            raise OSError(f"injected transient fault for {flaky[0]}")
+        fresh = [key for key in flaky if not os.path.exists(self._flaky_marker(key))]
+        for key in fresh:
+            with open(self._flaky_marker(key), "w", encoding="utf-8") as fh:
+                fh.write(key + "\n")
+        if fresh:
+            raise OSError(f"injected transient fault for {fresh[0]}")
         return self.inner(item)

@@ -55,14 +55,20 @@ def batch_result(fleet):
 
 
 class ProbedSource(TraceSource):
-    """Delegating source that records loads and the peak number of live
-    ``Trace`` objects (above a caller-set baseline) at load time."""
+    """Delegating source that records loads, the peak number of live
+    ``Trace`` objects (above a caller-set baseline) at load time, and
+    the refs of each pass-② batch read."""
 
     def __init__(self, inner: TraceSource):
         self.inner = inner
         self.n_loads = 0
         self.peak_live = 0
         self.baseline = 0
+        self.units = []
+
+    def read_batches(self, refs):
+        self.units.append(list(refs))
+        return super().read_batches(refs)
 
     @staticmethod
     def live_traces() -> int:
@@ -123,7 +129,11 @@ class TestStreamMatchesBatch:
 
 
 class TestBoundedMemory:
-    def test_peak_resident_traces_below_corpus_size(self, corpus_dir, fleet):
+    def test_peak_resident_traces_below_corpus_size(
+        self, corpus_dir, fleet, monkeypatch
+    ):
+        budget = 20_000
+        monkeypatch.setattr(source_module, "BATCH_BYTES", budget)
         source = ProbedSource(DirectorySource(corpus_dir))
         gc.collect()
         source.baseline = ProbedSource.live_traces()
@@ -136,7 +146,13 @@ class TestBoundedMemory:
         # serial streaming holds O(1) traces: the one being loaded plus
         # at most a couple awaiting hand-off in the generator chain
         assert source.peak_live <= 4
-        assert result.metrics["peak_inflight_traces"] <= 1
+        # pass ② holds one unit in flight, whose bytes stay within the
+        # batch budget unless it is one trace larger than that
+        assert len(source.units) > 1
+        for unit in source.units:
+            assert len(unit) == 1 or sum(r.size_bytes for r in unit) <= budget
+        largest = max(len(unit) for unit in source.units)
+        assert result.metrics["peak_inflight_traces"] == largest < result.n_categorized
 
     def test_pool_workers_reload_what_the_parent_ships(
         self, corpus_dir, monkeypatch
@@ -149,10 +165,16 @@ class TestBoundedMemory:
             "load_binary",
             lambda path, *a, **k: decoded.append(path) or real(path, *a, **k),
         )
+        real_read = DirectorySource.read_batches
+        monkeypatch.setattr(
+            DirectorySource,
+            "read_batches",
+            lambda self, refs: decoded.extend(refs) or real_read(self, refs),
+        )
         pooled = run_pipeline_stream(
             DirectorySource(corpus_dir), parallel=ParallelConfig(max_workers=2)
         )
-        # pass ② ships refs: the forked workers decode, the parent never
+        # pass ② ships refs: the forked workers read, the parent never
         assert decoded == []
         assert [r.json_line() for r in pooled.results] == [
             r.json_line() for r in serial.results
@@ -163,8 +185,11 @@ class TestBoundedMemory:
     def test_two_pass_load_accounting(self, corpus_dir, fleet):
         source = ProbedSource(DirectorySource(corpus_dir))
         result = run_pipeline_stream(source)
-        # pass 1 decodes every trace once; pass 2 reloads only selected
+        # pass 1 decodes every trace once; pass 2 reads only the
+        # selected ones, in batch reads that cover each of them once
         assert source.n_loads == fleet.n_input + result.n_categorized
+        read = [ref for unit in source.units for ref in unit]
+        assert read == [entry.ref for entry in result.preprocess.refs]
 
     def test_bytes_read_split_by_stage(self, corpus_dir):
         source = DirectorySource(corpus_dir)

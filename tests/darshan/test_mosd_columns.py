@@ -343,15 +343,16 @@ def test_batches_held_at_once_keep_their_own_bytes(fleet_traces, fleet_payloads,
 
 def _edit_after(monkeypatch, call: str, target, edit) -> None:
     """Apply ``edit`` to ``target`` right after ``os.<call>`` has run on
-    it (``os.open``) or on its descriptor (``os.fstat``)."""
+    it (``os.open``, by path or by name relative to its directory) or on
+    its descriptor (``os.fstat``)."""
     real = getattr(os, call)
     opened = {}
 
     def patched(arg, *args, **kwargs):
         result = real(arg, *args, **kwargs)
-        if call == "open" and str(arg) == str(target):
+        if call == "open" and os.path.basename(str(arg)) == target.name:
             edit(target)
-        if call == "fstat" and opened.get(arg) == str(target):
+        if call == "fstat" and opened.get(arg) == target.name:
             edit(target)
         return result
 
@@ -360,7 +361,7 @@ def _edit_after(monkeypatch, call: str, target, edit) -> None:
 
         def open_(path, *args, **kwargs):
             fd = real_open(path, *args, **kwargs)
-            opened[fd] = str(path)
+            opened[fd] = os.path.basename(str(path))
             return fd
 
         monkeypatch.setattr(os, "open", open_)

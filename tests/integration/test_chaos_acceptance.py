@@ -112,7 +112,11 @@ class TestChaosAcceptance:
         m = chaos_run["result"].metrics
         assert m["n_retries"] >= 1  # the flaky trace recovered
         assert m["n_timeouts"] == 1
-        assert m["n_poisoned"] == 1
+        # the corpus is one unit: it holds the crasher, so it is
+        # poisoned and split, then the crasher is poisoned alone (the
+        # crash fires before the hang, which only its own unit meets)
+        assert m["n_split_units"] == 1
+        assert m["n_poisoned"] == 2
         assert m["n_crash_events"] >= 1
         assert m["n_pool_rebuilds"] >= 2  # crash recovery + hang recycle
         assert m["n_quarantined"] == 2

@@ -1,12 +1,14 @@
 """A selected trace that breaks between pass ① and pass ②.
 
 The scan decodes every trace and selects one per application; pass ②
-ships the selected refs and each worker reloads its own trace.  When a
-selected file is deleted, or overwritten with garbage, after the scan,
-its reload fails in the worker.  That failure is a transient unit
-failure of the executor: retried up to ``max_retries`` times, then
-journaled as that trace's ``exception`` failure, never quarantined, so a
-resumed run tries the restored file again.  Every other trace
+ships units of selected refs and each worker reads its unit's traces.
+When a selected file is deleted, or overwritten with garbage, after the
+scan, its read fails in the worker.  That failure is a transient unit
+failure of the executor: retried up to ``max_retries`` times; the unit
+is then split and each trace replayed alone, where the broken one fails
+again, is retried as often, and is journaled as that trace's
+``exception`` failure, never quarantined, so a resumed run tries the
+restored file again.  Every other trace
 categorizes exactly as in a clean run, serially and on a pool.
 """
 
@@ -96,7 +98,10 @@ def test_broken_reload_is_retried_then_journaled(corpus, tmp_path, workers, how,
     assert failure["error_type"] == "TraceFormatError"
     assert failure["attempts"] == POLICY.max_retries + 1
     assert failure["trace_key"] == str(victim)
-    assert broken.metrics["n_retries"] == POLICY.max_retries
+    # the unit of every selected trace spends its retries, is split,
+    # and the victim spends its own on its replay alone
+    assert broken.metrics["n_split_units"] == 1
+    assert broken.metrics["n_retries"] == 2 * POLICY.max_retries
     assert broken.n_failures == 1
     assert "n_quarantined" not in broken.metrics
 

@@ -4,9 +4,11 @@ Pool rebuilds and ``--resume`` must *re-open* the store read-only in
 every worker process — never inherit a parent mapping through fork, and
 never a writable view.  The per-process attach cache is keyed by pid
 and file identity exactly so this seam cannot regress silently; this
-module drives it end to end: a crashing slice forces pool rebuilds, the
+module drives it end to end: a crashing trace forces pool rebuilds, the
 rebuilt workers reattach and finish the corpus, and a killed journal
-resumes to byte-identical results on fresh worker processes.
+resumes to byte-identical results on fresh worker processes.  Faults
+target store rows (member keys), so the slice holding one fails, and
+the pipeline replays that slice's rows one per slice.
 """
 
 import concurrent.futures
@@ -23,7 +25,7 @@ from repro.darshan import DirectorySource, save_binary
 from repro.parallel import ParallelConfig
 from repro.parallel.retry import FailureKind, RetryPolicy
 from repro.synth import FleetConfig, generate_fleet
-from repro.testing import ChaosInjector, item_key
+from repro.testing import ChaosInjector, member_keys
 
 #: Small slice budget so the 25-app corpus plans several slices — the
 #: chaos faults need distinct victim slices and survivors.
@@ -62,7 +64,7 @@ def store_path(tmp_path_factory):
 @pytest.fixture(scope="module")
 def planned_slices(store_path):
     """The same slice plan ``run_pipeline_store`` will compute, so a
-    chaos fault can target one slice by its stable item key."""
+    chaos fault can target a row of a chosen slice by its member key."""
     store = attach(store_path)
     plan = scan_store(store)
     rows = [int(entry.ref.key) for entry in plan.refs]
@@ -96,6 +98,7 @@ class TestStoreChaos:
     def chaos_run(self, store_path, planned_slices, tmp_path_factory):
         _store, _plan, slices = planned_slices
         crash_slice, flaky_slice = slices[0], slices[1]
+        crash_key, flaky_key = member_keys(crash_slice)[0], member_keys(flaky_slice)[0]
         tmp = tmp_path_factory.mktemp("chaos-run")
         state = tmp / "state"
         state.mkdir()
@@ -107,8 +110,8 @@ class TestStoreChaos:
             ),
             wrap_worker=functools.partial(
                 ChaosInjector,
-                crash_keys=frozenset({item_key(crash_slice)}),
-                flaky_keys=frozenset({item_key(flaky_slice)}),
+                crash_keys=frozenset({crash_key}),
+                flaky_keys=frozenset({flaky_key}),
                 state_dir=str(state),
             ),
         )
@@ -123,7 +126,7 @@ class TestStoreChaos:
             "result": result,
             "journal": journal,
             "tmp": tmp,
-            "crash_rows": set(crash_slice.rows),
+            "crash_rows": {crash_slice.rows[0]},
             "flaky_rows": set(flaky_slice.rows),
         }
 
@@ -132,9 +135,9 @@ class TestStoreChaos:
     ):
         _store, plan, _slices = planned_slices
         result = chaos_run["result"]
-        # every trace outside the crashing slice is categorized —
-        # including the flaky slice, whose retry ran on a worker that
-        # had to reattach the store
+        # every trace but the crashing one is categorized — its
+        # slice's other rows on replay, and the flaky slice, whose retry
+        # ran on a worker that had to reattach the store
         assert len(result.results) == plan.n_selected - len(
             chaos_run["crash_rows"]
         )
