@@ -139,7 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cat.add_argument("--out", required=True, help="results JSONL path")
     cat.add_argument("--workers", type=int, default=0,
-                     help="process-pool workers (0 = serial)")
+                     help="process-pool workers (0 or 1 runs in process; "
+                     "a pool needs at least 2)")
     cat.add_argument("--repair", action="store_true",
                      help="attempt conservative repair of corrupted traces "
                      "instead of evicting them outright")
@@ -233,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
         "in <data-dir>/server.json either way)",
     )
     srv.add_argument("--workers", type=int, default=0,
-                     help="process-pool workers per job (0 = serial)")
+                     help="process-pool workers per job (0 or 1 runs in "
+                     "process; a pool needs at least 2)")
     srv.add_argument(
         "--budget-max-ops", type=int, metavar="N",
         help="per-trace operation budget applied to every job "

@@ -84,7 +84,8 @@ PENDING_PER_WORKER = 8
 class ParallelConfig:
     """Execution knobs for :func:`~repro.parallel.resilient.resilient_imap`."""
 
-    #: 0 = serial in-process; None = os.cpu_count().
+    #: 0 or 1 = serial in process (a pool needs at least 2);
+    #: None = os.cpu_count().
     max_workers: int | None = None
     #: Retry, deadline, and crash-quarantine budget of the run.
     retry: RetryPolicy = RetryPolicy()

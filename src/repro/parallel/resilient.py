@@ -7,8 +7,9 @@ window — at most :meth:`ParallelConfig.resolved_pending
 and unfinished at once, so a generator that loads traces from disk
 never races ahead of the workers — and yields ``(index,
 result_or_failure)`` pairs: in input order when serial
-(``max_workers=0``, in-process, which also means the mapped function
-need not be picklable), in completion order with a pool.
+(``max_workers`` 0 or 1: in process, which also means the mapped
+function need not be picklable), in completion order with a pool of
+at least 2 workers.
 
 A mapped function that raises becomes a
 :class:`~repro.parallel.executor.TaskFailure`, never an abort.  At fleet

@@ -44,7 +44,7 @@ Routes::
     GET  /readyz              readiness (503 while draining/degraded)
     GET  /metrics             queue depth, cache hit rate, catalog
                               counters, admission/shed counters,
-                              pipeline counters
+                              pipeline counters, SSE frames/writes
     GET  /catalog             per-application categories, runs and
                               stability, in application-key order
     POST /jobs                {"store": path} | {"traces": path}
@@ -58,7 +58,8 @@ Routes::
                               events carry ``id:`` so ``Last-Event-ID``
                               resumes from the journal; a settle event
                               goes out only after the journal commit
-                              that made it durable
+                              that made it durable; the frames queued
+                              when a stream wakes go out in one write
 
 A job that dies with :class:`~repro.io.StorageError` (disk full, torn
 device) is reported as HTTP 507 Insufficient Storage, matching the
@@ -240,6 +241,10 @@ class MosaicServer:
         #: job_id -> seq of the last committed settle published this
         #: incarnation (loop side): the replay bound of a live job.
         self._committed_seq: dict[str, int] = {}
+        #: SSE event frames sent and the socket writes that carried
+        #: them (loop side), for ``/metrics``.
+        self._sse_frames = 0
+        self._sse_writes = 0
         #: Jobs run on a dedicated executor so an abandoned (escalated)
         #: job never blocks ``loop.shutdown_default_executor``.
         self._job_executor = concurrent.futures.ThreadPoolExecutor(
@@ -392,18 +397,18 @@ class MosaicServer:
         loop.call_soon_threadsafe(self._publish_on_loop, job_id, events)
 
     def _publish_on_loop(self, job_id: str, events: tuple[dict[str, Any], ...]) -> None:
-        queues = self._subscribers.get(job_id, [])
+        """Hand one publish to each subscriber as one queue item."""
         for event in events:
             if "seq" in event:
                 self._committed_seq[job_id] = event["seq"]
-            for queue in queues:
-                queue.put_nowait(event)
+        for queue in self._subscribers.get(job_id, []):
+            queue.put_nowait(events)
 
     def _publish_all_on_loop(self, event: dict[str, Any]) -> None:
         """Broadcast one event to every SSE subscriber (loop side)."""
         for queues in self._subscribers.values():
             for queue in queues:
-                queue.put_nowait(event)
+                queue.put_nowait((event,))
 
     # -- async job machinery -------------------------------------------
     def _admit(self, job: JobRecord) -> None:
@@ -540,6 +545,7 @@ class MosaicServer:
             },
             "catalog": catalog,
             "pipeline": pipeline,
+            "events": {"frames": self._sse_frames, "writes": self._sse_writes},
         }
 
     # -- HTTP ----------------------------------------------------------
@@ -1059,13 +1065,14 @@ class MosaicServer:
 
     async def _replay(
         self,
-        writer: asyncio.StreamWriter,
+        frames: list[bytes],
         job_id: str,
         after: int,
         upto: int | None,
     ) -> int:
-        """Send the journaled settle events with ``after < seq <= upto``;
-        returns the last seq sent (``after`` when none)."""
+        """Append the frames of the journaled settle events with
+        ``after < seq <= upto`` to ``frames``; returns the last seq
+        appended (``after`` when none)."""
         assert self._loop is not None
         journal = os.path.join(self._job_dir(job_id), "journal.jsonl")
         replayed = await self._loop.run_in_executor(
@@ -1073,7 +1080,7 @@ class MosaicServer:
             functools.partial(replay_settles, journal, after=after, upto=upto),
         )
         for seq, kind, entry in replayed:
-            writer.write(
+            frames.append(
                 self._sse_frame(
                     {
                         "event": kind,
@@ -1083,8 +1090,16 @@ class MosaicServer:
                 )
             )
             after = seq
-        await writer.drain()
         return after
+
+    async def _send_frames(
+        self, writer: asyncio.StreamWriter, frames: list[bytes]
+    ) -> None:
+        """Write ``frames`` as one buffer and drain once."""
+        writer.write(b"".join(frames))
+        self._sse_frames += len(frames)
+        self._sse_writes += 1
+        await writer.drain()
 
     async def _handle_events(
         self,
@@ -1116,13 +1131,11 @@ class MosaicServer:
             queue = asyncio.Queue()
             self._subscribers.setdefault(job_id, []).append(queue)
         try:
+            frames: list[bytes] = []
             if queue is not None:
-                writer.write(
-                    self._sse_frame(
-                        {"event": "subscribed", "status": job.status}
-                    )
+                frames.append(
+                    self._sse_frame({"event": "subscribed", "status": job.status})
                 )
-                await writer.drain()
             if after is not None:
                 # a job still in flight replays only what its commits
                 # made durable; later settles arrive as live events
@@ -1131,7 +1144,7 @@ class MosaicServer:
                     if job.status in _TERMINAL
                     else self._committed_seq.get(job_id, 0)
                 )
-                sent = await self._replay(writer, job_id, sent, upto)
+                sent = await self._replay(frames, job_id, sent, upto)
             if queue is None:
                 # terminal (or draining) at subscribe time: replay above
                 # is all there is — finish with the terminal event
@@ -1140,12 +1153,11 @@ class MosaicServer:
                     if job.status in _TERMINAL
                     else {"event": "drain"}
                 )
-                writer.write(self._sse_frame(terminal))
-                await writer.drain()
-                return
-            while True:
+                frames.append(self._sse_frame(terminal))
+            await self._send_frames(writer, frames)
+            while queue is not None:
                 try:
-                    event = await asyncio.wait_for(
+                    item = await asyncio.wait_for(
                         queue.get(), timeout=self.sse_keepalive_s
                     )
                 except asyncio.TimeoutError:
@@ -1154,25 +1166,33 @@ class MosaicServer:
                     writer.write(b": keepalive\n\n")
                     await writer.drain()
                     continue
-                seq = event.get("seq")
-                if seq is not None and seq <= sent:
-                    continue  # already delivered by the journal replay
-                if after is not None and (
-                    event.get("event") == "finished"
-                    or (seq is not None and seq > sent + 1)
-                ):
-                    # a committed event covers every settle before it:
-                    # fill the gap from the journal (a resumed job's
-                    # inherited settles are never published live)
-                    sent = await self._replay(
-                        writer, job_id, sent, None if seq is None else seq - 1
-                    )
-                writer.write(self._sse_frame(event))
-                await writer.drain()
-                if seq is not None:
-                    sent = seq
-                if event.get("event") in _SSE_TERMINAL:
-                    return
+                # every publish queued by now goes out in one write
+                events = list(item)
+                while not queue.empty():
+                    events.extend(queue.get_nowait())
+                frames = []
+                for event in events:
+                    seq = event.get("seq")
+                    if seq is not None and seq <= sent:
+                        continue  # already delivered by the journal replay
+                    if after is not None and (
+                        event.get("event") == "finished"
+                        or (seq is not None and seq > sent + 1)
+                    ):
+                        # a committed event covers every settle before it:
+                        # fill the gap from the journal (a resumed job's
+                        # inherited settles are never published live)
+                        sent = await self._replay(
+                            frames, job_id, sent, None if seq is None else seq - 1
+                        )
+                    frames.append(self._sse_frame(event))
+                    if seq is not None:
+                        sent = seq
+                    if event.get("event") in _SSE_TERMINAL:
+                        await self._send_frames(writer, frames)
+                        return
+                if frames:
+                    await self._send_frames(writer, frames)
         finally:
             if queue is not None:
                 self._subscribers[job_id].remove(queue)

@@ -20,8 +20,9 @@ import pytest
 
 from repro.columnar import attach, compile_corpus, scan_store
 from repro.core import run_pipeline_store, run_pipeline_stream
+from repro.core.categorizer import MAX_SLICE_TRACES
 from repro.core.pipeline import PipelineContext
-from repro.darshan import DirectorySource, save_binary
+from repro.darshan import DirectorySource, InMemorySource, save_binary
 from repro.parallel import ParallelConfig
 from repro.parallel.retry import RetryPolicy
 from repro.synth import FleetConfig, generate_fleet
@@ -68,7 +69,24 @@ def _assert_blamed(result, journal, clean, victim):
     return failure
 
 
-@pytest.mark.parametrize(
+@pytest.fixture(scope="module")
+def full_slice(tmp_path_factory):
+    """A store whose one slice holds ``MAX_SLICE_TRACES`` selected rows,
+    with a clean run's lines."""
+    store = tmp_path_factory.mktemp("full-slice") / "corpus.mosc"
+    fleet = generate_fleet(
+        FleetConfig(
+            n_apps=MAX_SLICE_TRACES, mean_runs=1.0, corruption_fraction=0.0, seed=23
+        )
+    )
+    compile_corpus(InMemorySource(fleet.traces), store)
+    clean = run_pipeline_store(store)
+    assert clean.metrics["n_slices"] == 1
+    assert clean.n_categorized == MAX_SLICE_TRACES
+    return store, {r.job_id: r.json_line() for r in clean.results}
+
+
+FAULTS = pytest.mark.parametrize(
     "fault,workers,kind,error_type",
     [
         ("crash", 2, "poison", "WorkerCrash"),
@@ -77,12 +95,15 @@ def _assert_blamed(result, journal, clean, victim):
         ("raise", 2, "exception", "OSError"),
     ],
 )
-def test_store_slice_blames_one_row(corpus, tmp_path, fault, workers, kind, error_type):
-    _traces, store, clean = corpus
+
+
+def _blame_one_row(store, clean, journal, fault, workers, kind, error_type):
+    """Fault the middle row of ``store``'s one slice; exactly that row
+    fails, as ``kind``/``error_type``, with the attempts it would have
+    spent alone."""
     plan = scan_store(attach(str(store)))
     victim = plan.refs[len(plan.refs) // 2]
     key = frozenset({f"row:{int(victim.ref.key)}"})
-    journal = tmp_path / "run.jsonl"
     ctx = PipelineContext(
         parallel=ParallelConfig(max_workers=workers, retry=POLICY),
         wrap_worker=functools.partial(
@@ -102,6 +123,26 @@ def test_store_slice_blames_one_row(corpus, tmp_path, fault, workers, kind, erro
     retried = POLICY.max_retries + 1 if fault == "raise" else 1
     assert failure["attempts"] == retried
     assert result.metrics.get("n_quarantined", 0) == (fault != "raise")
+
+
+@FAULTS
+def test_store_slice_blames_one_row(corpus, tmp_path, fault, workers, kind, error_type):
+    _traces, store, clean = corpus
+    _blame_one_row(
+        store, clean, tmp_path / "run.jsonl", fault, workers, kind, error_type
+    )
+
+
+@FAULTS
+def test_full_store_slice_blames_one_row(
+    full_slice, tmp_path, fault, workers, kind, error_type
+):
+    """The same blame when the row shares its slice with
+    ``MAX_SLICE_TRACES - 1`` others."""
+    store, clean = full_slice
+    _blame_one_row(
+        store, clean, tmp_path / "run.jsonl", fault, workers, kind, error_type
+    )
 
 
 class BreakAfterScan(DirectorySource):

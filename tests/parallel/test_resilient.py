@@ -6,6 +6,7 @@ and marker files under ``state_dir`` let flaky items recover on retry
 even when the retry lands in a fresh worker process.
 """
 
+import os
 from dataclasses import replace
 
 import pytest
@@ -57,6 +58,15 @@ class TestNoFaultEquivalence:
 
     def test_empty_input(self):
         assert _drain(resilient_imap(square, [], replace(SERIAL, retry=FAST))) == ({}, {})
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_one_worker_runs_in_process(self, workers):
+        """0 and 1 worker both take the serial path: a lambda, which no
+        pool could pickle, maps in input order in this process."""
+        items = list(range(5))
+        config = ParallelConfig(max_workers=workers, retry=FAST)
+        stream = resilient_imap(lambda x: (os.getpid(), x * x), items, config)
+        assert list(stream) == [(i, (os.getpid(), i * i)) for i in items]
 
 
 class TestTransientRetry:

@@ -25,6 +25,7 @@ from repro.core.result import CategorizationResult
 from repro.darshan import DirectorySource, InMemorySource, save_binary
 from repro.io import scoped_io
 from repro.parallel import ParallelConfig
+from repro.parallel.jobstore import replay_settles
 from repro.parallel.journal import JournalWriter
 from repro.service import MosaicServer
 from repro.service.server import JobRecord
@@ -376,6 +377,91 @@ class TestWarmFolds:
 
 
 # -- live SSE ----------------------------------------------------------
+def _frame(event):
+    """The SSE frame of ``event``, as the wire carries it."""
+    data = json.dumps(event, separators=(",", ":"))
+    cursor = f"id: {event['seq']}\n" if "seq" in event else ""
+    return f"{cursor}data: {data}\n\n".encode()
+
+
+def _settle(seq):
+    return {"event": "result", "trace_job_id": 100 + seq, "seq": seq}
+
+
+FINISHED = {"event": "finished", "status": "done"}
+
+
+class _StubWriter:
+    """Records every ``write`` of one SSE response."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+
+    async def drain(self):
+        pass
+
+
+async def _until(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out"
+        await asyncio.sleep(0.001)
+
+
+def _stub_streams(tmp_path, script, *, subscribers=1, headers=None, committed=0):
+    """Subscribe ``subscribers`` stub writers to a running job whose
+    journal holds settles 1..5 (``committed`` of them published before
+    anyone subscribed), run ``script(server, job_id, writers)`` on the
+    loop once every stream waits for live events, and return the server
+    and each stub's writes after its stream ended.  The first write is
+    the response head and the second the opening frames."""
+    server = MosaicServer(tmp_path / "data", port=0)
+    job_id = "job-000001"
+    server.jobs[job_id] = JobRecord(
+        job_id=job_id, kind="store", path="/x.mosc", status="running"
+    )
+    os.makedirs(server._job_dir(job_id))
+    journal = os.path.join(server._job_dir(job_id), "journal.jsonl")
+    with JournalWriter(journal) as writer:
+        writer.write_header(n_selected=5)
+        for seq in range(1, 6):
+            writer.record_result(100 + seq, json.dumps({"job_id": 100 + seq}))
+    if committed:
+        server._committed_seq[job_id] = committed
+
+    async def main():
+        server._loop = asyncio.get_running_loop()
+        writers = [_StubWriter() for _ in range(subscribers)]
+        streams = [
+            asyncio.ensure_future(server._handle_events(job_id, headers or {}, w))
+            for w in writers
+        ]
+        await _until(lambda: all(len(w.writes) == 2 for w in writers))
+        await script(server, job_id, writers)
+        await asyncio.wait_for(asyncio.gather(*streams), timeout=30)
+        return [w.writes for w in writers]
+
+    try:
+        return server, asyncio.run(main())
+    finally:
+        server._job_executor.shutdown()
+        server._registry.close()
+
+
+@pytest.fixture(scope="module")
+def wide_store(tmp_path_factory):
+    """A store whose one slice holds 300 selected rows."""
+    store = tmp_path_factory.mktemp("wide") / "wide.mosc"
+    fleet = generate_fleet(
+        FleetConfig(n_apps=300, mean_runs=1.0, corruption_fraction=0.0, seed=5)
+    )
+    compile_corpus(InMemorySource(fleet.traces), store)
+    return str(store)
+
+
 class TestEvents:
     def test_live_settle_stream(self, corpus, tmp_path):
         """A subscriber that joins while the job is held at its first
@@ -484,6 +570,115 @@ class TestEvents:
                 conn.close()
         finally:
             _shutdown(server, thread)
+
+    def test_live_stream_of_a_wide_slice_equals_its_journal(self, wide_store, tmp_path):
+        """A live job over one slice of many rows: after ``subscribed``
+        the stream holds one frame per settle, each once, in seq order,
+        byte for byte the frames rebuilt from the job's journal, then
+        ``finished``; the slice's commit goes out in one write."""
+        server = MosaicServer(tmp_path / "data", port=0)
+        thread, endpoint = _start(server)
+        hold = HoldAtFirstSettle()
+        try:
+            with scoped_io(hold):
+                job_id = _submit(endpoint, {"store": wide_store})
+                assert hold.held.wait(timeout=60), "job never reached a settle"
+                conn = http.client.HTTPConnection(
+                    endpoint["host"], endpoint["port"], timeout=120
+                )
+                try:
+                    conn.request("GET", f"/jobs/{job_id}/events")
+                    resp = conn.getresponse()
+                    assert resp.status == 200
+                    opening = resp.readline() + resp.readline()
+                    hold.release()
+                    body = resp.read()  # the server closes after the terminal event
+                finally:
+                    conn.close()
+            assert opening == _frame({"event": "subscribed", "status": "running"})
+            journal = os.path.join(server._job_dir(job_id), "journal.jsonl")
+            replayed = replay_settles(journal)
+            assert [seq for seq, _kind, _entry in replayed] == list(range(1, 301))
+            assert body == b"".join(
+                _frame({"event": kind, "trace_job_id": entry["job_id"], "seq": seq})
+                for seq, kind, entry in replayed
+            ) + _frame(FINISHED)
+            _status, data = _request(endpoint, "GET", "/metrics")
+            events = json.loads(data)["events"]
+            assert events["frames"] == 302
+            # subscribed, the slice's 300 settles, finished: at most three
+            assert events["writes"] <= 3
+        finally:
+            hold.release()
+            _shutdown(server, thread)
+
+    def test_frames_of_one_publish_go_out_in_one_write(self, tmp_path):
+        """One publish is one write; publishes queued before the stream
+        wakes share one write; frames are unchanged by the batching."""
+
+        async def script(server, job_id, writers):
+            (writer,) = writers
+            server._publish_on_loop(job_id, (_settle(1), _settle(2)))
+            await _until(lambda: len(writer.writes) == 3)
+            server._publish_on_loop(job_id, (_settle(3),))
+            server._publish_on_loop(job_id, (_settle(4), _settle(5)))
+            await _until(lambda: len(writer.writes) == 4)
+            server._publish_on_loop(job_id, (FINISHED,))
+
+        server, (writes,) = _stub_streams(tmp_path, script)
+        assert writes[1] == _frame({"event": "subscribed", "status": "running"})
+        assert writes[2:] == [
+            _frame(_settle(1)) + _frame(_settle(2)),
+            b"".join(_frame(_settle(seq)) for seq in (3, 4, 5)),
+            _frame(FINISHED),
+        ]
+        assert server.metrics()["events"] == {"frames": 7, "writes": 4}
+
+    @pytest.mark.parametrize("committed", [0, 5], ids=["live", "replayed"])
+    def test_cursor_inside_one_commit_gets_the_settles_after_it(
+        self, tmp_path, committed
+    ):
+        """``Last-Event-ID: 3`` against a commit of settles 1..5 yields
+        settles 4 and 5 once each, whether the commit is published live
+        or was made before the subscriber came (journal replay)."""
+
+        async def script(server, job_id, writers):
+            server._publish_on_loop(job_id, tuple(_settle(seq) for seq in range(1, 6)))
+            server._publish_on_loop(job_id, (FINISHED,))
+
+        _server, (writes,) = _stub_streams(
+            tmp_path, script, headers={"last-event-id": "3"}, committed=committed
+        )
+        assert b"".join(writes[1:]) == (
+            _frame({"event": "subscribed", "status": "running"})
+            + _frame(_settle(4))
+            + _frame(_settle(5))
+            + _frame(FINISHED)
+        )
+
+    def test_terminal_event_inside_a_batch_ends_the_stream(self, tmp_path):
+        """Publishes queued behind a terminal event never go out."""
+
+        async def script(server, job_id, writers):
+            server._publish_on_loop(job_id, (_settle(1), _settle(2)))
+            server._publish_on_loop(job_id, (FINISHED,))
+            server._publish_on_loop(job_id, (_settle(3),))
+
+        server, (writes,) = _stub_streams(tmp_path, script)
+        assert writes[2:] == [
+            _frame(_settle(1)) + _frame(_settle(2)) + _frame(FINISHED)
+        ]
+        assert server._subscribers == {}
+
+    def test_drain_broadcast_reaches_every_subscriber(self, tmp_path):
+        async def script(server, job_id, writers):
+            server._publish_on_loop(job_id, (_settle(1),))
+            server._publish_all_on_loop({"event": "drain"})
+
+        server, streams = _stub_streams(tmp_path, script, subscribers=3)
+        for writes in streams:
+            assert writes[2:] == [_frame(_settle(1)) + _frame({"event": "drain"})]
+        assert server._subscribers == {}
 
 
 # -- storage exhaustion ------------------------------------------------
