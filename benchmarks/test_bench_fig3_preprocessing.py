@@ -62,7 +62,8 @@ def test_fig3_repair_extension(benchmark, corpus, results_dir):
     MOSAIC chose eviction (a repaired record is a guess); this measures
     what that choice costs in corpus coverage.
     """
-    from repro.darshan import is_valid, repair_trace
+    from repro.darshan import is_valid
+    from repro.testing import repair_trace
 
     bad = [t for t in corpus.traces if not is_valid(t)][:400]
 

@@ -15,8 +15,8 @@ each trace's CRC from one chain over the bytes it owns.  Every string is
 interned in a deduplicated heap.  Each batch is validated, and with
 ``repair`` repaired, by :func:`~repro.darshan.source.check_batch`, the
 per-batch step the streaming scan also applies; each ref repair
-recovers is stored, in ref order, from its row of the batch of repaired
-traces.  Metadata event streams are *not* materialized (they can dwarf
+recovers is stored as its repaired row, with its repair bit set.
+Metadata event streams are *not* materialized (they can dwarf
 the corpus itself); the reader reconstructs them from the records
 section bit-for-bit.  Payloads the source cannot decode at all, and
 traces holding a value their columns cannot hold exactly, are *counted*
@@ -41,7 +41,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..darshan.source import CheckedBatch, RecordBatch, TraceSource, check_batch, segment_sums
+from ..darshan.source import CheckedBatch, TraceSource, check_batch, segment_sums
 from ..darshan.trace import record_operations
 from ..io import atomic_write_bytes
 from .format import (
@@ -175,7 +175,7 @@ def compile_corpus(
     t0 = time.perf_counter()
     slabs = _Slabs()
     n_unreadable = extra_unreadable
-    for batch in source.record_batches(retain_traces=repair):
+    for batch in source.record_batches():
         n_unreadable += int(np.count_nonzero(batch.unreadable))
         # bound to no name: the next batch is checked once this one is freed
         slabs.add_batch(check_batch(batch, repair=repair))
@@ -210,8 +210,8 @@ def _int64_totals(
 
 
 class _Slabs:
-    """The store's sections as they grow, one run of batch rows at a
-    time, in ref order."""
+    """The store's sections as they grow, one checked batch at a time,
+    in ref order."""
 
     def __init__(self) -> None:
         self.heap = _Heap()
@@ -221,34 +221,16 @@ class _Slabs:
         self.n_ops = 0
 
     def add_batch(self, checked: CheckedBatch) -> None:
-        """Every readable ref of a checked batch, in ref order; each
-        repaired ref from its row of the repaired batch."""
-        batch, fixed, lo = checked.batch, checked.fixed, 0
-        for j, i in enumerate([*checked.repaired, len(batch)]):
-            self.add_rows(batch, lo, i, checked.flags)
-            if fixed is not None and i < len(batch):
-                self.add_rows(fixed.batch, j, j + 1, fixed.flags, repaired=True)
-            lo = i + 1
-
-    def add_rows(
-        self,
-        batch: RecordBatch,
-        lo: int,
-        hi: int,
-        flags: np.ndarray,
-        *,
-        repaired: bool = False,
-    ) -> None:
-        """Every readable ref of ``batch[lo:hi]``, from the batch arrays
-        and the batch's violation matrix ``flags``; ``repaired`` is the
-        rows' repair bit."""
-        rows = lo + np.flatnonzero(~batch.unreadable[lo:hi])
+        """Every readable ref of a checked batch, in ref order, from the
+        batch arrays and violation matrix; the refs repair recovered
+        with their repair bit set."""
+        batch = checked.batch
+        rows = np.flatnonzero(~batch.unreadable)
         if not len(rows):
             return
         row_list = rows.tolist()
         counts = batch.counts[rows]
-        first = int(batch.counts[:lo].sum())
-        src = batch.records[first : first + int(counts.sum())]
+        src = batch.records
 
         # heap strings in compile order: each trace's file names, then
         # its exe, machine and partition
@@ -289,8 +271,8 @@ class _Slabs:
         index["io_weight"] = total_bytes.astype(float) + meta_ops.astype(float)
         index["total_meta_ops"] = meta_ops
         index["total_bytes"] = total_bytes
-        index["violations"] = flags[rows] @ VIOLATION_BITS
-        index["repaired"] = repaired
+        index["violations"] = checked.flags[rows] @ VIOLATION_BITS
+        index["repaired"][np.searchsorted(rows, checked.repaired)] = True
         for k, field in enumerate(("exe", "machine", "partition")):
             index[f"{field}_off"] = job_loc[:, k, 0]
             index[f"{field}_len"] = job_loc[:, k, 1]

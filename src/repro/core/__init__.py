@@ -30,9 +30,9 @@ from .metadata import MetadataDetection, classify_metadata
 from .preprocess import (
     SelectedRef,
     SelectionPlan,
-    load_selected,
     preprocess_corpus,
     scan_corpus,
+    selected_traces,
 )
 from .result import CategorizationResult, load_results_jsonl, save_results_jsonl
 from .categorizer import categorize_trace
@@ -72,7 +72,7 @@ __all__ = [
     "SelectionPlan",
     "preprocess_corpus",
     "scan_corpus",
-    "load_selected",
+    "selected_traces",
     "CategorizationResult",
     "load_results_jsonl",
     "save_results_jsonl",

@@ -52,9 +52,9 @@ from .governor import DegradationLevel
 from .preprocess import (
     SelectedRef,
     SelectionPlan,
-    load_selected,
     read_selected,
     scan_corpus,
+    selected_traces,
 )
 from .result import CategorizationResult
 from .stream import ResultLine
@@ -579,7 +579,10 @@ def run_pipeline_store(
     # invocation; workers reattach the same way.
     store = attach(store_path, verify=True)
 
+    planned = False
+
     def units(pending: list[_Member]) -> Iterator[_Unit]:
+        nonlocal planned
         by_row = {int(entry.ref.key): (slot, entry) for slot, entry in pending}
         slices: list[StoreSlice] = plan_slices(
             store,
@@ -587,7 +590,11 @@ def run_pipeline_store(
             budget=ctx.config.budget,
             **({"target_ops": slice_ops} if slice_ops is not None else {}),
         )
-        ctx.count("n_slices", len(slices))
+        # the first plan only: the one-row units a failed slice is split
+        # into are counted by n_split_units
+        if not planned:
+            planned = True
+            ctx.count("n_slices", len(slices))
         for task in slices:
             yield [by_row[row] for row in task.rows], task
 
@@ -638,5 +645,5 @@ def run_pipeline(
     started = time.perf_counter()
     plan = _stream_plan(source, ctx)
     result = _run_pipeline_plan(plan, ctx, started, None, False)
-    plan.scan.selected = [load_selected(source, entry) for entry in plan.scan.refs]
+    plan.scan.selected = selected_traces(source, plan.scan.refs)
     return result

@@ -19,7 +19,8 @@ naively, so it is two-pass and streaming:
   record of this stage;
 * **pass 2** (:func:`read_selected`, driven by the pipeline) reads
   only the selected heaviest refs, a unit of them at a time, in the
-  worker that categorizes them, through the source's batch reader.
+  worker that categorizes them, through the source's batch reader, and
+  repairs again the rows pass 1 selected in their repaired form.
 
 The batch :func:`preprocess_corpus` API is a thin wrapper running both
 passes over an in-memory source.
@@ -30,13 +31,11 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import attrgetter
 
 import numpy as np
 
 from ..darshan.errors import TraceFormatError
-from ..darshan.repair import repair_trace
+from ..darshan.repair import repair_rows
 from ..darshan.source import (
     CheckedBatch,
     InMemorySource,
@@ -58,8 +57,8 @@ __all__ = [
     "SelectionPlan",
     "preprocess_corpus",
     "scan_corpus",
-    "load_selected",
     "read_selected",
+    "selected_traces",
 ]
 
 
@@ -69,7 +68,7 @@ class SelectedRef:
 
     Carries everything pass 2 needs to reload and trust the trace —
     the source ref, identity, the keep-heaviest weight it won with, and
-    whether repair must be re-applied after reloading.  Equality
+    whether repair must be applied again after reloading.  Equality
     ignores :attr:`ref`, the trace's locator in one source.
     """
 
@@ -165,15 +164,14 @@ def scan_corpus(source: TraceSource, *, repair: bool = False) -> SelectionPlan:
 
     ``repair=True`` enables the eviction alternative: corrupted traces
     are first passed through the conservative repair heuristics
-    (:mod:`repro.darshan.repair`) and only counted as corrupted when
-    repair fails.  The batch keeps what it read, so a repaired trace is
-    rebuilt without a second read; it is weighed, keyed and validated
-    as its repaired row.
+    (:func:`~repro.darshan.repair.repair_rows`, over the batch's
+    columns) and only counted as corrupted when repair fails; a
+    repaired trace is weighed as its repaired row.
     The paper evicts outright; the REPAIR experiment quantifies the
     difference.
     """
     fold = _Fold()
-    for batch in source.record_batches(retain_traces=repair):
+    for batch in source.record_batches():
         # bound to no name: the next batch is checked once this one is freed
         _fold_batch(fold, check_batch(batch, repair=repair))
     return fold.plan()
@@ -258,22 +256,15 @@ class _Fold:
 
 
 def _fold_batch(fold: _Fold, checked: CheckedBatch) -> None:
-    """Add a checked batch to ``fold``, each ref repair recovered as its
-    repaired row: causes (the flags ``compile_corpus`` stores), weight,
-    job id and key."""
-    batch, hits, weights = checked.batch, checked.flags, _io_weights(checked.batch)
+    """Add a checked batch to ``fold``: causes (the flags
+    ``compile_corpus`` stores), weight, job id and key of each row."""
+    batch = checked.batch
     job_ids = np.array(batch.job_id, dtype=np.int64)
     keys = list(zip(batch.uid, batch.exe))
-    if checked.fixed is not None:
-        fixed, rows = checked.fixed, checked.repaired
-        hits = hits.copy()
-        hits[rows], weights[rows] = fixed.flags, _io_weights(fixed.batch)
-        job_ids[rows] = fixed.batch.job_id
-        for i, key in zip(rows, zip(fixed.batch.uid, fixed.batch.exe)):
-            keys[i] = key
     codes = dict(zip(dict.fromkeys(keys), range(len(keys))))
     apps = np.fromiter(map(codes.__getitem__, keys), np.int64, len(keys))
-    fold.add(hits, checked.repaired, weights, job_ids, apps, keys.__getitem__, batch.ref)
+    weights = _io_weights(batch)
+    fold.add(checked.flags, checked.repaired, weights, job_ids, apps, keys.__getitem__, batch.ref)
 
 
 #: ``io_weight``'s two integer sums, as record field groups.
@@ -289,40 +280,42 @@ def _io_weights(batch: RecordBatch) -> np.ndarray:
     return np.array(totals[0], dtype=np.float64) + np.array(totals[1], dtype=np.float64)
 
 
-def load_selected(source: TraceSource, entry: SelectedRef) -> Trace:
-    """Pass ②: reload one selected trace, re-applying repair if the scan
-    selected its repaired form."""
-    trace = source.load(entry.ref)
-    if entry.repaired:
-        trace = repair_trace(trace).trace
-    return trace
-
-
 def read_selected(
     source: TraceSource, entries: Sequence[SelectedRef]
 ) -> list[RecordBatch]:
     """Pass ②: read selected traces, in order, as record batches.
 
-    A run of ``entries`` selected as read goes through the source's
-    batch reader (:meth:`~repro.darshan.source.TraceSource.read_batches`);
-    one selected in its repaired form is reloaded and repaired
-    (:func:`load_selected`), then laid out as a row.  A trace that does
-    not read raises its own load error, or ``TraceFormatError`` when it
+    Every ref goes through the source's batch reader
+    (:meth:`~repro.darshan.source.TraceSource.read_batches`); the rows
+    selected in their repaired form are validated and repaired again
+    (:func:`~repro.darshan.repair.repair_rows`).  A trace that does not
+    read raises its own load error, or ``TraceFormatError`` when it
     loads on its own but not as a row.
     """
+    repaired = np.array([entry.repaired for entry in entries], dtype=bool)
     batches: list[RecordBatch] = []
-    for repaired, run in groupby(entries, key=attrgetter("repaired")):
-        members = list(run)
-        if repaired:
-            pairs = [(entry.ref, load_selected(source, entry)) for entry in members]
-            batches.append(RecordBatch.of_traces(pairs))
-        else:
-            batches += source.read_batches([entry.ref for entry in members])
-    unreadable = np.concatenate([batch.unreadable for batch in batches])
-    for at in np.flatnonzero(unreadable).tolist():
-        load_selected(source, entries[at])
-        raise TraceFormatError(f"trace {entries[at].ref.key!r} does not read as a row")
+    done = 0
+    for batch in source.read_batches([entry.ref for entry in entries]):
+        for i in np.flatnonzero(batch.unreadable).tolist():
+            ref = entries[done + i].ref
+            source.load(ref)
+            raise TraceFormatError(f"trace {ref.key!r} does not read as a row")
+        rows = repaired[done : done + len(batch)]
+        done += len(batch)
+        if rows.any():
+            # as pass ① did, repair only what validation flags
+            batch = repair_rows(batch, rows & check_batch(batch).flags.any(axis=1))[0]
+        batches.append(batch)
     return batches
+
+
+def selected_traces(source: TraceSource, entries: Sequence[SelectedRef]) -> list[Trace]:
+    """The traces of ``entries``, in order: each as ``source`` loads it,
+    or, when selected in its repaired form, built from its repaired row
+    (:func:`read_selected`)."""
+    batches = read_selected(source, [entry for entry in entries if entry.repaired])
+    fixed = iter([batch.trace(i) for batch in batches for i in range(len(batch))])
+    return [next(fixed) if entry.repaired else source.load(entry.ref) for entry in entries]
 
 
 def preprocess_corpus(
@@ -337,5 +330,5 @@ def preprocess_corpus(
     """
     source = InMemorySource(traces)
     plan = scan_corpus(source, repair=repair)
-    plan.selected = [load_selected(source, entry) for entry in plan.refs]
+    plan.selected = selected_traces(source, plan.refs)
     return plan

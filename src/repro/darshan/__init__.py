@@ -33,7 +33,6 @@ from .source import (
     TraceSource,
 )
 from .statistics import TraceSummary, summarize
-from .repair import RepairOutcome, repair_trace
 from .io_text import dumps_text, load_text, loads_text, save_text
 
 __all__ = [
@@ -69,8 +68,6 @@ __all__ = [
     "SyntheticSource",
     "TraceSummary",
     "summarize",
-    "RepairOutcome",
-    "repair_trace",
     "dumps_text",
     "load_text",
     "loads_text",

@@ -360,16 +360,8 @@ class MosdColumns(NamedTuple):
     counts: np.ndarray
     #: Every accepted row's record section, back to back.
     records: np.ndarray
-    #: The buffer the payloads were parsed from, and each payload's
-    #: offset and length in it.
-    data: Any
-    offsets: np.ndarray
+    #: Each payload's length.
     sizes: np.ndarray
-
-    def payload(self, i: int) -> bytes:
-        """Row ``i``'s payload bytes."""
-        at = int(self.offsets[i])
-        return bytes(memoryview(self.data)[at : at + int(self.sizes[i])])
 
 
 def _gather(u8: np.ndarray, at: np.ndarray, dtype: np.dtype[Any]) -> np.ndarray:
@@ -526,8 +518,6 @@ def parse_buffer(
         tables=Utf8Slices(data, at[4], at[5]),
         counts=column(n_records),
         records=_record_rows(data, u8, at[5, rows], n_records[rows]),
-        data=data,
-        offsets=starts,
         sizes=sizes,
     )
 

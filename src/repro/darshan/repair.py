@@ -19,130 +19,142 @@ Repairs are conservative by construction:
   dropped entirely — their content cannot be trusted;
 * a negative runtime or non-positive rank count invalidates the whole
   trace: unrepairable.
+
+:func:`repair_rows` applies every rule to a batch's record columns at
+once, each rule a mask; ``repro.testing.repair_trace`` is the
+per-``Trace`` oracle it is held to.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import replace
+from itertools import compress
+from typing import TYPE_CHECKING
 
-from .records import FileRecord
-from .trace import Trace
-from .validate import END_SLACK, validate_trace
+import numpy as np
 
-__all__ = ["RepairOutcome", "repair_trace"]
+from .counters import NO_TIMESTAMP
+from .io_binary import RECORD_DTYPE
+from .validate import _COUNTERS, END_SLACK, _py_max, violation_matrix
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .source import RecordBatch
+
+__all__ = ["MAX_CLAMP_FACTOR", "repair_rows"]
 
 #: Records whose timestamps exceed the runtime by more than this factor
 #: are dropped instead of clamped.
 MAX_CLAMP_FACTOR = 1.5
 
+#: The record fields repair may rewrite.
+_TIMES = ("open_start", "close_end", "read_start", "read_end", "write_start", "write_end")
 
-@dataclass(slots=True)
-class RepairOutcome:
-    """Result of one repair attempt."""
-
-    trace: Trace
-    #: True when the repaired trace passes validation.
-    repaired: bool
-    #: Human-readable log of what was changed.
-    actions: list[str] = field(default_factory=list)
-    #: Number of records dropped as unrecoverable.
-    n_dropped_records: int = 0
+#: A record with no counts and no windows.
+_BLANK = np.array(
+    tuple(NO_TIMESTAMP if name in _TIMES else 0 for name in RECORD_DTYPE.names), dtype=RECORD_DTYPE
+)
 
 
-def _fix_record(rec: FileRecord, run_time: float, actions: list[str]) -> bool:
-    """Repair one record in place; return False to drop it."""
-    name = f"record {rec.file_id}/{rec.rank}"
-
-    for label in ("opens", "closes", "seeks", "stats", "reads", "writes",
-                  "bytes_read", "bytes_written"):
-        if getattr(rec, label) < 0:
-            actions.append(f"drop {name}: negative {label}")
-            return False
-
-    hi = run_time + END_SLACK
-    for prefix, bytes_attr in (("read", "bytes_read"), ("write", "bytes_written")):
-        lo_attr, hi_attr = f"{prefix}_start", f"{prefix}_end"
-        lo, hi_ts = getattr(rec, lo_attr), getattr(rec, hi_attr)
-        nbytes = getattr(rec, bytes_attr)
-        present = lo >= 0.0 or hi_ts >= 0.0
-        if nbytes > 0 and not present:
-            actions.append(f"drop {name}: {prefix} bytes without window")
-            return False
-        if not present:
-            continue
-        if lo < 0.0 or hi_ts < 0.0:
-            actions.append(f"drop {name}: half-open {prefix} window")
-            return False
-        if hi_ts < lo:
-            setattr(rec, lo_attr, hi_ts)
-            setattr(rec, hi_attr, lo)
-            lo, hi_ts = hi_ts, lo
-            actions.append(f"swap inverted {prefix} window of {name}")
-        if hi_ts > hi:
-            if hi_ts > MAX_CLAMP_FACTOR * max(run_time, 1.0):
-                actions.append(f"drop {name}: {prefix} window far past job end")
-                return False
-            setattr(rec, hi_attr, run_time)
-            setattr(rec, lo_attr, min(lo, run_time))
-            actions.append(f"clamp {prefix} window of {name} to runtime")
-
-    if rec.open_start >= 0.0 and rec.close_end >= 0.0:
-        if rec.close_end < rec.open_start:
-            rec.open_start, rec.close_end = rec.close_end, rec.open_start
-            actions.append(f"swap inverted metadata window of {name}")
-        last_activity = max(rec.read_end, rec.write_end)
-        if last_activity >= 0.0 and rec.close_end < last_activity:
-            # the paper's dealloc-before-end case: the data window proves
-            # the file was still in use, so trust it
-            rec.close_end = last_activity
-            actions.append(f"extend close of {name} to activity end")
-        if rec.close_end > hi:
-            if rec.close_end > MAX_CLAMP_FACTOR * max(run_time, 1.0):
-                actions.append(f"drop {name}: metadata window far past job end")
-                return False
-            rec.close_end = run_time
-            rec.open_start = min(rec.open_start, run_time)
-            actions.append(f"clamp metadata window of {name}")
-    elif rec.opens > 0:
-        anchor = max(rec.read_start, rec.write_start, 0.0)
-        rec.open_start = anchor
-        rec.close_end = max(rec.read_end, rec.write_end, anchor)
-        actions.append(f"reconstruct metadata window of {name} from activity")
-    return True
+def _clamp(
+    lo: np.ndarray, end: np.ndarray, past: np.ndarray, run_time: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The windows ``[lo, end]``, each that ends ``past`` the job end
+    clamped to ``[min(lo, run_time), run_time]`` (Python ``min``), and
+    the mask of those too far past it (:data:`MAX_CLAMP_FACTOR`) to clamp."""
+    too_far = past & (end > MAX_CLAMP_FACTOR * _py_max(run_time, 1.0))
+    clamp = past & ~too_far
+    return np.where(clamp & (run_time < lo), run_time, lo), np.where(clamp, run_time, end), too_far
 
 
-def repair_trace(trace: Trace) -> RepairOutcome:
-    """Attempt to repair ``trace``; never mutates the input.
+def _fix_records(records: np.ndarray, run_time: np.ndarray) -> np.ndarray:
+    """Repair ``records`` in place, each against its trace's
+    ``run_time``; returns the mask of records to keep.
 
-    Valid traces come back untouched with ``repaired=True`` and no
-    actions.
+    The rules run in the order a record meets them: counters, then the
+    read and write windows (swap, then clamp or drop), then the
+    metadata window (swap, extend, then clamp or drop) or its rebuild
+    from activity.  Where a rule takes a Python ``max`` or ``min``, so
+    does the mask (:func:`~repro.darshan.validate._py_max`), so a NaN
+    time fares as it does in ``repro.testing.repair_trace``.
     """
-    if validate_trace(trace).valid:
-        return RepairOutcome(trace=trace, repaired=True)
+    drop = np.zeros(len(records), dtype=bool)
+    for label in _COUNTERS:
+        drop |= records[label] < 0
+    hi = run_time + END_SLACK
+    for lo_f, hi_f, n_f in (
+        ("read_start", "read_end", "bytes_read"),
+        ("write_start", "write_end", "bytes_written"),
+    ):
+        lo, end = records[lo_f], records[hi_f]
+        present = (lo >= 0.0) | (end >= 0.0)
+        half_open = present & ((lo < 0.0) | (end < 0.0))
+        whole = present & ~half_open
+        swap = whole & (end < lo)
+        lo, end = np.where(swap, end, lo), np.where(swap, lo, end)
+        records[lo_f], records[hi_f], too_far = _clamp(lo, end, whole & (end > hi), run_time)
+        drop |= ((records[n_f] > 0) & ~present) | half_open | too_far
 
-    run_time = trace.meta.run_time
-    if run_time <= 0.0 or trace.meta.nprocs <= 0:
-        return RepairOutcome(
-            trace=trace,
-            repaired=False,
-            actions=["unrepairable: corrupt job header"],
-        )
+    opened, closed = records["open_start"], records["close_end"]
+    both = (opened >= 0.0) & (closed >= 0.0)
+    swap = both & (closed < opened)
+    opened, closed = np.where(swap, closed, opened), np.where(swap, opened, closed)
+    # the paper's dealloc-before-end case: the data window proves the
+    # file was still in use, so trust it
+    last_activity = _py_max(records["read_end"], records["write_end"])
+    extend = both & (last_activity >= 0.0) & (closed < last_activity)
+    closed = np.where(extend, last_activity, closed)
+    opened, closed, too_far = _clamp(opened, closed, both & (closed > hi), run_time)
+    rebuild = ~both & (records["opens"] > 0)
+    anchor = _py_max(_py_max(records["read_start"], records["write_start"]), 0.0)
+    records["open_start"] = np.where(rebuild, anchor, opened)
+    records["close_end"] = np.where(rebuild, _py_max(last_activity, anchor), closed)
+    return ~(drop | too_far)
 
-    fixed = copy.deepcopy(trace)
-    actions: list[str] = []
-    kept: list[FileRecord] = []
-    dropped = 0
-    for rec in fixed.records:
-        if _fix_record(rec, run_time, actions):
-            kept.append(rec)
-        else:
-            dropped += 1
-    fixed.records = kept
 
-    ok = validate_trace(fixed).valid
-    if not ok:
-        actions.append("residual violations after repair")
-    return RepairOutcome(
-        trace=fixed, repaired=ok, actions=actions, n_dropped_records=dropped
-    )
+def repair_rows(batch: "RecordBatch", rows: np.ndarray) -> tuple["RecordBatch", np.ndarray]:
+    """Repair the traces of ``batch`` that the boolean mask ``rows``
+    marks, each a readable trace that
+    :func:`~repro.darshan.validate.violation_matrix` flags.
+
+    A trace whose job header has a non-positive runtime or rank count
+    is unrepairable.  Every other trace's records are fixed as columns
+    (:func:`_fix_records`) and those dropped compacted away; the trace
+    is recovered when one ``violation_matrix`` call over the results
+    flags nothing.  Returns ``batch`` with each recovered trace's
+    records and file names replaced by its repaired ones (no header
+    changes), and the mask of the traces recovered.
+    """
+    counts = batch.counts
+    tried = rows & ~batch.unreadable & ~((batch.run_time <= 0.0) | (batch.nprocs <= 0))
+    recovered = np.zeros(len(counts), dtype=bool)
+    if not tried.any():
+        return batch, recovered
+    owner = np.repeat(np.arange(len(counts)), counts)
+    at = np.flatnonzero(tried[owner])
+    fixed = batch.records[at]
+    keep = _fix_records(fixed, batch.run_time[owner[at]])
+    # a blank record flags nothing, so with the dropped ones blanked one
+    # matrix over every tried record gives each tried trace's verdict
+    fixed[~keep] = _BLANK
+    residual = violation_matrix(fixed, batch.run_time[tried], batch.nprocs[tried], counts[tried])
+    recovered[tried] = ~residual.any(axis=1)
+    if not recovered.any():
+        return batch, recovered
+
+    # one copy of the batch's records, the recovered traces' dropped
+    # ones left out, then each kept one's repaired times written in
+    moved = recovered[owner[at]]
+    keep_all = np.ones(len(batch.records), dtype=bool)
+    keep_all[at[moved]] = keep[moved]
+    moved &= keep
+    records = batch.records[keep_all]
+    dest = (np.cumsum(keep_all) - 1)[at[moved]]
+    for name in _TIMES:
+        records[name][dest] = fixed[name][moved]
+    new_counts = np.bincount(owner[keep_all], minlength=len(counts))
+    names = list(batch._names)
+    ends = np.cumsum(counts)
+    for i in np.flatnonzero(new_counts != counts).tolist():
+        kept = keep_all[ends[i] - counts[i] : ends[i]].tolist()
+        names[i] = list(compress(batch.file_names(i), kept))
+    return replace(batch, records=records, counts=new_counts, _names=names), recovered

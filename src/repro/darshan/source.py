@@ -18,8 +18,9 @@ arrays.  Pass ② reads the refs pass ① selected the same way
 :meth:`~TraceSource.load`; :class:`DirectorySource` reads a batch's
 MOSD files into one buffer and parses them there as one column set
 (:func:`~repro.darshan.io_binary.parse_buffer`).  :func:`check_batch`
-validates (and with ``repair`` repairs) a batch: the one per-batch step
-of pass ① that the scan and the compiler both apply.
+validates (and with ``repair`` repairs, as columns:
+:func:`~repro.darshan.repair.repair_rows`) a batch: the one per-batch
+step of pass ① that the scan and the compiler both apply.
 
 Three implementations cover the repo's workloads:
 
@@ -62,7 +63,6 @@ from .io_binary import (
     MosdColumns,
     _pack_record,
     load_binary,
-    loads_binary,
     parse_buffer,
     parse_payloads,
     read_into,
@@ -71,7 +71,7 @@ from .io_json import load_json
 from .io_text import load_text
 from .limits import DEFAULT_LIMITS
 from .records import FileRecord, JobMeta, exact_int
-from .repair import repair_trace
+from .repair import repair_rows
 from .trace import Trace
 from .validate import VIOLATION_COLUMNS, Violation, violation_matrix
 
@@ -156,8 +156,6 @@ class _Entry(NamedTuple):
     meta: JobMeta | None
     #: The ref's records (empty when unreadable).
     records: np.ndarray
-    #: What :meth:`RecordBatch.trace` rebuilds the trace from, if kept.
-    held: Trace | None
     #: Bytes charged against the batch budget.
     cost: int
     #: The file name of each of ``records``.
@@ -182,7 +180,7 @@ _HEADER_INTS = (("job_id", 64), ("uid", 64), ("nprocs", 64))
 
 
 def _unreadable_entry(ref: TraceRef) -> _Entry:
-    return _Entry(ref, None, _NO_RECORDS, None, _REF_BYTES, [])
+    return _Entry(ref, None, _NO_RECORDS, _REF_BYTES, [])
 
 
 def _record_row(rec: FileRecord) -> bytes:
@@ -214,7 +212,7 @@ def _exact_trace(trace: Trace) -> Trace:
     return trace if meta is trace.meta and records is trace.records else Trace(meta, records)
 
 
-def _trace_entry(ref: TraceRef, trace: Trace, retain: bool) -> _Entry:
+def _trace_entry(ref: TraceRef, trace: Trace) -> _Entry:
     """Lay a decoded trace out as ``RECORD_DTYPE`` rows.
 
     A trace holding a counter, id or rank count that its column cannot
@@ -230,9 +228,8 @@ def _trace_entry(ref: TraceRef, trace: Trace, retain: bool) -> _Entry:
     except (TraceFormatError, TraceWriteError, OverflowError, TypeError, ValueError):
         return _unreadable_entry(ref)
     records = np.frombuffer(packed, dtype=RECORD_DTYPE)
-    held = trace if retain else None
     names = [rec.file_name for rec in trace.records]
-    return _Entry(ref, meta, records, held, _REF_BYTES + records.nbytes, names)
+    return _Entry(ref, meta, records, _REF_BYTES + records.nbytes, names)
 
 
 @dataclass(slots=True)
@@ -265,9 +262,6 @@ class RecordBatch:
     counts: np.ndarray
     #: Every readable ref's records, back to back (``RECORD_DTYPE``).
     records: np.ndarray
-    _held: list[Trace | None] = field(default_factory=list)
-    #: Job headers, or the parsed MOSD columns to build them from.
-    _headers: list[JobMeta | None] | MosdColumns = field(default_factory=list)
     #: Each ref's file names, or its MOSD string table to split.
     _names: Sequence[list[str] | str] = field(default_factory=list)
     #: The directory :attr:`keys` are file names in; ``""`` when they
@@ -277,7 +271,7 @@ class RecordBatch:
     @classmethod
     def of(cls, entries: Sequence[_Entry]) -> "RecordBatch":
         """Assemble a batch from one or more decoded entries, in order."""
-        refs, metas, records, held, _, names = zip(*entries)
+        refs, metas, records, _, names = zip(*entries)
         header = [_NO_META if m is None else m for m in metas]
         return cls(
             keys=[ref.key for ref in refs],
@@ -298,25 +292,15 @@ class RecordBatch:
             records=np.frombuffer(
                 b"".join([r.data for r in records]), dtype=RECORD_DTYPE
             ),
-            _held=list(held),
-            _headers=list(metas),
             _names=list(names),
         )
-
-    @classmethod
-    def of_traces(cls, pairs: Sequence[tuple[TraceRef, Trace]]) -> "RecordBatch":
-        """One ref per ``(ref, trace)`` pair, each trace laid out as a
-        decoded trace is; no trace is retained."""
-        return cls.of([_trace_entry(ref, trace, False) for ref, trace in pairs])
 
     @classmethod
     def of_columns(
         cls, keys: list[Any], sizes: list[int], cols: MosdColumns, root: str = ""
     ) -> "RecordBatch":
         """One ref per row of parsed MOSD columns, ``keys`` relative to
-        ``root``.  The batch keeps the buffer they were parsed from, so
-        :meth:`trace` can rebuild any readable ref without reading it
-        again."""
+        ``root``."""
         return cls(
             keys=keys,
             sizes=sizes,
@@ -332,7 +316,6 @@ class RecordBatch:
             partition=cols.partition,
             counts=cols.counts,
             records=cols.records,
-            _headers=cols,
             _names=cols.tables,
             root=root,
         )
@@ -354,25 +337,26 @@ class RecordBatch:
     def __len__(self) -> int:
         return len(self.keys)
 
+    def meta(self, i: int) -> JobMeta | None:
+        """Ref ``i``'s job header, built from the batch's header
+        columns; ``None`` when the ref is unreadable."""
+        if self.unreadable[i]:
+            return None
+        return JobMeta(
+            self.job_id[i],
+            self.uid[i],
+            self.exe[i],
+            int(self.nprocs[i]),
+            float(self.start_time[i]),
+            float(self.end_time[i]),
+            self.machine[i],
+            self.partition[i],
+        )
+
     @property
     def metas(self) -> list[JobMeta | None]:
-        """Each ref's job header (``None`` when unreadable); a parsed
-        batch builds them on each read."""
-        cols = self._headers
-        if isinstance(cols, list):
-            return cols
-        rows = zip(
-            cols.ok.tolist(),
-            cols.job_id.tolist(),
-            cols.uid.tolist(),
-            cols.exe,
-            cols.nprocs.tolist(),
-            cols.start.tolist(),
-            cols.end.tolist(),
-            cols.machine,
-            cols.partition,
-        )
-        return [JobMeta(*row[1:]) if row[0] else None for row in rows]
+        """Each ref's job header (``None`` when unreadable)."""
+        return [self.meta(i) for i in range(len(self))]
 
     def file_names(self, i: int) -> list[str]:
         """The file name of each of ref ``i``'s records in the batch."""
@@ -382,14 +366,13 @@ class RecordBatch:
         return names
 
     def trace(self, i: int) -> Trace:
-        """Rebuild ref ``i`` as a ``Trace`` from what the batch kept."""
-        cols = self._headers
-        if isinstance(cols, MosdColumns):
-            return loads_binary(cols.payload(i))
-        held = self._held[i]
-        if held is None:
-            raise ValueError(f"batch kept no trace for ref {i}")
-        return held
+        """Readable ref ``i`` as a ``Trace``, built from the batch's
+        columns: its header, records and file names."""
+        end = int(self.counts[: i + 1].sum())
+        rows = self.records[end - int(self.counts[i]) : end].tolist()
+        names = self.file_names(i)
+        records = [FileRecord(row[0], name, *row[1:]) for row, name in zip(rows, names)]
+        return Trace(cast(JobMeta, self.meta(i)), records)
 
 
 def segment_sums(
@@ -441,41 +424,31 @@ def _flags(batch: RecordBatch) -> np.ndarray:
 @dataclass(slots=True)
 class CheckedBatch:
     """One record batch as pass ① reads it: validated and, with
-    ``repair``, with the refs repair recovered laid out again."""
+    ``repair``, each ref repair recovered in its repaired form."""
 
     batch: RecordBatch
     #: :func:`~repro.darshan.validate.violation_matrix` of :attr:`batch`,
-    #: each unreadable ref flagged ``UNREADABLE`` (which it never sets).
+    #: each unreadable ref flagged ``UNREADABLE`` (which it never sets);
+    #: a repaired ref flags nothing.
     flags: np.ndarray
     #: Positions in :attr:`batch` of the refs repair recovered, ascending.
-    repaired: list[int] = field(default_factory=list)
-    #: Those refs' repaired traces, in the same order, as one more
-    #: checked batch; ``None`` when nothing was repaired.
-    fixed: "CheckedBatch | None" = None
+    repaired: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
 
 def check_batch(batch: RecordBatch, *, repair: bool = False) -> CheckedBatch:
     """Pass ①'s one per-batch step, which the streaming scan and the
-    store compiler apply to each batch of
-    ``source.record_batches(retain_traces=repair)``: ``batch`` with its
-    violation matrix.  With ``repair``, each readable ref it flags is
-    rebuilt from what the batch kept and repaired
-    (:func:`~repro.darshan.repair.repair_trace`); the traces recovered
-    are laid out through the same rows as any decoded trace, as one
-    more batch validated by one more matrix.
+    store compiler apply to each batch of ``source.record_batches()``:
+    ``batch`` with its violation matrix.  With ``repair``, the readable
+    refs it flags are repaired as columns
+    (:func:`~repro.darshan.repair.repair_rows`), and each one recovered
+    replaces its row.
     """
-    checked = CheckedBatch(batch, _flags(batch))
-    if repair:
-        pairs = []
-        for i in np.flatnonzero(checked.flags.any(axis=1) & ~batch.unreadable).tolist():
-            outcome = repair_trace(batch.trace(i))
-            if outcome.repaired:
-                checked.repaired.append(i)
-                pairs.append((batch.ref(i), outcome.trace))
-        if pairs:
-            fixed = RecordBatch.of_traces(pairs)
-            checked.fixed = CheckedBatch(fixed, _flags(fixed))
-    return checked
+    flags = _flags(batch)
+    if not repair:
+        return CheckedBatch(batch, flags)
+    batch, recovered = repair_rows(batch, flags.any(axis=1))
+    flags[recovered] = False
+    return CheckedBatch(batch, flags, np.flatnonzero(recovered))
 
 
 class TraceSource(ABC):
@@ -506,39 +479,34 @@ class TraceSource(ABC):
         """Number of refs (enumerates; O(corpus) but loads nothing)."""
         return sum(1 for _ in self.refs())
 
-    def record_batches(self, *, retain_traces: bool = False) -> Iterator[RecordBatch]:
+    def record_batches(self) -> Iterator[RecordBatch]:
         """Every ref in :meth:`refs` order, grouped into record batches.
 
         A batch holds at most :data:`BATCH_BYTES` of payload (record
         bytes plus a fixed charge per ref), except that a trace larger
-        than that forms a batch on its own.  With
-        ``retain_traces`` each batch can rebuild any readable ref's
-        ``Trace`` (:meth:`RecordBatch.trace`) without reading it again.
-        Decode failures mark the ref unreadable; any other error
-        propagates.
+        than that forms a batch on its own.  Decode failures mark the
+        ref unreadable; any other error propagates.
         """
-        return self._entry_batches(self.refs(), retain_traces)
+        return self._entry_batches(self.refs())
 
     def read_batches(self, refs: Sequence[TraceRef]) -> Iterator[RecordBatch]:
         """``refs``, in order, in record batches, each ref read as
         :meth:`record_batches` reads it: pass ②'s read of the traces
-        pass ① selected.  No batch retains traces."""
-        return self._entry_batches(refs, False)
+        pass ① selected."""
+        return self._entry_batches(refs)
 
-    def _entry_batches(
-        self, refs: Iterable[TraceRef], retain: bool
-    ) -> Iterator[RecordBatch]:
-        entries = (self._batch_entry(ref, retain) for ref in refs)
+    def _entry_batches(self, refs: Iterable[TraceRef]) -> Iterator[RecordBatch]:
+        entries = (self._batch_entry(ref) for ref in refs)
         for group in budgeted(entries, lambda e: e.cost):
             yield RecordBatch.of(group)
 
-    def _batch_entry(self, ref: TraceRef, retain: bool) -> _Entry:
+    def _batch_entry(self, ref: TraceRef) -> _Entry:
         """One ref for :meth:`record_batches`; the default loads it."""
         try:
             trace = self.load(ref)
         except TraceFormatError:
             return _unreadable_entry(ref)
-        return _trace_entry(ref, trace, retain)
+        return _trace_entry(ref, trace)
 
     @property
     def bytes_read(self) -> int:
@@ -642,29 +610,28 @@ class DirectorySource(TraceSource):
         """Number of trace files, from the listing alone (no stat)."""
         return len(self._listing())
 
-    def record_batches(self, *, retain_traces: bool = False) -> Iterator[RecordBatch]:
+    def record_batches(self) -> Iterator[RecordBatch]:
         """The default batching, but each batch's MOSD files are read
         into one buffer and parsed there as one column set
         (:func:`~repro.darshan.io_binary.parse_buffer`).
 
         A batch holds MOSD files only or other formats only, which go
-        through :meth:`load`.  A MOSD batch can always rebuild its
-        traces, whatever ``retain_traces`` says: it keeps its buffer.
+        through :meth:`load`.
         """
-        yield from self._named_batches(self._listing(), retain_traces)
+        yield from self._named_batches(self._listing())
 
     def read_batches(self, refs: Sequence[TraceRef]) -> Iterator[RecordBatch]:
         """``refs``, each a file of this directory, through the reader
         of :meth:`record_batches`."""
         names = [os.path.basename(str(ref.key)) for ref in refs]
-        yield from self._named_batches(names, False)
+        yield from self._named_batches(names)
 
-    def _named_batches(self, names: Iterable[str], retain: bool) -> Iterator[RecordBatch]:
+    def _named_batches(self, names: Iterable[str]) -> Iterator[RecordBatch]:
         for is_mosd, run in groupby(names, key=methodcaller("endswith", ".mosd")):
             if is_mosd:
                 yield from self._mosd_batches(run)
             else:
-                yield from self._entry_batches(map(self._ref, run), retain)
+                yield from self._entry_batches(map(self._ref, run))
 
     def _mosd_batches(self, names: Iterable[str]) -> Iterator[RecordBatch]:
         """MOSD files in batches, each batch read into one buffer.

@@ -8,7 +8,7 @@ checkers over it: :func:`validate_trace`, the scalar, detail-producing
 one for a ``Trace``, and :func:`violation_matrix`, which flags the same
 categories for a whole batch of record arrays at once (pass ①'s only
 validator on every route; ``validate_trace`` is its oracle, and
-:func:`~repro.darshan.repair.repair_trace` uses it).
+``repro.testing.repair_trace`` uses it).
 
 Every check is pure structural invariant checking — a *valid* trace may
 still be I/O-insignificant; that is a categorization outcome, not a

@@ -522,7 +522,7 @@ class FrozenRecordMutationRule(Rule):
     ``JobMeta``/``FileRecord``/``CategorizationResult`` flow through
     the multiprocess pipeline and are shared across passes; in-place
     mutation corrupts dedup weights and cached statistics.  Two layers
-    are sanctioned: :mod:`repro.darshan.repair` (operates on deep
+    are sanctioned: :mod:`repro.testing.repair` (operates on deep
     copies by contract) and the ``repro.synth`` generator (it *builds*
     records and owns them exclusively until they are serialized).
     """
@@ -533,7 +533,7 @@ class FrozenRecordMutationRule(Rule):
     severity = Severity.ERROR
     fix_hint = "build a new record (dataclasses.replace) instead of mutating"
 
-    _ALLOWED_MODULES = frozenset({"repro.darshan.repair"})
+    _ALLOWED_MODULES = frozenset({"repro.testing.repair"})
     _ALLOWED_PREFIXES = ("repro.synth.",)
 
     def begin_module(self) -> None:

@@ -25,8 +25,8 @@ the robustness experiments (docs/ROBUSTNESS.md):
 
 from __future__ import annotations
 
-import copy
 import struct
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -41,6 +41,11 @@ __all__ = [
     "ADVERSARIAL_KINDS",
     "flood_trace",
 ]
+
+
+def _copy(trace: Trace) -> Trace:
+    """``trace`` with a header and records of its own to change."""
+    return Trace(replace(trace.meta), [replace(rec) for rec in trace.records])
 
 
 def _pick_record(trace: Trace, rng: np.random.Generator) -> FileRecord | None:
@@ -135,7 +140,7 @@ def corrupt_trace(
     to ``negative_runtime`` (always applicable) if the chosen mutation
     does not apply to this trace.
     """
-    mutated = copy.deepcopy(trace)
+    mutated = _copy(trace)
     if kind is None:
         names = list(CORRUPTION_KINDS)
         weights = np.array(
@@ -242,12 +247,12 @@ def flood_trace(
     """
     if factor < 2:
         raise ValueError("flood factor must be >= 2")
-    flooded = copy.deepcopy(trace)
+    flooded = _copy(trace)
     new_records: list[FileRecord] = []
     next_id = max((r.file_id for r in flooded.records), default=0) + 1
     for rec in flooded.records:
         for k in range(factor):
-            clone = copy.copy(rec)
+            clone = replace(rec)
             if k > 0:
                 clone.file_id = next_id
                 next_id += 1

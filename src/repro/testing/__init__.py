@@ -4,7 +4,8 @@ injection for the durability layer, a scripted TCP fault proxy for the
 service's client/server resilience, and the slow pure-Python oracles the
 runtime is held to: the reference kernels (:mod:`.reference`, with the
 ``reference_kernels()`` swap), the metadata event expansion
-(:mod:`.metadata`), and the differential sweep that compares them
+(:mod:`.metadata`), the per-``Trace`` repair heuristics
+(:mod:`.repair`), and the differential sweep that compares them
 (:mod:`.differential`, which also holds the distance kernel to the
 third-party ``cdist``).  The pipeline, store, service and kernel
 packages never import this one, and the CLI imports it only for
@@ -23,6 +24,7 @@ from .netchaos import (
     NetChaosSchedule,
 )
 from .reference import REFERENCE, reference_kernels
+from .repair import RepairOutcome, repair_trace
 from .storage import (
     FAULT_POWER_CUT,
     FAULT_SHORT_WRITE,
@@ -44,9 +46,11 @@ __all__ = [
     "FAULT_SHORT_WRITE",
     "PowerCut",
     "REFERENCE",
+    "RepairOutcome",
     "StorageChaos",
     "op_census",
     "reference_kernels",
+    "repair_trace",
     "run_all",
     "run_differential",
 ]

@@ -28,10 +28,10 @@ from ..columnar.format import (
 from ..darshan.errors import TraceFormatError
 from ..darshan.io_binary import RECORD_DTYPE as BATCH_DTYPE
 from ..darshan.records import exact_int
-from ..darshan.repair import repair_trace
 from ..darshan.source import TraceSource
 from ..darshan.trace import Trace
 from ..darshan.validate import ValidationReport, validate_trace
+from .repair import repair_trace
 
 __all__ = ["compile_per_trace", "fits_columns"]
 

@@ -5,7 +5,8 @@
 worker reads each unit through the scan's batch reader and categorizes
 it with one ``categorize_batch`` call.  None of that may show in the
 output: every result line equals the one ``categorize_trace`` gives for
-the trace ``load_selected`` reloads, whatever the input format, repair
+the trace the source loads (repaired by the per-``Trace`` oracle when
+pass ① selected its repaired form), whatever the input format, repair
 mode, budget or unit boundary.
 """
 
@@ -14,7 +15,7 @@ import pytest
 
 from repro.core import DEFAULT_CONFIG, ResourceBudget, run_pipeline_stream, scan_corpus
 from repro.core.categorizer import MAX_SLICE_TRACES, categorize_trace
-from repro.core.preprocess import load_selected
+from repro.core.preprocess import read_selected
 from repro.darshan import (
     DirectorySource,
     InMemorySource,
@@ -25,6 +26,7 @@ from repro.darshan import (
 from repro.darshan import source as source_module
 from repro.parallel import ParallelConfig
 from repro.synth import FleetConfig, corrupt_trace, generate_fleet
+from repro.testing import repair_trace
 
 from tests.columnar.test_store_pipeline_equivalence import BUDGETS
 from tests.conftest import make_record, make_trace
@@ -72,13 +74,15 @@ def _source(fmt, corpora, traces):
     return DirectorySource(corpora[fmt])
 
 
+def _reload(source, entry):
+    trace = source.load(entry.ref)
+    return repair_trace(trace).trace if entry.repaired else trace
+
+
 def _per_trace(source, *, repair=False, config=DEFAULT_CONFIG):
     """The oracle: each selected trace reloaded and categorized alone."""
     plan = scan_corpus(source, repair=repair)
-    return [
-        categorize_trace(load_selected(source, entry), config).json_line()
-        for entry in plan.refs
-    ]
+    return [categorize_trace(_reload(source, entry), config).json_line() for entry in plan.refs]
 
 
 def _batched(source, *, repair=False, config=DEFAULT_CONFIG, workers=0):
@@ -169,3 +173,22 @@ def test_member_larger_than_the_budget_is_a_unit_alone(tmp_path):
     source = RecordingSource(tmp_path)
     assert _batched(source) == _per_trace(source)
     assert source.units == [[str(tmp_path / f"{name}.mosd")] for name in "abc"]
+
+
+def test_repaired_member_rewritten_valid_is_read_as_is(tmp_path):
+    """A member selected in its repaired form whose file turns valid
+    before pass ② reads as the file holds it, as the per-trace oracle
+    reads it: repair runs only on rows validation flags."""
+    path = tmp_path / "a.mosd"
+    inverted = make_record(1, read=(50.0, 10.0, 4096))
+    save_binary(make_trace([inverted], job_id=1, exe="a.exe"), path)
+    source = DirectorySource(tmp_path)
+    plan = scan_corpus(source, repair=True)
+    assert [entry.repaired for entry in plan.refs] == [True]
+    # valid, but a half-open metadata window that repair would rebuild
+    half_open = make_record(1, read=(10.0, 50.0, 4096))
+    half_open.close_end = -1.0
+    save_binary(make_trace([half_open], job_id=1, exe="a.exe"), path)
+    assert _batched(source, repair=True) == _per_trace(source, repair=True)
+    (batch,) = read_selected(source, plan.refs)
+    assert batch.trace(0) == source.load(plan.refs[0].ref)

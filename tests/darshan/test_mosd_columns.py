@@ -15,7 +15,7 @@ import tracemalloc
 import pytest
 
 import repro.darshan.source as source_module
-from repro.darshan import DirectorySource, TraceFormatError, dumps_binary, load_binary
+from repro.darshan import DirectorySource, TraceFormatError, dumps_binary
 from repro.darshan.io_binary import (
     _COUNTS,
     _HEAD,
@@ -328,7 +328,8 @@ def _rows(batches) -> list[tuple]:
 def test_batches_held_at_once_keep_their_own_bytes(fleet_traces, fleet_payloads, tmp_path, monkeypatch):
     paths = _write(tmp_path, fleet_payloads)
     monkeypatch.setattr(source_module, "BATCH_BYTES", 20_000)
-    batches = list(DirectorySource(tmp_path).record_batches(retain_traces=True))
+    source = DirectorySource(tmp_path)
+    batches = list(source.record_batches())
     assert len(batches) > 3
     # every batch read after the first still reads as its files do
     rows = _rows(batches)
@@ -337,8 +338,9 @@ def test_batches_held_at_once_keep_their_own_bytes(fleet_traces, fleet_payloads,
         assert not bad and meta == repr(trace.meta)
         assert names == [r.file_name for r in trace.records]
         assert records == parse_binary(dumps_binary(trace)).records.tobytes()
+    # each ref, built from its batch's columns, is the trace its file loads
     traces = [b.trace(i) for b in batches for i in range(len(b))]
-    assert traces == [load_binary(p) for p in paths]
+    assert traces == [source.load(ref) for b in batches for ref in b.refs]
 
 
 def _edit_after(monkeypatch, call: str, target, edit) -> None:

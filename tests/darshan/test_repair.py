@@ -1,10 +1,11 @@
-"""Unit tests for trace repair heuristics."""
+"""Unit tests for the per-``Trace`` repair heuristics (the oracle of
+``repro.darshan.repair.repair_rows``)."""
 
 import numpy as np
 import pytest
 
 from repro.darshan import is_valid
-from repro.darshan.repair import repair_trace
+from repro.testing import repair_trace
 from repro.synth import CORRUPTION_KINDS, corrupt_trace
 
 from tests.conftest import make_record, make_trace

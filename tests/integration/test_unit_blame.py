@@ -123,6 +123,9 @@ def _blame_one_row(store, clean, journal, fault, workers, kind, error_type):
     retried = POLICY.max_retries + 1 if fault == "raise" else 1
     assert failure["attempts"] == retried
     assert result.metrics.get("n_quarantined", 0) == (fault != "raise")
+    # the one-row units the failed slice was split into are split units,
+    # not slices
+    assert result.metrics["n_slices"] == 1
 
 
 @FAULTS

@@ -1,9 +1,11 @@
 """The test oracles stay out of the runtime.
 
-The pure-Python reference kernels live in ``repro.testing``; importing
-the pipeline, the store, the service or the kernels must not pull any of
-``repro.testing`` in, and no reference kernel module may remain under
-``repro.kernels``.
+The pure-Python reference kernels and the per-``Trace`` repair oracle
+live in ``repro.testing``; importing the pipeline, the store, the
+service, the kernels or the trace substrate must not pull any of
+``repro.testing`` in, no reference kernel module may remain under
+``repro.kernels``, and the runtime's repair module keeps no per-trace
+``repair_trace``.
 
 The runtime depends on NumPy alone: ``import repro`` and the ``mosaic``
 CLI module load no ``scipy`` (the third-party distance oracle of the
@@ -49,6 +51,21 @@ print(FleetConfig.__module__, generate_fleet.__module__)
 """
 
 
+SUBSTRATE_PROBE = """
+import sys
+
+import repro.darshan, repro.core, repro.columnar
+
+print(sorted(m for m in sys.modules if m.split(".")[:2] == ["repro", "testing"]))
+"""
+
+REPAIR_PROBE = """
+import repro.darshan.repair as repair
+
+print(hasattr(repair, "repair_trace"), hasattr(repair, "repair_rows"))
+"""
+
+
 def _run(*args):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run(
@@ -64,6 +81,14 @@ def test_runtime_imports_no_test_oracle():
     assert _run("-c", PROBE) == ["[]", "True"]
 
 
+def test_trace_substrate_imports_no_test_oracle():
+    assert _run("-c", SUBSTRATE_PROBE) == ["[]"]
+
+
+def test_runtime_repair_is_columnar_only():
+    assert _run("-c", REPAIR_PROBE) == ["False True"]
+
+
 def test_cli_imports_no_scipy_oracle_or_lint_engine():
     assert _run("-c", CLI_PROBE) == ["[]", "repro.synth.fleet repro.synth.fleet"]
 
@@ -75,6 +100,8 @@ def test_cli_help_still_runs():
 
 if __name__ == "__main__":
     test_runtime_imports_no_test_oracle()
+    test_trace_substrate_imports_no_test_oracle()
+    test_runtime_repair_is_columnar_only()
     test_cli_imports_no_scipy_oracle_or_lint_engine()
     test_cli_help_still_runs()
     print("import boundary: ok")
